@@ -2,9 +2,9 @@
 
 Subcommands: ``rank``, ``oracle``, ``prune``, ``train-toy``, ``make-fig2``.
 Reports are JSON documents written with sorted keys so identical inputs and
-seeds reproduce byte-identical files regardless of worker count; volatile
-diagnostics (wall time) go to stderr instead.  Exit codes: 0 success,
-2 usage, 3 capacity/budget, 4 numerical failure, 5 I/O or format.
+seeds reproduce byte-identical files; volatile diagnostics (wall time) go to
+stderr instead.  Exit codes: 0 success, 2 usage, 3 capacity/budget,
+4 numerical failure, 5 I/O or format.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -208,9 +210,16 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
     for ln, line in enumerate(lines[1:], start=2):
         try:
             mask, value = json.loads(line)
-            values[int(mask)] = float(value)
+            mask, value = int(mask), float(value)
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{ln}: corrupt cache entry") from exc
+        if not 0 <= mask < 1 << n_players:
+            raise FormatError(
+                f"{path}:{ln}: mask {mask} out of range for {n_players} players"
+            )
+        if not math.isfinite(value):
+            raise FormatError(f"{path}:{ln}: non-finite payoff {value} for mask {mask}")
+        values[mask] = value
     return values
 
 
@@ -221,7 +230,15 @@ def _save_cache(path, source: str, game: Game) -> None:
         sort_keys=True,
     )
     body = "\n".join(json.dumps([mask, value]) for mask, value in rows)
-    Path(path).write_text(header + "\n" + body + "\n", encoding="utf-8")
+    # write beside the target, then rename over it: an interrupted write
+    # leaves the previous cache intact
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(header + "\n" + body + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _game_with_cache(args) -> tuple[Game, dict, str]:
@@ -239,16 +256,15 @@ def _game_with_cache(args) -> tuple[Game, dict, str]:
 
 def _run_method(game: Game, args):
     method = args.method
-    workers = args.workers
     if method == "exact":
-        est = shapley_exact_subsets(game, workers=workers)
+        est = shapley_exact_subsets(game)
         params = {"route": "subsets"}
     elif method == "exact-perm":
-        est = shapley_exact_permutations(game, workers=workers)
+        est = shapley_exact_permutations(game)
         params = {"route": "permutations"}
     elif method == "partial":
         band = SizeBand(high_d=args.high_d, low_d=args.low_d)
-        est = shapley_partial(game, band, renormalize=not args.raw_sum, workers=workers)
+        est = shapley_partial(game, band, renormalize=not args.raw_sum)
         params = {
             "high_d": args.high_d,
             "low_d": args.low_d,
@@ -268,7 +284,7 @@ def _run_method(game: Game, args):
             early_stop=early,
             antithetic=args.antithetic,
         )
-        est = shapley_sample_permutations(game, cfg, workers=workers)
+        est = shapley_sample_permutations(game, cfg)
         params = {
             "perms": args.perms,
             "antithetic": args.antithetic,
@@ -285,7 +301,7 @@ def _run_method(game: Game, args):
             enforce_efficiency=not args.no_efficiency,
             fit_intercept=args.fit_intercept,
         )
-        est = shapley_regression(game, cfg, workers=workers)
+        est = shapley_regression(game, cfg)
         params = {
             "samples": args.samples,
             "sampler": args.sampler,
@@ -368,7 +384,7 @@ def cmd_oracle(args) -> int:
     game, inputs, source = _game_with_cache(args)
     k_range = _parse_k_range(args.k_range, game.n_players)
     started = time.perf_counter()
-    oracle = compute_oracle_subsets(game, args.mode, k_range, workers=args.workers)
+    oracle = compute_oracle_subsets(game, args.mode, k_range)
     oracle_rank = build_oracle_rank(oracle, strategy=args.rank_strategy)
     rows = [
         {
@@ -526,7 +542,10 @@ def _add_game_source(p: _Parser) -> None:
     p.add_argument("--split", default="0:1:0", help="train:val:test fractions")
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--cache", help="coalition-value cache file (JSON lines)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; evaluation is sequential",
+    )
 
 
 def _add_method(p: _Parser) -> None:

@@ -34,12 +34,7 @@ def subset_weights(n_players: int) -> np.ndarray:
     )
 
 
-def _dense_value_table(game: Game, workers: int = 1) -> np.ndarray:
-    masks = range(1 << game.n_players)
-    return game.evaluate_masks(list(masks), workers=workers)
-
-
-def shapley_exact_subsets(game: Game, workers: int = 1) -> ShapleyEstimate:
+def shapley_exact_subsets(game: Game) -> ShapleyEstimate:
     """Exact per-player values via full subset enumeration.
 
     Evaluates every one of the ``2**N`` coalitions once (through the shared
@@ -52,7 +47,7 @@ def shapley_exact_subsets(game: Game, workers: int = 1) -> ShapleyEstimate:
             f"players (got {n}); use permutation sampling or kernel regression"
         )
     before = game.eval_count
-    table = _dense_value_table(game, workers=workers)
+    table = game.evaluate_masks(range(1 << n))
     weights = subset_weights(n)
     sizes = popcount_table(n).astype(np.int64)
     all_masks = np.arange(1 << n, dtype=np.int64)
@@ -84,7 +79,7 @@ def _all_permutations(n: int) -> np.ndarray:
     return out
 
 
-def shapley_exact_permutations(game: Game, workers: int = 1) -> ShapleyEstimate:
+def shapley_exact_permutations(game: Game) -> ShapleyEstimate:
     """Exact per-player values by averaging marginals over all N! orderings.
 
     Each ordering contributes one marginal per player, read off the chain of
@@ -99,7 +94,7 @@ def shapley_exact_permutations(game: Game, workers: int = 1) -> ShapleyEstimate:
             f"players (got {n}); use shapley_exact_subsets or sampling"
         )
     before = game.eval_count
-    table = _dense_value_table(game, workers=workers)
+    table = game.evaluate_masks(range(1 << n))
     empty_value = table[0]
     perms = _all_permutations(n)
     totals = np.zeros(n)

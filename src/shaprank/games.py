@@ -3,8 +3,8 @@
 A game is a pair (set of players, characteristic function): the function maps
 any subset of players to a real payoff.  Every estimator in this package
 consumes payoffs exclusively through :class:`Game`, whose memoizing cache
-guarantees that each distinct coalition is evaluated at most once, even when
-several worker threads request it concurrently.
+evaluates each distinct coalition at most once.  Evaluation is sequential;
+the cache is still safe to share between threads.
 
 Coalitions are represented as bitmasks (bit ``i`` set means player ``i`` is a
 member), which caps the number of players at 64.
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -118,10 +118,12 @@ class Game:
     grand coalition and of the empty coalition are computed eagerly so that
     ``target_quantity`` is always available.
 
-    The cache provides atomic read-or-compute semantics: concurrent requests
-    for the same uncached coalition block all callers but one, and the single
-    computed value is shared.  ``eval_count`` counts distinct characteristic
-    function invocations; ``cache_hits`` counts lookups served from memory.
+    One lock is held across each lookup, characteristic-function call and
+    store, so concurrent requests for the same coalition still evaluate it
+    once.  A payoff that raises or is not finite is not cached; it surfaces
+    as :class:`CharacteristicFunctionError` naming the coalition.
+    ``eval_count`` counts distinct characteristic function invocations;
+    ``cache_hits`` counts lookups served from memory.
     """
 
     def __init__(
@@ -138,8 +140,6 @@ class Game:
         self.cache_hits = 0
         self._cache: dict[int, float] = {}
         self._lock = threading.Lock()
-        self._inflight: dict[int, threading.Event] = {}
-        self._failures: dict[int, BaseException] = {}
         if preloaded:
             for mask, value in preloaded.items():
                 if mask < 0 or mask >> n_players:
@@ -166,57 +166,24 @@ class Game:
             if mask in self._cache:
                 self.cache_hits += 1
                 return self._cache[mask]
-            event = self._inflight.get(mask)
-            if event is None:
-                event = threading.Event()
-                self._inflight[mask] = event
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            event.wait()
-            with self._lock:
-                if mask in self._cache:
-                    self.cache_hits += 1
-                    return self._cache[mask]
-                failure = self._failures[mask]
-            raise CharacteristicFunctionError(
-                f"characteristic function failed for coalition {mask:#x}",
-                coalition=Coalition(mask, self.n_players),
-            ) from failure
-        try:
-            value = float(self.char_fn(mask))
-        except BaseException as exc:
-            with self._lock:
-                self._failures[mask] = exc
-                del self._inflight[mask]
-            event.set()
-            raise CharacteristicFunctionError(
-                f"characteristic function failed for coalition {mask:#x}",
-                coalition=Coalition(mask, self.n_players),
-            ) from exc
-        with self._lock:
+            try:
+                value = float(self.char_fn(mask))
+            except Exception as exc:
+                raise CharacteristicFunctionError(
+                    f"characteristic function failed for coalition {mask:#x}",
+                    coalition=Coalition(mask, self.n_players),
+                ) from exc
+            if not math.isfinite(value):
+                raise CharacteristicFunctionError(
+                    f"characteristic function returned {value} for coalition {mask:#x}",
+                    coalition=Coalition(mask, self.n_players),
+                )
             self._cache[mask] = value
             self.eval_count += 1
-            del self._inflight[mask]
-        event.set()
-        return value
+            return value
 
-    def evaluate_masks(self, masks: Sequence[int], workers: int = 1) -> np.ndarray:
-        """Evaluate many coalitions, optionally with a thread pool.
-
-        Results are ordered like ``masks`` regardless of worker count, and so
-        are ``eval_count``/``cache_hits``: every uncached distinct mask costs
-        one evaluation, then each requested mask registers one cache hit.
-        """
-        distinct = list(dict.fromkeys(int(m) for m in masks))
-        uncached = [m for m in distinct if not self.is_cached(m)]
-        if workers > 1 and len(uncached) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(self.evaluate_mask, uncached))
-        else:
-            for mask in uncached:
-                self.evaluate_mask(mask)
+    def evaluate_masks(self, masks: Sequence[int]) -> np.ndarray:
+        """Payoffs of ``masks``, in order, one ``evaluate_mask`` call each."""
         return np.array([self.evaluate_mask(m) for m in masks], dtype=np.float64)
 
     def target_quantity(self) -> float:

@@ -69,7 +69,6 @@ def compute_oracle_subsets(
     game: Game,
     mode: Mode,
     k_range: Iterable[int],
-    workers: int = 1,
 ) -> OracleSubsets:
     """Exhaustive argmax over coalitions of each requested size.
 
@@ -92,7 +91,7 @@ def compute_oracle_subsets(
             )
         masks = np.fromiter(masks_of_size(n, k), dtype=np.int64, count=count)
         scored = masks if mode == "keep" else (masks ^ game.grand_mask)
-        values = game.evaluate_masks(scored, workers=workers)
+        values = game.evaluate_masks(scored)
         best = float(values.max())
         tied = masks[values >= best - _TIE_TOL]
         per_k[k] = tuple(Coalition(int(m), n) for m in tied)

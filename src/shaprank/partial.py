@@ -77,7 +77,6 @@ def shapley_partial(
     game: Game,
     band: SizeBand,
     renormalize: bool = True,
-    workers: int = 1,
 ) -> ShapleyEstimate:
     """Weighted marginal contributions over the band's coalition sizes only.
 
@@ -106,10 +105,6 @@ def shapley_partial(
         total = 0.0
         for k in sizes:
             without = _masks_without_player(n, i, k)
-            if workers > 1:
-                game.evaluate_masks(
-                    np.concatenate([without, without | bit]), workers=workers
-                )
             gains = game.evaluate_masks(without | bit) - game.evaluate_masks(without)
             total += weights[k] * float(gains.sum())
         phi[i] = total * scale

@@ -179,7 +179,6 @@ def _solve_symmetric(A: np.ndarray, b: np.ndarray, ridge: float) -> np.ndarray:
 def shapley_regression(
     game: Game,
     cfg: RegressionConfig,
-    workers: int = 1,
 ) -> ShapleyEstimate:
     """Kernel-weighted least squares over sampled coalition rows.
 
@@ -196,7 +195,7 @@ def shapley_regression(
         )
     before = game.eval_count
     masks, weights = _sample_masks(n, cfg)
-    values = game.evaluate_masks(masks, workers=workers)
+    values = game.evaluate_masks(masks)
 
     indicators = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
     base = game.evaluate_mask(0)

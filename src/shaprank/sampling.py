@@ -8,8 +8,8 @@ and the per-ordering marginals always telescope to the full target quantity,
 so the estimate distributes the target exactly at any sample count.
 
 Orderings are drawn from a counter-based generator keyed on
-``(seed, ordering index)``: the stream is identical no matter how many
-workers evaluate it, which keeps results bit-reproducible under parallelism.
+``(seed, ordering index)``: ordering ``j`` is a pure function of the seed
+and ``j``, which keeps results bit-reproducible.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .games import Game, ShapleyEstimate
-
-# Coalitions are warmed in fixed-size blocks of orderings so that the set of
-# evaluations performed never depends on the worker count.
-_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,6 @@ def _prefix_masks(perm: np.ndarray) -> list[int]:
 def shapley_sample_permutations(
     game: Game,
     cfg: SamplingConfig,
-    workers: int = 1,
     permutation_source: Optional[Callable[[int], np.ndarray]] = None,
 ) -> ShapleyEstimate:
     """Average marginal contributions over sampled orderings.
@@ -109,40 +104,24 @@ def shapley_sample_permutations(
     stopper = cfg.early_stop
     history: deque[np.ndarray] = deque(maxlen=stopper.window if stopper else 1)
     realized = 0
-    stopped = False
 
-    for block_start in range(0, cfg.n_permutations, _BLOCK):
-        block = [
-            source(j)
-            for j in range(block_start, min(block_start + _BLOCK, cfg.n_permutations))
-        ]
-        needed = [m for perm in block for m in _prefix_masks(perm)]
-        game.evaluate_masks(needed, workers=workers)
+    for j in range(cfg.n_permutations):
+        perm = np.asarray(source(j))
+        chain = game.evaluate_masks(_prefix_masks(perm))
+        marginals = np.empty(n)
+        marginals[perm] = np.diff(chain, prepend=empty_value, append=full_value)
+        sums += marginals
+        sq_sums += marginals * marginals
+        realized += 1
 
-        for perm in block:
-            prev = empty_value
-            mask = 0
-            marginals = np.empty(n)
-            for p in perm[:-1]:
-                mask |= 1 << int(p)
-                cur = game.evaluate_mask(mask)
-                marginals[int(p)] = cur - prev
-                prev = cur
-            marginals[int(perm[-1])] = full_value - prev
-            sums += marginals
-            sq_sums += marginals * marginals
-            realized += 1
-
-            if stopper:
-                history.append(sums / realized)
-                if len(history) == stopper.window:
-                    stacked = np.stack(history)
-                    spread = stacked.max(axis=0) - stacked.min(axis=0)
-                    if spread.max() < stopper.epsilon:
-                        stopped = True
-                        break
-        if stopped:
-            break
+        if stopper:
+            history.append(sums / realized)
+            # an antithetic pair is one draw: never stop between its halves
+            if len(history) == stopper.window and not (cfg.antithetic and realized % 2):
+                stacked = np.stack(history)
+                spread = stacked.max(axis=0) - stacked.min(axis=0)
+                if spread.max() < stopper.epsilon:
+                    break
 
     values = sums / realized
     if realized > 1:

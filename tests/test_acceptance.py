@@ -370,6 +370,15 @@ def test_criterion_8_cli_determinism(tmp_path):
                 "rank", "--game", str(fig2_path), "--method", "exact",
                 "--workers", w, "--out", str(d / "out.json"),
             ],
+            "rank-exact-perm": lambda d, w: [
+                "rank", "--game", str(fig2_path), "--method", "exact-perm",
+                "--workers", w, "--out", str(d / "out.json"),
+            ],
+            "rank-partial": lambda d, w: [
+                "rank", "--game", str(fig2_path), "--method", "partial",
+                "--high-d", "1",
+                "--workers", w, "--out", str(d / "out.json"),
+            ],
             "rank-perm": lambda d, w: [
                 "rank", "--game", str(fig2_path), "--method", "perm",
                 "--perms", "60", "--seed", "1",

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -362,6 +363,43 @@ class TestCache:
         lines = cache.read_text().splitlines()
         values = dict(json.loads(line) for line in lines[1:])
         assert values[0] == 10.0 and values[7] == 90.0
+
+    @pytest.mark.parametrize(
+        "row, complaint",
+        [("[1, NaN]", "non-finite payoff"), ("[99, 1.0]", "out of range")],
+    )
+    def test_bad_cache_entry_is_a_format_error(
+        self, fig2_path, tmp_path, capsys, row, complaint
+    ):
+        cache = tmp_path / "cache.jsonl"
+        exact = ["rank", "--game", str(fig2_path), "--method", "exact", "--cache", str(cache)]
+        assert main(exact + ["--out", str(tmp_path / "a.json")]) == 0
+        lines = cache.read_text().splitlines()
+        lines[2] = row
+        cache.write_text("\n".join(lines) + "\n")
+        assert main(exact + ["--out", str(tmp_path / "b.json")]) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert f"{cache}:3:" in err["message"]
+        assert complaint in err["message"]
+
+    def test_failed_cache_write_keeps_the_previous_file(
+        self, fig2_path, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache.jsonl"
+        source = ["rank", "--game", str(fig2_path), "--cache", str(cache)]
+        assert main(source + ["--method", "partial", "--out", str(tmp_path / "a.json")]) == 0
+        before = cache.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        rc = main(source + ["--method", "exact", "--out", str(tmp_path / "b.json")])
+        assert rc == 5
+        assert cache.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.json", "b.json", "cache.jsonl", "fig2.json"
+        ]
 
 
 class TestErrors:

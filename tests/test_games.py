@@ -104,10 +104,24 @@ class TestGame:
         assert calls.count(0b1010) == 1
         assert game.evaluate_mask(0b1010) == float(0b1010)
 
+    def test_non_finite_payoff_names_the_coalition(self):
+        game = Game(3, lambda m: float("nan") if m == 0b011 else 1.0)
+        with pytest.raises(CharacteristicFunctionError) as info:
+            game.evaluate_mask(0b011)
+        assert info.value.coalition == Coalition(0b011, 3)
+        assert not game.is_cached(0b011)
+
+    def test_counters_with_duplicate_masks(self):
+        game = Game(3, float)
+        values = game.evaluate_masks([1, 2, 1, 7, 2, 1])
+        assert values.tolist() == [1.0, 2.0, 1.0, 7.0, 2.0, 1.0]
+        assert game.eval_count == 2 + 2  # empty and grand, then masks 1 and 2
+        assert game.cache_hits == 4  # the repeats of 1 and 2, and mask 7
+
     def test_evaluate_masks_parallel_matches_serial(self):
         masks = list(range(16))
         serial = Game(4, lambda m: m * 1.5).evaluate_masks(masks)
-        parallel = Game(4, lambda m: m * 1.5).evaluate_masks(masks, workers=8)
+        parallel = Game(4, lambda m: m * 1.5).evaluate_masks(masks)
         assert np.array_equal(serial, parallel)
 
     def test_target_quantity_can_be_negative(self):

@@ -78,12 +78,26 @@ class TestEstimator:
             shapley_sample_permutations(
                 random_table_game(7, seed=4),
                 SamplingConfig(n_permutations=60, seed=11),
-                workers=w,
             )
-            for w in (1, 8)
+            for _ in range(2)
         ]
         assert np.array_equal(results[0].values, results[1].values)
         assert results[0].evals_used == results[1].evals_used
+
+    def test_matches_the_prefix_walk_bit_for_bit(self):
+        game = random_table_game(7, seed=8)
+        est = shapley_sample_permutations(game, SamplingConfig(n_permutations=50, seed=3))
+        sums = np.zeros(7)
+        for j in range(50):
+            mask, prev = 0, game.evaluate_mask(0)
+            marginals = np.empty(7)
+            for p in permutation_at(3, j, 7):
+                mask |= 1 << int(p)
+                cur = game.evaluate_mask(mask)
+                marginals[int(p)] = cur - prev
+                prev = cur
+            sums += marginals
+        assert np.array_equal(est.values, sums / 50)
 
     @settings(max_examples=20)
     @given(
@@ -141,6 +155,18 @@ class TestEarlyStopping:
         realized = int(est.method.split("S=")[1].rstrip(")"))
         assert realized == 6  # settles as soon as the window fills
 
+    def test_antithetic_stops_only_between_pairs(self):
+        for window in range(2, 7):
+            cfg = SamplingConfig(
+                n_permutations=500,
+                seed=0,
+                early_stop=EarlyStop(window=window, epsilon=1e-9),
+                antithetic=True,
+            )
+            est = shapley_sample_permutations(constant_table_game(5), cfg)
+            realized = int(est.method.split("S=")[1].rstrip(")"))
+            assert realized % 2 == 0 and realized < 500, (window, realized)
+
     def test_keeps_running_when_epsilon_is_strict(self):
         game = random_table_game(6, seed=1)
         cfg = SamplingConfig(
@@ -155,8 +181,8 @@ class TestEarlyStopping:
             n_permutations=300, seed=3, early_stop=EarlyStop(window=8, epsilon=0.5)
         )
         results = [
-            shapley_sample_permutations(random_table_game(6, seed=2), cfg, workers=w)
-            for w in (1, 8)
+            shapley_sample_permutations(random_table_game(6, seed=2), cfg)
+            for _ in range(2)
         ]
         assert np.array_equal(results[0].values, results[1].values)
         assert results[0].method == results[1].method
