@@ -48,6 +48,7 @@ from .toynet import (
     split_dataset,
     train_toy_model,
     MaskedModel,
+    ModelSpec,
     accuracy_char_fn,
 )
 
@@ -143,15 +144,15 @@ def _bake_mask(masked: MaskedModel):
     return dataclasses.replace(spec, layers=layers)
 
 
-def _load_game_source(args) -> tuple[int, object, dict, str]:
+def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]]:
     """Resolve --game or --model/--data into (n_players, char_fn, input
-    provenance dict, cache source fingerprint)."""
+    provenance dict, cache source fingerprint, baked model spec or None)."""
     if args.game and args.model:
         raise UsageError("give either --game or --model, not both")
     if args.game:
         table = load_game_json(args.game)
         inputs = {"game": _sha256_file(args.game)}
-        return table.n_players, table.char_fn, inputs, inputs["game"]
+        return table.n_players, table.char_fn, inputs, inputs["game"], None
     if not args.model or not args.data:
         raise UsageError("need --game, or --model together with --data")
     masked = load_model(args.model)
@@ -161,6 +162,14 @@ def _load_game_source(args) -> tuple[int, object, dict, str]:
             raise UsageError(f"--layer {args.layer} out of range")
         spec = spec.with_prunable_layer(args.layer)
     data = load_dataset_csv(args.data)
+    n_classes = spec.layers[-1].out_units
+    outside = np.flatnonzero((data.labels < 0) | (data.labels >= n_classes))
+    if outside.size:
+        row = int(outside[0])
+        raise FormatError(
+            f"{args.data}:{row + 2}: label {data.labels[row]} outside the "
+            f"model's {n_classes} classes"
+        )
     fractions = _parse_fractions(args.split)
     parts = split_dataset(data, fractions, seed=args.split_seed)
     val = parts["val"]
@@ -184,7 +193,7 @@ def _load_game_source(args) -> tuple[int, object, dict, str]:
             ]
         )
     )
-    return spec.n_players, accuracy_char_fn(spec, val), inputs, source
+    return spec.n_players, accuracy_char_fn(spec, val), inputs, source, spec
 
 
 def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
@@ -241,12 +250,12 @@ def _save_cache(path, source: str, game: Game) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _game_with_cache(args) -> tuple[Game, dict, str]:
-    n_players, char_fn, inputs, source = _load_game_source(args)
+def _game_with_cache(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
+    n_players, char_fn, inputs, source, spec = _load_game_source(args)
     preloaded = None
     if args.cache and Path(args.cache).exists():
         preloaded = _load_cache(args.cache, source, n_players)
-    return Game(n_players, char_fn, preloaded=preloaded), inputs, source
+    return Game(n_players, char_fn, preloaded=preloaded), inputs, source, spec
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +345,7 @@ def _provenance(inputs: dict, game: Game, params: dict, est=None) -> dict:
 
 
 def cmd_rank(args) -> int:
-    game, inputs, source = _game_with_cache(args)
+    game, inputs, source, _ = _game_with_cache(args)
     started = time.perf_counter()
     est, params = _run_method(game, args)
     elapsed = time.perf_counter() - started
@@ -381,7 +390,7 @@ def _ranking_from_report(path) -> tuple[str, Ranking]:
 
 
 def cmd_oracle(args) -> int:
-    game, inputs, source = _game_with_cache(args)
+    game, inputs, source, _ = _game_with_cache(args)
     k_range = _parse_k_range(args.k_range, game.n_players)
     started = time.perf_counter()
     oracle = compute_oracle_subsets(game, args.mode, k_range)
@@ -439,16 +448,13 @@ def _write_oracle_csv(out_path, rows) -> None:
 def cmd_prune(args) -> int:
     if args.game:
         raise UsageError("prune operates on --model/--data, not --game")
-    game, inputs, source = _game_with_cache(args)
-    n = game.n_players
     if args.count is not None and args.fraction is not None:
         raise UsageError("give --count or --fraction, not both")
-    if args.count is not None:
-        count = args.count
-    elif args.fraction is not None:
-        count = int(round(args.fraction * n))
-    else:
+    if args.count is None and args.fraction is None:
         raise UsageError("need --count or --fraction")
+    game, inputs, source, spec = _game_with_cache(args)
+    n = game.n_players
+    count = args.count if args.count is not None else int(round(args.fraction * n))
     if not 0 < count < n:
         raise UsageError(f"remove count must be in (0, {n}), got {count}")
 
@@ -462,11 +468,6 @@ def cmd_prune(args) -> int:
     nu_before = game.evaluate_mask(game.grand_mask)
     nu_after = game.evaluate_mask(kept.bits)
     elapsed = time.perf_counter() - started
-
-    masked = load_model(args.model)
-    spec = _bake_mask(masked)
-    if args.layer is not None:
-        spec = spec.with_prunable_layer(args.layer)
     save_model(MaskedModel(spec=spec, mask=kept), args.out)
 
     summary = {

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .games import Game, ShapleyEstimate, popcount_table
+from .games import Game, ShapleyEstimate, masks_of_size
 
 SUBSET_ENUM_MAX_PLAYERS = 24
 PERM_ENUM_MAX_PLAYERS = 10
@@ -34,6 +35,34 @@ def subset_weights(n_players: int) -> np.ndarray:
     )
 
 
+def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.ndarray:
+    """Per player i, ``sum of weights[|S|] * (v(S + i) - v(S))`` over the
+    coalitions S without i whose size is in ``sizes``.
+
+    Each coalition of a size in ``sizes`` or one above is requested once, in
+    ascending mask order.  In that order the masks of a size in ``sizes``
+    without bit i, each OR-ed with bit i, are exactly the masks of a size
+    above with bit i set, so the two selections pair up by position.
+    """
+    sizes = sorted(set(sizes))
+    above = [k + 1 for k in sizes]
+    pulled = sorted(set(sizes + above))
+    parts = [masks_of_size(game.n_players, k) for k in pulled]
+    masks = np.concatenate(parts)
+    counts = np.repeat(np.array(pulled, dtype=np.int8), [p.size for p in parts])
+    order = np.argsort(masks)
+    masks, counts = masks[order], counts[order]
+    values = game.evaluate_masks(masks.tolist())
+    in_band, in_above = np.isin(counts, sizes), np.isin(counts, above)
+    phi = np.empty(game.n_players)
+    for i in range(game.n_players):
+        has_i = (masks & np.uint64(1 << i)).astype(bool)
+        without = in_band & ~has_i
+        gains = values[in_above & has_i] - values[without]
+        phi[i] = float(np.dot(weights[counts[without]], gains))
+    return phi
+
+
 def shapley_exact_subsets(game: Game) -> ShapleyEstimate:
     """Exact per-player values via full subset enumeration.
 
@@ -47,15 +76,7 @@ def shapley_exact_subsets(game: Game) -> ShapleyEstimate:
             f"players (got {n}); use permutation sampling or kernel regression"
         )
     before = game.eval_count
-    table = game.evaluate_masks(range(1 << n))
-    weights = subset_weights(n)
-    sizes = popcount_table(n).astype(np.int64)
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    phi = np.zeros(n)
-    for i in range(n):
-        without = all_masks[(all_masks >> i) & 1 == 0]
-        gains = table[without | (1 << i)] - table[without]
-        phi[i] = float(np.dot(weights[sizes[without]], gains))
+    phi = marginal_sums(game, range(n), subset_weights(n))
     return ShapleyEstimate(
         values=phi,
         method="exact-subsets",

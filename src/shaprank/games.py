@@ -12,7 +12,6 @@ member), which caps the number of players at 64.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import threading
@@ -39,20 +38,21 @@ def mask_from_members(members: Iterable[int], n_players: int) -> int:
     return mask
 
 
-def popcount_table(n_players: int) -> np.ndarray:
-    """Subset sizes for every bitmask in ``[0, 2**n_players)``."""
-    pc = np.zeros(1 << n_players, dtype=np.uint8)
-    step = 1
-    while step < (1 << n_players):
-        pc[step:2 * step] = pc[:step] + 1
-        step *= 2
-    return pc
-
-
-def masks_of_size(n_players: int, size: int) -> Iterable[int]:
-    """All bitmasks over ``n_players`` with exactly ``size`` bits set."""
-    for combo in itertools.combinations(range(n_players), size):
-        yield sum(1 << i for i in combo)
+def masks_of_size(n_players: int, size: int) -> np.ndarray:
+    """All bitmasks over ``n_players`` with exactly ``size`` bits set, as an
+    ascending uint64 array (empty when ``size`` is out of range)."""
+    if not 0 <= size <= n_players:
+        return np.empty(0, dtype=np.uint64)
+    if 2 * size > n_players:
+        full = np.uint64(full_mask(n_players))
+        return full ^ masks_of_size(n_players, n_players - size)[::-1]
+    # by_count[j]: ascending masks over the bits seen so far with j bits
+    # set; each new top bit appends the masks that take it
+    by_count = [np.zeros(1, dtype=np.uint64)] + [np.empty(0, dtype=np.uint64)] * size
+    for bit in range(n_players):
+        for j in range(min(size, bit + 1), 0, -1):
+            by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | np.uint64(1 << bit)])
+    return by_count[size]
 
 
 @dataclass(frozen=True)

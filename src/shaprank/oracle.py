@@ -21,7 +21,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .games import Coalition, Game, Ranking, masks_of_size, popcount_table
+from .games import Coalition, Game, Ranking, masks_of_size
 
 SIZE_BUDGET = 10**7
 _TIE_TOL = 1e-12
@@ -89,8 +89,8 @@ def compute_oracle_subsets(
             raise BudgetError(
                 f"size {k} enumerates {count} coalitions, over the {SIZE_BUDGET} budget"
             )
-        masks = np.fromiter(masks_of_size(n, k), dtype=np.int64, count=count)
-        scored = masks if mode == "keep" else (masks ^ game.grand_mask)
+        masks = masks_of_size(n, k)
+        scored = masks if mode == "keep" else masks ^ np.uint64(game.grand_mask)
         values = game.evaluate_masks(scored)
         best = float(values.max())
         tied = masks[values >= best - _TIE_TOL]
@@ -125,14 +125,12 @@ def score_ranking(rank: Ranking, oracle: OracleSubsets) -> RankScore:
 def _prefix_gains(oracle: OracleSubsets) -> np.ndarray:
     """``gain[mask] = |mask| * best overlap`` for masks of scored sizes, else 0."""
     n = oracle.n_players
-    sizes = popcount_table(n)
     gains = np.zeros(1 << n)
-    all_masks = np.arange(1 << n, dtype=np.int64)
     for k in oracle.k_range:
-        masks_k = all_masks[sizes == k]
+        masks_k = masks_of_size(n, k)
         best = np.zeros(masks_k.size)
         for oracle_set in oracle.per_k[k]:
-            inter = sizes[masks_k & oracle_set.bits].astype(np.float64)
+            inter = sum(((masks_k >> j) & 1).astype(np.float64) for j in oracle_set.members())
             union = k + oracle_set.size - inter
             np.maximum(best, inter / union, out=best)
         gains[masks_k] = k * best
@@ -148,11 +146,9 @@ def _optimal_order(oracle: OracleSubsets) -> list[int]:
     """
     n = oracle.n_players
     gains = _prefix_gains(oracle)
-    sizes = popcount_table(n)
-    all_masks = np.arange(1 << n, dtype=np.int64)
     remaining = np.zeros(1 << n)
     for size in range(n - 1, -1, -1):
-        masks_s = all_masks[sizes == size]
+        masks_s = masks_of_size(n, size)
         best = np.full(masks_s.size, -np.inf)
         for i in range(n):
             open_slot = (masks_s >> i) & 1 == 0

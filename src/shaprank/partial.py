@@ -10,15 +10,12 @@ exact values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import BudgetError, InvalidBandError
-from .exact import subset_weights
+from .exact import marginal_sums, subset_weights
 from .games import Game, ShapleyEstimate
 
 ENUMERATION_BUDGET = 10**7
@@ -64,15 +61,6 @@ class SizeBand:
         return cls(high_d=n_players)
 
 
-def _masks_without_player(n_players: int, player: int, size: int) -> np.ndarray:
-    others = [j for j in range(n_players) if j != player]
-    masks = [
-        sum(1 << j for j in combo)
-        for combo in itertools.combinations(others, size)
-    ]
-    return np.array(masks, dtype=np.int64)
-
-
 def shapley_partial(
     game: Game,
     band: SizeBand,
@@ -98,16 +86,7 @@ def shapley_partial(
     included_mass = sum(math.comb(n - 1, k) * weights[k] for k in sizes)
     scale = 1.0 / included_mass if renormalize else 1.0
     before = game.eval_count
-
-    phi = np.zeros(n)
-    for i in range(n):
-        bit = 1 << i
-        total = 0.0
-        for k in sizes:
-            without = _masks_without_player(n, i, k)
-            gains = game.evaluate_masks(without | bit) - game.evaluate_masks(without)
-            total += weights[k] * float(gains.sum())
-        phi[i] = total * scale
+    phi = marginal_sums(game, sizes, weights) * scale
 
     label = f"partial(high_d={band.high_d}, low_d={band.low_d})"
     if not renormalize:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularSystemError
-from .games import Game, ShapleyEstimate
+from .games import Game, ShapleyEstimate, mask_from_members
 
 LARGE_KERNEL_WEIGHT = 1e10
 _COND_LIMIT = 1e12
@@ -101,7 +101,7 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
     """
     full = (1 << n) - 1
     if cfg.sampler == "exhaustive":
-        masks = np.arange(1, full, dtype=np.int64)
+        masks = np.arange(1, full, dtype=np.uint64)
         sizes = np.array([int(m).bit_count() for m in masks])
         weights = np.array([shapley_kernel_weight(n, int(k)) for k in sizes])
         return masks, weights
@@ -114,12 +114,12 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
         drawn = rng.choice(np.arange(1, n), size=cfg.n_samples, p=probs)
         for k in drawn:
             members = rng.choice(n, size=int(k), replace=False)
-            masks.append(int(np.sum(1 << members)))
+            masks.append(mask_from_members(members.tolist(), n))
             weights.append(1.0)
     elif cfg.sampler == "bernoulli-half":
         while len(masks) < cfg.n_samples:
             bits = rng.integers(0, 2, size=n)
-            mask = int(np.sum(bits << np.arange(n)))
+            mask = mask_from_members(np.flatnonzero(bits).tolist(), n)
             if mask == 0 or mask == full:
                 continue
             masks.append(mask)
@@ -135,7 +135,7 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
                 weights.append(shapley_kernel_weight(n, k) * math.comb(n, k))
         del masks[cfg.n_samples:]
         del weights[cfg.n_samples:]
-    return np.array(masks, dtype=np.int64), np.array(weights)
+    return np.array(masks, dtype=np.uint64), np.array(weights)
 
 
 def draw_kernel_samples(game: Game, cfg: RegressionConfig) -> list[KernelSample]:
@@ -197,7 +197,7 @@ def shapley_regression(
     masks, weights = _sample_masks(n, cfg)
     values = game.evaluate_masks(masks)
 
-    indicators = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    indicators = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.float64)
     base = game.evaluate_mask(0)
     target_total = game.target_quantity()
     y = values.copy() if cfg.fit_intercept else values - base

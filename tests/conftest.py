@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from shaprank.games import TableGame, popcount_table
+from shaprank.games import TableGame, masks_of_size
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=40
@@ -15,7 +15,9 @@ def random_table_game(n_players: int, seed: int, noise: float = 10.0) -> TableGa
     with coalition size (10 -> 90) plus per-coalition noise, so the target
     quantity is comfortably away from zero."""
     rng = np.random.default_rng(seed)
-    sizes = popcount_table(n_players).astype(np.float64)
+    sizes = np.empty(1 << n_players)
+    for k in range(n_players + 1):
+        sizes[masks_of_size(n_players, k)] = k
     base = 10.0 + 80.0 * sizes / n_players
     return TableGame(base + rng.uniform(-noise, noise, size=1 << n_players))
 

@@ -212,6 +212,43 @@ class TestPrune:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["exit_code"] == 2
 
+    def test_count_and_fraction_are_checked_before_any_input_is_read(
+        self, tmp_path, capsys
+    ):
+        rc = main(
+            [
+                "prune", "--model", str(tmp_path / "missing.json"),
+                "--data", str(tmp_path / "missing.csv"),
+                "--method", "exact", "--count", "1", "--fraction", "0.5",
+                "--out", str(tmp_path / "pruned.json"),
+            ]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+
+    def test_pruned_model_is_the_baked_spec_with_the_kept_mask(
+        self, toy_files, tmp_path
+    ):
+        from shaprank.cli import _bake_mask
+        from shaprank.toynet import MaskedModel, save_model
+
+        model_path, data_path = toy_files
+        out = tmp_path / "pruned.json"
+        rc = main(
+            [
+                "prune", "--model", str(model_path), "--data", str(data_path),
+                "--method", "partial", "--count", "3", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        expected = tmp_path / "expected.json"
+        save_model(
+            MaskedModel(spec=_bake_mask(load_model(model_path)), mask=load_model(out).mask),
+            expected,
+        )
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_prune_masks_bottom_ranked_units(self, toy_files, tmp_path):
         model_path, data_path = toy_files
         out = tmp_path / "pruned.json"
@@ -445,6 +482,26 @@ class TestErrors:
         )
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_label_outside_the_head_is_a_format_error(
+        self, toy_files, tmp_path, capsys, label
+    ):
+        model_path, data_path = toy_files
+        lines = data_path.read_text().splitlines()
+        x0, x1, _ = lines[3].split(",")
+        lines[3] = f"{x0},{x1},{label}"
+        bad_data = tmp_path / "bad.csv"
+        bad_data.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(bad_data),
+             "--method", "partial", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "FormatError"
+        assert f"{bad_data}:4:" in err["message"]
+        assert f"label {label}" in err["message"]
 
     def test_unknown_argument(self, capsys):
         rc = main(["rank", "--frobnicate"])
