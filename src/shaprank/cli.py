@@ -152,7 +152,7 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
     if args.game:
         table = load_game_json(args.game)
         inputs = {"game": _sha256_file(args.game)}
-        return table.n_players, table.char_fn, inputs, inputs["game"], None
+        return table.n_players, table.values.__getitem__, inputs, inputs["game"], None
     if not args.model or not args.data:
         raise UsageError("need --game, or --model together with --data")
     masked = load_model(args.model)
@@ -233,15 +233,23 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
 
 
 def _save_cache(path, source: str, game: Game) -> None:
-    rows = sorted(game.cached_values().items())
+    """Write every cached payoff of ``game`` to ``path``.
+
+    A run that computed nothing new leaves an existing file as it is, so warm
+    runs do not rewrite a large cache.
+    """
+    path = Path(path)
+    if game.eval_count == 0 and path.exists():
+        return
+    masks, values = game.cached_table()
     header = json.dumps(
         {"format": CACHE_FORMAT, "source": source, "n_players": game.n_players},
         sort_keys=True,
     )
-    body = "\n".join(json.dumps([mask, value]) for mask, value in rows)
+    # the repr of Python ints and floats is what json.dumps writes for them
+    body = "\n".join(f"[{m}, {v!r}]" for m, v in zip(masks.tolist(), values.tolist()))
     # write beside the target, then rename over it: an interrupted write
     # leaves the previous cache intact
-    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(header + "\n" + body + "\n", encoding="utf-8")
@@ -255,7 +263,9 @@ def _game_with_cache(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     preloaded = None
     if args.cache and Path(args.cache).exists():
         preloaded = _load_cache(args.cache, source, n_players)
-    return Game(n_players, char_fn, preloaded=preloaded), inputs, source, spec
+    # a --game table is looked up a whole mask array at a time
+    game = Game(n_players, char_fn, preloaded=preloaded, batched=spec is None)
+    return game, inputs, source, spec
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +346,9 @@ def _provenance(inputs: dict, game: Game, params: dict, est=None) -> dict:
     if est is not None:
         doc["seed"] = est.seed
         doc["evals_used"] = est.evals_used
+        if est.ridge_applied is not None:
+            doc["ridge_applied"] = est.ridge_applied
+            doc["condition"] = est.condition
     return doc
 
 

@@ -52,7 +52,7 @@ def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.n
     counts = np.repeat(np.array(pulled, dtype=np.int8), [p.size for p in parts])
     order = np.argsort(masks)
     masks, counts = masks[order], counts[order]
-    values = game.evaluate_masks(masks.tolist())
+    values = game.evaluate_masks(masks)
     in_band, in_above = np.isin(counts, sizes), np.isin(counts, above)
     phi = np.empty(game.n_players)
     for i in range(game.n_players):
@@ -115,7 +115,7 @@ def shapley_exact_permutations(game: Game) -> ShapleyEstimate:
             f"players (got {n}); use shapley_exact_subsets or sampling"
         )
     before = game.eval_count
-    table = game.evaluate_masks(range(1 << n))
+    table = game.evaluate_masks(np.arange(1 << n, dtype=np.uint64))
     empty_value = table[0]
     perms = _all_permutations(n)
     totals = np.zeros(n)

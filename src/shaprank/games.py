@@ -13,7 +13,7 @@ member), which caps the number of players at 64.
 from __future__ import annotations
 
 import json
-import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -23,6 +23,11 @@ import numpy as np
 from .errors import CharacteristicFunctionError, FormatError
 
 MAX_PLAYERS = 64
+# games up to this size cache payoffs in a dense table of 2**n entries (9 MiB
+# at 20); beyond it a sampled estimator touches a few thousand scattered
+# coalitions, and faulting in a page of the table for each costs far more
+# memory than a dict of them (150 orderings at N = 24: +144 MiB vs +1 MiB)
+DENSE_MAX_PLAYERS = 20
 
 
 def full_mask(n_players: int) -> int:
@@ -114,37 +119,54 @@ class Coalition:
 class Game:
     """An ``n_players`` coalition game with a memoized characteristic function.
 
-    ``char_fn`` maps a bitmask (int) to a float payoff.  The payoffs of the
-    grand coalition and of the empty coalition are computed eagerly so that
-    ``target_quantity`` is always available.
+    ``char_fn`` maps a bitmask (int) to a float payoff; with ``batched=True``
+    it instead maps a ``uint64`` array of bitmasks to an array of payoffs.
+    The payoffs of the grand coalition and of the empty coalition are
+    computed eagerly so that ``target_quantity`` is always available.
+
+    Up to ``DENSE_MAX_PLAYERS`` players the cache is a dense float64 table
+    with a "known" flag per coalition, both allocated zeroed; beyond that it
+    is a dict.
+    ``preloaded`` maps bitmasks to finite payoffs.
 
     One lock is held across each lookup, characteristic-function call and
     store, so concurrent requests for the same coalition still evaluate it
-    once.  A payoff that raises or is not finite is not cached; it surfaces
-    as :class:`CharacteristicFunctionError` naming the coalition.
-    ``eval_count`` counts distinct characteristic function invocations;
-    ``cache_hits`` counts lookups served from memory.
+    once.  A payoff that raises or is not finite surfaces as
+    :class:`CharacteristicFunctionError`, and nothing of the batch it was
+    requested in is cached.  The error names the coalition, except when a
+    batched ``char_fn`` raises: it then names the first coalition of the
+    failed call.  ``eval_count`` counts
+    distinct characteristic function evaluations; ``cache_hits`` counts
+    lookups served from memory (within a batch, a repeated coalition's
+    first request is an evaluation and the rest are hits).
     """
 
     def __init__(
         self,
         n_players: int,
-        char_fn: Callable[[int], float],
+        char_fn: Callable,
         preloaded: Optional[Mapping[int, float]] = None,
+        batched: bool = False,
     ):
         if not 1 <= n_players <= MAX_PLAYERS:
             raise ValueError(f"n_players must be in [1, {MAX_PLAYERS}]")
         self.n_players = n_players
         self.char_fn = char_fn
+        self.batched = batched
         self.eval_count = 0
         self.cache_hits = 0
-        self._cache: dict[int, float] = {}
         self._lock = threading.Lock()
+        self._dict: Optional[dict[int, float]] = None
+        if n_players <= DENSE_MAX_PLAYERS:
+            self._values = np.zeros(1 << n_players)
+            self._known = np.zeros(1 << n_players, dtype=bool)
+        else:
+            self._dict = {}
         if preloaded:
-            for mask, value in preloaded.items():
-                if mask < 0 or mask >> n_players:
-                    raise ValueError(f"preloaded mask {mask} out of range")
-                self._cache[int(mask)] = float(value)
+            values = np.fromiter(preloaded.values(), dtype=np.float64, count=len(preloaded))
+            if not np.all(np.isfinite(values)):
+                raise ValueError("preloaded payoffs must be finite")
+            self._store(self._as_masks(list(preloaded)), values)
         self.evaluate_mask(0)
         self.evaluate_mask(full_mask(n_players))
 
@@ -161,42 +183,112 @@ class Game:
         return self.evaluate_mask(coalition.bits)
 
     def evaluate_mask(self, mask: int) -> float:
-        mask = int(mask)
-        with self._lock:
-            if mask in self._cache:
-                self.cache_hits += 1
-                return self._cache[mask]
-            try:
-                value = float(self.char_fn(mask))
-            except Exception as exc:
-                raise CharacteristicFunctionError(
-                    f"characteristic function failed for coalition {mask:#x}",
-                    coalition=Coalition(mask, self.n_players),
-                ) from exc
-            if not math.isfinite(value):
-                raise CharacteristicFunctionError(
-                    f"characteristic function returned {value} for coalition {mask:#x}",
-                    coalition=Coalition(mask, self.n_players),
-                )
-            self._cache[mask] = value
-            self.eval_count += 1
-            return value
+        return float(self.evaluate_masks([int(mask)])[0])
 
-    def evaluate_masks(self, masks: Sequence[int]) -> np.ndarray:
-        """Payoffs of ``masks``, in order, one ``evaluate_mask`` call each."""
-        return np.array([self.evaluate_mask(m) for m in masks], dtype=np.float64)
+    def evaluate_masks(self, masks) -> np.ndarray:
+        """Payoffs of ``masks``, in order.
+
+        The payoff function runs once on the distinct coalitions not yet
+        cached, in order of first request (one array call when batched).
+        """
+        masks = self._as_masks(masks)
+        with self._lock:
+            values, known = self._lookup(masks)
+            if known.all():
+                self.cache_hits += masks.size
+                return values
+            missing = masks[~known]
+            if missing.size > 1 and not np.all(missing[1:] > missing[:-1]):
+                new, first = np.unique(missing, return_index=True)
+                missing = new[np.argsort(first)]
+            computed = self._compute(missing)
+            self._store(missing, computed)
+            self.eval_count += missing.size
+            self.cache_hits += masks.size - missing.size
+            values[~known] = self._lookup(masks[~known])[0]
+            return values
 
     def target_quantity(self) -> float:
         """Payoff of the grand coalition minus the payoff of the empty one."""
         return self.evaluate_mask(self.grand_mask) - self.evaluate_mask(0)
 
-    def cached_values(self) -> dict[int, float]:
+    def cached_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cached coalition as ascending ``uint64`` masks and their
+        payoffs."""
         with self._lock:
-            return dict(self._cache)
+            if self._dict is None:
+                masks = np.flatnonzero(self._known).astype(np.uint64)
+                return masks, self._values[masks]
+            masks = np.array(sorted(self._dict), dtype=np.uint64)
+            return masks, np.array([self._dict[m] for m in masks.tolist()], dtype=np.float64)
+
+    def cached_values(self) -> dict[int, float]:
+        masks, values = self.cached_table()
+        return dict(zip(masks.tolist(), values.tolist()))
 
     def is_cached(self, mask: int) -> bool:
         with self._lock:
-            return int(mask) in self._cache
+            return bool(self._lookup(self._as_masks([int(mask)]))[1][0])
+
+    # -- cache internals; _lookup and _store run under the lock -------------
+
+    def _as_masks(self, masks) -> np.ndarray:
+        try:
+            masks = np.asarray(masks, dtype=np.uint64).ravel()
+        except OverflowError as exc:
+            raise ValueError("negative coalition mask") from exc
+        if masks.size and int(masks.max()) >> self.n_players:
+            raise ValueError(
+                f"mask {int(masks.max())} out of range for {self.n_players} players"
+            )
+        return masks
+
+    def _lookup(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._dict is None:
+            return self._values[masks], self._known[masks]
+        # cached payoffs are finite, so NaN marks the missing ones
+        values = np.array([self._dict.get(m, np.nan) for m in masks.tolist()], dtype=np.float64)
+        return values, ~np.isnan(values)
+
+    def _store(self, masks: np.ndarray, values: np.ndarray) -> None:
+        if self._dict is None:
+            self._values[masks] = values
+            self._known[masks] = True
+        else:
+            self._dict.update(zip(masks.tolist(), values.tolist()))
+
+    def _compute(self, masks: np.ndarray) -> np.ndarray:
+        """Payoffs of distinct uncached ``masks``; raises naming the first
+        coalition whose payoff is not finite or whose scalar call fails, or
+        the first of ``masks`` when a batched call fails."""
+        if self.batched:
+            try:
+                values = np.asarray(self.char_fn(masks), dtype=np.float64)
+            except Exception as exc:
+                raise self._failure(
+                    f"characteristic function failed for a batch of {masks.size} "
+                    f"coalitions starting at {int(masks[0]):#x}", masks[0]) from exc
+        else:
+            values = np.empty(masks.size)
+            for j, mask in enumerate(masks.tolist()):
+                try:
+                    values[j] = float(self.char_fn(mask))
+                except Exception as exc:
+                    raise self._failure(
+                        f"characteristic function failed for coalition {mask:#x}", mask
+                    ) from exc
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            mask = int(masks[bad[0]])
+            raise self._failure(
+                f"characteristic function returned {float(values[bad[0]])} "
+                f"for coalition {mask:#x}",
+                mask,
+            )
+        return values
+
+    def _failure(self, message: str, mask) -> CharacteristicFunctionError:
+        return CharacteristicFunctionError(message, coalition=Coalition(int(mask), self.n_players))
 
 
 class TableGame(Game):
@@ -214,7 +306,7 @@ class TableGame(Game):
                 f"table length {values.size} is not 2**n for n >= 1 players"
             )
         self.values = values
-        super().__init__(n_players, lambda mask: values[mask])
+        super().__init__(n_players, values.__getitem__, batched=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,23 +328,53 @@ class TableGame(Game):
         if not isinstance(raw, dict):
             raise FormatError("'values' must map bitmask strings to payoffs")
         size = 1 << n_players
-        expected = {str(m) for m in range(size)}
-        present = set(raw)
-        if present != expected:
-            missing = sorted(expected - present)[:5]
-            extra = sorted(present - expected)[:5]
-            raise FormatError(
-                f"game spec must contain exactly the {size} coalition keys; "
-                f"missing {missing}, unexpected {extra}"
-            )
-        table = np.empty(size, dtype=np.float64)
-        for key, value in raw.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError(f"payoff for coalition {key} is not a number")
-            table[int(key)] = float(value)
+        table = _plain_table(raw, size)
+        if table is None:
+            table = _checked_table(raw, size)
         if not np.all(np.isfinite(table)):
             raise FormatError("game spec contains non-finite payoffs")
         return cls(table)
+
+
+def _plain_table(raw: dict, size: int) -> Optional[np.ndarray]:
+    """The payoff table when ``raw`` has exactly the keys ``"0"`` ..
+    ``str(size - 1)``, written canonically, and only int or float payoffs;
+    otherwise None."""
+    if len(raw) != size:
+        return None
+    try:
+        masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if masks.min() < 0 or masks.max() >= size:
+        return None
+    # compared one key at a time: a list of 2**n strings would raise peak memory
+    if not all(map(operator.eq, map(str, masks.tolist()), raw)):
+        return None
+    if not set(map(type, raw.values())) <= {int, float}:
+        return None
+    table = np.empty(size, dtype=np.float64)
+    table[masks] = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
+    return table
+
+
+def _checked_table(raw: dict, size: int) -> np.ndarray:
+    """Key by key: names the keys or the payoff that make ``raw`` invalid."""
+    expected = {str(m) for m in range(size)}
+    present = set(raw)
+    if present != expected:
+        missing = sorted(expected - present)[:5]
+        extra = sorted(present - expected)[:5]
+        raise FormatError(
+            f"game spec must contain exactly the {size} coalition keys; "
+            f"missing {missing}, unexpected {extra}"
+        )
+    table = np.empty(size, dtype=np.float64)
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"payoff for coalition {key} is not a number")
+        table[int(key)] = float(value)
+    return table
 
 
 def save_game_json(game: TableGame, path) -> None:
@@ -297,6 +419,8 @@ class ShapleyEstimate:
     ``values[i]`` is the estimated contribution of player ``i``.  ``std_err``
     is populated by sampling estimators only.  ``evals_used`` counts the new
     distinct characteristic-function evaluations the estimator triggered.
+    Kernel regression also sets ``ridge_applied`` (whether the ridge
+    fallback fired) and ``condition`` (of the matrix it solved).
     """
 
     values: np.ndarray
@@ -304,6 +428,8 @@ class ShapleyEstimate:
     std_err: Optional[np.ndarray] = None
     evals_used: int = 0
     seed: Optional[int] = None
+    ridge_applied: Optional[bool] = None
+    condition: Optional[float] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)

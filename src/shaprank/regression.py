@@ -102,9 +102,8 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
     full = (1 << n) - 1
     if cfg.sampler == "exhaustive":
         masks = np.arange(1, full, dtype=np.uint64)
-        sizes = np.array([int(m).bit_count() for m in masks])
-        weights = np.array([shapley_kernel_weight(n, int(k)) for k in sizes])
-        return masks, weights
+        kernel = np.array([shapley_kernel_weight(n, k) for k in range(n + 1)])
+        return masks, kernel[np.bitwise_count(masks)]
 
     rng = np.random.default_rng(cfg.seed)
     masks: list[int] = []
@@ -150,25 +149,32 @@ def draw_kernel_samples(game: Game, cfg: RegressionConfig) -> list[KernelSample]
     return rows
 
 
-def _solve_symmetric(A: np.ndarray, b: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve the (PSD) normal equations, falling back to ridge on failure."""
+def _solve_symmetric(
+    A: np.ndarray, b: np.ndarray, ridge: float
+) -> tuple[np.ndarray, bool, float]:
+    """Solve the (PSD) normal equations, falling back to ridge on failure.
 
-    def attempt(mat: np.ndarray) -> Optional[np.ndarray]:
+    Returns the solution, whether the ridge fallback fired and the condition
+    number of the matrix actually solved.
+    """
+
+    def attempt(mat: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
         try:
             np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             return None
-        if np.linalg.cond(mat) > _COND_LIMIT:
+        condition = float(np.linalg.cond(mat))
+        if condition > _COND_LIMIT:
             return None
-        return np.linalg.solve(mat, b)
+        return np.linalg.solve(mat, b), condition
 
-    solution = attempt(A)
-    if solution is not None:
-        return solution
+    solved = attempt(A)
+    if solved is not None:
+        return solved[0], False, solved[1]
     if ridge > 0:
-        solution = attempt(A + ridge * np.eye(A.shape[0]))
-        if solution is not None:
-            return solution
+        solved = attempt(A + ridge * np.eye(A.shape[0]))
+        if solved is not None:
+            return solved[0], True, solved[1]
     raise SingularSystemError(
         "normal equations are rank deficient and ridge fallback "
         f"{'is disabled' if ridge == 0 else f'lambda={ridge} did not help'}",
@@ -211,14 +217,14 @@ def shapley_regression(
         t = y - indicators[:, -1] * target_total
         A = X.T @ (weights[:, None] * X)
         b = X.T @ (weights * t)
-        reduced = _solve_symmetric(A, b, cfg.ridge)
+        reduced, ridge_applied, condition = _solve_symmetric(A, b, cfg.ridge)
         player_part = reduced[1:] if cfg.fit_intercept else reduced
         phi = np.append(player_part, target_total - player_part.sum())
     else:
         X = np.hstack([ones, indicators]) if cfg.fit_intercept else indicators
         A = X.T @ (weights[:, None] * X)
         b = X.T @ (weights * y)
-        solved = _solve_symmetric(A, b, cfg.ridge)
+        solved, ridge_applied, condition = _solve_symmetric(A, b, cfg.ridge)
         phi = solved[1:] if cfg.fit_intercept else solved
 
     stochastic = cfg.sampler != "exhaustive"
@@ -227,4 +233,6 @@ def shapley_regression(
         method=f"kernel-regression({cfg.sampler}, rows={masks.size})",
         evals_used=game.eval_count - before,
         seed=cfg.seed if stochastic else None,
+        ridge_applied=ridge_applied,
+        condition=condition,
     )

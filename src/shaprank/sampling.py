@@ -72,13 +72,10 @@ def _stream(cfg: SamplingConfig, n_players: int) -> Callable[[int], np.ndarray]:
     return paired
 
 
-def _prefix_masks(perm: np.ndarray) -> list[int]:
-    masks = []
-    mask = 0
-    for p in perm[:-1]:
-        mask |= 1 << int(p)
-        masks.append(mask)
-    return masks
+def _prefix_masks(perm: np.ndarray) -> np.ndarray:
+    """Bitmasks of the ordering's proper nonempty prefixes, shortest first."""
+    bits = np.left_shift(np.uint64(1), perm[:-1].astype(np.uint64))
+    return np.bitwise_or.accumulate(bits)
 
 
 def shapley_sample_permutations(

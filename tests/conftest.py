@@ -32,6 +32,33 @@ def additive_table_game(weights) -> TableGame:
     return TableGame(table)
 
 
+# Game files the loader must refuse, as (JSON text, FormatError message).
+# Every key here is accepted by int(), so only the canonical-key check
+# rejects it; the payoffs cover every JSON type that is not a number.
+MALFORMED_GAME_SPECS = [
+    ('{"n_players": 1, "values": {"0": 1.0, "01": 2.0}}',
+     "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected ['01']"),
+    ('{"n_players": 1, "values": {"0": 1.0, "+1": 2.0}}',
+     "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected ['+1']"),
+    ('{"n_players": 1, "values": {"0": 1.0, " 1": 2.0}}',
+     "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected [' 1']"),
+    ('{"n_players": 2, "values": {"0": 1.0, "1": 2.0, "2": 3.0, "1_0": 4.0}}',
+     "game spec must contain exactly the 4 coalition keys; missing ['3'], unexpected ['1_0']"),
+    ('{"n_players": 1, "values": {"0": 1.0, "1": true}}',
+     "payoff for coalition 1 is not a number"),
+    ('{"n_players": 1, "values": {"0": null, "1": 2.0}}',
+     "payoff for coalition 0 is not a number"),
+    ('{"n_players": 1, "values": {"0": 1.0, "1": "2.0"}}',
+     "payoff for coalition 1 is not a number"),
+    ('{"n_players": 1, "values": {"0": 1.0, "1": NaN}}',
+     "game spec contains non-finite payoffs"),
+    ('{"n_players": 1, "values": {"0": -Infinity, "1": 2.0}}',
+     "game spec contains non-finite payoffs"),
+    ('{"n_players": 1, "values": {"0": 1.0, "0": 3.0}}',
+     "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected []"),
+]
+
+
 def constant_table_game(n_players: int, value: float = 7.5) -> TableGame:
     return TableGame(np.full(1 << n_players, value))
 

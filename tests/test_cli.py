@@ -6,15 +6,17 @@ import sys
 import numpy as np
 import pytest
 
+from shaprank import cli
 from shaprank.cli import main
-from shaprank.games import load_game_json, save_game_json
+from shaprank.errors import FormatError
+from shaprank.games import Game, load_game_json, save_game_json
 from shaprank.toynet import (
     load_model,
     make_blobs_dataset,
     save_dataset_csv,
 )
 
-from conftest import random_table_game
+from conftest import MALFORMED_GAME_SPECS, random_table_game
 
 
 @pytest.fixture
@@ -136,6 +138,23 @@ class TestRank:
         assert rc == 0
         report = read_json(out)
         np.testing.assert_allclose(report["values"], [25.0, 25.0, 30.0], atol=1e-6)
+        assert report["ridge_applied"] is False
+        assert 1.0 <= report["condition"] < 1e3
+
+    def test_kernel_report_says_when_the_ridge_fired(self, fig2_path, tmp_path):
+        # the rows of seed 4 leave the plain normal equations rank deficient
+        out = tmp_path / "rank.json"
+        rc = main(
+            [
+                "rank", "--game", str(fig2_path),
+                "--method", "kernel", "--sampler", "bernoulli-half",
+                "--samples", "3", "--seed", "4", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        report = read_json(out)
+        assert report["ridge_applied"] is True
+        assert report["condition"] > 1e3
 
 
 class TestOracle:
@@ -419,6 +438,74 @@ class TestCache:
         assert f"{cache}:3:" in err["message"]
         assert complaint in err["message"]
 
+    def test_warm_run_leaves_the_cache_file_alone(self, fig2_path, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        source = ["rank", "--game", str(fig2_path), "--cache", str(cache)]
+        assert main(source + ["--method", "exact", "--out", str(tmp_path / "a.json")]) == 0
+        before = cache.stat()
+        assert main(source + ["--method", "kernel", "--sampler", "exhaustive",
+                              "--out", str(tmp_path / "b.json")]) == 0
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_new_payoffs_rewrite_the_cache_file(self, fig2_path, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        source = ["rank", "--game", str(fig2_path), "--cache", str(cache)]
+        assert main(source + ["--method", "partial", "--out", str(tmp_path / "a.json")]) == 0
+        assert len(cache.read_text().splitlines()) == 1 + 5  # empty, grand, the size-2 masks
+        assert main(source + ["--method", "exact", "--out", str(tmp_path / "b.json")]) == 0
+        assert len(cache.read_text().splitlines()) == 1 + 8
+
+    def test_rows_are_written_as_json_dumps_writes_them(self, tmp_path):
+        rng = np.random.default_rng(5)
+        masks = [0, 1, 2**40 + 3, 2**63 + 7, 2**64 - 1]
+        payoffs = [0.1, -2.5e-300, 1e300, float(rng.standard_normal()), 3.0]
+        game = Game(64, lambda mask: 0.0, preloaded=dict(zip(masks, payoffs)))
+        path = tmp_path / "cache.jsonl"
+        cli._save_cache(path, "src", game)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == [json.dumps([m, v]) for m, v in sorted(zip(masks, payoffs))]
+        assert cli._load_cache(path, "src", 64) == dict(zip(masks, payoffs))
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (["[7, 1.0]", "[1, 2]", "[7, 4.0]", "[1, 5.0]"], {1: 5.0, 7: 4.0}),
+            ([], {}),
+            (['["1", 2.0]', "[2.0, 1]", '[true, "2.5"]'], {1: 2.5, 2: 1.0}),
+            (["  [1, 2.0]  ", "[2, 3.0]"], {1: 2.0, 2: 3.0}),
+        ],
+    )
+    def test_cache_rows_load_last_one_wins(self, tmp_path, rows, expected):
+        path = tmp_path / "cache.jsonl"
+        header = {"format": cli.CACHE_FORMAT, "n_players": 3, "source": "src"}
+        path.write_text("\n".join([json.dumps(header)] + rows) + "\n")
+        assert cli._load_cache(path, "src", 3) == expected
+
+    @pytest.mark.parametrize(
+        "rows, line, complaint",
+        [
+            (["[0, 1.0]", "", "[1, 2.0]"], 3, "corrupt cache entry"),
+            (["[0, 1.0], [1, 2.0]"], 2, "corrupt cache entry"),
+            (["[0, 1.0], [1", "2.0]"], 2, "corrupt cache entry"),
+            (["[1, 2.0, 3.0]"], 2, "corrupt cache entry"),
+            (["[1, null]"], 2, "corrupt cache entry"),
+            (["[[1], 2.0]"], 2, "corrupt cache entry"),
+            (["[0, 1.0]", "[1, NaN]"], 3, "non-finite payoff nan for mask 1"),
+            (["[1, 1e400]"], 2, "non-finite payoff inf for mask 1"),
+            (['[1, "nan"]'], 2, "non-finite payoff nan for mask 1"),
+            (["[0, 1.0]", "[8, 1.0]"], 3, "mask 8 out of range for 3 players"),
+            (["[-1, 1.0]"], 2, "mask -1 out of range for 3 players"),
+        ],
+    )
+    def test_bad_cache_rows_name_their_line(self, tmp_path, rows, line, complaint):
+        path = tmp_path / "cache.jsonl"
+        header = {"format": cli.CACHE_FORMAT, "n_players": 3, "source": "src"}
+        path.write_text("\n".join([json.dumps(header)] + rows) + "\n")
+        with pytest.raises(FormatError) as info:
+            cli._load_cache(path, "src", 3)
+        assert str(info.value) == f"{path}:{line}: {complaint}"
+
     def test_failed_cache_write_keeps_the_previous_file(
         self, fig2_path, tmp_path, monkeypatch
     ):
@@ -474,6 +561,18 @@ class TestErrors:
         assert rc == 4
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "SingularSystemError"
+
+    @pytest.mark.parametrize("text, message", MALFORMED_GAME_SPECS)
+    def test_malformed_game_spec_is_a_format_error(self, tmp_path, capsys, text, message):
+        game_path = tmp_path / "bad.json"
+        game_path.write_text(text)
+        rc = main(
+            ["rank", "--game", str(game_path), "--method", "exact",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == ("FormatError", message)
 
     def test_usage_error_for_conflicting_sources(self, fig2_path, tmp_path, capsys):
         rc = main(

@@ -1,0 +1,230 @@
+"""The array-backed payoff cache of ``Game`` against the dict it replaced.
+
+``DictGame`` is a local copy of the old payoff path: a dict cache, one
+locked ``evaluate_mask`` call per requested mask, in request order.  The
+dense path (N <= 24) and the batched payoff function must give the same
+values and the same counters on every batch.
+"""
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from shaprank.errors import CharacteristicFunctionError
+from shaprank.exact import shapley_exact_subsets
+from shaprank.games import DENSE_MAX_PLAYERS, Coalition, Game, TableGame
+from shaprank.partial import SizeBand, shapley_partial
+
+from conftest import build_redundancy_game, random_table_game
+
+
+class DictGame:
+    """The payoff path before the dense cache, kept verbatim in behaviour."""
+
+    def __init__(self, n_players, char_fn, preloaded=None):
+        self.n_players = n_players
+        self.char_fn = char_fn
+        self.eval_count = 0
+        self.cache_hits = 0
+        self._cache = {}
+        self._lock = threading.Lock()
+        for mask, value in (preloaded or {}).items():
+            self._cache[int(mask)] = float(value)
+        self.evaluate_mask(0)
+        self.evaluate_mask((1 << n_players) - 1)
+
+    def evaluate_mask(self, mask):
+        mask = int(mask)
+        with self._lock:
+            if mask in self._cache:
+                self.cache_hits += 1
+                return self._cache[mask]
+            value = float(self.char_fn(mask))
+            if not math.isfinite(value):
+                raise CharacteristicFunctionError(
+                    f"characteristic function returned {value} for coalition {mask:#x}",
+                    coalition=Coalition(mask, self.n_players),
+                )
+            self._cache[mask] = value
+            self.eval_count += 1
+            return value
+
+    def evaluate_masks(self, masks):
+        return np.array([self.evaluate_mask(m) for m in masks], dtype=np.float64)
+
+    def cached_values(self):
+        return dict(self._cache)
+
+    def is_cached(self, mask):
+        return int(mask) in self._cache
+
+
+def assert_same_state(new: Game, old: DictGame) -> None:
+    assert new.eval_count == old.eval_count
+    assert new.cache_hits == old.cache_hits
+    assert new.cached_values() == old.cached_values()
+    for mask in range(1 << new.n_players):
+        assert new.is_cached(mask) == old.is_cached(mask)
+
+
+def random_batches(rng, n_players, count):
+    """Batches of random masks with repeats inside and across batches."""
+    for _ in range(count):
+        size = int(rng.integers(1, 3 << n_players))
+        yield rng.integers(0, 1 << n_players, size=size).astype(np.uint64)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("batched", [True, False])
+def test_batches_match_the_dict_path(n, batched):
+    rng = np.random.default_rng(n)
+    table = random_table_game(n, seed=n).values
+    keys = rng.choice(1 << n, size=min(3, 1 << n), replace=False).tolist()
+    preloaded = {int(k): float(rng.standard_normal()) for k in keys}
+    fn = table.__getitem__ if batched else (lambda mask: table[mask])
+    new = Game(n, fn, preloaded=preloaded, batched=batched)
+    old = DictGame(n, lambda mask: table[mask], preloaded=preloaded)
+    assert_same_state(new, old)
+    for masks in random_batches(rng, n, 4):
+        assert np.array_equal(new.evaluate_masks(masks), old.evaluate_masks(masks.tolist()))
+        assert_same_state(new, old)
+    mask = int(rng.integers(0, 1 << n))
+    assert new.evaluate_mask(mask) == old.evaluate_mask(mask)
+    assert_same_state(new, old)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_dict_cache_batches_match_the_dict_path(batched):
+    n = DENSE_MAX_PLAYERS + 6
+    rng = np.random.default_rng(30)
+    if batched:
+        new = Game(n, lambda masks: (masks % 1009).astype(np.float64) / 7.0, batched=True)
+    else:
+        new = Game(n, lambda mask: float(mask % 1009) / 7.0)
+    old = DictGame(n, lambda mask: float(mask % 1009) / 7.0)
+    pool = rng.integers(0, 1 << n, size=40).astype(np.uint64)
+    for _ in range(5):
+        masks = rng.choice(pool, size=int(rng.integers(1, 60)))
+        assert np.array_equal(new.evaluate_masks(masks), old.evaluate_masks(masks.tolist()))
+        assert (new.eval_count, new.cache_hits) == (old.eval_count, old.cache_hits)
+        assert new.cached_values() == old.cached_values()
+    assert all(new.is_cached(int(m)) == old.is_cached(int(m)) for m in pool)
+
+
+@pytest.mark.parametrize("pairs", [0, 2])
+def test_redundancy_game_matches_the_dict_path(pairs):
+    game = build_redundancy_game(seed=0, n_pairs=pairs)
+    new = Game(game.n_players, game.char_fn)
+    old = DictGame(game.n_players, game.char_fn)
+    assert np.array_equal(shapley_exact_subsets(new).values, shapley_exact_subsets(old).values)
+    assert_same_state(new, old)
+
+
+def test_band_sums_match_the_dict_path():
+    table = random_table_game(9, seed=11).values
+    new = TableGame(table)
+    old = DictGame(9, lambda mask: table[mask])
+    band = SizeBand(high_d=3, low_d=2)
+    assert np.array_equal(shapley_partial(new, band).values, shapley_partial(old, band).values)
+    assert_same_state(new, old)
+
+
+def test_non_finite_batched_payoff_names_its_coalition():
+    table = np.arange(16, dtype=np.float64)
+    table[0b0110] = np.inf
+    table[0b1001] = np.nan
+    game = Game(4, table.__getitem__, batched=True)
+    with pytest.raises(CharacteristicFunctionError) as info:
+        game.evaluate_masks(np.array([3, 0b1001, 5, 0b0110], dtype=np.uint64))
+    assert info.value.coalition == Coalition(0b1001, 4)
+    assert "nan" in str(info.value)
+    for mask in (3, 5, 0b0110, 0b1001):
+        assert not game.is_cached(mask)
+    assert game.eval_count == 2 and game.cache_hits == 0
+
+
+def test_batched_payoff_is_called_once_on_the_distinct_missing_masks():
+    calls = []
+    table = np.arange(32, dtype=np.float64)
+
+    def payoff(masks):
+        calls.append(masks.tolist())
+        return table[masks]
+
+    game = Game(5, payoff, batched=True)
+    calls.clear()
+    values = game.evaluate_masks([9, 31, 4, 9, 0, 4, 17])
+    assert values.tolist() == [9.0, 31.0, 4.0, 9.0, 0.0, 4.0, 17.0]
+    assert calls == [[9, 4, 17]]  # first-request order, known masks left out
+    assert game.eval_count == 2 + 3
+    assert game.cache_hits == 4
+
+
+def test_dense_cache_is_used_up_to_the_limit_only():
+    assert Game(DENSE_MAX_PLAYERS, lambda mask: 0.0)._dict is None
+    big = Game(DENSE_MAX_PLAYERS + 1, lambda mask: 1.0)
+    assert big._dict is not None
+    assert big.evaluate_masks([3, 3, 5]).tolist() == [1.0, 1.0, 1.0]
+    assert (big.eval_count, big.cache_hits) == (4, 1)
+
+
+def test_bad_masks_and_preloaded_payoffs_are_refused():
+    game = Game(3, float)
+    with pytest.raises(ValueError):
+        game.evaluate_masks([1, 8])
+    with pytest.raises(ValueError):
+        Game(3, float, preloaded={-1: 0.0})
+    with pytest.raises(ValueError):
+        Game(3, float, preloaded={1: float("nan")})
+
+
+def test_failing_batched_payoff_caches_nothing():
+    def payoff(masks):
+        if masks.size > 1:
+            raise OSError("model file unreadable")
+        return np.zeros(masks.size)
+
+    game = Game(4, payoff, batched=True)
+    with pytest.raises(CharacteristicFunctionError) as info:
+        game.evaluate_masks([0, 6, 3])
+    # a raising batched call names the first coalition it was given
+    assert info.value.coalition == Coalition(6, 4)
+    assert isinstance(info.value.__cause__, OSError)
+    assert not game.is_cached(6) and not game.is_cached(3)
+    assert (game.eval_count, game.cache_hits) == (2, 0)
+
+
+def test_threads_sharing_a_game_evaluate_each_coalition_once():
+    calls = []
+    table = np.arange(1 << 10, dtype=np.float64)
+
+    def payoff(masks):
+        calls.extend(masks.tolist())
+        return table[masks]
+
+    game = Game(10, payoff, batched=True)
+    rng = np.random.default_rng(0)
+    batches = [rng.integers(0, 1 << 10, size=200).astype(np.uint64) for _ in range(16)]
+    results = [None] * len(batches)
+
+    def work(j):
+        results[j] = game.evaluate_masks(batches[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == sorted(set(calls))
+    assert all(np.array_equal(r, table[b]) for r, b in zip(results, batches))
+    assert game.eval_count == len(calls)
+    assert game.eval_count + game.cache_hits == 2 + 16 * 200

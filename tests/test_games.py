@@ -20,7 +20,7 @@ from shaprank.games import (
     save_game_json,
 )
 
-from conftest import constant_table_game
+from conftest import MALFORMED_GAME_SPECS, constant_table_game
 
 
 class TestCoalition:
@@ -171,6 +171,24 @@ class TestTableGame:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_game_json(path)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_GAME_SPECS)
+    def test_malformed_spec_names_the_problem(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_game_json(path)
+        assert str(info.value) == message
+
+    def test_duplicated_key_keeps_the_last_payoff(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"n_players": 1, "values": {"0": 1.0, "1": 2.0, "1": 3}}')
+        assert load_game_json(path).values.tolist() == [1.0, 3.0]
+
+    def test_keys_in_any_order_and_int_payoffs_load(self):
+        values = {str(m): m * 3 for m in (5, 0, 7, 2, 1, 3, 6, 4)}
+        game = TableGame.from_json_dict({"n_players": 3, "values": values})
+        assert game.values.tolist() == [3.0 * m for m in range(8)]
 
 
 class TestFig2Game:

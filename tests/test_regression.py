@@ -180,8 +180,27 @@ class TestSolver:
     def test_ridge_fallback_recovers(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([1.0, 1.0])
-        x = _solve_symmetric(A, b, ridge=1e-6)
+        x, _, _ = _solve_symmetric(A, b, ridge=1e-6)
         assert np.all(np.isfinite(x))
+
+    def test_solve_reports_whether_the_ridge_fired(self):
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        _, fired, condition = _solve_symmetric(singular, np.ones(2), ridge=1e-6)
+        assert fired is True
+        assert condition == float(np.linalg.cond(singular + 1e-6 * np.eye(2)))
+        plain = np.array([[2.0, 0.0], [0.0, 1.0]])
+        _, fired, condition = _solve_symmetric(plain, np.ones(2), ridge=1e-6)
+        assert (fired, condition) == (False, 2.0)
+
+    def test_estimate_records_the_ridge_fallback(self):
+        game = TableGame(np.arange(16, dtype=np.float64))
+        with pytest.raises(SingularSystemError):
+            shapley_regression(game, RegressionConfig(n_samples=4, seed=4, ridge=0.0))
+        est = shapley_regression(game, RegressionConfig(n_samples=4, seed=4))
+        assert est.ridge_applied is True
+        exact = shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive"))
+        assert exact.ridge_applied is False
+        assert exact.condition < 1e3
 
     def test_ridge_shrinks_the_solution_monotonically(self):
         rng = np.random.default_rng(0)
