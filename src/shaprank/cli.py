@@ -263,8 +263,7 @@ def _game_with_cache(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     preloaded = None
     if args.cache and Path(args.cache).exists():
         preloaded = _load_cache(args.cache, source, n_players)
-    # a --game table is looked up a whole mask array at a time
-    game = Game(n_players, char_fn, preloaded=preloaded, batched=spec is None)
+    game = Game(n_players, char_fn, preloaded=preloaded, batched=True)
     return game, inputs, source, spec
 
 

@@ -12,6 +12,7 @@ member), which caps the number of players at 64.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import threading
@@ -120,7 +121,8 @@ class Game:
     """An ``n_players`` coalition game with a memoized characteristic function.
 
     ``char_fn`` maps a bitmask (int) to a float payoff; with ``batched=True``
-    it instead maps a ``uint64`` array of bitmasks to an array of payoffs.
+    it instead maps a ``uint64`` array of bitmasks to an array of as many
+    payoffs.
     The payoffs of the grand coalition and of the empty coalition are
     computed eagerly so that ``target_quantity`` is always available.
 
@@ -133,9 +135,10 @@ class Game:
     store, so concurrent requests for the same coalition still evaluate it
     once.  A payoff that raises or is not finite surfaces as
     :class:`CharacteristicFunctionError`, and nothing of the batch it was
-    requested in is cached.  The error names the coalition, except when a
-    batched ``char_fn`` raises: it then names the first coalition of the
-    failed call.  ``eval_count`` counts
+    requested in is cached; so does a batched ``char_fn`` that does not
+    return one payoff per mask.  The error names the coalition, except when
+    a batched call fails: it then names the first coalition of the call.
+    ``eval_count`` counts
     distinct characteristic function evaluations; ``cache_hits`` counts
     lookups served from memory (within a batch, a repeated coalition's
     first request is an evaluation and the rest are hits).
@@ -260,14 +263,19 @@ class Game:
     def _compute(self, masks: np.ndarray) -> np.ndarray:
         """Payoffs of distinct uncached ``masks``; raises naming the first
         coalition whose payoff is not finite or whose scalar call fails, or
-        the first of ``masks`` when a batched call fails."""
+        the first of ``masks`` when a batched call fails or does not return
+        one payoff per mask."""
         if self.batched:
+            batch = f"a batch of {masks.size} coalitions starting at {int(masks[0]):#x}"
             try:
                 values = np.asarray(self.char_fn(masks), dtype=np.float64)
             except Exception as exc:
                 raise self._failure(
-                    f"characteristic function failed for a batch of {masks.size} "
-                    f"coalitions starting at {int(masks[0]):#x}", masks[0]) from exc
+                    f"characteristic function failed for {batch}", masks[0]) from exc
+            if values.shape != masks.shape:
+                raise self._failure(
+                    f"characteristic function returned shape {values.shape} for {batch}",
+                    masks[0])
         else:
             values = np.empty(masks.size)
             for j, mask in enumerate(masks.tolist()):
@@ -359,15 +367,18 @@ def _plain_table(raw: dict, size: int) -> Optional[np.ndarray]:
 
 
 def _checked_table(raw: dict, size: int) -> np.ndarray:
-    """Key by key: names the keys or the payoff that make ``raw`` invalid."""
-    expected = {str(m) for m in range(size)}
-    present = set(raw)
-    if present != expected:
-        missing = sorted(expected - present)[:5]
-        extra = sorted(present - expected)[:5]
+    """Key by key: names the keys or the payoff that make ``raw`` invalid.
+
+    The missing keys come from walking the ``size`` expected keys in sorted
+    order, which stops after five absent ones: at most ``len(raw) + 5``
+    steps, however many players the spec declares.
+    """
+    extra = [key for key in raw if not _is_coalition_key(key, size)]
+    if extra or len(raw) != size:
+        missing = list(itertools.islice((k for k in _sorted_keys(size) if k not in raw), 5))
         raise FormatError(
             f"game spec must contain exactly the {size} coalition keys; "
-            f"missing {missing}, unexpected {extra}"
+            f"missing {missing}, unexpected {sorted(extra)[:5]}"
         )
     table = np.empty(size, dtype=np.float64)
     for key, value in raw.items():
@@ -375,6 +386,33 @@ def _checked_table(raw: dict, size: int) -> np.ndarray:
             raise FormatError(f"payoff for coalition {key} is not a number")
         table[int(key)] = float(value)
     return table
+
+
+def _is_coalition_key(key, size: int) -> bool:
+    """Whether ``key`` is ``str(m)`` for some ``m`` in ``range(size)``."""
+    try:
+        mask = int(key)
+    except (TypeError, ValueError):
+        return False
+    return 0 <= mask < size and str(mask) == key
+
+
+def _sorted_keys(size: int):
+    """``str(m)`` for every ``m`` in ``range(size)``, in sorted order, made
+    one at a time: a key's successor is its first child (key + "0"), else
+    the next sibling of it or of its nearest ancestor that has one."""
+    yield "0"
+    m = 1
+    while m < size:
+        yield str(m)
+        if m * 10 < size:
+            m *= 10
+            continue
+        while m % 10 == 9 or m + 1 >= size:
+            m //= 10
+            if m == 0:
+                return
+        m += 1
 
 
 def save_game_json(game: TableGame, path) -> None:

@@ -141,12 +141,16 @@ def draw_kernel_samples(game: Game, cfg: RegressionConfig) -> list[KernelSample]
     """Materialized regression rows, mainly for inspection and tests."""
     masks, weights = _sample_masks(game.n_players, cfg)
     values = game.evaluate_masks(masks)
-    n = game.n_players
-    rows = []
-    for mask, value, weight in zip(masks, values, weights):
-        indicator = np.array([(int(mask) >> j) & 1 for j in range(n)], dtype=np.float64)
-        rows.append(KernelSample(indicator=indicator, value=float(value), weight=float(weight)))
-    return rows
+    return [
+        KernelSample(indicator=indicator, value=float(value), weight=float(weight))
+        for indicator, value, weight in zip(_indicators(masks, game.n_players), values, weights)
+    ]
+
+
+def _indicators(masks: np.ndarray, n: int) -> np.ndarray:
+    """Membership rows of ``uint64`` masks: column ``j`` is 1.0 where bit
+    ``j`` is set, else 0.0."""
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.float64)
 
 
 def _solve_symmetric(
@@ -203,7 +207,7 @@ def shapley_regression(
     masks, weights = _sample_masks(n, cfg)
     values = game.evaluate_masks(masks)
 
-    indicators = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.float64)
+    indicators = _indicators(masks, n)
     base = game.evaluate_mask(0)
     target_total = game.target_quantity()
     y = values.copy() if cfg.fit_intercept else values - base

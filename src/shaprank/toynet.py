@@ -30,6 +30,9 @@ from .games import Coalition, Game
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 MODEL_FORMAT = "shaprank-model-v1"
 INLINE_PARAM_LIMIT = 8192
+# about this many float64 per intermediate array of a block of coalitions
+# in the accuracy payoff (1 MiB)
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -165,16 +168,20 @@ def _apply_layer(layer: Layer, x: np.ndarray) -> np.ndarray:
                 f"input has {x.shape[1]} features, layer expects {layer.in_units}"
             )
         z = x @ layer.weights.T + layer.bias
-        channel_axis = 1
     else:
         if x.ndim != 4 or x.shape[1] != layer.weights.shape[1]:
             raise ValueError("conv2d input must be (batch, in_channels, H, W)")
         z = _conv2d_same(x, layer.weights) + layer.bias[None, :, None, None]
-        channel_axis = 1
+    return _activate(layer, z, 1)
+
+
+def _activate(layer: Layer, z: np.ndarray, channel_axis: int) -> np.ndarray:
+    """Normalization and activation of a layer's freshly computed
+    pre-activations ``z``, which are overwritten."""
     if layer.norm is not None:
         z = layer.norm.apply(z, channel_axis)
     if layer.activation == "relu":
-        z = np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -209,31 +216,129 @@ def accuracy(model: MaskedModel, data: LabeledDataset) -> float:
 
 
 def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
-    """Characteristic function: coalition bitmask -> accuracy fraction.
+    """Characteristic function: coalition bitmasks -> accuracy fractions.
 
-    The layers up to and including the prunable one are evaluated once and
-    reused for every coalition; only the downstream layers are re-run per
-    mask.  Suitable for :class:`~shaprank.games.Game`.
+    Takes a ``uint64`` array of bitmasks and returns a float64 array; called
+    with one int it returns a float.  The layers up to and including the
+    prunable one are evaluated once and reused for every coalition; only the
+    downstream layers run, for a block of coalitions at a time.
+
+    When the downstream layers are dense (and the prunable layer's outputs
+    and the first downstream layer's weights are finite), the first of them is one GEMM per block against a stack of
+    copies of its weights, each with the absent units' columns zeroed.
+    Every term of each dot product is then the same ``output * weight`` or a
+    zero as with the absent outputs zeroed instead, in the same order, so
+    the payoffs are bit-identical to evaluating one mask at a time, given a
+    BLAS that sums each dot product in one order whatever the matrix shapes
+    (``tests/test_batched_payoff.py`` checks this).  Later
+    layers run on every row of the block at once.  Otherwise (no downstream
+    layer, a conv one, or non-finite outputs or weights, where ``inf * 0``
+    would give NaN) the absent outputs are zeroed and the downstream layers run once
+    per coalition of the block.
+
+    The block size follows from the data shape alone, never from the
+    number of masks requested, so no payoff depends on how masks are
+    batched.  Suitable for :class:`~shaprank.games.Game` with
+    ``batched=True``.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
         prefix = _apply_layer(layer, prefix)
-    suffix_layers = spec.layers[spec.prunable_layer + 1:]
-    labels = data.labels
-    n_units = spec.n_players
+    suffix = spec.layers[spec.prunable_layer + 1:]
+    if not suffix or suffix[0].kind == "dense":
+        # zeroing a channel commutes with pooling it
+        prefix = _global_average_pool(prefix)
+    # inf * 0 is NaN: a non-finite output or weight must meet the zero as
+    # in the per-coalition path
+    gemm = (
+        bool(suffix)
+        and suffix[0].kind == "dense"
+        and bool(np.isfinite(prefix).all())
+        and bool(np.isfinite(suffix[0].weights).all())
+    )
+    n_classes = spec.layers[-1].out_units
+    n_rows, n_units = prefix.shape[:2]
+    spatial = int(np.prod(prefix.shape[2:]))
+    # coalitions per block: every (width, block, rows) intermediate and the
+    # (out, block, units) weight stack hold at most _BLOCK_ELEMENTS values,
+    # unless one coalition alone needs more
+    widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
+    block = max(1, _BLOCK_ELEMENTS // (max(n_rows, n_units) * max(widths or [n_units])))
+    bits = np.arange(n_units, dtype=np.uint64)
 
-    def char_fn(mask: int) -> float:
-        x = _zero_masked(prefix, Coalition(int(mask), n_units))
-        for layer in suffix_layers:
-            x = _apply_layer(layer, x)
-        preds = np.argmax(_global_average_pool(x), axis=1)
-        return float(np.mean(preds == labels))
+    def block_logits(members: np.ndarray) -> np.ndarray:
+        """Logits of a ``(B, units)`` block of coalitions, class-major:
+        ``(classes, B * rows)``, coalition by coalition."""
+        if gemm:
+            first = suffix[0]
+            weights = np.where(members, first.weights[:, None, :], 0.0)
+            z = weights.reshape(-1, n_units) @ prefix.T
+            x = _finish_unit_major(first, z.reshape(first.out_units, -1))
+            for layer in suffix[1:]:
+                x = _finish_unit_major(layer, layer.weights @ x)
+            return x
+        keep = members.reshape(members.shape + (1,) * (prefix.ndim - 2))
+        logits = []
+        for k in keep:
+            x = np.where(k, prefix, 0.0)
+            for layer in suffix:
+                x = _apply_layer(layer, x)
+            logits.append(_global_average_pool(x).T)
+        return np.stack(logits, axis=1).reshape(n_classes, -1)
+
+    def char_fn(masks):
+        masks = np.asarray(masks, dtype=np.uint64)
+        flat = masks.ravel()
+        if flat.size and int(flat.max()) >> n_units:
+            raise ValueError(f"mask {int(flat.max()):#x} has bits above unit {n_units - 1}")
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, block):
+            members = ((flat[start:start + block, None] >> bits) & 1).astype(bool)
+            out[start:start + members.shape[0]] = _accuracies(
+                block_logits(members), data.labels, members.shape[0]
+            )
+        return float(out[0]) if masks.ndim == 0 else out.reshape(masks.shape)
 
     return char_fn
 
 
+def _finish_unit_major(layer: Layer, z: np.ndarray) -> np.ndarray:
+    """Bias, normalization and activation of a dense layer's products
+    ``z``, one row per unit, which are overwritten."""
+    z += layer.bias[:, None]
+    return _activate(layer, z, 0)
+
+
+def _accuracies(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> np.ndarray:
+    """Accuracy per coalition of class-major ``(classes, coalitions * rows)``
+    logits.
+
+    The prediction is the first maximum, as ``np.argmax`` picks it, found
+    with a few contiguous passes per class.
+    """
+    best = by_class[0].copy()
+    # the narrowest type that holds the classes, as these passes run on
+    # every row of every coalition; it meets the int64 labels by value, so
+    # a label no class takes never matches
+    preds = np.zeros(best.size, dtype=np.min_scalar_type(by_class.shape[0] - 1))
+    above = np.empty_like(preds)
+    for c in range(1, by_class.shape[0]):
+        np.greater(by_class[c], best, out=above)
+        # c exceeds every earlier class: the max takes it where it beat best
+        np.maximum(preds, np.multiply(above, c, out=above), out=preds)
+        np.maximum(best, by_class[c], out=best)
+    # np.maximum propagates NaN, so a NaN in best marks a row whose logits
+    # hold one; np.argmax picks the first NaN there, the comparisons do not
+    if np.isnan(best).any():
+        preds = np.argmax(by_class, axis=0)
+    hits = preds.reshape(n_coalitions, -1) == labels
+    # the mean of 0/1 values is an integer count over the row count, as
+    # np.mean computes it
+    return np.count_nonzero(hits, axis=1) / labels.size
+
+
 def make_accuracy_game(spec: ModelSpec, data: LabeledDataset) -> Game:
-    return Game(spec.n_players, accuracy_char_fn(spec, data))
+    return Game(spec.n_players, accuracy_char_fn(spec, data), batched=True)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,14 @@ def test_criterion_8_cli_determinism(tmp_path):
             ]
         )
         assert rc == 0
+        deep_model_path = inputs / "toy-deep.json"
+        rc = cli_main(
+            [
+                "train-toy", "--out", str(deep_model_path), "--data", str(data_path),
+                "--hidden", "8,6", "--epochs", "120", "--seed", "0",
+            ]
+        )
+        assert rc == 0
 
         commands = {
             "make-fig2": lambda d, w: ["make-fig2", "--out", str(d / "out.json")],
@@ -405,6 +413,12 @@ def test_criterion_8_cli_determinism(tmp_path):
                 "--workers", w, "--out", str(d / "out.json"),
                 "--summary", str(d / "out.summary.json"),
             ],
+            "prune-two-hidden": lambda d, w: [
+                "prune", "--model", str(deep_model_path), "--data", str(data_path),
+                "--method", "exact", "--count", "3", "--cache", str(d / "cache.jsonl"),
+                "--workers", w, "--out", str(d / "out.json"),
+                "--summary", str(d / "out.summary.json"),
+            ],
             "train-toy": lambda d, w: [
                 "train-toy", "--out", str(d / "out.json"),
                 "--data", str(data_path), "--hidden", "6", "--epochs", "40",
@@ -418,8 +432,8 @@ def test_criterion_8_cli_determinism(tmp_path):
                 rundir.mkdir()
                 assert cli_main(argv(rundir, workers)) == 0, f"{name} failed"
                 digest = _sha(rundir / "out.json")
-                summary = rundir / "out.summary.json"
-                if summary.exists():
-                    digest += _sha(summary)
+                for extra in ("out.summary.json", "cache.jsonl"):
+                    if (rundir / extra).exists():
+                        digest += _sha(rundir / extra)
                 digests.append(digest)
             assert digests[0] == digests[1] == digests[2], f"{name} not byte-stable"

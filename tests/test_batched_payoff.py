@@ -1,0 +1,241 @@
+"""The batched toy-net accuracy payoff against the per-mask payoff it replaced.
+
+``reference_char_fn`` is a local copy of the old path: zero the absent units'
+outputs of the prunable layer, run every later layer for that one mask, take
+the argmax and the mean.  The batched payoff must return the same bits for
+every coalition, however the masks are split into calls.
+"""
+
+import numpy as np
+import pytest
+
+from shaprank.exact import shapley_exact_subsets
+from shaprank.games import Coalition, Game
+from shaprank.toynet import (
+    LabeledDataset,
+    Layer,
+    ModelSpec,
+    Normalization,
+    accuracy_char_fn,
+    make_accuracy_game,
+    make_blobs_dataset,
+)
+
+
+def _reference_layer(layer, x):
+    if layer.kind == "dense":
+        if x.ndim == 4:
+            x = x.mean(axis=(2, 3))
+        z = x @ layer.weights.T + layer.bias
+    else:
+        kh, kw = layer.weights.shape[2], layer.weights.shape[3]
+        pad = ((0, 0), (0, 0), (kh // 2, (kh - 1) // 2), (kw // 2, (kw - 1) // 2))
+        windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), (kh, kw), axis=(2, 3))
+        z = np.einsum("mcxykl,ockl->moxy", windows, layer.weights)
+        z = z + layer.bias[None, :, None, None]
+    if layer.norm is not None:
+        norm = layer.norm
+        shape = [1] * z.ndim
+        shape[1] = -1
+        scale = norm.gamma / np.sqrt(norm.var + norm.eps)
+        z = (z - norm.mean.reshape(shape)) * scale.reshape(shape) + norm.beta.reshape(shape)
+    if layer.activation == "relu":
+        z = np.maximum(z, 0.0)
+    return z
+
+
+def reference_char_fn(spec, data):
+    """The per-mask accuracy payoff before batching, kept verbatim in
+    arithmetic."""
+    prefix = np.asarray(data.inputs, dtype=np.float64)
+    for layer in spec.layers[: spec.prunable_layer + 1]:
+        prefix = _reference_layer(layer, prefix)
+    suffix = spec.layers[spec.prunable_layer + 1:]
+
+    def char_fn(mask):
+        coalition = Coalition(int(mask), spec.n_players)
+        off = [i for i in range(spec.n_players) if not coalition.contains(i)]
+        x = prefix.copy()
+        x[:, off] = 0.0
+        for layer in suffix:
+            x = _reference_layer(layer, x)
+        if x.ndim == 4:
+            x = x.mean(axis=(2, 3))
+        return float(np.mean(np.argmax(x, axis=1) == data.labels))
+
+    return char_fn
+
+
+def assert_bit_identical(spec, data, masks):
+    masks = np.asarray(masks, dtype=np.uint64)
+    reference = reference_char_fn(spec, data)
+    expected = np.array([reference(m) for m in masks.tolist()])
+    got = accuracy_char_fn(spec, data)(masks)
+    assert got.dtype == np.float64 and got.shape == masks.shape
+    assert np.array_equal(got, expected)
+
+
+def _dense(rng, n_out, n_in, activation="relu", norm=None, scale=1.0):
+    return Layer(
+        "dense",
+        rng.standard_normal((n_out, n_in)) * scale,
+        rng.standard_normal(n_out) * 0.2,
+        activation,
+        norm,
+    )
+
+
+def _blobs(n_classes=4, n_per_class=120):
+    return make_blobs_dataset(seed=3, n_per_class=n_per_class, n_classes=n_classes, spread=1.2)
+
+
+def net_14():
+    rng = np.random.default_rng(14)
+    return ModelSpec([_dense(rng, 14, 2), _dense(rng, 4, 14, "softmax-logits")])
+
+
+def net_32():
+    rng = np.random.default_rng(32)
+    return ModelSpec(
+        [_dense(rng, 32, 2), _dense(rng, 16, 32, scale=0.4), _dense(rng, 4, 16, "softmax-logits")]
+    )
+
+
+def _conv(rng, n_out, n_in):
+    return Layer(
+        "conv2d", rng.standard_normal((n_out, n_in, 3, 3)) * 0.5, rng.standard_normal(n_out) * 0.1
+    )
+
+
+def _images(rng, rows=40, channels=2, classes=3):
+    return LabeledDataset(
+        inputs=rng.standard_normal((rows, channels, 5, 4)),
+        labels=rng.integers(0, classes, size=rows),
+    )
+
+
+def test_every_coalition_of_a_14_unit_net():
+    assert_bit_identical(net_14(), _blobs(), np.arange(1 << 14))
+
+
+def test_random_coalitions_of_a_two_layer_suffix():
+    masks = np.random.default_rng(0).integers(0, 1 << 32, size=2000, dtype=np.uint64)
+    assert_bit_identical(net_32(), _blobs(), masks)
+
+
+def test_dense_suffix_layer_with_normalization():
+    rng = np.random.default_rng(5)
+    norm = Normalization(
+        mean=rng.standard_normal(12),
+        var=rng.uniform(0.5, 2.0, 12),
+        gamma=rng.standard_normal(12),
+        beta=rng.standard_normal(12),
+    )
+    spec = ModelSpec(
+        [_dense(rng, 10, 2), _dense(rng, 12, 10, norm=norm), _dense(rng, 4, 12, "softmax-logits")]
+    )
+    assert_bit_identical(spec, _blobs(), np.arange(1 << 10))
+
+
+def test_conv_prefix_with_a_dense_head():
+    rng = np.random.default_rng(6)
+    spec = ModelSpec([_conv(rng, 6, 2), _dense(rng, 3, 6, "softmax-logits")])
+    assert_bit_identical(spec, _images(rng), np.arange(1 << 6))
+
+
+def test_conv_first_suffix_layer():
+    rng = np.random.default_rng(7)
+    spec = ModelSpec([_conv(rng, 5, 2), _conv(rng, 4, 5), _dense(rng, 3, 4, "softmax-logits")])
+    data = _images(rng)
+    assert_bit_identical(spec, data, np.arange(1 << 5))
+    # the players are the second conv's channels: one conv suffix layer fewer
+    assert_bit_identical(spec.with_prunable_layer(1), data, np.arange(1 << 4))
+
+
+def test_prunable_head_has_no_suffix():
+    spec = net_32().with_prunable_layer(2)
+    assert_bit_identical(spec, _blobs(), np.arange(1 << 4))
+
+
+def test_non_finite_inputs_and_logits():
+    spec = net_14()
+    data = _blobs(n_per_class=5)
+    inputs = data.inputs.copy()
+    inputs[0, 0] = np.nan
+    inputs[3, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert_bit_identical(spec, LabeledDataset(inputs, data.labels), np.arange(1 << 14))
+    # finite prefix, logits that overflow to +-inf and to NaN (inf - inf)
+    rng = np.random.default_rng(8)
+    huge = ModelSpec(
+        [_dense(rng, 6, 2), _dense(rng, 5, 6, scale=1e200), _dense(rng, 4, 5, "softmax-logits")]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_bit_identical(huge, data, np.arange(1 << 6))
+
+
+def test_non_finite_weights_of_the_first_suffix_layer():
+    # an absent unit's output times an inf or NaN weight is NaN in the
+    # per-mask path, so the batched path must not zero the weight instead
+    spec = net_32()
+    weights = spec.layers[1].weights
+    weights[0, 3] = np.inf
+    weights[5, 3] = -np.inf
+    weights[2, 17] = np.nan
+    masks = np.random.default_rng(2).integers(0, 1 << 32, size=500, dtype=np.uint64)
+    masks[:4] = [0, (1 << 32) - 1, 1 << 3, ((1 << 32) - 1) ^ (1 << 3) ^ (1 << 17)]
+    with np.errstate(invalid="ignore"):
+        assert_bit_identical(spec, _blobs(), masks)
+
+
+def test_labels_the_head_cannot_predict_never_count():
+    data = _blobs(n_per_class=30)
+    labels = data.labels.copy()
+    labels[:7] = [4, 256, 300, -1, 70000, 3, 0]
+    assert_bit_identical(net_14(), LabeledDataset(data.inputs, labels), np.arange(0, 1 << 14, 7))
+
+
+def test_single_row_dataset():
+    data = LabeledDataset(np.array([[0.3, -1.2]]), np.array([2]))
+    assert_bit_identical(net_32(), data, np.arange(0, 1 << 32, 1 << 21))
+
+
+def test_payoffs_do_not_depend_on_the_batching():
+    spec, data = net_32(), _blobs()
+    masks = np.random.default_rng(1).integers(0, 1 << 32, size=300, dtype=np.uint64)
+    char_fn = accuracy_char_fn(spec, data)
+    whole = char_fn(masks)
+    ones = np.concatenate([char_fn(masks[i:i + 1]) for i in range(masks.size)])
+    sevens = np.concatenate([char_fn(masks[i:i + 7]) for i in range(0, masks.size, 7)])
+    assert np.array_equal(whole, ones)
+    assert np.array_equal(whole, sevens)
+
+
+def test_scalar_call_returns_the_same_float():
+    spec, data = net_14(), _blobs()
+    char_fn = accuracy_char_fn(spec, data)
+    masks = [0, 1, 0b10110011010110, (1 << 14) - 1]
+    batch = char_fn(np.array(masks, dtype=np.uint64))
+    for mask, value in zip(masks, batch):
+        scalar = char_fn(mask)
+        assert type(scalar) is float
+        assert scalar == value == reference_char_fn(spec, data)(mask)
+
+
+def test_mask_above_the_units_is_refused():
+    with pytest.raises(ValueError):
+        accuracy_char_fn(net_14(), _blobs())(np.array([1 << 14], dtype=np.uint64))
+
+
+def test_game_counters_match_the_scalar_path():
+    spec, data = net_14(), _blobs(n_per_class=40)
+    batched = make_accuracy_game(spec, data)
+    scalar = Game(spec.n_players, reference_char_fn(spec, data))
+    assert batched.batched
+    for game in (batched, scalar):
+        game.evaluate_masks(np.array([5, 9, 5, 0, 9, 17], dtype=np.uint64))
+    exact_batched = shapley_exact_subsets(batched)
+    exact_scalar = shapley_exact_subsets(scalar)
+    assert np.array_equal(exact_batched.values, exact_scalar.values)
+    assert exact_batched.evals_used == exact_scalar.evals_used
+    assert (batched.eval_count, batched.cache_hits) == (scalar.eval_count, scalar.cache_hits)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -573,6 +574,36 @@ class TestErrors:
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == ("FormatError", message)
+
+    def test_key_mismatch_at_many_players_is_reported_quickly(self, tmp_path, capsys):
+        # naming the missing keys must not build all 2**40 expected keys
+        game_path = tmp_path / "n40.json"
+        game_path.write_text('{"n_players": 40, "values": {"0": 1.0, "1": 2.0}}')
+        started = time.perf_counter()
+        rc = main(
+            ["rank", "--game", str(game_path), "--method", "exact",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert time.perf_counter() - started < 1.0
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == (
+            "game spec must contain exactly the 1099511627776 coalition keys; "
+            "missing ['10', '100', '1000', '10000', '100000'], unexpected []"
+        )
+
+    def test_payoff_without_one_value_per_mask_is_a_numerical_error(
+        self, toy_files, tmp_path, capsys, monkeypatch
+    ):
+        model_path, data_path = toy_files
+        monkeypatch.setattr(cli, "accuracy_char_fn", lambda spec, data: (lambda masks: 0.5))
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CharacteristicFunctionError"
 
     def test_usage_error_for_conflicting_sources(self, fig2_path, tmp_path, capsys):
         rc = main(

@@ -197,6 +197,30 @@ def test_failing_batched_payoff_caches_nothing():
     assert (game.eval_count, game.cache_hits) == (2, 0)
 
 
+@pytest.mark.parametrize(
+    "payoff",
+    [lambda masks: 5.0, lambda masks: np.zeros(masks.size + 1), lambda masks: np.zeros((masks.size, 1))],
+    ids=["scalar", "one-too-many", "column"],
+)
+def test_batched_payoff_must_return_one_value_per_mask(payoff):
+    with pytest.raises(CharacteristicFunctionError) as info:
+        Game(3, payoff, batched=True)
+    assert info.value.coalition == Coalition(0, 3)
+    assert "returned shape" in str(info.value)
+
+    calls = []
+
+    def short_batch(masks):
+        calls.append(masks.size)
+        return np.zeros(max(masks.size - (len(calls) > 2), 0))
+
+    game = Game(3, short_batch, batched=True)
+    with pytest.raises(CharacteristicFunctionError) as info:
+        game.evaluate_masks([5, 1, 6])
+    assert info.value.coalition == Coalition(5, 3)
+    assert not any(game.is_cached(m) for m in (1, 5, 6))
+
+
 def test_threads_sharing_a_game_evaluate_each_coalition_once():
     calls = []
     table = np.arange(1 << 10, dtype=np.float64)

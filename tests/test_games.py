@@ -185,6 +185,33 @@ class TestTableGame:
         path.write_text('{"n_players": 1, "values": {"0": 1.0, "1": 2.0, "1": 3}}')
         assert load_game_json(path).values.tolist() == [1.0, 3.0]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_key_mismatch_report_matches_the_set_difference(self, n):
+        # the report walks the expected keys lazily; a local copy of the
+        # set difference it replaced gives the reference message
+        size = 1 << n
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            keep = rng.random(size) < rng.choice([0.2, 0.9, 1.0])
+            values = {str(m): 1.0 for m in np.flatnonzero(keep)}
+            for extra in rng.choice(["01", "+3", " 2", str(size), "-1", "x", "1_0"], 2):
+                values[str(extra)] = 2.0
+            expected = {str(m) for m in range(size)}
+            reference = (
+                f"game spec must contain exactly the {size} coalition keys; "
+                f"missing {sorted(expected - set(values))[:5]}, "
+                f"unexpected {sorted(set(values) - expected)[:5]}"
+            )
+            with pytest.raises(FormatError) as info:
+                TableGame.from_json_dict({"n_players": n, "values": values})
+            assert str(info.value) == reference
+
+    def test_expected_keys_are_walked_in_sorted_order(self):
+        from shaprank.games import _sorted_keys
+
+        for size in [*range(1, 300), 1000, 1024, 4096]:
+            assert list(_sorted_keys(size)) == sorted(str(m) for m in range(size))
+
     def test_keys_in_any_order_and_int_payoffs_load(self):
         values = {str(m): m * 3 for m in (5, 0, 7, 2, 1, 3, 6, 4)}
         game = TableGame.from_json_dict({"n_players": 3, "values": values})
