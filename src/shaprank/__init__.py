@@ -33,13 +33,7 @@ from .oracle import (
     score_ranking,
 )
 from .partial import SizeBand, leave_one_out, shapley_partial
-from .regression import (
-    KernelSample,
-    RegressionConfig,
-    draw_kernel_samples,
-    shapley_kernel_weight,
-    shapley_regression,
-)
+from .regression import RegressionConfig, shapley_kernel_weight, shapley_regression
 from .sampling import EarlyStop, SamplingConfig, shapley_sample_permutations
 from .toynet import (
     LabeledDataset,
@@ -47,7 +41,6 @@ from .toynet import (
     MaskedModel,
     ModelSpec,
     accuracy_char_fn,
-    forward,
     load_model,
     make_accuracy_game,
     make_blobs_dataset,
@@ -66,7 +59,6 @@ __all__ = [
     "FormatError",
     "Game",
     "InvalidBandError",
-    "KernelSample",
     "LabeledDataset",
     "Layer",
     "MaskedModel",
@@ -85,8 +77,6 @@ __all__ = [
     "accuracy_char_fn",
     "build_oracle_rank",
     "compute_oracle_subsets",
-    "draw_kernel_samples",
-    "forward",
     "jaccard",
     "leave_one_out",
     "load_game_json",

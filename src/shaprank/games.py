@@ -105,17 +105,6 @@ class Coalition:
     def complement(self) -> "Coalition":
         return Coalition(self.bits ^ full_mask(self.n_players), self.n_players)
 
-    def union(self, other: "Coalition") -> "Coalition":
-        if other.n_players != self.n_players:
-            raise ValueError("coalitions belong to games of different sizes")
-        return Coalition(self.bits | other.bits, self.n_players)
-
-    def add(self, player: int) -> "Coalition":
-        return Coalition(self.bits | (1 << player), self.n_players)
-
-    def remove(self, player: int) -> "Coalition":
-        return Coalition(self.bits & ~(1 << player), self.n_players)
-
 
 class Game:
     """An ``n_players`` coalition game with a memoized characteristic function.
@@ -176,14 +165,6 @@ class Game:
     @property
     def grand_mask(self) -> int:
         return full_mask(self.n_players)
-
-    def evaluate(self, coalition: Coalition) -> float:
-        if coalition.n_players != self.n_players:
-            raise ValueError(
-                f"coalition is over {coalition.n_players} players, "
-                f"game has {self.n_players}"
-            )
-        return self.evaluate_mask(coalition.bits)
 
     def evaluate_mask(self, mask: int) -> float:
         return float(self.evaluate_masks([int(mask)])[0])
@@ -335,56 +316,46 @@ class TableGame(Game):
             raise FormatError(f"n_players must be in [1, {MAX_PLAYERS}]")
         if not isinstance(raw, dict):
             raise FormatError("'values' must map bitmask strings to payoffs")
-        size = 1 << n_players
-        table = _plain_table(raw, size)
-        if table is None:
-            table = _checked_table(raw, size)
+        table = _payoff_table(raw, 1 << n_players)
         if not np.all(np.isfinite(table)):
             raise FormatError("game spec contains non-finite payoffs")
         return cls(table)
 
 
-def _plain_table(raw: dict, size: int) -> Optional[np.ndarray]:
-    """The payoff table when ``raw`` has exactly the keys ``"0"`` ..
-    ``str(size - 1)``, written canonically, and only int or float payoffs;
-    otherwise None."""
-    if len(raw) != size:
-        return None
-    try:
-        masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if masks.min() < 0 or masks.max() >= size:
-        return None
-    # compared one key at a time: a list of 2**n strings would raise peak memory
-    if not all(map(operator.eq, map(str, masks.tolist()), raw)):
-        return None
-    if not set(map(type, raw.values())) <= {int, float}:
-        return None
-    table = np.empty(size, dtype=np.float64)
-    table[masks] = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
-    return table
+def _payoff_table(raw: dict, size: int) -> np.ndarray:
+    """The payoff table of ``raw``, which must have exactly the keys ``"0"``
+    .. ``str(size - 1)``, written canonically, and only int or float payoffs.
 
-
-def _checked_table(raw: dict, size: int) -> np.ndarray:
-    """Key by key: names the keys or the payoff that make ``raw`` invalid.
-
-    The missing keys come from walking the ``size`` expected keys in sorted
-    order, which stops after five absent ones: at most ``len(raw) + 5``
-    steps, however many players the spec declares.
+    Validity is decided on whole arrays; only an invalid ``raw`` is walked key
+    by key, to name what is wrong.  The missing keys come from walking the
+    ``size`` expected keys in sorted order, which stops after five absent
+    ones: at most ``len(raw) + 5`` steps, however many players the spec
+    declares.
     """
-    extra = [key for key in raw if not _is_coalition_key(key, size)]
-    if extra or len(raw) != size:
+    masks = None
+    if len(raw) == size:
+        try:
+            masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    # compared one key at a time: a list of 2**n strings would raise peak memory
+    if (masks is None or masks.min() < 0 or masks.max() >= size
+            or not all(map(operator.eq, map(str, masks.tolist()), raw))):
+        extra = [key for key in raw if not _is_coalition_key(key, size)]
         missing = list(itertools.islice((k for k in _sorted_keys(size) if k not in raw), 5))
         raise FormatError(
             f"game spec must contain exactly the {size} coalition keys; "
             f"missing {missing}, unexpected {sorted(extra)[:5]}"
         )
+
+    def number_type(t):
+        return t is not bool and issubclass(t, (int, float))
+
+    if not all(map(number_type, set(map(type, raw.values())))):
+        key = next(key for key, value in raw.items() if not number_type(type(value)))
+        raise FormatError(f"payoff for coalition {key} is not a number")
     table = np.empty(size, dtype=np.float64)
-    for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(f"payoff for coalition {key} is not a number")
-        table[int(key)] = float(value)
+    table[masks] = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
     return table
 
 

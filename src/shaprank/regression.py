@@ -82,15 +82,6 @@ class RegressionConfig:
             raise ValueError("ridge must be >= 0")
 
 
-@dataclass
-class KernelSample:
-    """One regression row: membership indicator, payoff, and weight."""
-
-    indicator: np.ndarray
-    value: float
-    weight: float
-
-
 def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Coalition bitmasks plus their regression weights for ``cfg.sampler``.
 
@@ -135,16 +126,6 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
         del masks[cfg.n_samples:]
         del weights[cfg.n_samples:]
     return np.array(masks, dtype=np.uint64), np.array(weights)
-
-
-def draw_kernel_samples(game: Game, cfg: RegressionConfig) -> list[KernelSample]:
-    """Materialized regression rows, mainly for inspection and tests."""
-    masks, weights = _sample_masks(game.n_players, cfg)
-    values = game.evaluate_masks(masks)
-    return [
-        KernelSample(indicator=indicator, value=float(value), weight=float(weight))
-        for indicator, value, weight in zip(_indicators(masks, game.n_players), values, weights)
-    ]
 
 
 def _indicators(masks: np.ndarray, n: int) -> np.ndarray:

@@ -203,13 +203,6 @@ def forward_batch(model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(model: MaskedModel, single_input: np.ndarray) -> int:
-    """Predicted class index for one input (argmax of the final outputs)."""
-    logits = forward_batch(model, np.asarray(single_input)[None, ...])
-    flat = _global_average_pool(logits)
-    return int(np.argmax(flat[0]))
-
-
 def accuracy(model: MaskedModel, data: LabeledDataset) -> float:
     logits = _global_average_pool(forward_batch(model, data.inputs))
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))

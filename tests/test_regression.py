@@ -12,7 +12,6 @@ from shaprank.regression import (
     RegressionConfig,
     _sample_masks,
     _solve_symmetric,
-    draw_kernel_samples,
     shapley_kernel_weight,
     shapley_regression,
     stratified_size_probabilities,
@@ -134,15 +133,12 @@ class TestSampledRegression:
             shapley_regression(game, RegressionConfig(n_samples=4, sampler="bernoulli-half"))
 
     def test_rows_are_proper_and_nonempty_with_positive_weights(self):
-        game = random_table_game(5, seed=4)
         for sampler in ("size-stratified", "bernoulli-half", "permutation-prefix"):
             cfg = RegressionConfig(n_samples=64, sampler=sampler, seed=0)
-            rows = draw_kernel_samples(game, cfg)
-            assert len(rows) == 64
-            for row in rows:
-                members = int(row.indicator.sum())
-                assert 0 < members < 5
-                assert row.weight > 0
+            masks, weights = _sample_masks(5, cfg)
+            assert masks.size == weights.size == 64
+            assert np.all((masks > 0) & (masks < 0b11111))
+            assert np.all(weights > 0)
 
 
 class TestSizeStratifiedSampler:

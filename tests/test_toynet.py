@@ -12,7 +12,6 @@ from shaprank.toynet import (
     Normalization,
     accuracy,
     accuracy_char_fn,
-    forward,
     forward_batch,
     load_dataset_csv,
     load_idx,
@@ -84,12 +83,6 @@ class TestTraining:
 
 
 class TestMaskingSemantics:
-    def test_full_mask_is_the_plain_model(self, trained, blobs):
-        full = grand_model(trained)
-        logits = forward_batch(full, blobs.inputs)
-        for idx in (0, 120, 299):
-            assert forward(full, blobs.inputs[idx]) == int(np.argmax(logits[idx]))
-
     def test_empty_mask_predicts_a_constant_class(self, trained, blobs):
         empty = MaskedModel(spec=trained, mask=Coalition.empty(trained.n_players))
         preds = np.argmax(forward_batch(empty, blobs.inputs), axis=1)
@@ -108,7 +101,7 @@ class TestMaskingSemantics:
         dead = n - 1
         with_unit = forward_batch(grand_model(spec), blobs.inputs)
         without = forward_batch(
-            MaskedModel(spec=spec, mask=Coalition.grand(n).remove(dead)), blobs.inputs
+            MaskedModel(spec=spec, mask=Coalition.from_members(range(dead), n)), blobs.inputs
         )
         assert np.array_equal(
             np.argmax(with_unit, axis=1), np.argmax(without, axis=1)
