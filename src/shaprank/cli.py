@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -91,6 +91,8 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
         fracs = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"--split fractions must be numbers: {exc}") from exc
+    if not all(math.isfinite(f) for f in fracs):
+        raise UsageError(f"--split fractions must be finite, got {text!r}")
     return fracs  # type: ignore[return-value]
 
 
@@ -389,31 +391,33 @@ def _ranking_from_report(path) -> tuple[str, Ranking]:
     return Path(path).stem, Ranking(order=order, scores=scores)
 
 
+def _rankings_to_score(args, oracle_rank: Ranking) -> Iterator[tuple[str, Ranking]]:
+    """``(name, ranking)`` of the oracle rank, then of each ``--rank`` report,
+    which must rank the oracle rank's players."""
+    yield "oracle-rank", oracle_rank
+    for path in args.rank or []:
+        name, ranking = _ranking_from_report(path)
+        if ranking.n_players != oracle_rank.n_players:
+            raise FormatError(f"{path}: ranks {ranking.n_players} players, "
+                              f"the game has {oracle_rank.n_players}")
+        # importance rankings list best-to-keep first; removal benchmarks
+        # judge what gets deleted first, so flip them
+        yield name, ranking.reversed() if args.mode == "remove" else ranking
+
+
 def cmd_oracle(args) -> int:
     game, inputs, source, _ = _game_with_cache(args)
     k_range = _parse_k_range(args.k_range, game.n_players)
     started = time.perf_counter()
     oracle = compute_oracle_subsets(game, args.mode, k_range)
-    oracle_rank = build_oracle_rank(oracle, strategy=args.rank_strategy)
+    rankings = _rankings_to_score(args, build_oracle_rank(oracle, strategy=args.rank_strategy))
+    # reports are read lazily, each scored before the next is opened, so the
+    # first bad report decides the error
     rows = [
-        {
-            "name": "oracle-rank",
-            "order": oracle_rank.order.tolist(),
-            **score_report_dict(args.mode, score_ranking(oracle_rank, oracle)),
-        }
+        {"name": name, "order": ranking.order.tolist(),
+         **score_report_dict(args.mode, score_ranking(ranking, oracle))}
+        for name, ranking in rankings
     ]
-    for path in args.rank or []:
-        name, ranking = _ranking_from_report(path)
-        # importance rankings list best-to-keep first; removal benchmarks
-        # judge what gets deleted first, so flip them
-        oriented = ranking.reversed() if args.mode == "remove" else ranking
-        rows.append(
-            {
-                "name": name,
-                "order": oriented.order.tolist(),
-                **score_report_dict(args.mode, score_ranking(oriented, oracle)),
-            }
-        )
     elapsed = time.perf_counter() - started
     report = {
         "report": "oracle",
@@ -452,6 +456,8 @@ def cmd_prune(args) -> int:
         raise UsageError("give --count or --fraction, not both")
     if args.count is None and args.fraction is None:
         raise UsageError("need --count or --fraction")
+    if args.fraction is not None and not 0 < args.fraction < 1:
+        raise UsageError(f"--fraction must be in (0, 1), got {args.fraction}")
     game, inputs, source, spec = _game_with_cache(args)
     n = game.n_players
     count = args.count if args.count is not None else int(round(args.fraction * n))
@@ -629,16 +635,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# first match wins; LinAlgError is a ValueError, so it comes before that
 _EXIT_CODES: list[tuple[type, int]] = [
     (UsageError, 2),
     (InvalidBandError, 2),
+    (np.linalg.LinAlgError, 4),
     (ValueError, 2),
     (CapacityError, 3),
     (BudgetError, 3),
     (SingularSystemError, 4),
     (TrainingDivergedError, 4),
     (CharacteristicFunctionError, 4),
-    (np.linalg.LinAlgError, 4),
     (FormatError, 5),
     (OSError, 5),
 ]

@@ -85,10 +85,6 @@ class Coalition:
         return cls(mask_from_members(members, n_players), n_players)
 
     @classmethod
-    def empty(cls, n_players: int) -> "Coalition":
-        return cls(0, n_players)
-
-    @classmethod
     def grand(cls, n_players: int) -> "Coalition":
         return cls(full_mask(n_players), n_players)
 
@@ -205,14 +201,6 @@ class Game:
                 return masks, self._values[masks]
             masks = np.array(sorted(self._dict), dtype=np.uint64)
             return masks, np.array([self._dict[m] for m in masks.tolist()], dtype=np.float64)
-
-    def cached_values(self) -> dict[int, float]:
-        masks, values = self.cached_table()
-        return dict(zip(masks.tolist(), values.tolist()))
-
-    def is_cached(self, mask: int) -> bool:
-        with self._lock:
-            return bool(self._lookup(self._as_masks([int(mask)]))[1][0])
 
     # -- cache internals; _lookup and _store run under the lock -------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .games import Coalition, Game, Ranking, masks_of_size
 
 SIZE_BUDGET = 10**7
 _TIE_TOL = 1e-12
+_BLOCK_ELEMENTS = 1 << 16
 
 # The reference-ordering search is exact up to this many players, beyond it
 # the greedy construction takes over.
@@ -99,8 +100,24 @@ def compute_oracle_subsets(
     return OracleSubsets(mode=mode, n_players=n, per_k=per_k, best_value=best_value)
 
 
-def _best_overlap(prefix: Coalition, tied: Sequence[Coalition]) -> float:
-    return max(jaccard(oracle_set, prefix) for oracle_set in tied)
+def _best_overlaps(masks: np.ndarray, tied: Sequence[Coalition]) -> np.ndarray:
+    """Each ``uint64`` mask's best Jaccard overlap with the tied sets.
+
+    Every overlap is the quotient of two exact popcounts, so it equals
+    :func:`jaccard` bit for bit; empty against empty is 1.0, and with no
+    tied sets every mask gets 0.
+    """
+    sets = np.array([c.bits for c in tied], dtype=np.uint64)
+    best = np.zeros(masks.size)
+    # blocks of sets keep each intermediate near _BLOCK_ELEMENTS entries
+    step = max(1, _BLOCK_ELEMENTS // max(masks.size, 1))
+    for start in range(0, sets.size, step):
+        block = sets[start:start + step, None]
+        inter = np.bitwise_count(masks & block)
+        union = np.bitwise_count(masks | block)
+        overlap = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+        np.maximum(best, overlap.max(axis=0), out=best)
+    return best
 
 
 def score_ranking(rank: Ranking, oracle: OracleSubsets) -> RankScore:
@@ -111,94 +128,46 @@ def score_ranking(rank: Ranking, oracle: OracleSubsets) -> RankScore:
     """
     if rank.n_players != oracle.n_players:
         raise ValueError("ranking and oracle cover different player counts")
-    per_k: dict[int, float] = {}
-    num = 0.0
-    den = 0.0
-    for k in oracle.k_range:
-        overlap = _best_overlap(rank.top(k), oracle.per_k[k])
-        per_k[k] = overlap
-        num += k * overlap
-        den += k
-    return RankScore(per_k=per_k, weighted_total=num / den)
+    prefixes = np.bitwise_or.accumulate(np.uint64(1) << rank.order.astype(np.uint64))
+    per_k = {k: float(_best_overlaps(prefixes[k - 1:k], oracle.per_k[k])[0])
+             for k in oracle.k_range}
+    total = sum(k * overlap for k, overlap in per_k.items()) / sum(per_k)
+    return RankScore(per_k=per_k, weighted_total=total)
 
 
-def _prefix_gains(oracle: OracleSubsets) -> np.ndarray:
-    """``gain[mask] = |mask| * best overlap`` for masks of scored sizes, else 0."""
+def _optimal_values(oracle: OracleSubsets) -> np.ndarray:
+    """``value[mask] = gain(mask) + max over free i of value[mask | 1<<i]``,
+    the largest ``sum K * J_K`` an ordering that starts with ``mask`` can
+    reach; ``gain`` is ``|mask| * best overlap`` at scored sizes, else 0.
+    Filled from the largest prefixes down; the empty prefix is not needed."""
     n = oracle.n_players
-    gains = np.zeros(1 << n)
+    value = np.zeros(1 << n)
     for k in oracle.k_range:
-        masks_k = masks_of_size(n, k)
-        best = np.zeros(masks_k.size)
-        for oracle_set in oracle.per_k[k]:
-            inter = sum(((masks_k >> j) & 1).astype(np.float64) for j in oracle_set.members())
-            union = k + oracle_set.size - inter
-            np.maximum(best, inter / union, out=best)
-        gains[masks_k] = k * best
-    return gains
-
-
-def _optimal_order(oracle: OracleSubsets) -> list[int]:
-    """Ordering maximizing the weighted overlap, by dynamic programming.
-
-    ``remaining[mask]`` is the best achievable future gain once the prefix
-    set equals ``mask``; the forward reconstruction picks the smallest player
-    index that preserves optimality, for reproducibility.
-    """
-    n = oracle.n_players
-    gains = _prefix_gains(oracle)
-    remaining = np.zeros(1 << n)
-    for size in range(n - 1, -1, -1):
-        masks_s = masks_of_size(n, size)
-        best = np.full(masks_s.size, -np.inf)
+        masks = masks_of_size(n, k)
+        value[masks] = k * _best_overlaps(masks, oracle.per_k[k])
+    for size in range(n - 1, 0, -1):
+        masks = masks_of_size(n, size)
+        best = np.full(masks.size, -np.inf)
         for i in range(n):
-            open_slot = (masks_s >> i) & 1 == 0
-            cand = masks_s[open_slot] | (1 << i)
-            contrib = np.full(masks_s.size, -np.inf)
-            contrib[open_slot] = gains[cand] + remaining[cand]
-            np.maximum(best, contrib, out=best)
-        remaining[masks_s] = best
+            bit = np.uint64(1 << i)
+            np.maximum(best, np.where(masks & bit, -np.inf, value[masks | bit]), out=best)
+        value[masks] += best
+    return value
 
+
+def _walk(n: int, score: Callable[[np.ndarray, int], np.ndarray]) -> list[int]:
+    """Build an order slot by slot: slot ``k`` (from 1) takes the first free
+    player whose extended size-``k`` prefix ``score``s within the tie
+    tolerance of the best, so ties go to the smallest index."""
     order: list[int] = []
     mask = 0
-    for _ in range(n):
-        need = remaining[mask]
-        for i in range(n):
-            if (mask >> i) & 1:
-                continue
-            cand = mask | (1 << i)
-            if gains[cand] + remaining[cand] >= need - 1e-12:
-                order.append(i)
-                mask = cand
-                break
-    return order
-
-
-def _greedy_order(oracle: OracleSubsets) -> list[int]:
-    """Position-by-position construction: each slot takes the player that
-    maximizes the weighted overlap of the prefixes fixed so far, ties going
-    to the smallest index.  Cheap, but can lock in an early prefix that no
-    later choice can repair."""
-    n = oracle.n_players
-    order: list[int] = []
-    chosen = 0
-    for position in range(1, n + 1):
-        best_score, best_player = -1.0, -1
-        for i in range(n):
-            if (chosen >> i) & 1:
-                continue
-            extended = order + [i]
-            num = 0.0
-            den = 0.0
-            for k in oracle.k_range:
-                den += k
-                if k <= position:
-                    prefix = Coalition.from_members(extended[:k], n)
-                    num += k * _best_overlap(prefix, oracle.per_k[k])
-            score = num / den
-            if score > best_score + 1e-15:
-                best_score, best_player = score, i
-        order.append(best_player)
-        chosen |= 1 << best_player
+    for k in range(1, n + 1):
+        free = [i for i in range(n) if not (mask >> i) & 1]
+        extended = np.array([mask | 1 << i for i in free], dtype=np.uint64)
+        scores = score(extended, k)
+        pick = int(np.argmax(scores >= scores.max() - _TIE_TOL))
+        order.append(free[pick])
+        mask = int(extended[pick])
     return order
 
 
@@ -223,9 +192,13 @@ def build_oracle_rank(
             raise BudgetError(
                 f"exact rank search supports at most {OPTIMAL_RANK_MAX_PLAYERS} players"
             )
-        order = _optimal_order(oracle)
+        value = _optimal_values(oracle)
+        order = _walk(n, lambda extended, k: value[extended])
     elif strategy == "greedy":
-        order = _greedy_order(oracle)
+        # the prefixes fixed before a slot add the same amount to every
+        # candidate's weighted overlap, so only the new prefix's gain differs;
+        # distinct gains differ by at least 1/(64*63), far above the tolerance
+        order = _walk(n, lambda extended, k: k * _best_overlaps(extended, oracle.per_k.get(k, ())))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     scores = np.arange(n, 0, -1, dtype=np.float64)

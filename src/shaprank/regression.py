@@ -188,29 +188,22 @@ def shapley_regression(
     masks, weights = _sample_masks(n, cfg)
     values = game.evaluate_masks(masks)
 
-    indicators = _indicators(masks, n)
+    columns = _indicators(masks, n)
     base = game.evaluate_mask(0)
     target_total = game.target_quantity()
-    y = values.copy() if cfg.fit_intercept else values - base
-    ones = np.ones((masks.size, 1))
+    y = values if cfg.fit_intercept else values - base
 
     if cfg.enforce_efficiency:
         # eliminate the last player's coefficient via the sum constraint;
         # the intercept column, when fitted, is untouched by it
-        eliminated = indicators[:, :-1] - indicators[:, -1:]
-        X = np.hstack([ones, eliminated]) if cfg.fit_intercept else eliminated
-        t = y - indicators[:, -1] * target_total
-        A = X.T @ (weights[:, None] * X)
-        b = X.T @ (weights * t)
-        reduced, ridge_applied, condition = _solve_symmetric(A, b, cfg.ridge)
-        player_part = reduced[1:] if cfg.fit_intercept else reduced
-        phi = np.append(player_part, target_total - player_part.sum())
-    else:
-        X = np.hstack([ones, indicators]) if cfg.fit_intercept else indicators
-        A = X.T @ (weights[:, None] * X)
-        b = X.T @ (weights * y)
-        solved, ridge_applied, condition = _solve_symmetric(A, b, cfg.ridge)
-        phi = solved[1:] if cfg.fit_intercept else solved
+        y = y - columns[:, -1] * target_total
+        columns = columns[:, :-1] - columns[:, -1:]
+    X = np.hstack([np.ones((masks.size, 1)), columns]) if cfg.fit_intercept else columns
+    solved, ridge_applied, condition = _solve_symmetric(
+        X.T @ (weights[:, None] * X), X.T @ (weights * y), cfg.ridge)
+    phi = solved[1:] if cfg.fit_intercept else solved
+    if cfg.enforce_efficiency:
+        phi = np.append(phi, target_total - phi.sum())
 
     stochastic = cfg.sampler != "exhaustive"
     return ShapleyEstimate(

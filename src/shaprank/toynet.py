@@ -76,6 +76,10 @@ class Layer:
             raise ValueError("bias must have one entry per output unit")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if self.norm is not None:
+            vectors = (self.norm.mean, self.norm.var, self.norm.gamma, self.norm.beta)
+            if any(np.shape(v) != (self.out_units,) for v in vectors):
+                raise ValueError("norm vectors must have one entry per output unit")
 
     @property
     def out_units(self) -> int:
@@ -454,6 +458,8 @@ def load_dataset_csv(path) -> LabeledDataset:
     header = lines[0].split(",")
     if header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
         raise FormatError(f"{path}: expected header 'x0,...,label'")
+    if len(lines) == 1:
+        raise FormatError(f"{path}: header but no samples")
     n_features = len(header) - 1
     inputs, labels = [], []
     for ln, line in enumerate(lines[1:], start=2):

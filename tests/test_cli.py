@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,31 @@ class TestOracle:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--workers", "8", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    @pytest.mark.parametrize("mismatched_first", [True, False])
+    def test_ranking_of_another_player_count_is_a_format_error(
+        self, fig2_path, tmp_path, capsys, mismatched_first
+    ):
+        mismatched, corrupt = tmp_path / "n4.json", tmp_path / "corrupt.json"
+        mismatched.write_text('{"order": [3, 2, 1, 0], "scores": [4, 3, 2, 1]}')
+        corrupt.write_text("{")
+        good = tmp_path / "good.json"
+        main(["rank", "--game", str(fig2_path), "--method", "exact", "--out", str(good)])
+        bad = [mismatched, corrupt] if mismatched_first else [corrupt, mismatched]
+        rc = main(
+            ["oracle", "--game", str(fig2_path), "--mode", "remove", "--k-range", "1:2",
+             *(a for path in [good, *bad] for a in ("--rank", str(path))),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"] == (
+            f"{mismatched}: ranks 4 players, the game has 3" if mismatched_first
+            else f"{corrupt}: not a ranking report"
+        )
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestPrune:
@@ -775,6 +801,91 @@ class TestErrors:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["exit_code"]) == ("InvalidBandError", 2)
+
+    def test_dataset_with_a_header_and_no_rows_is_a_format_error(
+        self, toy_files, tmp_path, capsys
+    ):
+        model_path, _ = toy_files
+        data_path = tmp_path / "header-only.csv"
+        data_path.write_text("x0,x1,label\n")
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"] == f"{data_path}: header but no samples"
+
+    @pytest.mark.parametrize("norm_layer", [0, 1], ids=["prunable", "after-prunable"])
+    def test_norm_without_one_entry_per_unit_is_a_format_error(
+        self, toy_files, tmp_path, capsys, norm_layer
+    ):
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((3, 2)), np.zeros(3)),
+            Layer("dense", rng.standard_normal((3, 3)), np.zeros(3)),
+            Layer("dense", rng.standard_normal((6, 3)), np.zeros(6), "softmax-logits"),
+        ]
+        model_path = tmp_path / "m.json"
+        save_model(ModelSpec(layers=layers), model_path)
+        doc = json.loads(model_path.read_text())
+        doc["layers"][norm_layer]["norm"] = {
+            "mean": [0.0, 0.0], "var": [1.0, 1.0], "gamma": [1.0, 1.0], "beta": [0.0, 0.0],
+        }
+        model_path.write_text(json.dumps(doc))
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"].startswith(f"{model_path}: ")
+        assert "norm vectors must have one entry per output unit" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("rank", "--split", "nan:1:0"), ("rank", "--split", "inf:1:0"),
+         ("prune", "--fraction", "nan"), ("prune", "--fraction", "inf")],
+    )
+    def test_non_finite_flags_are_usage_errors_naming_the_flag(
+        self, toy_files, tmp_path, capsys, command, flag, value
+    ):
+        model_path, data_path = toy_files
+        argv = [command, "--model", str(model_path), "--data", str(data_path),
+                "--method", "exact", flag, value, "--out", str(tmp_path / "r.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc == 2
+        assert not caught
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("UsageError", 2)
+        assert flag in err["message"] and value in err["message"]
+
+    def test_error_classes_without_a_type_of_their_own(
+        self, fig2_path, tmp_path, capsys, monkeypatch
+    ):
+        out = ["--out", str(tmp_path / "r.json")]
+        cases = [
+            (["rank", "--game", str(fig2_path), "--method", "perm", "--perms", "0", *out],
+             "ValueError", 2),
+            (["rank", "--game", str(fig2_path), "--method", "kernel", *out],
+             "LinAlgError", 4),
+            (["rank", "--game", str(tmp_path / "nope.json"), "--method", "exact", *out],
+             "FileNotFoundError", 5),
+        ]
+
+        def singular(game, cfg):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "shapley_regression", singular)
+        for argv, error, code in cases:
+            assert main(argv) == code
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert (err["error"], err["exit_code"]) == (error, code)
 
     def test_unknown_argument(self, capsys):
         rc = main(["rank", "--frobnicate"])

@@ -50,7 +50,7 @@ class TestGame:
         game = Game(3, lambda m: calls.append(m) or float(m))
         assert sorted(calls) == [0, 7]
         assert game.eval_count == 2
-        assert game.is_cached(0) and game.is_cached(7)
+        assert game.cached_table()[0].tolist() == [0, 7]
 
     def test_cache_soundness(self):
         game = Game(3, lambda m: float(m) * 2.0)
@@ -99,7 +99,7 @@ class TestGame:
         with pytest.raises(CharacteristicFunctionError) as info:
             game.evaluate_mask(0b011)
         assert info.value.coalition == Coalition(0b011, 3)
-        assert not game.is_cached(0b011)
+        assert 0b011 not in game.cached_table()[0].tolist()
 
     def test_counters_with_duplicate_masks(self):
         game = Game(3, float)
@@ -224,7 +224,7 @@ class TestFig2Game:
             assert fig2.evaluate_mask(mask) == value
 
     def test_empty_and_grand(self, fig2):
-        assert fig2.evaluate_mask(Coalition.empty(3).bits) == 10.0
+        assert fig2.evaluate_mask(Coalition(0, 3).bits) == 10.0
         assert fig2.evaluate_mask(Coalition.grand(3).bits) == 90.0
         assert fig2.target_quantity() == 80.0
 

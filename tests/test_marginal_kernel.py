@@ -195,7 +195,7 @@ class TestSixtyFourPlayers:
     def test_regression_samplers_recover_the_weights(self, additive, sampler):
         est = shapley_regression(additive, RegressionConfig(n_samples=400, sampler=sampler, seed=3))
         np.testing.assert_allclose(est.values, self.weights, atol=1e-9)
-        assert all(0 <= mask < 1 << 64 for mask in additive.cached_values())
+        assert all(0 <= mask < 1 << 64 for mask in additive.cached_table()[0].tolist())
 
     def test_leave_one_out_and_band_sums_recover_the_weights(self, additive):
         np.testing.assert_allclose(leave_one_out(additive).values, self.weights, atol=1e-9)

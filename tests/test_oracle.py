@@ -61,14 +61,14 @@ class TestJaccard:
         assert jaccard(a, b) == pytest.approx(1.0 / 3.0)
 
     def test_disjoint(self):
-        assert jaccard(Coalition.empty(4), Coalition.from_members([1], 4)) == 0.0
+        assert jaccard(Coalition(0, 4), Coalition.from_members([1], 4)) == 0.0
 
     def test_both_empty(self):
-        assert jaccard(Coalition.empty(4), Coalition.empty(4)) == 1.0
+        assert jaccard(Coalition(0, 4), Coalition(0, 4)) == 1.0
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            jaccard(Coalition.empty(3), Coalition.empty(4))
+            jaccard(Coalition(0, 3), Coalition(0, 4))
 
     @given(
         st.integers(min_value=1, max_value=12),

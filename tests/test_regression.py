@@ -10,6 +10,7 @@ from shaprank.games import TableGame
 from shaprank.regression import (
     LARGE_KERNEL_WEIGHT,
     RegressionConfig,
+    _indicators,
     _sample_masks,
     _solve_symmetric,
     shapley_kernel_weight,
@@ -224,3 +225,47 @@ class TestSolver:
         b = X.T @ (weights * np.ones(2))
         with pytest.raises(SingularSystemError):
             _solve_symmetric(A, b, ridge=0.0)
+
+
+def two_branch_regression(game, cfg):
+    """Local copy of the estimator's solve as two branches, one per
+    ``enforce_efficiency`` setting, each building its own design matrix."""
+    n = game.n_players
+    masks, weights = _sample_masks(n, cfg)
+    values = game.evaluate_masks(masks)
+    indicators = _indicators(masks, n)
+    base = game.evaluate_mask(0)
+    target_total = game.target_quantity()
+    y = values.copy() if cfg.fit_intercept else values - base
+    ones = np.ones((masks.size, 1))
+    if cfg.enforce_efficiency:
+        eliminated = indicators[:, :-1] - indicators[:, -1:]
+        X = np.hstack([ones, eliminated]) if cfg.fit_intercept else eliminated
+        t = y - indicators[:, -1] * target_total
+        A = X.T @ (weights[:, None] * X)
+        b = X.T @ (weights * t)
+        reduced, ridge_applied, condition = _solve_symmetric(A, b, cfg.ridge)
+        player_part = reduced[1:] if cfg.fit_intercept else reduced
+        phi = np.append(player_part, target_total - player_part.sum())
+    else:
+        X = np.hstack([ones, indicators]) if cfg.fit_intercept else indicators
+        A = X.T @ (weights[:, None] * X)
+        b = X.T @ (weights * y)
+        solved, ridge_applied, condition = _solve_symmetric(A, b, cfg.ridge)
+        phi = solved[1:] if cfg.fit_intercept else solved
+    return phi, ridge_applied, condition
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("sampler", ["exhaustive", "size-stratified", "bernoulli-half",
+                                     "permutation-prefix"])
+@pytest.mark.parametrize("enforce_efficiency", [True, False])
+@pytest.mark.parametrize("fit_intercept", [True, False])
+def test_one_design_matrix_matches_the_two_branches(n, sampler, enforce_efficiency,
+                                                    fit_intercept):
+    cfg = RegressionConfig(n_samples=4 * n, sampler=sampler, seed=n,
+                           enforce_efficiency=enforce_efficiency, fit_intercept=fit_intercept)
+    est = shapley_regression(random_table_game(n, seed=n), cfg)
+    phi, ridge_applied, condition = two_branch_regression(random_table_game(n, seed=n), cfg)
+    assert np.array_equal(est.values, phi)
+    assert (est.ridge_applied, est.condition) == (ridge_applied, condition)

@@ -84,7 +84,7 @@ class TestTraining:
 
 class TestMaskingSemantics:
     def test_empty_mask_predicts_a_constant_class(self, trained, blobs):
-        empty = MaskedModel(spec=trained, mask=Coalition.empty(trained.n_players))
+        empty = MaskedModel(spec=trained, mask=Coalition(0, trained.n_players))
         preds = np.argmax(forward_batch(empty, blobs.inputs), axis=1)
         assert np.unique(preds).size == 1
 
