@@ -83,17 +83,22 @@ def _stderr_note(doc) -> None:
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
+def _finite_float(text: str) -> float:
+    """argparse ``type`` of the float flags, and the parse of each --split part."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_fractions(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--split expects train:val:test, got {text!r}")
     try:
-        fracs = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"--split fractions must be numbers: {exc}") from exc
-    if not all(math.isfinite(f) for f in fracs):
-        raise UsageError(f"--split fractions must be finite, got {text!r}")
-    return fracs  # type: ignore[return-value]
+        return tuple(map(_finite_float, parts))  # type: ignore[return-value]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"bad --split {text!r}: {exc}") from exc
 
 
 def _parse_k_range(text: str, n_players: int) -> list[int]:
@@ -506,7 +511,10 @@ def cmd_train_toy(args) -> int:
     train_part = parts["train"]
     if train_part is None:
         raise UsageError(f"--split {args.split} leaves the training part empty")
-    hidden = [int(h) for h in args.hidden.split(",") if h]
+    try:
+        hidden = [int(h) for h in args.hidden.split(",") if h]
+    except ValueError as exc:
+        raise UsageError(f"--hidden expects comma-separated integers, got {args.hidden!r}") from exc
     started = time.perf_counter()
     spec = train_toy_model(
         hidden, train_part, epochs=args.epochs, lr=args.lr, seed=args.seed
@@ -567,7 +575,7 @@ def _add_method(p: _Parser) -> None:
     p.add_argument("--raw-sum", action="store_true", dest="raw_sum")
     p.add_argument("--perms", type=int, default=100)
     p.add_argument("--early-stop-window", type=int, default=None)
-    p.add_argument("--early-stop-eps", type=float, default=None)
+    p.add_argument("--early-stop-eps", type=_finite_float, default=None)
     p.add_argument("--antithetic", action="store_true")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument(
@@ -575,7 +583,7 @@ def _add_method(p: _Parser) -> None:
         default="size-stratified",
         choices=["exhaustive", "size-stratified", "bernoulli-half", "permutation-prefix"],
     )
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--ridge", type=_finite_float, default=1e-8)
     p.add_argument("--no-efficiency", action="store_true", dest="no_efficiency")
     p.add_argument("--fit-intercept", action="store_true", dest="fit_intercept")
 
@@ -621,7 +629,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--data-seed", type=int, default=0)
     p_train.add_argument("--hidden", default="16")
     p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--lr", type=float, default=0.1)
+    p_train.add_argument("--lr", type=_finite_float, default=0.1)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--split", default="1:0:0")
     p_train.add_argument("--split-seed", type=int, default=0)

@@ -3,8 +3,8 @@
 A game is a pair (set of players, characteristic function): the function maps
 any subset of players to a real payoff.  Every estimator in this package
 consumes payoffs exclusively through :class:`Game`, whose memoizing cache
-evaluates each distinct coalition at most once.  Evaluation is sequential;
-the cache is still safe to share between threads.
+evaluates each distinct coalition at most once and holds only those, for any
+number of players.  Evaluation is sequential; the cache is still thread-safe.
 
 Coalitions are represented as bitmasks (bit ``i`` set means player ``i`` is a
 member), which caps the number of players at 64.
@@ -24,11 +24,6 @@ import numpy as np
 from .errors import CharacteristicFunctionError, FormatError
 
 MAX_PLAYERS = 64
-# games up to this size cache payoffs in a dense table of 2**n entries (9 MiB
-# at 20); beyond it a sampled estimator touches a few thousand scattered
-# coalitions, and faulting in a page of the table for each costs far more
-# memory than a dict of them (150 orderings at N = 24: +144 MiB vs +1 MiB)
-DENSE_MAX_PLAYERS = 20
 
 
 def full_mask(n_players: int) -> int:
@@ -111,9 +106,9 @@ class Game:
     The payoffs of the grand coalition and of the empty coalition are
     computed eagerly so that ``target_quantity`` is always available.
 
-    Up to ``DENSE_MAX_PLAYERS`` players the cache is a dense float64 table
-    with a "known" flag per coalition, both allocated zeroed; beyond that it
-    is a dict.
+    The cache is two arrays kept in step: the cached masks in ascending
+    order (``uint64``) and their payoffs (float64), 16 bytes per cached
+    coalition whatever the number of players.  A lookup is a binary search.
     ``preloaded`` maps bitmasks to finite payoffs.
 
     One lock is held across each lookup, characteristic-function call and
@@ -144,12 +139,8 @@ class Game:
         self.eval_count = 0
         self.cache_hits = 0
         self._lock = threading.Lock()
-        self._dict: Optional[dict[int, float]] = None
-        if n_players <= DENSE_MAX_PLAYERS:
-            self._values = np.zeros(1 << n_players)
-            self._known = np.zeros(1 << n_players, dtype=bool)
-        else:
-            self._dict = {}
+        self._masks = np.empty(0, dtype=np.uint64)
+        self._payoffs = np.empty(0, dtype=np.float64)
         if preloaded:
             values = np.fromiter(preloaded.values(), dtype=np.float64, count=len(preloaded))
             if not np.all(np.isfinite(values)):
@@ -194,13 +185,9 @@ class Game:
 
     def cached_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cached coalition as ascending ``uint64`` masks and their
-        payoffs."""
+        payoffs: the cache's own arrays, which callers must not modify."""
         with self._lock:
-            if self._dict is None:
-                masks = np.flatnonzero(self._known).astype(np.uint64)
-                return masks, self._values[masks]
-            masks = np.array(sorted(self._dict), dtype=np.uint64)
-            return masks, np.array([self._dict[m] for m in masks.tolist()], dtype=np.float64)
+            return self._masks, self._payoffs
 
     # -- cache internals; _lookup and _store run under the lock -------------
 
@@ -216,18 +203,20 @@ class Game:
         return masks
 
     def _lookup(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._dict is None:
-            return self._values[masks], self._known[masks]
-        # cached payoffs are finite, so NaN marks the missing ones
-        values = np.array([self._dict.get(m, np.nan) for m in masks.tolist()], dtype=np.float64)
-        return values, ~np.isnan(values)
+        if not self._masks.size:
+            return np.zeros(masks.size), np.zeros(masks.size, dtype=bool)
+        # a mask above every cached one searches to the end: clip to the last
+        at = np.minimum(np.searchsorted(self._masks, masks), self._masks.size - 1)
+        return self._payoffs[at], self._masks[at] == masks
 
     def _store(self, masks: np.ndarray, values: np.ndarray) -> None:
-        if self._dict is None:
-            self._values[masks] = values
-            self._known[masks] = True
-        else:
-            self._dict.update(zip(masks.tolist(), values.tolist()))
+        """Insert distinct, not yet cached ``masks`` with their payoffs."""
+        if masks.size > 1 and not np.all(masks[1:] > masks[:-1]):
+            order = np.argsort(masks)
+            masks, values = masks[order], values[order]
+        at = np.searchsorted(self._masks, masks)
+        self._masks = np.insert(self._masks, at, masks)
+        self._payoffs = np.insert(self._payoffs, at, values)
 
     def _compute(self, masks: np.ndarray) -> np.ndarray:
         """Payoffs of distinct uncached ``masks``; raises naming the first

@@ -78,8 +78,8 @@ class RegressionConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}; pick one of {SAMPLERS}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be finite and >= 0")
 
 
 def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -865,6 +865,29 @@ class TestErrors:
         assert (err["error"], err["exit_code"]) == ("UsageError", 2)
         assert flag in err["message"] and value in err["message"]
 
+    @pytest.mark.parametrize(
+        "flag, value, command",
+        [("--ridge", "nan", "kernel"), ("--ridge", "inf", "kernel"), ("--ridge", "x", "kernel"),
+         ("--early-stop-eps", "nan", "perm"), ("--early-stop-eps", "inf", "perm"),
+         ("--lr", "nan", "train-toy"), ("--lr", "inf", "train-toy"),
+         ("--hidden", "x", "train-toy"), ("--hidden", "8,x", "train-toy")],
+    )
+    def test_bad_numeric_flags_are_usage_errors_naming_the_flag(
+        self, fig2_path, tmp_path, capsys, flag, value, command
+    ):
+        argv = [flag, value, "--out", str(tmp_path / "r.json")]
+        if command != "train-toy":
+            argv = ["--game", str(fig2_path), "--method", command, "--sampler",
+                    "bernoulli-half", "--samples", "3", "--seed", "4", *argv]
+        argv = ["train-toy" if command == "train-toy" else "rank", *argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert not caught
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert flag in err["message"] and value in err["message"]
+
     def test_error_classes_without_a_type_of_their_own(
         self, fig2_path, tmp_path, capsys, monkeypatch
     ):
@@ -901,6 +924,8 @@ class TestEntryPoint:
             [sys.executable, "-m", "shaprank", "make-fig2", "--out", str(out)],
             capture_output=True,
             text=True,
+            # run from the directory holding the package this module imported
+            cwd=os.path.dirname(os.path.dirname(cli.__file__)),
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -2,8 +2,8 @@
 
 ``DictGame`` is a local copy of the old payoff path: a dict cache, one
 locked ``evaluate_mask`` call per requested mask, in request order.  The
-dense path (N <= 24) and the batched payoff function must give the same
-values and the same counters on every batch.
+sorted-array cache, for every N, and the batched payoff function must give
+the same values and the same counters on every batch.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 
 from shaprank.errors import CharacteristicFunctionError
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import DENSE_MAX_PLAYERS, Coalition, Game, TableGame
+from shaprank.games import Coalition, Game, TableGame
 from shaprank.partial import SizeBand, shapley_partial
 
 from conftest import build_redundancy_game, random_table_game
@@ -104,7 +104,7 @@ def test_batches_match_the_dict_path(n, batched):
 
 @pytest.mark.parametrize("batched", [True, False])
 def test_dict_cache_batches_match_the_dict_path(batched):
-    n = DENSE_MAX_PLAYERS + 6
+    n = 26
     rng = np.random.default_rng(30)
     if batched:
         new = Game(n, lambda masks: (masks % 1009).astype(np.float64) / 7.0, batched=True)
@@ -168,12 +168,30 @@ def test_batched_payoff_is_called_once_on_the_distinct_missing_masks():
     assert game.cache_hits == 4
 
 
-def test_dense_cache_is_used_up_to_the_limit_only():
-    assert Game(DENSE_MAX_PLAYERS, lambda mask: 0.0)._dict is None
-    big = Game(DENSE_MAX_PLAYERS + 1, lambda mask: 1.0)
-    assert big._dict is not None
-    assert big.evaluate_masks([3, 3, 5]).tolist() == [1.0, 1.0, 1.0]
-    assert (big.eval_count, big.cache_hits) == (4, 1)
+@pytest.mark.parametrize("n", [20, 21])
+def test_values_and_counters_either_side_of_the_old_dense_limit(n):
+    game = Game(n, lambda mask: 1.0)
+    assert game.evaluate_masks([3, 3, 5]).tolist() == [1.0, 1.0, 1.0]
+    assert (game.eval_count, game.cache_hits) == (4, 1)
+
+
+@pytest.mark.parametrize("n", [20, 21, 24])
+@pytest.mark.parametrize("batched", [True, False])
+def test_sparse_batches_with_preloads_match_the_dict_path(n, batched):
+    def payoff(mask):
+        return (mask * 2654435761 % 1000003) / 17.0
+
+    rng = np.random.default_rng(n)
+    pool = rng.integers(0, 1 << n, size=300).astype(np.uint64)
+    preloaded = {int(m): float(rng.standard_normal()) for m in pool[:20]}
+    preloaded[(1 << n) - 1] = 4.25
+    new = Game(n, payoff, preloaded=preloaded, batched=batched)
+    old = DictGame(n, payoff, preloaded=preloaded)
+    assert_same_state(new, old)
+    for _ in range(6):
+        masks = rng.choice(pool, size=int(rng.integers(1, 200)))
+        assert np.array_equal(new.evaluate_masks(masks), old.evaluate_masks(masks.tolist()))
+        assert_same_state(new, old)
 
 
 def test_bad_masks_and_preloaded_payoffs_are_refused():

@@ -199,6 +199,11 @@ class TestSolver:
         assert exact.ridge_applied is False
         assert exact.condition < 1e3
 
+    @pytest.mark.parametrize("ridge", [-1e-8, float("nan"), float("inf")])
+    def test_config_refuses_a_negative_or_non_finite_ridge(self, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            RegressionConfig(n_samples=4, ridge=ridge)
+
     def test_ridge_shrinks_the_solution_monotonically(self):
         rng = np.random.default_rng(0)
         base = rng.standard_normal((6, 4))
