@@ -228,9 +228,18 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
     values: dict[int, float] = {}
     for ln, line in enumerate(lines[1:], start=2):
         try:
-            mask, value = json.loads(line)
-            mask, value = int(mask), float(value)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            row = json.loads(line)
+            # json.loads reads true and false as bool, which neither type
+            # test admits
+            if not (
+                isinstance(row, list)
+                and len(row) == 2
+                and type(row[0]) is int
+                and type(row[1]) in (int, float)
+            ):
+                raise ValueError("a cache row is [integer mask, number payoff]")
+            mask, value = row[0], float(row[1])
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{ln}: corrupt cache entry") from exc
         if not 0 <= mask < 1 << n_players:
             raise FormatError(

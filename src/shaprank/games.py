@@ -169,14 +169,20 @@ class Game:
                 self.cache_hits += masks.size
                 return values
             missing = masks[~known]
+            computed_at = None
             if missing.size > 1 and not np.all(missing[1:] > missing[:-1]):
-                new, first = np.unique(missing, return_index=True)
-                missing = new[np.argsort(first)]
+                new, first, inverse = np.unique(
+                    missing, return_index=True, return_inverse=True)
+                order = np.argsort(first)
+                missing = new[order]
+                # request j asks for new[inverse[j]], which is computed at
+                # its position in order
+                computed_at = np.argsort(order)[inverse]
             computed = self._compute(missing)
             self._store(missing, computed)
             self.eval_count += missing.size
             self.cache_hits += masks.size - missing.size
-            values[~known] = self._lookup(masks[~known])[0]
+            values[~known] = computed if computed_at is None else computed[computed_at]
             return values
 
     def target_quantity(self) -> float:

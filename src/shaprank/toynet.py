@@ -221,21 +221,37 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     downstream layers run, for a block of coalitions at a time.
 
     When the downstream layers are dense (and the prunable layer's outputs
-    and the first downstream layer's weights are finite), the first of them is one GEMM per block against a stack of
-    copies of its weights, each with the absent units' columns zeroed.
-    Every term of each dot product is then the same ``output * weight`` or a
-    zero as with the absent outputs zeroed instead, in the same order, so
-    the payoffs are bit-identical to evaluating one mask at a time, given a
-    BLAS that sums each dot product in one order whatever the matrix shapes
-    (``tests/test_batched_payoff.py`` checks this).  Later
-    layers run on every row of the block at once.  Otherwise (no downstream
-    layer, a conv one, or non-finite outputs or weights, where ``inf * 0``
-    would give NaN) the absent outputs are zeroed and the downstream layers run once
-    per coalition of the block.
+    and the first downstream layer's weights are finite), the first of them
+    is one GEMM per block against a stack of copies of its weights, each
+    with the absent units' columns zeroed.  Every term of each dot product
+    is then the same ``output * weight`` or a zero as with the absent
+    outputs zeroed instead, in the same order, so the payoffs are
+    bit-identical to evaluating one mask at a time, given a BLAS that sums
+    each dot product in one order whatever the matrix shapes
+    (``tests/test_batched_payoff.py`` checks this).  Later layers run on
+    every row of the block at once.  Otherwise (no downstream layer, a conv
+    one, or non-finite outputs or weights, where ``inf * 0`` would give NaN)
+    the absent outputs are zeroed and the downstream layers run once per
+    coalition of the block.
 
-    The block size follows from the data shape alone, never from the
-    number of masks requested, so no payoff depends on how masks are
-    batched.  Suitable for :class:`~shaprank.games.Game` with
+    A row's active units are those whose output on it is not zero (at any
+    spatial position of a channel; NaN and inf count).  Masking an inactive
+    unit changes at most the sign of a zero, which no later bias,
+    normalization, ReLU, product, pooling or argmax comparison tells apart,
+    so the row's prediction depends only on which of its active units are
+    present.  Rows with the same active set form a group, and a group's
+    table holds its rows' hit count for every coalition of its active units;
+    a mask's payoff is then the sum of one entry per group over the row
+    count, the same integer over the same count as the direct path.  The
+    tables are built on the first call for which they cost no more row
+    evaluations than the call itself (``sum |G| * 2**a_G <= rows * masks``)
+    and hold no more entries than it has masks (``sum 2**a_G <= masks``),
+    and are kept for every later call; until then each call takes the
+    direct path.
+
+    The block size follows from the shape of the rows evaluated alone,
+    never from the number of masks requested, so no payoff depends on how
+    masks are batched.  Suitable for :class:`~shaprank.games.Game` with
     ``batched=True``.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
@@ -253,47 +269,92 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
         and bool(np.isfinite(prefix).all())
         and bool(np.isfinite(suffix[0].weights).all())
     )
+    labels = data.labels
     n_classes = spec.layers[-1].out_units
     n_rows, n_units = prefix.shape[:2]
     spatial = int(np.prod(prefix.shape[2:]))
-    # coalitions per block: every (width, block, rows) intermediate and the
-    # (out, block, units) weight stack hold at most _BLOCK_ELEMENTS values,
-    # unless one coalition alone needs more
     widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
-    block = max(1, _BLOCK_ELEMENTS // (max(n_rows, n_units) * max(widths or [n_units])))
     bits = np.arange(n_units, dtype=np.uint64)
 
-    def block_logits(members: np.ndarray) -> np.ndarray:
-        """Logits of a ``(B, units)`` block of coalitions, class-major:
-        ``(classes, B * rows)``, coalition by coalition."""
+    # one uint64 code per row: its active units (NaN != 0, so NaN counts)
+    active = (prefix != 0).reshape(n_rows, n_units, -1).any(axis=2)
+    codes, group_of_row, group_rows = np.unique(
+        np.bitwise_or.reduce(active << bits, axis=1), return_inverse=True, return_counts=True
+    )
+    group_units = [int(code).bit_count() for code in codes.tolist()]
+    table_entries = sum(1 << a for a in group_units)
+    table_cost = sum(int(rows) << a for rows, a in zip(group_rows.tolist(), group_units))
+    tables = None
+
+    def block_logits(x: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Logits of rows ``x`` under a ``(B, units)`` block of coalitions,
+        class-major: ``(classes, B * rows)``, coalition by coalition."""
         if gemm:
             first = suffix[0]
             weights = np.where(members, first.weights[:, None, :], 0.0)
-            z = weights.reshape(-1, n_units) @ prefix.T
-            x = _finish_unit_major(first, z.reshape(first.out_units, -1))
+            z = weights.reshape(-1, n_units) @ x.T
+            y = _finish_unit_major(first, z.reshape(first.out_units, -1))
             for layer in suffix[1:]:
-                x = _finish_unit_major(layer, layer.weights @ x)
-            return x
-        keep = members.reshape(members.shape + (1,) * (prefix.ndim - 2))
+                y = _finish_unit_major(layer, layer.weights @ y)
+            return y
+        keep = members.reshape(members.shape + (1,) * (x.ndim - 2))
         logits = []
         for k in keep:
-            x = np.where(k, prefix, 0.0)
+            y = np.where(k, x, 0.0)
             for layer in suffix:
-                x = _apply_layer(layer, x)
-            logits.append(_global_average_pool(x).T)
+                y = _apply_layer(layer, y)
+            logits.append(_global_average_pool(y).T)
         return np.stack(logits, axis=1).reshape(n_classes, -1)
 
+    def evaluate_hits(x: np.ndarray, row_labels: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Hits among rows ``x`` under each of ``masks``."""
+        # coalitions per block: every (width, block, rows) intermediate and
+        # the (out, block, units) weight stack hold at most _BLOCK_ELEMENTS
+        # values, unless one coalition alone needs more
+        block = max(1, _BLOCK_ELEMENTS // (max(len(x), n_units) * max(widths or [n_units])))
+        out = np.empty(masks.size, dtype=np.int64)
+        for start in range(0, masks.size, block):
+            members = ((masks[start:start + block, None] >> bits) & 1).astype(bool)
+            out[start:start + members.shape[0]] = _hit_counts(
+                block_logits(x, members), row_labels, members.shape[0]
+            )
+        return out
+
+    def build_tables() -> list:
+        built = []
+        by_group = np.argsort(group_of_row, kind="stable")
+        for code, rows in zip(codes.tolist(), np.split(by_group, np.cumsum(group_rows)[:-1])):
+            units = [u for u in range(n_units) if code >> u & 1]
+            # coalition j of the group's units: bit k of j is unit units[k]
+            j = np.arange(1 << len(units), dtype=np.uint64)
+            subsets = np.zeros_like(j)
+            for k, u in enumerate(units):
+                subsets |= (j >> k & 1) << u
+            built.append((units, evaluate_hits(prefix[rows], labels[rows], subsets)))
+        return built
+
     def char_fn(masks):
+        nonlocal tables
         masks = np.asarray(masks, dtype=np.uint64)
         flat = masks.ravel()
         if flat.size and int(flat.max()) >> n_units:
             raise ValueError(f"mask {int(flat.max()):#x} has bits above unit {n_units - 1}")
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, block):
-            members = ((flat[start:start + block, None] >> bits) & 1).astype(bool)
-            out[start:start + members.shape[0]] = _accuracies(
-                block_logits(members), data.labels, members.shape[0]
-            )
+        current = tables
+        if current is None and table_entries <= flat.size and table_cost <= n_rows * flat.size:
+            # published whole: a concurrent call sees every table or none
+            current = tables = build_tables()
+        if current is None:
+            hits = evaluate_hits(prefix, labels, flat)
+        else:
+            hits = np.zeros(flat.size, dtype=np.int64)
+            for units, table in current:
+                index = np.zeros(flat.size, dtype=np.uint64)
+                for k, u in enumerate(units):
+                    index |= (flat >> u & 1) << k
+                hits += table[index]
+        # the mean of 0/1 values is an integer count over the row count, as
+        # np.mean computes it
+        out = hits / labels.size
         return float(out[0]) if masks.ndim == 0 else out.reshape(masks.shape)
 
     return char_fn
@@ -306,9 +367,10 @@ def _finish_unit_major(layer: Layer, z: np.ndarray) -> np.ndarray:
     return _activate(layer, z, 0)
 
 
-def _accuracies(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> np.ndarray:
-    """Accuracy per coalition of class-major ``(classes, coalitions * rows)``
-    logits.
+def _hit_counts(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> np.ndarray:
+    """Correct predictions per coalition of class-major
+    ``(classes, coalitions * rows)`` logits, against ``labels`` (one per
+    row).
 
     The prediction is the first maximum, as ``np.argmax`` picks it, found
     with a few contiguous passes per class.
@@ -329,9 +391,7 @@ def _accuracies(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> 
     if np.isnan(best).any():
         preds = np.argmax(by_class, axis=0)
     hits = preds.reshape(n_coalitions, -1) == labels
-    # the mean of 0/1 values is an integer count over the row count, as
-    # np.mean computes it
-    return np.count_nonzero(hits, axis=1) / labels.size
+    return np.count_nonzero(hits, axis=1)
 
 
 def make_accuracy_game(spec: ModelSpec, data: LabeledDataset) -> Game:

@@ -3,12 +3,18 @@
 ``reference_char_fn`` is a local copy of the old path: zero the absent units'
 outputs of the prunable layer, run every later layer for that one mask, take
 the argmax and the mean.  The batched payoff must return the same bits for
-every coalition, however the masks are split into calls.
+every coalition, however the masks are split into calls, and whether it
+runs the net on every row for each mask or reads per-group tables of hit
+counts.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from shaprank import toynet
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import Coalition, Game
 from shaprank.toynet import (
@@ -75,6 +81,21 @@ def assert_bit_identical(spec, data, masks):
     assert np.array_equal(got, expected)
 
 
+@pytest.fixture
+def rows_per_pass(monkeypatch):
+    """The row count of every hit-count pass: ``n_rows`` on the direct path,
+    a group's row count while its table is built."""
+    rows = []
+    hit_counts = toynet._hit_counts
+
+    def recording(by_class, labels, n_coalitions):
+        rows.append(labels.size)
+        return hit_counts(by_class, labels, n_coalitions)
+
+    monkeypatch.setattr(toynet, "_hit_counts", recording)
+    return rows
+
+
 def _dense(rng, n_out, n_in, activation="relu", norm=None, scale=1.0):
     return Layer(
         "dense",
@@ -118,9 +139,13 @@ def test_every_coalition_of_a_14_unit_net():
     assert_bit_identical(net_14(), _blobs(), np.arange(1 << 14))
 
 
-def test_random_coalitions_of_a_two_layer_suffix():
+def test_random_coalitions_of_a_two_layer_suffix(rows_per_pass):
     masks = np.random.default_rng(0).integers(0, 1 << 32, size=2000, dtype=np.uint64)
     assert_bit_identical(net_32(), _blobs(), masks)
+    # up to 19 of the 32 units are active on a row: the tables would cost
+    # more row evaluations than the call and hold more entries than its
+    # masks, so every pass runs all rows
+    assert rows_per_pass and set(rows_per_pass) == {_blobs().size}
 
 
 def test_dense_suffix_layer_with_normalization():
@@ -239,3 +264,116 @@ def test_game_counters_match_the_scalar_path():
     assert np.array_equal(exact_batched.values, exact_scalar.values)
     assert exact_batched.evals_used == exact_scalar.evals_used
     assert (batched.eval_count, batched.cache_hits) == (scalar.eval_count, scalar.cache_hits)
+
+
+# -- the per-group tables ---------------------------------------------------
+
+
+def sparse_net(seed=9, units=12):
+    """A dense ReLU prefix with negative biases, so most rows leave most
+    units at zero, and a normalized ReLU layer before the head."""
+    rng = np.random.default_rng(seed)
+    prefix = Layer("dense", rng.standard_normal((units, 2)), -0.4 - rng.uniform(0, 2, units))
+    norm = Normalization(
+        mean=rng.standard_normal(8),
+        var=rng.uniform(0.5, 2.0, 8),
+        gamma=rng.standard_normal(8),
+        beta=rng.standard_normal(8),
+    )
+    return ModelSpec([prefix, _dense(rng, 8, units, norm=norm), _dense(rng, 4, 8, "softmax-logits")])
+
+
+def test_tables_on_a_normalized_net_with_many_zero_outputs(rows_per_pass):
+    spec, data = sparse_net(), _blobs()
+    assert_bit_identical(spec, data, np.arange(1 << 12))
+    # every pass built a group's table: none ran all rows
+    assert rows_per_pass and max(rows_per_pass) < data.size
+    assert sum(rows_per_pass) == data.size
+
+
+def test_tables_on_a_conv_suffix(rows_per_pass):
+    rng = np.random.default_rng(10)
+    # each image is zero but for one pixel, so a channel is nonzero only
+    # near it and is active if any position there is; two channels never are
+    biases = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0, -20.0, -20.0])
+    prunable = Layer("conv2d", rng.standard_normal((8, 2, 3, 3)), biases)
+    spec = ModelSpec([prunable, _conv(rng, 4, 8), _dense(rng, 3, 4, "softmax-logits")])
+    inputs = np.zeros((48, 2, 5, 4))
+    at = rng.integers(0, [2, 5, 4], size=(36, 3))
+    inputs[np.arange(12, 48), at[:, 0], at[:, 1], at[:, 2]] = rng.standard_normal(36) * 2
+    data = LabeledDataset(inputs=inputs, labels=rng.integers(0, 3, size=48))
+    assert_bit_identical(spec, data, np.arange(1 << 8))
+    assert len(rows_per_pass) > 1 and max(rows_per_pass) < data.size
+
+
+def test_a_row_whose_prefix_is_all_zero(rows_per_pass):
+    spec = sparse_net()
+    data = _blobs(n_per_class=20)
+    # with every prefix bias negative, the origin switches every unit off
+    inputs = np.concatenate([data.inputs, [[0.0, 0.0]]])
+    labels = np.concatenate([data.labels, [1]])
+    zero_row = LabeledDataset(inputs, labels)
+    assert_bit_identical(spec, zero_row, np.arange(1 << 12))
+    # the origin's group has no active units: its table is one entry,
+    # possibly shared with other rows that switch every unit off
+    assert min(rows_per_pass) < data.size
+    alone = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 3]))
+    rows_per_pass.clear()
+    assert_bit_identical(spec, alone, np.arange(1 << 12))
+    assert_bit_identical(spec, alone, [0b101])
+    # one pass each builds the one-entry table; the direct path would take
+    # four blocks of coalitions for the 4096 masks
+    assert rows_per_pass == [3, 3]
+
+
+def test_tables_built_by_one_call_serve_later_calls(rows_per_pass):
+    spec, data = sparse_net(), _blobs()
+    char_fn = accuracy_char_fn(spec, data)
+    reference = reference_char_fn(spec, data)
+    # three masks cannot pay for the tables: the direct path runs every row
+    few = np.array([5, 3, 4095], dtype=np.uint64)
+    assert np.array_equal(char_fn(few), [reference(m) for m in few.tolist()])
+    assert rows_per_pass == [data.size]
+    every = char_fn(np.arange(1 << 12, dtype=np.uint64))
+    built = len(rows_per_pass)
+    assert built > 2 and max(rows_per_pass[1:]) < data.size
+    shuffled = np.random.default_rng(4).permutation(1 << 12).astype(np.uint64)
+    assert np.array_equal(char_fn(shuffled), every[shuffled])
+    assert np.array_equal(char_fn(shuffled[:5].reshape(5, 1)), every[shuffled[:5]].reshape(5, 1))
+    for mask in (0, 7, 2048, 4095, 1234):
+        value = char_fn(mask)
+        assert type(value) is float and value == every[mask] == reference(mask)
+    assert len(rows_per_pass) == built  # no pass ran after the tables
+
+
+def test_concurrent_calls_on_one_payoff(rows_per_pass):
+    spec, data = sparse_net(), _blobs()
+    char_fn = accuracy_char_fn(spec, data)
+    masks = np.arange(1 << 12, dtype=np.uint64)
+    expected = accuracy_char_fn(spec, data)(masks)
+    n_threads = 4
+    start = threading.Barrier(n_threads)
+    results = [[] for _ in range(n_threads)]
+
+    def work(j):
+        start.wait()
+        for _ in range(3):
+            order = masks[::-1] if j % 2 else masks
+            results[j].append((order, char_fn(order)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for per_thread in results:
+        assert len(per_thread) == 3
+        for order, got in per_thread:
+            assert np.array_equal(got, expected[order])
+    assert max(rows_per_pass) < data.size

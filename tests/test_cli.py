@@ -542,6 +542,24 @@ class TestCache:
         assert f"{cache}:3:" in err["message"]
         assert complaint in err["message"]
 
+    @pytest.mark.parametrize(
+        "row", ["[1.5, 99.0]", '["1", 99.0]', '[1, "99.5"]', "[1, true]"]
+    )
+    def test_cache_rows_of_the_wrong_json_type_are_refused(
+        self, fig2_path, tmp_path, capsys, row
+    ):
+        # each of these rows used to be converted into a payoff for mask 1
+        cache = tmp_path / "cache.jsonl"
+        exact = ["rank", "--game", str(fig2_path), "--method", "exact", "--cache", str(cache)]
+        assert main(exact + ["--out", str(tmp_path / "a.json")]) == 0
+        lines = cache.read_text().splitlines()
+        lines[2] = row
+        cache.write_text("\n".join(lines) + "\n")
+        assert main(exact + ["--out", str(tmp_path / "b.json")]) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == f"{cache}:3: corrupt cache entry"
+        assert not (tmp_path / "b.json").exists()
+
     def test_warm_run_leaves_the_cache_file_alone(self, fig2_path, tmp_path):
         cache = tmp_path / "cache.jsonl"
         source = ["rank", "--game", str(fig2_path), "--cache", str(cache)]
@@ -576,7 +594,7 @@ class TestCache:
         [
             (["[7, 1.0]", "[1, 2]", "[7, 4.0]", "[1, 5.0]"], {1: 5.0, 7: 4.0}),
             ([], {}),
-            (['["1", 2.0]', "[2.0, 1]", '[true, "2.5"]'], {1: 2.5, 2: 1.0}),
+            (["[2, 1]", "[1, 55]", "[1, 2.5]"], {1: 2.5, 2: 1.0}),
             (["  [1, 2.0]  ", "[2, 3.0]"], {1: 2.0, 2: 3.0}),
         ],
     )
@@ -597,7 +615,13 @@ class TestCache:
             (["[[1], 2.0]"], 2, "corrupt cache entry"),
             (["[0, 1.0]", "[1, NaN]"], 3, "non-finite payoff nan for mask 1"),
             (["[1, 1e400]"], 2, "non-finite payoff inf for mask 1"),
-            (['[1, "nan"]'], 2, "non-finite payoff nan for mask 1"),
+            (['[1, "nan"]'], 2, "corrupt cache entry"),
+            (['["1", 2.0]'], 2, "corrupt cache entry"),
+            (["[2.0, 1.0]"], 2, "corrupt cache entry"),
+            (["[true, 2.0]"], 2, "corrupt cache entry"),
+            (["[1, false]"], 2, "corrupt cache entry"),
+            (["[1, {}]"], 2, "corrupt cache entry"),
+            (["[1, " + "9" * 400 + "]"], 2, "corrupt cache entry"),
             (["[0, 1.0]", "[8, 1.0]"], 3, "mask 8 out of range for 3 players"),
             (["[-1, 1.0]"], 2, "mask -1 out of range for 3 players"),
         ],

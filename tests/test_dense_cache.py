@@ -168,6 +168,34 @@ def test_batched_payoff_is_called_once_on_the_distinct_missing_masks():
     assert game.cache_hits == 4
 
 
+@pytest.mark.parametrize("batched", [True, False])
+def test_unsorted_batch_with_repeated_partly_cached_masks(batched, monkeypatch):
+    def payoff(mask):
+        return mask * 1.5 + 0.25
+
+    n = 7
+    new = Game(n, (lambda masks: masks * 1.5 + 0.25) if batched else payoff, batched=batched)
+    old = DictGame(n, payoff)
+    first = [40, 3, 99, 3, 17]
+    assert np.array_equal(new.evaluate_masks(first), old.evaluate_masks(first))
+    lookups = []
+    real_lookup = Game._lookup
+
+    def counting_lookup(self, masks):
+        lookups.append(masks.size)
+        return real_lookup(self, masks)
+
+    monkeypatch.setattr(Game, "_lookup", counting_lookup)
+    # new masks out of order and repeated, among cached ones (3, 17, 40, 99,
+    # the empty and the grand coalition)
+    masks = [90, 17, 5, 90, 127, 64, 3, 5, 0, 64, 90, 40, 11, 99, 5]
+    assert np.array_equal(new.evaluate_masks(masks), old.evaluate_masks(masks))
+    assert (new.eval_count, new.cache_hits) == (old.eval_count, old.cache_hits)
+    # the new payoffs are placed as computed, not searched for again
+    assert lookups == [len(masks)]
+    assert_same_tables(new, old)
+
+
 @pytest.mark.parametrize("n", [20, 21])
 def test_values_and_counters_either_side_of_the_old_dense_limit(n):
     game = Game(n, lambda mask: 1.0)
