@@ -398,11 +398,10 @@ def _write_rank_csv(out_path, ranking: Ranking, est) -> None:
 def _ranking_from_report(path) -> tuple[str, Ranking]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        order = np.array(doc["order"], dtype=np.int64)
-        scores = np.array(doc["scores"], dtype=np.float64)
+        ranking = Ranking(order=doc["order"], scores=doc["scores"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a ranking report") from exc
-    return Path(path).stem, Ranking(order=order, scores=scores)
+    return Path(path).stem, ranking
 
 
 def _rankings_to_score(args, oracle_rank: Ranking) -> Iterator[tuple[str, Ranking]]:

@@ -47,11 +47,8 @@ def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.n
     sizes = sorted(set(sizes))
     above = [k + 1 for k in sizes]
     pulled = sorted(set(sizes + above))
-    parts = [masks_of_size(game.n_players, k) for k in pulled]
-    masks = np.concatenate(parts)
-    counts = np.repeat(np.array(pulled, dtype=np.int8), [p.size for p in parts])
-    order = np.argsort(masks)
-    masks, counts = masks[order], counts[order]
+    masks = np.sort(np.concatenate([masks_of_size(game.n_players, k) for k in pulled]))
+    counts = np.bitwise_count(masks)
     values = game.evaluate_masks(masks)
     in_band, in_above = np.isin(counts, sizes), np.isin(counts, above)
     phi = np.empty(game.n_players)

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import CharacteristicFunctionError, FormatError
 
 MAX_PLAYERS = 64
+# the most coalitions one enumeration may materialise, whatever the estimator
+ENUMERATION_BUDGET = 10**7
 
 
 def full_mask(n_players: int) -> int:
@@ -113,15 +115,16 @@ class Game:
 
     One lock is held across each lookup, characteristic-function call and
     store, so concurrent requests for the same coalition still evaluate it
-    once.  A payoff that raises or is not finite surfaces as
+    once.  ``char_fn`` sees the distinct uncached masks in ascending order.
+    A payoff that raises or is not finite surfaces as
     :class:`CharacteristicFunctionError`, and nothing of the batch it was
     requested in is cached; so does a batched ``char_fn`` that does not
-    return one payoff per mask.  The error names the coalition, except when
-    a batched call fails: it then names the first coalition of the call.
-    ``eval_count`` counts
-    distinct characteristic function evaluations; ``cache_hits`` counts
-    lookups served from memory (within a batch, a repeated coalition's
-    first request is an evaluation and the rest are hits).
+    return one payoff per mask.  The error names the smallest such
+    coalition, or the smallest of a batched call that fails.
+    ``eval_count`` counts distinct characteristic function evaluations;
+    ``cache_hits`` counts lookups served from memory (within a batch, a
+    repeated coalition's first request is an evaluation and the rest are
+    hits).
     """
 
     def __init__(
@@ -145,7 +148,9 @@ class Game:
             values = np.fromiter(preloaded.values(), dtype=np.float64, count=len(preloaded))
             if not np.all(np.isfinite(values)):
                 raise ValueError("preloaded payoffs must be finite")
-            self._store(self._as_masks(list(preloaded)), values)
+            masks = self._as_masks(list(preloaded))
+            order = np.argsort(masks)
+            self._masks, self._payoffs = masks[order], values[order]
         self.evaluate_mask(0)
         self.evaluate_mask(full_mask(n_players))
 
@@ -160,7 +165,7 @@ class Game:
         """Payoffs of ``masks``, in order.
 
         The payoff function runs once on the distinct coalitions not yet
-        cached, in order of first request (one array call when batched).
+        cached, in ascending order (one array call when batched).
         """
         masks = self._as_masks(masks)
         with self._lock:
@@ -168,21 +173,14 @@ class Game:
             if known.all():
                 self.cache_hits += masks.size
                 return values
-            missing = masks[~known]
-            computed_at = None
+            missing, inverse = masks[~known], None
             if missing.size > 1 and not np.all(missing[1:] > missing[:-1]):
-                new, first, inverse = np.unique(
-                    missing, return_index=True, return_inverse=True)
-                order = np.argsort(first)
-                missing = new[order]
-                # request j asks for new[inverse[j]], which is computed at
-                # its position in order
-                computed_at = np.argsort(order)[inverse]
+                missing, inverse = np.unique(missing, return_inverse=True)
             computed = self._compute(missing)
             self._store(missing, computed)
             self.eval_count += missing.size
             self.cache_hits += masks.size - missing.size
-            values[~known] = computed if computed_at is None else computed[computed_at]
+            values[~known] = computed if inverse is None else computed[inverse]
             return values
 
     def target_quantity(self) -> float:
@@ -216,19 +214,17 @@ class Game:
         return self._payoffs[at], self._masks[at] == masks
 
     def _store(self, masks: np.ndarray, values: np.ndarray) -> None:
-        """Insert distinct, not yet cached ``masks`` with their payoffs."""
-        if masks.size > 1 and not np.all(masks[1:] > masks[:-1]):
-            order = np.argsort(masks)
-            masks, values = masks[order], values[order]
+        """Insert ascending, distinct, not yet cached ``masks`` with their
+        payoffs."""
         at = np.searchsorted(self._masks, masks)
         self._masks = np.insert(self._masks, at, masks)
         self._payoffs = np.insert(self._payoffs, at, values)
 
     def _compute(self, masks: np.ndarray) -> np.ndarray:
-        """Payoffs of distinct uncached ``masks``; raises naming the first
-        coalition whose payoff is not finite or whose scalar call fails, or
-        the first of ``masks`` when a batched call fails or does not return
-        one payoff per mask."""
+        """Payoffs of ascending, distinct, uncached ``masks``; raises naming
+        the first coalition whose payoff is not finite or whose scalar call
+        fails, or the first of ``masks`` when a batched call fails or does
+        not return one payoff per mask."""
         if self.batched:
             batch = f"a batch of {masks.size} coalitions starting at {int(masks[0]):#x}"
             try:
@@ -381,7 +377,10 @@ def load_game_json(path) -> TableGame:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return TableGame.from_json_dict(doc)
+    try:
+        return TableGame.from_json_dict(doc)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def make_fig2_game() -> TableGame:

@@ -21,9 +21,8 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .games import Coalition, Game, Ranking, masks_of_size
+from .games import ENUMERATION_BUDGET, Coalition, Game, Ranking, masks_of_size
 
-SIZE_BUDGET = 10**7
 _TIE_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -86,15 +85,17 @@ def compute_oracle_subsets(
         if not 1 <= k <= n:
             raise ValueError(f"oracle size {k} outside [1, {n}]")
         count = math.comb(n, k)
-        if count > SIZE_BUDGET:
+        if count > ENUMERATION_BUDGET:
             raise BudgetError(
-                f"size {k} enumerates {count} coalitions, over the {SIZE_BUDGET} budget"
+                f"size {k} enumerates {count} coalitions, over the {ENUMERATION_BUDGET} budget"
             )
-        masks = masks_of_size(n, k)
-        scored = masks if mode == "keep" else masks ^ np.uint64(game.grand_mask)
+        scored = masks_of_size(n, k if mode == "keep" else n - k)
         values = game.evaluate_masks(scored)
         best = float(values.max())
-        tied = masks[values >= best - _TIE_TOL]
+        tied = scored[values >= best - _TIE_TOL]
+        if mode == "remove":
+            # the complements of ascending kept sets descend
+            tied = (tied ^ np.uint64(game.grand_mask))[::-1]
         per_k[k] = tuple(Coalition(int(m), n) for m in tied)
         best_value[k] = best
     return OracleSubsets(mode=mode, n_players=n, per_k=per_k, best_value=best_value)

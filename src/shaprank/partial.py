@@ -16,9 +16,7 @@ from typing import Optional
 
 from .errors import BudgetError, InvalidBandError
 from .exact import marginal_sums, subset_weights
-from .games import Game, ShapleyEstimate
-
-ENUMERATION_BUDGET = 10**7
+from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,11 @@ def shapley_partial(
     """
     n = game.n_players
     sizes = band.sizes(n)
-    cost = sum(math.comb(n - 1, k) for k in sizes)
+    # marginal_sums enumerates every coalition of a band size or one above
+    cost = sum(math.comb(n, k) for k in set(sizes) | {k + 1 for k in sizes})
     if cost > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"band enumerates {cost} subsets per player, over the "
+            f"band enumerates {cost} coalitions, over the "
             f"{ENUMERATION_BUDGET} budget; narrow the band or sample instead"
         )
     weights = subset_weights(n)

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularSystemError
-from .games import Game, ShapleyEstimate, mask_from_members
+from .errors import BudgetError, SingularSystemError
+from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members
 
 LARGE_KERNEL_WEIGHT = 1e10
 _COND_LIMIT = 1e12
@@ -59,7 +59,8 @@ class RegressionConfig:
     """Row budget and sampling strategy for the regression estimator.
 
     ``n_samples`` is ignored by the exhaustive sampler, which always uses all
-    ``2**N - 2`` proper nonempty coalitions.  ``ridge`` is the fallback
+    ``2**N - 2`` proper nonempty coalitions (so at most N = 23 players fit
+    the enumeration budget).  ``ridge`` is the fallback
     regularizer applied only if the plain normal equations are singular; set
     it to 0 to make singularity a hard error.  By default the intercept is
     pinned to the empty coalition's payoff; ``fit_intercept`` estimates it
@@ -92,6 +93,9 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
     """
     full = (1 << n) - 1
     if cfg.sampler == "exhaustive":
+        if full - 1 > ENUMERATION_BUDGET:
+            raise BudgetError(f"the exhaustive sampler enumerates {full - 1} coalitions, "
+                              f"over the {ENUMERATION_BUDGET} budget; sample instead")
         masks = np.arange(1, full, dtype=np.uint64)
         kernel = np.array([shapley_kernel_weight(n, k) for k in range(n + 1)])
         return masks, kernel[np.bitwise_count(masks)]

@@ -713,16 +713,15 @@ def load_model(path) -> MaskedModel:
             for entry in doc["layers"]
         ]
         spec = ModelSpec(layers=layers, prunable_layer=int(doc["prunable_layer"]))
+        mask = Coalition.grand(spec.n_players)
+        if doc.get("mask") is not None:
+            removed = doc["mask"]["removed"]
+            if not (isinstance(removed, list) and all(
+                    type(i) is int and 0 <= i < spec.n_players for i in removed)):
+                raise ValueError(f"mask must remove unit indices in [0, {spec.n_players})")
+            mask = Coalition.from_members(removed, spec.n_players).complement()
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model document: {exc}") from exc
-    mask_doc = doc.get("mask")
-    if mask_doc is None:
-        mask = Coalition.grand(spec.n_players)
-    else:
-        removed = set(int(i) for i in mask_doc["removed"])
-        mask = Coalition.from_members(
-            (i for i in range(spec.n_players) if i not in removed), spec.n_players
-        )
     return MaskedModel(spec=spec, mask=mask)
 
 

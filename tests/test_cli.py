@@ -302,23 +302,26 @@ class TestOracle:
     ):
         mismatched, corrupt = tmp_path / "n4.json", tmp_path / "corrupt.json"
         mismatched.write_text('{"order": [3, 2, 1, 0], "scores": [4, 3, 2, 1]}')
-        corrupt.write_text("{")
         good = tmp_path / "good.json"
         main(["rank", "--game", str(fig2_path), "--method", "exact", "--out", str(good)])
         bad = [mismatched, corrupt] if mismatched_first else [corrupt, mismatched]
-        rc = main(
-            ["oracle", "--game", str(fig2_path), "--mode", "remove", "--k-range", "1:2",
-             *(a for path in [good, *bad] for a in ("--rank", str(path))),
-             "--out", str(tmp_path / "o.json")]
-        )
-        assert rc == 5
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
-        assert err["message"] == (
-            f"{mismatched}: ranks 4 players, the game has 3" if mismatched_first
-            else f"{corrupt}: not a ranking report"
-        )
-        assert not (tmp_path / "o.json").exists()
+        # not JSON, a repeated player, rising scores
+        for text in ["{", '{"order": [0, 0, 1], "scores": [3, 2, 1]}',
+                     '{"order": [0, 1, 2], "scores": [1, 2, 3]}']:
+            corrupt.write_text(text)
+            rc = main(
+                ["oracle", "--game", str(fig2_path), "--mode", "remove", "--k-range", "1:2",
+                 *(a for path in [good, *bad] for a in ("--rank", str(path))),
+                 "--out", str(tmp_path / "o.json")]
+            )
+            assert rc == 5
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+            assert err["message"] == (
+                f"{mismatched}: ranks 4 players, the game has 3" if mismatched_first
+                else f"{corrupt}: not a ranking report"
+            )
+            assert not (tmp_path / "o.json").exists()
 
 
 class TestPrune:
@@ -700,7 +703,7 @@ class TestErrors:
         )
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["message"]) == ("FormatError", message)
+        assert (err["error"], err["message"]) == ("FormatError", f"{game_path}: {message}")
 
     def test_key_mismatch_at_many_players_is_reported_quickly(self, tmp_path, capsys):
         # naming the missing keys must not build all 2**40 expected keys
@@ -715,7 +718,7 @@ class TestErrors:
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["message"] == (
-            "game spec must contain exactly the 1099511627776 coalition keys; "
+            f"{game_path}: game spec must contain exactly the 1099511627776 coalition keys; "
             "missing ['10', '100', '1000', '10000', '100000'], unexpected []"
         )
 
@@ -868,6 +871,33 @@ class TestErrors:
         assert (err["error"], err["exit_code"]) == ("FormatError", 5)
         assert err["message"].startswith(f"{model_path}: ")
         assert "norm vectors must have one entry per output unit" in err["message"]
+
+    @pytest.mark.parametrize(
+        "mask",
+        [{"layer": 0}, [1], {"layer": 0, "removed": [7]}, {"layer": 0, "removed": [-1]},
+         {"layer": 0, "removed": ["x"]}, {"layer": 0, "removed": [True]}],
+        ids=["no-removed", "a-list", "above", "negative", "a-string", "a-bool"],
+    )
+    def test_malformed_mask_is_a_format_error(self, toy_files, tmp_path, capsys, mask):
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
+            Layer("dense", rng.standard_normal((6, 4)), np.zeros(6), "softmax-logits"),
+        ]
+        model_path = tmp_path / "m.json"
+        save_model(ModelSpec(layers=layers), model_path)
+        doc = json.loads(model_path.read_text())
+        doc["mask"] = mask
+        model_path.write_text(json.dumps(doc))
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"].startswith(f"{model_path}: ")
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -168,7 +168,7 @@ class TestTableGame:
         path.write_text(text)
         with pytest.raises(FormatError) as info:
             load_game_json(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_duplicated_key_keeps_the_last_payoff(self, tmp_path):
         path = tmp_path / "dup.json"

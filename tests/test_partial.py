@@ -106,6 +106,16 @@ class TestShapleyPartial:
         with pytest.raises(BudgetError, match="budget"):
             shapley_partial(game, SizeBand(high_d=16))
 
+    def test_budget_counts_every_coalition_enumerated(self, monkeypatch):
+        # sizes 0..5 and 63 pull in sizes 0..6, 63 and 64: 83 278 066
+        # coalitions, though each player sees only 7 666 241 subsets
+        def refuse(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr("shaprank.partial.marginal_sums", refuse)
+        with pytest.raises(BudgetError, match="83278066 coalitions"):
+            shapley_partial(Game(64, lambda m: 0.0), SizeBand(high_d=1, low_d=6))
+
     def test_workers_do_not_change_the_result(self):
         game_a = random_table_game(6, seed=17)
         game_b = random_table_game(6, seed=17)

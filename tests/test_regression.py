@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from shaprank.errors import SingularSystemError
+from shaprank.errors import BudgetError, SingularSystemError
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import TableGame
+from shaprank.games import Game, TableGame
 from shaprank.regression import (
     LARGE_KERNEL_WEIGHT,
     RegressionConfig,
@@ -127,6 +127,16 @@ class TestSampledRegression:
         a = shapley_regression(game, cfg).values
         b = shapley_regression(random_table_game(6, seed=2), cfg).values
         assert np.array_equal(a, b)
+
+    def test_exhaustive_sampler_beyond_the_budget_enumerates_nothing(self):
+        def payoff(masks):
+            if masks.size > 2:
+                raise AssertionError("enumerated past the budget")
+            return np.zeros(masks.size)
+
+        game = Game(24, payoff, batched=True)
+        with pytest.raises(BudgetError, match="16777214 coalitions"):
+            shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive"))
 
     def test_underdetermined_budget_rejected(self):
         game = random_table_game(6, seed=2)
