@@ -38,7 +38,6 @@ from .sampling import EarlyStop, SamplingConfig, shapley_sample_permutations
 from .toynet import (
     LabeledDataset,
     Layer,
-    MaskedModel,
     ModelSpec,
     accuracy_char_fn,
     load_model,
@@ -61,7 +60,6 @@ __all__ = [
     "InvalidBandError",
     "LabeledDataset",
     "Layer",
-    "MaskedModel",
     "ModelSpec",
     "OracleSubsets",
     "RankScore",

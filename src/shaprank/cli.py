@@ -10,7 +10,6 @@ stderr instead.  Exit codes: 0 success, 2 usage, 3 capacity/budget,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -34,10 +33,20 @@ from .errors import (
     TrainingDivergedError,
 )
 from .exact import shapley_exact_permutations, shapley_exact_subsets
-from .games import Coalition, Game, Ranking, load_game_json, make_fig2_game, save_game_json
+from .games import (
+    Coalition,
+    Game,
+    JSON_INTEGER,
+    JSON_NUMBER,
+    Ranking,
+    load_game_json,
+    make_fig2_game,
+    save_game_json,
+    write_json,
+)
 from .oracle import build_oracle_rank, compute_oracle_subsets, score_ranking, score_report_dict
 from .partial import SizeBand, shapley_partial
-from .regression import RegressionConfig, shapley_regression
+from .regression import SAMPLERS, RegressionConfig, shapley_regression
 from .sampling import EarlyStop, SamplingConfig, shapley_sample_permutations
 from .toynet import (
     load_dataset_csv,
@@ -47,7 +56,6 @@ from .toynet import (
     save_model,
     split_dataset,
     train_toy_model,
-    MaskedModel,
     ModelSpec,
     accuracy_char_fn,
 )
@@ -71,12 +79,6 @@ def _sha256_file(path) -> str:
 
 def _sha256_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _dump_json(doc, path) -> None:
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
 
 
 def _stderr_note(doc) -> None:
@@ -123,35 +125,9 @@ def _parse_k_range(text: str, n_players: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _bake_mask(masked: MaskedModel):
-    """Zero the parameters of masked-off units so the spec alone reproduces
-    the masked function (the zeroed units then behave as dummy players)."""
-    spec = masked.spec
-    removed = [i for i in range(masked.mask.n_players) if not masked.mask.contains(i)]
-    if not removed:
-        return spec
-    layers = list(spec.layers)
-    layer = layers[spec.prunable_layer]
-    weights = layer.weights.copy()
-    bias = layer.bias.copy()
-    weights[removed] = 0.0
-    bias[removed] = 0.0
-    norm = layer.norm
-    if norm is not None:
-        norm = dataclasses.replace(
-            norm,
-            gamma=np.where(np.isin(np.arange(len(norm.gamma)), removed), 0.0, norm.gamma),
-            beta=np.where(np.isin(np.arange(len(norm.beta)), removed), 0.0, norm.beta),
-        )
-    layers[spec.prunable_layer] = dataclasses.replace(
-        layer, weights=weights, bias=bias, norm=norm
-    )
-    return dataclasses.replace(spec, layers=layers)
-
-
 def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]]:
     """Resolve --game or --model/--data into (n_players, char_fn, input
-    provenance dict, cache source fingerprint, baked model spec or None)."""
+    provenance dict, cache source fingerprint, model spec or None)."""
     if args.game and args.model:
         raise UsageError("give either --game or --model, not both")
     if args.game:
@@ -160,8 +136,7 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
         return table.n_players, table.values.__getitem__, inputs, inputs["game"], None
     if not args.model or not args.data:
         raise UsageError("need --game, or --model together with --data")
-    masked = load_model(args.model)
-    spec = _bake_mask(masked)
+    spec = load_model(args.model)
     if args.layer is not None:
         if not 0 <= args.layer < len(spec.layers):
             raise UsageError(f"--layer {args.layer} out of range")
@@ -229,13 +204,11 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
     for ln, line in enumerate(lines[1:], start=2):
         try:
             row = json.loads(line)
-            # json.loads reads true and false as bool, which neither type
-            # test admits
             if not (
                 isinstance(row, list)
                 and len(row) == 2
-                and type(row[0]) is int
-                and type(row[1]) in (int, float)
+                and type(row[0]) in JSON_INTEGER
+                and type(row[1]) in JSON_NUMBER
             ):
                 raise ValueError("a cache row is [integer mask, number payoff]")
             mask, value = row[0], float(row[1])
@@ -376,7 +349,7 @@ def cmd_rank(args) -> int:
     }
     if est.std_err is not None:
         report["std_err"] = est.std_err[ranking.order].tolist()
-    _dump_json(report, args.out)
+    write_json(report, args.out)
     if args.csv:
         _write_rank_csv(args.out, ranking, est)
     if args.cache:
@@ -398,7 +371,13 @@ def _write_rank_csv(out_path, ranking: Ranking, est) -> None:
 def _ranking_from_report(path) -> tuple[str, Ranking]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        ranking = Ranking(order=doc["order"], scores=doc["scores"])
+        order, scores = doc["order"], doc["scores"]
+        # Ranking would convert 0.7, true or "3"
+        if not (isinstance(order, list) and isinstance(scores, list)
+                and set(map(type, order)) <= JSON_INTEGER
+                and set(map(type, scores)) <= JSON_NUMBER):
+            raise ValueError("order must hold JSON integers and scores JSON numbers")
+        ranking = Ranking(order=order, scores=scores)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a ranking report") from exc
     return Path(path).stem, ranking
@@ -445,7 +424,7 @@ def cmd_oracle(args) -> int:
         **_provenance(inputs, game, {"mode": args.mode, "k_range": k_range}),
     }
     report["evals_used"] = game.eval_count
-    _dump_json(report, args.out)
+    write_json(report, args.out)
     if args.csv:
         _write_oracle_csv(args.out, rows)
     if args.cache:
@@ -487,7 +466,7 @@ def cmd_prune(args) -> int:
     nu_before = game.evaluate_mask(game.grand_mask)
     nu_after = game.evaluate_mask(kept.bits)
     elapsed = time.perf_counter() - started
-    save_model(MaskedModel(spec=spec, mask=kept), args.out)
+    save_model(spec, args.out, removed=removed)
 
     summary = {
         "report": "prune",
@@ -500,7 +479,7 @@ def cmd_prune(args) -> int:
         **_provenance(inputs, game, params, est),
     }
     summary_path = args.summary or (str(args.out) + ".summary.json")
-    _dump_json(summary, summary_path)
+    write_json(summary, summary_path)
     if args.cache:
         _save_cache(args.cache, source, game)
     _stderr_note({"command": "prune", "out": str(args.out), "wall_time_s": elapsed})
@@ -589,7 +568,7 @@ def _add_method(p: _Parser) -> None:
     p.add_argument(
         "--sampler",
         default="size-stratified",
-        choices=["exhaustive", "size-stratified", "bernoulli-half", "permutation-prefix"],
+        choices=SAMPLERS,
     )
     p.add_argument("--ridge", type=_finite_float, default=1e-8)
     p.add_argument("--no-efficiency", action="store_true", dest="no_efficiency")

@@ -26,6 +26,10 @@ from .errors import CharacteristicFunctionError, FormatError
 MAX_PLAYERS = 64
 # the most coalitions one enumeration may materialise, whatever the estimator
 ENUMERATION_BUDGET = 10**7
+# the types ``json`` decodes a JSON integer and a JSON number to, which every
+# reader tests with ``type(value) in``: bool is a subclass of int, never one
+JSON_INTEGER = frozenset({int})
+JSON_NUMBER = frozenset({int, float})
 
 
 def full_mask(n_players: int) -> int:
@@ -286,11 +290,9 @@ class TableGame(Game):
     def from_json_dict(cls, doc: dict) -> "TableGame":
         if not isinstance(doc, dict):
             raise FormatError("game spec must be a JSON object")
-        try:
-            n_players = int(doc["n_players"])
-            raw = doc["values"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError("game spec needs integer 'n_players' and 'values'") from exc
+        if type(doc.get("n_players")) not in JSON_INTEGER or "values" not in doc:
+            raise FormatError("game spec needs integer 'n_players' and 'values'")
+        n_players, raw = doc["n_players"], doc["values"]
         if not 1 <= n_players <= MAX_PLAYERS:
             raise FormatError(f"n_players must be in [1, {MAX_PLAYERS}]")
         if not isinstance(raw, dict):
@@ -327,11 +329,8 @@ def _payoff_table(raw: dict, size: int) -> np.ndarray:
             f"missing {missing}, unexpected {sorted(extra)[:5]}"
         )
 
-    def number_type(t):
-        return t is not bool and issubclass(t, (int, float))
-
-    if not all(map(number_type, set(map(type, raw.values())))):
-        key = next(key for key, value in raw.items() if not number_type(type(value)))
+    if not set(map(type, raw.values())) <= JSON_NUMBER:
+        key = next(key for key, value in raw.items() if type(value) not in JSON_NUMBER)
         raise FormatError(f"payoff for coalition {key} is not a number")
     table = np.empty(size, dtype=np.float64)
     table[masks] = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
@@ -365,10 +364,16 @@ def _sorted_keys(size: int):
         m += 1
 
 
-def save_game_json(game: TableGame, path) -> None:
+def write_json(doc, path) -> None:
+    """Write ``doc`` deterministically: sorted keys, one-space indent and a
+    trailing newline, so equal documents are equal bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game.to_json_dict(), fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def save_game_json(game: TableGame, path) -> None:
+    write_json(game.to_json_dict(), path)
 
 
 def load_game_json(path) -> TableGame:

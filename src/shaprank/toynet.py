@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, TrainingDivergedError
-from .games import Coalition, Game
+from .games import JSON_INTEGER, Game, write_json
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 MODEL_FORMAT = "shaprank-model-v1"
@@ -101,6 +100,8 @@ class ModelSpec:
         if not 0 <= self.prunable_layer < len(self.layers):
             raise ValueError("prunable_layer out of range")
         for prev, cur in zip(self.layers, self.layers[1:]):
+            if prev.kind == "dense" and cur.kind == "conv2d":
+                raise ValueError("a conv2d layer cannot follow a dense one, whose output is flat")
             if cur.in_units != prev.out_units:
                 raise ValueError(
                     f"layer shapes do not compose: {prev.out_units} outputs "
@@ -114,20 +115,6 @@ class ModelSpec:
 
     def with_prunable_layer(self, index: int) -> "ModelSpec":
         return dataclasses.replace(self, prunable_layer=index)
-
-
-@dataclass
-class MaskedModel:
-    """A model plus the coalition of prunable units that stays switched on."""
-
-    spec: ModelSpec
-    mask: Coalition
-
-    def __post_init__(self):
-        if self.mask.n_players != self.spec.n_players:
-            raise ValueError(
-                f"mask covers {self.mask.n_players} units, layer has {self.spec.n_players}"
-            )
 
 
 @dataclass
@@ -187,29 +174,6 @@ def _activate(layer: Layer, z: np.ndarray, channel_axis: int) -> np.ndarray:
     if layer.activation == "relu":
         np.maximum(z, 0.0, out=z)
     return z
-
-
-def _zero_masked(x: np.ndarray, mask: Coalition) -> np.ndarray:
-    off = [i for i in range(mask.n_players) if not mask.contains(i)]
-    if off:
-        x = x.copy()
-        x[:, off] = 0.0
-    return x
-
-
-def forward_batch(model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
-    """Final-layer outputs for a batch, with masked units zeroed."""
-    x = np.asarray(inputs, dtype=np.float64)
-    for idx, layer in enumerate(model.spec.layers):
-        x = _apply_layer(layer, x)
-        if idx == model.spec.prunable_layer:
-            x = _zero_masked(x, model.mask)
-    return x
-
-
-def accuracy(model: MaskedModel, data: LabeledDataset) -> float:
-    logits = _global_average_pool(forward_batch(model, data.inputs))
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
 
 def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
@@ -534,49 +498,6 @@ def load_dataset_csv(path) -> LabeledDataset:
     return LabeledDataset(inputs=np.array(inputs), labels=np.array(labels))
 
 
-_IDX_DTYPES = {
-    0x08: np.dtype(">u1"),
-    0x09: np.dtype(">i1"),
-    0x0B: np.dtype(">i2"),
-    0x0C: np.dtype(">i4"),
-    0x0D: np.dtype(">f4"),
-    0x0E: np.dtype(">f8"),
-}
-
-
-def load_idx(path) -> np.ndarray:
-    """Read one array in the classic IDX byte format (e.g. MNIST files)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[0] != 0 or raw[1] != 0:
-        raise FormatError(f"{path}: not an IDX file")
-    type_code, ndim = raw[2], raw[3]
-    if type_code not in _IDX_DTYPES:
-        raise FormatError(f"{path}: unsupported IDX type byte {type_code:#x}")
-    header_end = 4 + 4 * ndim
-    if len(raw) < header_end:
-        raise FormatError(f"{path}: truncated IDX header")
-    dims = struct.unpack(f">{ndim}I", raw[4:header_end])
-    dtype = _IDX_DTYPES[type_code]
-    expected = int(np.prod(dims)) * dtype.itemsize
-    if len(raw) - header_end != expected:
-        raise FormatError(f"{path}: payload size mismatch")
-    return np.frombuffer(raw, dtype=dtype, offset=header_end).reshape(dims)
-
-
-def load_idx_dataset(images_path, labels_path) -> LabeledDataset:
-    """Pair IDX image and label files; unsigned-byte images are scaled to [0, 1]."""
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if labels.ndim != 1 or images.shape[0] != labels.shape[0]:
-        raise FormatError("IDX image and label files do not align")
-    inputs = images.astype(np.float64)
-    if images.dtype == np.dtype(">u1"):
-        inputs /= 255.0
-    if inputs.ndim == 3:  # (M, H, W) -> single-channel (M, 1, H, W)
-        inputs = inputs[:, None, :, :]
-    return LabeledDataset(inputs=inputs, labels=labels.astype(np.int64))
-
-
 def _norm_to_json(norm: Optional[Normalization]):
     if norm is None:
         return None
@@ -637,25 +558,24 @@ def read_flat_binary(path) -> list[np.ndarray]:
     return tensors
 
 
-def save_model(model: MaskedModel | ModelSpec, path, inline_limit: int = INLINE_PARAM_LIMIT) -> None:
+def save_model(
+    spec: ModelSpec, path, removed: Sequence[int] = (), inline_limit: int = INLINE_PARAM_LIMIT
+) -> None:
     """Write a model as JSON; large weight sets go to a binary sidecar.
 
-    Small models embed every tensor in the JSON document (exact float64
-    round trip); above ``inline_limit`` total parameters the weights and
-    biases move to ``<path>.bin`` in the flat float32 format.
+    ``removed`` units of the prunable layer are written as the file's
+    ``mask``, which :func:`load_model` applies.  Small models embed every
+    tensor in the JSON document (exact float64 round trip); above
+    ``inline_limit`` total parameters the weights and biases move to
+    ``<path>.bin`` in the flat float32 format.
     """
-    if isinstance(model, MaskedModel):
-        spec, mask = model.spec, model.mask
-    else:
-        spec, mask = model, None
     path = Path(path)
     n_params = sum(l.weights.size + l.bias.size for l in spec.layers)
     doc = {
         "format": MODEL_FORMAT,
         "prunable_layer": spec.prunable_layer,
-        "mask": None
-        if mask is None or mask.bits == (1 << mask.n_players) - 1
-        else {"layer": spec.prunable_layer, "removed": list(mask.complement().members())},
+        "mask": {"layer": spec.prunable_layer, "removed": sorted(map(int, removed))}
+        if len(removed) else None,
         "layers": [],
         "binary_weights": None,
     }
@@ -680,11 +600,13 @@ def save_model(model: MaskedModel | ModelSpec, path, inline_limit: int = INLINE_
         sidecar = path.with_suffix(path.suffix + ".bin")
         write_flat_binary(tensors, sidecar)
         doc["binary_weights"] = sidecar.name
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
-def load_model(path) -> MaskedModel:
-    """Read a model file; absent mask means every unit stays on."""
+def load_model(path) -> ModelSpec:
+    """Read a model file into the model it describes: a ``mask`` entry's
+    units are zeroed in the layer it names, and without one every unit
+    stays on."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -712,17 +634,36 @@ def load_model(path) -> MaskedModel:
             )
             for entry in doc["layers"]
         ]
-        spec = ModelSpec(layers=layers, prunable_layer=int(doc["prunable_layer"]))
-        mask = Coalition.grand(spec.n_players)
+        prunable = doc["prunable_layer"]
+        if type(prunable) not in JSON_INTEGER:
+            raise ValueError("prunable_layer must be a JSON integer")
+        spec = ModelSpec(layers=layers, prunable_layer=prunable)
         if doc.get("mask") is not None:
-            removed = doc["mask"]["removed"]
-            if not (isinstance(removed, list) and all(
-                    type(i) is int and 0 <= i < spec.n_players for i in removed)):
-                raise ValueError(f"mask must remove unit indices in [0, {spec.n_players})")
-            mask = Coalition.from_members(removed, spec.n_players).complement()
+            spec = _without_units(spec, doc["mask"]["layer"], doc["mask"]["removed"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model document: {exc}") from exc
-    return MaskedModel(spec=spec, mask=mask)
+    return spec
+
+
+def _without_units(spec: ModelSpec, index, removed) -> ModelSpec:
+    """``spec`` with the units ``removed`` of layer ``index`` zeroed: their
+    weight rows, biases and norm ``gamma``/``beta``.  On finite inputs each
+    such unit then outputs exactly zero, so it is a dummy player."""
+    if not (type(index) in JSON_INTEGER and 0 <= index < len(spec.layers)):
+        raise ValueError(f"mask layer must be a layer index in [0, {len(spec.layers)})")
+    layer = spec.layers[index]
+    if not (isinstance(removed, list) and all(
+            type(i) in JSON_INTEGER and 0 <= i < layer.out_units for i in removed)):
+        raise ValueError(f"mask must remove unit indices in [0, {layer.out_units})")
+    weights, bias, norm = layer.weights.copy(), layer.bias.copy(), layer.norm
+    weights[removed] = bias[removed] = 0.0
+    if norm is not None:
+        gamma, beta = norm.gamma.copy(), norm.beta.copy()
+        gamma[removed] = beta[removed] = 0.0
+        norm = dataclasses.replace(norm, gamma=gamma, beta=beta)
+    layers = list(spec.layers)
+    layers[index] = dataclasses.replace(layer, weights=weights, bias=bias, norm=norm)
+    return dataclasses.replace(spec, layers=layers)
 
 
 def split_dataset(

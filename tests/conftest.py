@@ -56,6 +56,12 @@ MALFORMED_GAME_SPECS = [
      "game spec contains non-finite payoffs"),
     ('{"n_players": 1, "values": {"0": 1.0, "0": 3.0}}',
      "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected []"),
+    ('{"n_players": 1.9, "values": {"0": 1.0, "1": 2.0}}',
+     "game spec needs integer 'n_players' and 'values'"),
+    ('{"n_players": true, "values": {"0": 1.0, "1": 2.0}}',
+     "game spec needs integer 'n_players' and 'values'"),
+    ('{"n_players": "1", "values": {"0": 1.0, "1": 2.0}}',
+     "game spec needs integer 'n_players' and 'values'"),
 ]
 
 

@@ -323,6 +323,24 @@ class TestOracle:
             )
             assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"order": [0.7, 1, 2], "scores": [3, 2, 1]}',
+         '{"order": [true, false, 2], "scores": [3, 2, 1]}',
+         '{"order": [0, 1, 2], "scores": ["3", 2, 1]}'],
+        ids=["fractional-order", "bool-order", "string-score"],
+    )
+    def test_report_entries_are_never_converted(self, fig2_path, tmp_path, capsys, text):
+        report = tmp_path / "r.json"
+        report.write_text(text)
+        rc = main(
+            ["oracle", "--game", str(fig2_path), "--mode", "keep", "--k-range", "1:2",
+             "--rank", str(report), "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == ("FormatError", f"{report}: not a ranking report")
+
 
 class TestPrune:
     def test_zero_count_is_a_usage_error(self, toy_files, tmp_path, capsys):
@@ -356,9 +374,6 @@ class TestPrune:
     def test_pruned_model_is_the_baked_spec_with_the_kept_mask(
         self, toy_files, tmp_path
     ):
-        from shaprank.cli import _bake_mask
-        from shaprank.toynet import MaskedModel, save_model
-
         model_path, data_path = toy_files
         out = tmp_path / "pruned.json"
         rc = main(
@@ -368,12 +383,35 @@ class TestPrune:
             ]
         )
         assert rc == 0
+        summary = read_json(tmp_path / "pruned.json.summary.json")
         expected = tmp_path / "expected.json"
-        save_model(
-            MaskedModel(spec=_bake_mask(load_model(model_path)), mask=load_model(out).mask),
-            expected,
-        )
+        save_model(load_model(model_path), expected, removed=summary["removed_players"])
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("count", [1, 4, 7])
+    def test_pruned_model_file_reproduces_nu_after(self, toy_files, tmp_path, count):
+        from shaprank.toynet import load_dataset_csv, make_accuracy_game
+
+        model_path, data_path = toy_files
+        out, summary_path = tmp_path / "pruned.json", tmp_path / "summary.json"
+        rc = main(
+            [
+                "prune", "--model", str(model_path), "--data", str(data_path),
+                "--method", "exact", "--count", str(count),
+                "--out", str(out), "--summary", str(summary_path),
+            ]
+        )
+        assert rc == 0
+        summary = read_json(summary_path)
+        game = make_accuracy_game(load_model(out), load_dataset_csv(data_path))
+        assert game.evaluate_mask(game.grand_mask) == summary["nu_after"]
+        # pruning the pruned model again: its removed units are dummies
+        again = tmp_path / "again.json"
+        assert main(
+            ["prune", "--model", str(out), "--data", str(data_path), "--method", "exact",
+             "--count", str(count), "--out", str(again), "--summary", str(summary_path)]
+        ) == 0
+        assert read_json(summary_path)["nu_before"] == summary["nu_after"]
 
     def test_prune_masks_bottom_ranked_units(self, toy_files, tmp_path):
         model_path, data_path = toy_files
@@ -389,9 +427,12 @@ class TestPrune:
         summary = read_json(tmp_path / "summary.json")
         assert len(summary["removed_players"]) == 2
         assert 0.0 <= summary["nu_after"] <= 1.0
-        pruned = load_model(out)
-        kept = set(pruned.mask.members())
-        assert kept == set(summary["kept_players"])
+        assert read_json(out)["mask"]["removed"] == summary["removed_players"]
+        pruned = load_model(out).layers[0]
+        removed = summary["removed_players"]
+        assert not pruned.weights[removed].any() and not pruned.bias[removed].any()
+        kept = summary["kept_players"]
+        assert np.array_equal(pruned.weights[kept], load_model(model_path).layers[0].weights[kept])
 
     def test_pruning_a_dead_unit_keeps_the_payoff(self, tmp_path):
         import numpy as np
@@ -459,9 +500,8 @@ class TestPrune:
         from shaprank.games import Coalition
         from shaprank.toynet import load_dataset_csv, make_accuracy_game
 
-        masked = load_model(model_path)
         data = load_dataset_csv(data_path)
-        game = make_accuracy_game(masked.spec, data)
+        game = make_accuracy_game(load_model(model_path), data)
         ranking = shapley_exact_subsets(game).ranking()
         top_removed = sorted(int(p) for p in ranking.order[:2])
         kept = Coalition.from_members(
@@ -875,8 +915,13 @@ class TestErrors:
     @pytest.mark.parametrize(
         "mask",
         [{"layer": 0}, [1], {"layer": 0, "removed": [7]}, {"layer": 0, "removed": [-1]},
-         {"layer": 0, "removed": ["x"]}, {"layer": 0, "removed": [True]}],
-        ids=["no-removed", "a-list", "above", "negative", "a-string", "a-bool"],
+         {"layer": 0, "removed": ["x"]}, {"layer": 0, "removed": [True]},
+         {"removed": [1]}, {"layer": 2, "removed": [1]}, {"layer": -1, "removed": [1]},
+         {"layer": 0.0, "removed": [1]}, {"layer": True, "removed": [1]},
+         {"layer": 1, "removed": [6]}],
+        ids=["no-removed", "a-list", "above", "negative", "a-string", "a-bool",
+             "no-layer", "layer-above", "layer-negative", "layer-fraction", "layer-bool",
+             "above-the-named-layer"],
     )
     def test_malformed_mask_is_a_format_error(self, toy_files, tmp_path, capsys, mask):
         _, data_path = toy_files
@@ -898,6 +943,46 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["exit_code"]) == ("FormatError", 5)
         assert err["message"].startswith(f"{model_path}: ")
+
+    @pytest.mark.parametrize("prunable", [0.7, True, "0", None])
+    def test_prunable_layer_that_is_not_a_json_integer_is_a_format_error(
+        self, toy_files, tmp_path, capsys, prunable
+    ):
+        model_path, data_path = toy_files
+        doc = json.loads(model_path.read_text())
+        doc["prunable_layer"] = prunable
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["rank", "--model", str(bad), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == (
+            f"{bad}: malformed model document: prunable_layer must be a JSON integer")
+
+    def test_conv2d_after_dense_is_a_format_error(self, toy_files, tmp_path, capsys):
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
+            Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
+        ]
+        model_path = tmp_path / "m.json"
+        save_model(ModelSpec(layers=layers), model_path)
+        doc = json.loads(model_path.read_text())
+        doc["layers"][1].update(kind="conv2d", weights=np.ones((3, 4, 1, 1)).tolist())
+        model_path.write_text(json.dumps(doc))
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"] == (f"{model_path}: malformed model document: a conv2d layer "
+                                  "cannot follow a dense one, whose output is flat")
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -997,7 +1082,7 @@ class TestTrainToy:
             ]
         )
         assert rc == 0
-        assert load_model(model_path).spec.n_players == 8
+        assert load_model(model_path).n_players == 8
         assert data_out.exists()
 
     def test_model_file_is_deterministic(self, tmp_path):

@@ -226,6 +226,22 @@ class TestPermutationSamplingAxioms:
 
 
 @pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["pinned", "intercept"])
+@pytest.mark.parametrize("sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"])
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=40),
+)
+def test_sampled_regression_is_efficient(sampler, fit_intercept, path, n, seed, extra):
+    game = _on_path(random_table_game(n, seed=seed), path)
+    cfg = RegressionConfig(n_samples=n + extra, sampler=sampler, seed=seed,
+                           fit_intercept=fit_intercept)
+    values = shapley_regression(game, cfg).values
+    assert values.sum() == pytest.approx(game.target_quantity(), rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "raw"])
 @given(
     st.integers(min_value=1, max_value=8),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,12 @@ from shaprank.games import Coalition
 from shaprank.toynet import (
     LabeledDataset,
     Layer,
-    MaskedModel,
     ModelSpec,
     Normalization,
-    accuracy,
+    _apply_layer,
+    _global_average_pool,
     accuracy_char_fn,
-    forward_batch,
     load_dataset_csv,
-    load_idx,
-    load_idx_dataset,
     load_model,
     make_accuracy_game,
     make_blobs_dataset,
@@ -38,8 +37,25 @@ def trained(blobs):
     return train_toy_model([8], blobs, epochs=200, lr=0.1, seed=0)
 
 
-def grand_model(spec):
-    return MaskedModel(spec=spec, mask=Coalition.grand(spec.n_players))
+def forward_batch(spec, mask, inputs):
+    """The reference forward pass: final-layer outputs for a batch, with the
+    prunable layer's units outside the coalition ``mask`` zeroed."""
+    x = np.asarray(inputs, dtype=np.float64)
+    for idx, layer in enumerate(spec.layers):
+        x = _apply_layer(layer, x)
+        if idx == spec.prunable_layer:
+            x = x.copy()
+            x[:, [i for i in range(mask.n_players) if not mask.contains(i)]] = 0.0
+    return x
+
+
+def accuracy(spec, mask, data):
+    logits = _global_average_pool(forward_batch(spec, mask, data.inputs))
+    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+
+
+def grand(spec):
+    return Coalition.grand(spec.n_players)
 
 
 class TestBlobs:
@@ -56,7 +72,7 @@ class TestBlobs:
 class TestTraining:
     def test_reaches_target_accuracy(self, blobs):
         spec = train_toy_model([16], blobs, epochs=200, lr=0.1, seed=0)
-        assert accuracy(grand_model(spec), blobs) >= 0.90
+        assert accuracy(spec, grand(spec), blobs) >= 0.90
 
     def test_zero_learning_rate_keeps_initialization(self, blobs):
         trained_none = train_toy_model([4], blobs, epochs=50, lr=0.0, seed=3)
@@ -84,8 +100,8 @@ class TestTraining:
 
 class TestMaskingSemantics:
     def test_empty_mask_predicts_a_constant_class(self, trained, blobs):
-        empty = MaskedModel(spec=trained, mask=Coalition(0, trained.n_players))
-        preds = np.argmax(forward_batch(empty, blobs.inputs), axis=1)
+        empty = Coalition(0, trained.n_players)
+        preds = np.argmax(forward_batch(trained, empty, blobs.inputs), axis=1)
         assert np.unique(preds).size == 1
 
     def test_empty_mask_accuracy_equals_best_constant_on_balanced_data(
@@ -99,10 +115,8 @@ class TestMaskingSemantics:
         spec = _with_extra_unit(trained, out_scale=0.0)
         n = spec.n_players
         dead = n - 1
-        with_unit = forward_batch(grand_model(spec), blobs.inputs)
-        without = forward_batch(
-            MaskedModel(spec=spec, mask=Coalition.from_members(range(dead), n)), blobs.inputs
-        )
+        with_unit = forward_batch(spec, grand(spec), blobs.inputs)
+        without = forward_batch(spec, Coalition.from_members(range(dead), n), blobs.inputs)
         assert np.array_equal(
             np.argmax(with_unit, axis=1), np.argmax(without, axis=1)
         )
@@ -124,8 +138,7 @@ class TestMaskingSemantics:
             kind="dense", weights=np.eye(3), bias=np.zeros(3), activation="softmax-logits"
         )
         spec = ModelSpec(layers=[layer, head], prunable_layer=0)
-        masked = MaskedModel(spec=spec, mask=Coalition.from_members([0], 3))
-        out = forward_batch(masked, np.array([[1.0, 1.0, 1.0]]))
+        out = forward_batch(spec, Coalition.from_members([0], 3), np.array([[1.0, 1.0, 1.0]]))
         assert out[0, 1] == 0.0 and out[0, 2] == 0.0
 
 
@@ -214,11 +227,9 @@ class TestCharacteristicFunction:
     def test_char_fn_matches_full_forward(self, trained, blobs):
         nu = accuracy_char_fn(trained, blobs)
         for mask in (0b0101, 0b1100, 0b11111111):
-            masked = MaskedModel(
-                spec=trained, mask=Coalition(mask & ((1 << trained.n_players) - 1), trained.n_players)
-            )
-            assert nu(mask & ((1 << trained.n_players) - 1)) == pytest.approx(
-                accuracy(masked, blobs)
+            mask &= (1 << trained.n_players) - 1
+            assert nu(mask) == pytest.approx(
+                accuracy(trained, Coalition(mask, trained.n_players), blobs)
             )
 
 
@@ -237,8 +248,8 @@ class TestAxiomsEndToEnd:
 
     def test_halved_duplicate_preserves_the_function(self, trained, blobs):
         spec = _with_duplicated_unit(trained, unit=2, halve=True)
-        original = forward_batch(grand_model(trained), blobs.inputs)
-        doubled = forward_batch(grand_model(spec), blobs.inputs)
+        original = forward_batch(trained, grand(trained), blobs.inputs)
+        doubled = forward_batch(spec, grand(spec), blobs.inputs)
         np.testing.assert_allclose(original, doubled, atol=1e-12)
 
 
@@ -262,24 +273,24 @@ class TestConv2d:
     def test_same_padding_preserves_spatial_shape(self):
         spec = self._conv_spec()
         x = np.random.default_rng(2).standard_normal((5, 2, 7, 6))
-        conv_out = forward_batch(
-            MaskedModel(spec=spec, mask=Coalition.grand(4)), x
-        )
+        conv_out = forward_batch(spec, Coalition.grand(4), x)
         assert conv_out.shape == (5, 3)
 
     def test_channel_masking_matches_manual_zeroing(self):
         spec = self._conv_spec()
         x = np.random.default_rng(3).standard_normal((4, 2, 5, 5))
-        masked = forward_batch(
-            MaskedModel(spec=spec, mask=Coalition.from_members([0, 2], 4)), x
-        )
+        masked = forward_batch(spec, Coalition.from_members([0, 2], 4), x)
         # manual: run conv, zero channels 1 and 3, finish with the head
-        from shaprank.toynet import _apply_layer
-
         h = _apply_layer(spec.layers[0], x)
         h[:, [1, 3]] = 0.0
         manual = _apply_layer(spec.layers[1], h)
         np.testing.assert_allclose(masked, manual, atol=1e-12)
+
+    def test_conv2d_after_dense_is_refused(self):
+        dense = Layer("dense", np.ones((2, 3)), np.zeros(2))
+        conv = Layer("conv2d", np.ones((2, 2, 1, 1)), np.zeros(2))
+        with pytest.raises(ValueError, match="cannot follow a dense one"):
+            ModelSpec(layers=[dense, conv])
 
     def test_conv_accuracy_game_players_are_channels(self):
         spec = self._conv_spec()
@@ -297,24 +308,71 @@ class TestModelIO:
     def test_json_round_trip_is_exact(self, trained, tmp_path):
         path = tmp_path / "model.json"
         save_model(trained, path)
+        assert json.loads(path.read_text())["mask"] is None
         loaded = load_model(path)
-        assert loaded.mask.bits == (1 << trained.n_players) - 1
-        for a, b in zip(loaded.spec.layers, trained.layers):
+        for a, b in zip(loaded.layers, trained.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
 
     def test_mask_round_trip(self, trained, tmp_path):
         path = tmp_path / "masked.json"
-        kept = Coalition.from_members([0, 2, 3], trained.n_players)
-        save_model(MaskedModel(spec=trained, mask=kept), path)
-        assert load_model(path).mask == kept
+        save_model(trained, path, removed=[3, 1])
+        assert json.loads(path.read_text())["mask"] == {"layer": 0, "removed": [1, 3]}
+        loaded = load_model(path)
+        kept = [0, 2] + list(range(4, trained.n_players))
+        assert not loaded.layers[0].weights[[1, 3]].any()
+        assert not loaded.layers[0].bias[[1, 3]].any()
+        assert np.array_equal(loaded.layers[0].weights[kept], trained.layers[0].weights[kept])
+        assert np.array_equal(loaded.layers[1].weights, trained.layers[1].weights)
+        # saving the loaded spec writes the mask into the parameters
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        assert json.loads(again.read_text())["mask"] is None
+        for a, b in zip(load_model(again).layers, loaded.layers):
+            assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+    def test_loaded_mask_gives_the_masked_accuracy(self, trained, blobs, tmp_path):
+        path = tmp_path / "masked.json"
+        save_model(trained, path, removed=list(range(1, trained.n_players)))
+        kept = Coalition.from_members([0], trained.n_players)
+        spec = load_model(path)
+        assert accuracy_char_fn(spec, blobs)(grand(spec).bits) == accuracy(trained, kept, blobs)
+        assert accuracy(spec, grand(spec), blobs) == accuracy(trained, kept, blobs)
+
+    def test_mask_on_a_layer_that_is_not_prunable_zeroes_that_layer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        norm = Normalization(mean=rng.standard_normal(4), var=np.ones(4),
+                             gamma=rng.standard_normal(4), beta=rng.standard_normal(4))
+        spec = ModelSpec(layers=[
+            Layer("dense", rng.standard_normal((3, 2)), rng.standard_normal(3)),
+            Layer("dense", rng.standard_normal((4, 3)), rng.standard_normal(4), norm=norm),
+            Layer("dense", rng.standard_normal((2, 4)), np.zeros(2), "softmax-logits"),
+        ])
+        path = tmp_path / "m.json"
+        save_model(spec, path)
+        doc = json.loads(path.read_text())
+        doc["mask"] = {"layer": 1, "removed": [0, 2]}
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.prunable_layer == 0
+        assert np.array_equal(loaded.layers[0].weights, spec.layers[0].weights)
+        assert np.array_equal(loaded.layers[0].bias, spec.layers[0].bias)
+        layer = loaded.layers[1]
+        for values in (layer.weights, layer.bias, layer.norm.gamma, layer.norm.beta):
+            assert not values[[0, 2]].any()
+        assert np.array_equal(layer.weights[[1, 3]], spec.layers[1].weights[[1, 3]])
+        assert np.array_equal(layer.norm.mean, norm.mean)
+        # the zeroed units output zero, as when the layer's outputs are masked
+        x = rng.standard_normal((20, 2))
+        masked = forward_batch(spec.with_prunable_layer(1), Coalition.from_members([1, 3], 4), x)
+        np.testing.assert_array_equal(forward_batch(loaded, grand(loaded), x), masked)
 
     def test_binary_sidecar_round_trip(self, trained, tmp_path):
         path = tmp_path / "model.json"
         save_model(trained, path, inline_limit=0)
         assert (tmp_path / "model.json.bin").exists()
         loaded = load_model(path)
-        for a, b in zip(loaded.spec.layers, trained.layers):
+        for a, b in zip(loaded.layers, trained.layers):
             np.testing.assert_allclose(a.weights, b.weights, atol=1e-6)
             assert a.weights.shape == b.weights.shape
 
@@ -353,33 +411,6 @@ class TestDatasetIO:
         path.write_text("1.0,2.0,0\n")
         with pytest.raises(FormatError, match="header"):
             load_dataset_csv(path)
-
-    def test_idx_round_trip(self, tmp_path):
-        import struct
-
-        images = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
-        labels = np.array([1, 0], dtype=np.uint8)
-        img_path = tmp_path / "images.idx"
-        lbl_path = tmp_path / "labels.idx"
-        img_path.write_bytes(
-            struct.pack(">BBBB", 0, 0, 0x08, 3)
-            + struct.pack(">III", 2, 3, 3)
-            + images.tobytes()
-        )
-        lbl_path.write_bytes(
-            struct.pack(">BBBB", 0, 0, 0x08, 1) + struct.pack(">I", 2) + labels.tobytes()
-        )
-        assert np.array_equal(load_idx(lbl_path), labels)
-        data = load_idx_dataset(img_path, lbl_path)
-        assert data.inputs.shape == (2, 1, 3, 3)
-        assert data.inputs.max() <= 1.0
-        assert data.labels.tolist() == [1, 0]
-
-    def test_idx_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_bytes(b"\x01\x00\x08\x01\x00\x00\x00\x01\x07")
-        with pytest.raises(FormatError):
-            load_idx(path)
 
 
 class TestSplit:
