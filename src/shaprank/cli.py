@@ -255,7 +255,7 @@ def _game_with_cache(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     preloaded = None
     if args.cache and Path(args.cache).exists():
         preloaded = _load_cache(args.cache, source, n_players)
-    game = Game(n_players, char_fn, preloaded=preloaded, batched=True)
+    game = Game(n_players, char_fn, preloaded=preloaded)
     return game, inputs, source, spec
 
 
@@ -510,8 +510,8 @@ def cmd_train_toy(args) -> int:
     save_model(spec, args.out)
     if args.write_data:
         save_dataset_csv(data, args.write_data)
-    train_game_fn = accuracy_char_fn(spec, train_part)
-    train_acc = train_game_fn((1 << spec.n_players) - 1)
+    grand = np.array([(1 << spec.n_players) - 1], dtype=np.uint64)
+    train_acc = float(accuracy_char_fn(spec, train_part)(grand)[0])
     _stderr_note(
         {
             "command": "train-toy",

@@ -106,10 +106,8 @@ class Coalition:
 class Game:
     """An ``n_players`` coalition game with a memoized characteristic function.
 
-    ``char_fn`` maps a bitmask (int) to a float payoff; with ``batched=True``
-    it instead maps a ``uint64`` array of bitmasks to an array of as many
-    payoffs.
-    The payoffs of the grand coalition and of the empty coalition are
+    ``char_fn`` maps a ``uint64`` array of bitmasks to an array of as many
+    payoffs.  The payoffs of the grand coalition and of the empty coalition are
     computed eagerly so that ``target_quantity`` is always available.
 
     The cache is two arrays kept in step: the cached masks in ascending
@@ -120,11 +118,11 @@ class Game:
     One lock is held across each lookup, characteristic-function call and
     store, so concurrent requests for the same coalition still evaluate it
     once.  ``char_fn`` sees the distinct uncached masks in ascending order.
-    A payoff that raises or is not finite surfaces as
-    :class:`CharacteristicFunctionError`, and nothing of the batch it was
-    requested in is cached; so does a batched ``char_fn`` that does not
-    return one payoff per mask.  The error names the smallest such
-    coalition, or the smallest of a batched call that fails.
+    A call that raises or does not return one payoff per mask, or a payoff
+    that is not finite, surfaces as :class:`CharacteristicFunctionError`,
+    and nothing of the batch it was requested in is cached.  The error names
+    the smallest coalition of a failed call, or the smallest coalition whose
+    payoff is not finite.
     ``eval_count`` counts distinct characteristic function evaluations;
     ``cache_hits`` counts lookups served from memory (within a batch, a
     repeated coalition's first request is an evaluation and the rest are
@@ -136,13 +134,11 @@ class Game:
         n_players: int,
         char_fn: Callable,
         preloaded: Optional[Mapping[int, float]] = None,
-        batched: bool = False,
     ):
         if not 1 <= n_players <= MAX_PLAYERS:
             raise ValueError(f"n_players must be in [1, {MAX_PLAYERS}]")
         self.n_players = n_players
         self.char_fn = char_fn
-        self.batched = batched
         self.eval_count = 0
         self.cache_hits = 0
         self._lock = threading.Lock()
@@ -168,8 +164,8 @@ class Game:
     def evaluate_masks(self, masks) -> np.ndarray:
         """Payoffs of ``masks``, in order.
 
-        The payoff function runs once on the distinct coalitions not yet
-        cached, in ascending order (one array call when batched).
+        The payoff function runs once, on the distinct coalitions not yet
+        cached, in ascending order.
         """
         masks = self._as_masks(masks)
         with self._lock:
@@ -226,29 +222,19 @@ class Game:
 
     def _compute(self, masks: np.ndarray) -> np.ndarray:
         """Payoffs of ascending, distinct, uncached ``masks``; raises naming
-        the first coalition whose payoff is not finite or whose scalar call
-        fails, or the first of ``masks`` when a batched call fails or does
-        not return one payoff per mask."""
-        if self.batched:
-            batch = f"a batch of {masks.size} coalitions starting at {int(masks[0]):#x}"
-            try:
-                values = np.asarray(self.char_fn(masks), dtype=np.float64)
-            except Exception as exc:
-                raise self._failure(
-                    f"characteristic function failed for {batch}", masks[0]) from exc
-            if values.shape != masks.shape:
-                raise self._failure(
-                    f"characteristic function returned shape {values.shape} for {batch}",
-                    masks[0])
-        else:
-            values = np.empty(masks.size)
-            for j, mask in enumerate(masks.tolist()):
-                try:
-                    values[j] = float(self.char_fn(mask))
-                except Exception as exc:
-                    raise self._failure(
-                        f"characteristic function failed for coalition {mask:#x}", mask
-                    ) from exc
+        the first of ``masks`` when the call fails or does not return one
+        payoff per mask, else the first coalition whose payoff is not
+        finite."""
+        batch = f"a batch of {masks.size} coalitions starting at {int(masks[0]):#x}"
+        try:
+            values = np.asarray(self.char_fn(masks), dtype=np.float64)
+        except Exception as exc:
+            raise self._failure(
+                f"characteristic function failed for {batch}", masks[0]) from exc
+        if values.shape != masks.shape:
+            raise self._failure(
+                f"characteristic function returned shape {values.shape} for {batch}",
+                masks[0])
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             mask = int(masks[bad[0]])
@@ -278,7 +264,7 @@ class TableGame(Game):
                 f"table length {values.size} is not 2**n for n >= 1 players"
             )
         self.values = values
-        super().__init__(n_players, values.__getitem__, batched=True)
+        super().__init__(n_players, values.__getitem__)
 
     def to_json_dict(self) -> dict:
         return {

@@ -78,20 +78,14 @@ def _prefix_masks(perm: np.ndarray) -> np.ndarray:
     return np.bitwise_or.accumulate(bits)
 
 
-def shapley_sample_permutations(
-    game: Game,
-    cfg: SamplingConfig,
-    permutation_source: Optional[Callable[[int], np.ndarray]] = None,
-) -> ShapleyEstimate:
+def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstimate:
     """Average marginal contributions over sampled orderings.
 
     ``std_err`` is the per-player sample standard deviation of the marginals
-    divided by sqrt of the realized ordering count.  ``permutation_source``
-    overrides the seeded stream entirely (used by tests to force an
-    exhaustive pass over all orderings); it takes the ordering index.
+    divided by sqrt of the realized ordering count.
     """
     n = game.n_players
-    source = permutation_source or _stream(cfg, n)
+    source = _stream(cfg, n)
     empty_value = game.evaluate_mask(0)
     full_value = game.evaluate_mask(game.grand_mask)
     before = game.eval_count

@@ -24,11 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, TrainingDivergedError
-from .games import JSON_INTEGER, Game, write_json
+from .games import JSON_INTEGER, JSON_NUMBER, Game, write_json
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 MODEL_FORMAT = "shaprank-model-v1"
 INLINE_PARAM_LIMIT = 8192
+_NORM_VECTORS = ("mean", "var", "gamma", "beta")
 # about this many float64 per intermediate array of a block of coalitions
 # in the accuracy payoff (1 MiB)
 _BLOCK_ELEMENTS = 1 << 17
@@ -179,10 +180,10 @@ def _activate(layer: Layer, z: np.ndarray, channel_axis: int) -> np.ndarray:
 def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     """Characteristic function: coalition bitmasks -> accuracy fractions.
 
-    Takes a ``uint64`` array of bitmasks and returns a float64 array; called
-    with one int it returns a float.  The layers up to and including the
-    prunable one are evaluated once and reused for every coalition; only the
-    downstream layers run, for a block of coalitions at a time.
+    Takes a 1-D ``uint64`` array of bitmasks and returns a float64 array of
+    as many accuracies.  The layers up to and including the prunable one are
+    evaluated once and reused for every coalition; only the downstream
+    layers run, for a block of coalitions at a time.
 
     When the downstream layers are dense (and the prunable layer's outputs
     and the first downstream layer's weights are finite), the first of them
@@ -215,8 +216,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
 
     The block size follows from the shape of the rows evaluated alone,
     never from the number of masks requested, so no payoff depends on how
-    masks are batched.  Suitable for :class:`~shaprank.games.Game` with
-    ``batched=True``.
+    masks are batched.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
@@ -300,26 +300,24 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     def char_fn(masks):
         nonlocal tables
         masks = np.asarray(masks, dtype=np.uint64)
-        flat = masks.ravel()
-        if flat.size and int(flat.max()) >> n_units:
-            raise ValueError(f"mask {int(flat.max()):#x} has bits above unit {n_units - 1}")
+        if masks.size and int(masks.max()) >> n_units:
+            raise ValueError(f"mask {int(masks.max()):#x} has bits above unit {n_units - 1}")
         current = tables
-        if current is None and table_entries <= flat.size and table_cost <= n_rows * flat.size:
+        if current is None and table_entries <= masks.size and table_cost <= n_rows * masks.size:
             # published whole: a concurrent call sees every table or none
             current = tables = build_tables()
         if current is None:
-            hits = evaluate_hits(prefix, labels, flat)
+            hits = evaluate_hits(prefix, labels, masks)
         else:
-            hits = np.zeros(flat.size, dtype=np.int64)
+            hits = np.zeros(masks.size, dtype=np.int64)
             for units, table in current:
-                index = np.zeros(flat.size, dtype=np.uint64)
+                index = np.zeros(masks.size, dtype=np.uint64)
                 for k, u in enumerate(units):
-                    index |= (flat >> u & 1) << k
+                    index |= (masks >> u & 1) << k
                 hits += table[index]
         # the mean of 0/1 values is an integer count over the row count, as
         # np.mean computes it
-        out = hits / labels.size
-        return float(out[0]) if masks.ndim == 0 else out.reshape(masks.shape)
+        return hits / labels.size
 
     return char_fn
 
@@ -359,7 +357,7 @@ def _hit_counts(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> 
 
 
 def make_accuracy_game(spec: ModelSpec, data: LabeledDataset) -> Game:
-    return Game(spec.n_players, accuracy_char_fn(spec, data), batched=True)
+    return Game(spec.n_players, accuracy_char_fn(spec, data))
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +499,31 @@ def load_dataset_csv(path) -> LabeledDataset:
 def _norm_to_json(norm: Optional[Normalization]):
     if norm is None:
         return None
-    return {
-        "mean": norm.mean.tolist(),
-        "var": norm.var.tolist(),
-        "gamma": norm.gamma.tolist(),
-        "beta": norm.beta.tolist(),
-        "eps": norm.eps,
-    }
+    return {**{key: getattr(norm, key).tolist() for key in _NORM_VECTORS}, "eps": norm.eps}
 
 
 def _norm_from_json(doc) -> Optional[Normalization]:
     if doc is None:
         return None
-    return Normalization(
-        mean=np.array(doc["mean"], dtype=np.float64),
-        var=np.array(doc["var"], dtype=np.float64),
-        gamma=np.array(doc["gamma"], dtype=np.float64),
-        beta=np.array(doc["beta"], dtype=np.float64),
-        eps=float(doc.get("eps", 1e-5)),
-    )
+    vectors = {key: _number_array(doc[key]) for key in _NORM_VECTORS}
+    eps = doc.get("eps", 1e-5)
+    if type(eps) not in JSON_NUMBER:
+        raise ValueError("norm eps must be a JSON number")
+    return Normalization(**vectors, eps=float(eps))
+
+
+def _number_array(node) -> np.ndarray:
+    """``node``, nested lists of JSON numbers, as a float64 array; numpy
+    would also take ``true`` or ``"2"`` for a number."""
+    if not _json_numbers(node):
+        raise ValueError("model parameters must be JSON numbers")
+    return np.array(node, dtype=np.float64)
+
+
+def _json_numbers(node) -> bool:
+    if type(node) is list:
+        return all(map(_json_numbers, node))
+    return type(node) in JSON_NUMBER
 
 
 def write_flat_binary(tensors: Sequence[np.ndarray], path) -> None:
@@ -558,15 +562,13 @@ def read_flat_binary(path) -> list[np.ndarray]:
     return tensors
 
 
-def save_model(
-    spec: ModelSpec, path, removed: Sequence[int] = (), inline_limit: int = INLINE_PARAM_LIMIT
-) -> None:
+def save_model(spec: ModelSpec, path, removed: Sequence[int] = ()) -> None:
     """Write a model as JSON; large weight sets go to a binary sidecar.
 
     ``removed`` units of the prunable layer are written as the file's
     ``mask``, which :func:`load_model` applies.  Small models embed every
     tensor in the JSON document (exact float64 round trip); above
-    ``inline_limit`` total parameters the weights and biases move to
+    ``INLINE_PARAM_LIMIT`` total parameters the weights and biases move to
     ``<path>.bin`` in the flat float32 format.
     """
     path = Path(path)
@@ -580,7 +582,7 @@ def save_model(
         "binary_weights": None,
     }
     tensors: list[np.ndarray] = []
-    inline = n_params <= inline_limit
+    inline = n_params <= INLINE_PARAM_LIMIT
     for layer in spec.layers:
         entry = {
             "kind": layer.kind,
@@ -615,15 +617,18 @@ def load_model(path) -> ModelSpec:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
     tensors: list[np.ndarray] = []
-    if doc.get("binary_weights"):
-        tensors = read_flat_binary(path.parent / doc["binary_weights"])
 
     def fetch(node) -> np.ndarray:
-        if isinstance(node, dict):
-            return tensors[int(node["tensor"])]
-        return np.array(node, dtype=np.float64)
+        if not isinstance(node, dict):
+            return _number_array(node)
+        index = node["tensor"]
+        if not (type(index) in JSON_INTEGER and 0 <= index < len(tensors)):
+            raise ValueError(f"a tensor index must be a JSON integer in [0, {len(tensors)})")
+        return tensors[index]
 
     try:
+        if doc.get("binary_weights"):
+            tensors = read_flat_binary(path.parent / doc["binary_weights"])
         layers = [
             Layer(
                 kind=entry["kind"],

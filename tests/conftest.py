@@ -65,6 +65,13 @@ MALFORMED_GAME_SPECS = [
 ]
 
 
+def per_mask(payoff):
+    """``payoff``, a function of one int mask, as ``Game`` calls a payoff:
+    on an array of masks, returning one payoff per mask.  ``payoff`` runs
+    once per mask, in the array's order."""
+    return lambda masks: np.array([payoff(mask) for mask in masks.tolist()], dtype=np.float64)
+
+
 def constant_table_game(n_players: int, value: float = 7.5) -> TableGame:
     return TableGame(np.full(1 << n_players, value))
 

@@ -27,6 +27,8 @@ from shaprank.toynet import (
     make_blobs_dataset,
 )
 
+from conftest import per_mask
+
 
 def _reference_layer(layer, x):
     if layer.kind == "dense":
@@ -236,17 +238,6 @@ def test_payoffs_do_not_depend_on_the_batching():
     assert np.array_equal(whole, sevens)
 
 
-def test_scalar_call_returns_the_same_float():
-    spec, data = net_14(), _blobs()
-    char_fn = accuracy_char_fn(spec, data)
-    masks = [0, 1, 0b10110011010110, (1 << 14) - 1]
-    batch = char_fn(np.array(masks, dtype=np.uint64))
-    for mask, value in zip(masks, batch):
-        scalar = char_fn(mask)
-        assert type(scalar) is float
-        assert scalar == value == reference_char_fn(spec, data)(mask)
-
-
 def test_mask_above_the_units_is_refused():
     with pytest.raises(ValueError):
         accuracy_char_fn(net_14(), _blobs())(np.array([1 << 14], dtype=np.uint64))
@@ -255,8 +246,7 @@ def test_mask_above_the_units_is_refused():
 def test_game_counters_match_the_scalar_path():
     spec, data = net_14(), _blobs(n_per_class=40)
     batched = make_accuracy_game(spec, data)
-    scalar = Game(spec.n_players, reference_char_fn(spec, data))
-    assert batched.batched
+    scalar = Game(spec.n_players, per_mask(reference_char_fn(spec, data)))
     for game in (batched, scalar):
         game.evaluate_masks(np.array([5, 9, 5, 0, 9, 17], dtype=np.uint64))
     exact_batched = shapley_exact_subsets(batched)
@@ -339,10 +329,6 @@ def test_tables_built_by_one_call_serve_later_calls(rows_per_pass):
     assert built > 2 and max(rows_per_pass[1:]) < data.size
     shuffled = np.random.default_rng(4).permutation(1 << 12).astype(np.uint64)
     assert np.array_equal(char_fn(shuffled), every[shuffled])
-    assert np.array_equal(char_fn(shuffled[:5].reshape(5, 1)), every[shuffled[:5]].reshape(5, 1))
-    for mask in (0, 7, 2048, 4095, 1234):
-        value = char_fn(mask)
-        assert type(value) is float and value == every[mask] == reference(mask)
     assert len(rows_per_pass) == built  # no pass ran after the tables
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shaprank import cli
+from shaprank import cli, toynet
 from shaprank.cli import main
 from shaprank.errors import FormatError
 from shaprank.games import Game, load_game_json, save_game_json
@@ -625,7 +625,7 @@ class TestCache:
         rng = np.random.default_rng(5)
         masks = [0, 1, 2**40 + 3, 2**63 + 7, 2**64 - 1]
         payoffs = [0.1, -2.5e-300, 1e300, float(rng.standard_normal()), 3.0]
-        game = Game(64, lambda mask: 0.0, preloaded=dict(zip(masks, payoffs)))
+        game = Game(64, lambda masks: np.zeros(masks.size), preloaded=dict(zip(masks, payoffs)))
         path = tmp_path / "cache.jsonl"
         cli._save_cache(path, "src", game)
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
@@ -943,6 +943,50 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["exit_code"]) == ("FormatError", 5)
         assert err["message"].startswith(f"{model_path}: ")
+
+    NORM = {"mean": [0, 0, 0, 0], "var": [1, 1, 1, 1], "gamma": [1, 1, 1, 1],
+            "beta": [0, 0, 0, 0], "eps": 0.1}
+
+    @pytest.mark.parametrize(
+        "sidecar, layer, entries, complaint",
+        [(False, 0, {"weights": [[1, 0], [0, 1], [-1, 0], [True, -1]]}, "JSON numbers"),
+         (False, 0, {"bias": [True, "2", 0, 0]}, "JSON numbers"),
+         (False, 0, {"norm": {**NORM, "mean": ["1", 0, 0, 0]}}, "JSON numbers"),
+         (False, 0, {"norm": {**NORM, "eps": "0.1"}}, "eps must be a JSON number"),
+         (True, 0, {"bias": {"tensor": 1.9}}, "JSON integer in [0, 4)"),
+         (True, 0, {"bias": {"tensor": True}}, "JSON integer in [0, 4)"),
+         (True, 1, {"bias": {"tensor": -1}}, "JSON integer in [0, 4)"),
+         (False, None, {"binary_weights": 5}, "")],
+        ids=["weights-bool", "bias-bool-and-string", "norm-vector-string", "norm-eps-string",
+             "tensor-index-fraction", "tensor-index-bool", "tensor-index-negative",
+             "sidecar-name-a-number"],
+    )
+    def test_model_parameters_that_are_not_json_numbers_are_format_errors(
+        self, toy_files, tmp_path, capsys, monkeypatch, sidecar, layer, entries, complaint
+    ):
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
+            Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
+        ]
+        if sidecar:
+            monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+        model_path = tmp_path / "m.json"
+        save_model(ModelSpec(layers=layers), model_path)
+        doc = json.loads(model_path.read_text())
+        # layer None: a key of the document itself
+        (doc if layer is None else doc["layers"][layer]).update(entries)
+        model_path.write_text(json.dumps(doc))
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"].startswith(f"{model_path}: malformed model document: ")
+        assert complaint in err["message"]
 
     @pytest.mark.parametrize("prunable", [0.7, True, "0", None])
     def test_prunable_layer_that_is_not_a_json_integer_is_a_format_error(

@@ -1,9 +1,10 @@
 """The array-backed payoff cache of ``Game`` against the dict it replaced.
 
 ``DictGame`` is a local copy of the old payoff path: a dict cache, one
-locked ``evaluate_mask`` call per requested mask, in request order.  The
-sorted-array cache, for every N, and the batched payoff function must give
-the same values and the same counters on every batch.
+locked ``evaluate_mask`` call per requested mask, in request order, each
+calling a payoff of one mask.  The sorted-array cache, for every N, with
+one payoff call per batch, must give the same values and the same counters
+on every batch.
 """
 
 import math
@@ -84,14 +85,12 @@ def random_batches(rng, n_players, count):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-@pytest.mark.parametrize("batched", [True, False])
-def test_batches_match_the_dict_path(n, batched):
+def test_batches_match_the_dict_path(n):
     rng = np.random.default_rng(n)
     table = random_table_game(n, seed=n).values
     keys = rng.choice(1 << n, size=min(3, 1 << n), replace=False).tolist()
     preloaded = {int(k): float(rng.standard_normal()) for k in keys}
-    fn = table.__getitem__ if batched else (lambda mask: table[mask])
-    new = Game(n, fn, preloaded=preloaded, batched=batched)
+    new = Game(n, table.__getitem__, preloaded=preloaded)
     old = DictGame(n, lambda mask: table[mask], preloaded=preloaded)
     assert_same_state(new, old)
     for masks in random_batches(rng, n, 4):
@@ -102,14 +101,10 @@ def test_batches_match_the_dict_path(n, batched):
     assert_same_state(new, old)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_dict_cache_batches_match_the_dict_path(batched):
+def test_dict_cache_batches_match_the_dict_path():
     n = 26
     rng = np.random.default_rng(30)
-    if batched:
-        new = Game(n, lambda masks: (masks % 1009).astype(np.float64) / 7.0, batched=True)
-    else:
-        new = Game(n, lambda mask: float(mask % 1009) / 7.0)
+    new = Game(n, lambda masks: (masks % 1009).astype(np.float64) / 7.0)
     old = DictGame(n, lambda mask: float(mask % 1009) / 7.0)
     pool = rng.integers(0, 1 << n, size=40).astype(np.uint64)
     for _ in range(5):
@@ -123,7 +118,7 @@ def test_dict_cache_batches_match_the_dict_path(batched):
 def test_redundancy_game_matches_the_dict_path(pairs):
     game = build_redundancy_game(seed=0, n_pairs=pairs)
     new = Game(game.n_players, game.char_fn)
-    old = DictGame(game.n_players, game.char_fn)
+    old = DictGame(game.n_players, lambda mask: game.char_fn(np.array([mask], dtype=np.uint64))[0])
     assert np.array_equal(shapley_exact_subsets(new).values, shapley_exact_subsets(old).values)
     assert_same_state(new, old)
 
@@ -141,7 +136,7 @@ def test_non_finite_batched_payoff_names_its_coalition():
     table = np.arange(16, dtype=np.float64)
     table[0b0110] = np.inf
     table[0b1001] = np.nan
-    game = Game(4, table.__getitem__, batched=True)
+    game = Game(4, table.__getitem__)
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks(np.array([3, 0b1001, 5, 0b0110], dtype=np.uint64))
     assert info.value.coalition == Coalition(0b0110, 4)
@@ -159,7 +154,7 @@ def test_batched_payoff_is_called_once_on_the_distinct_missing_masks():
         calls.append(masks.tolist())
         return table[masks]
 
-    game = Game(5, payoff, batched=True)
+    game = Game(5, payoff)
     calls.clear()
     values = game.evaluate_masks([9, 31, 4, 9, 0, 4, 17])
     assert values.tolist() == [9.0, 31.0, 4.0, 9.0, 0.0, 4.0, 17.0]
@@ -168,13 +163,12 @@ def test_batched_payoff_is_called_once_on_the_distinct_missing_masks():
     assert game.cache_hits == 4
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_unsorted_batch_with_repeated_partly_cached_masks(batched, monkeypatch):
+def test_unsorted_batch_with_repeated_partly_cached_masks(monkeypatch):
     def payoff(mask):
         return mask * 1.5 + 0.25
 
     n = 7
-    new = Game(n, (lambda masks: masks * 1.5 + 0.25) if batched else payoff, batched=batched)
+    new = Game(n, payoff)
     old = DictGame(n, payoff)
     first = [40, 3, 99, 3, 17]
     assert np.array_equal(new.evaluate_masks(first), old.evaluate_masks(first))
@@ -198,14 +192,13 @@ def test_unsorted_batch_with_repeated_partly_cached_masks(batched, monkeypatch):
 
 @pytest.mark.parametrize("n", [20, 21])
 def test_values_and_counters_either_side_of_the_old_dense_limit(n):
-    game = Game(n, lambda mask: 1.0)
+    game = Game(n, lambda masks: np.ones(masks.size))
     assert game.evaluate_masks([3, 3, 5]).tolist() == [1.0, 1.0, 1.0]
     assert (game.eval_count, game.cache_hits) == (4, 1)
 
 
 @pytest.mark.parametrize("n", [20, 21, 24])
-@pytest.mark.parametrize("batched", [True, False])
-def test_sparse_batches_with_preloads_match_the_dict_path(n, batched):
+def test_sparse_batches_with_preloads_match_the_dict_path(n):
     def payoff(mask):
         return (mask * 2654435761 % 1000003) / 17.0
 
@@ -213,7 +206,7 @@ def test_sparse_batches_with_preloads_match_the_dict_path(n, batched):
     pool = rng.integers(0, 1 << n, size=300).astype(np.uint64)
     preloaded = {int(m): float(rng.standard_normal()) for m in pool[:20]}
     preloaded[(1 << n) - 1] = 4.25
-    new = Game(n, payoff, preloaded=preloaded, batched=batched)
+    new = Game(n, payoff, preloaded=preloaded)
     old = DictGame(n, payoff, preloaded=preloaded)
     assert_same_state(new, old)
     for _ in range(6):
@@ -223,13 +216,14 @@ def test_sparse_batches_with_preloads_match_the_dict_path(n, batched):
 
 
 def test_bad_masks_and_preloaded_payoffs_are_refused():
-    game = Game(3, float)
+    payoff = np.zeros(8).__getitem__
+    game = Game(3, payoff)
     with pytest.raises(ValueError):
         game.evaluate_masks([1, 8])
     with pytest.raises(ValueError):
-        Game(3, float, preloaded={-1: 0.0})
+        Game(3, payoff, preloaded={-1: 0.0})
     with pytest.raises(ValueError):
-        Game(3, float, preloaded={1: float("nan")})
+        Game(3, payoff, preloaded={1: float("nan")})
 
 
 def test_failing_batched_payoff_caches_nothing():
@@ -238,7 +232,7 @@ def test_failing_batched_payoff_caches_nothing():
             raise OSError("model file unreadable")
         return np.zeros(masks.size)
 
-    game = Game(4, payoff, batched=True)
+    game = Game(4, payoff)
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks([0, 6, 3])
     # a raising batched call names the smallest coalition it was given
@@ -255,7 +249,7 @@ def test_failing_batched_payoff_caches_nothing():
 )
 def test_batched_payoff_must_return_one_value_per_mask(payoff):
     with pytest.raises(CharacteristicFunctionError) as info:
-        Game(3, payoff, batched=True)
+        Game(3, payoff)
     assert info.value.coalition == Coalition(0, 3)
     assert "returned shape" in str(info.value)
 
@@ -265,7 +259,7 @@ def test_batched_payoff_must_return_one_value_per_mask(payoff):
         calls.append(masks.size)
         return np.zeros(max(masks.size - (len(calls) > 2), 0))
 
-    game = Game(3, short_batch, batched=True)
+    game = Game(3, short_batch)
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks([5, 1, 6])
     assert info.value.coalition == Coalition(1, 3)
@@ -280,7 +274,7 @@ def test_threads_sharing_a_game_evaluate_each_coalition_once():
         calls.extend(masks.tolist())
         return table[masks]
 
-    game = Game(10, payoff, batched=True)
+    game = Game(10, payoff)
     rng = np.random.default_rng(0)
     batches = [rng.integers(0, 1 << 10, size=200).astype(np.uint64) for _ in range(16)]
     results = [None] * len(batches)

@@ -55,7 +55,7 @@ class TestSubsetEnumeration:
         )
 
     def test_rejects_too_many_players(self):
-        game = Game(25, lambda m: 0.0)
+        game = Game(25, lambda masks: np.zeros(masks.size))
         with pytest.raises(CapacityError, match="sampling"):
             shapley_exact_subsets(game)
 
@@ -88,7 +88,7 @@ class TestPermutationEnumeration:
         np.testing.assert_allclose(by_perm, by_subset, atol=1e-9)
 
     def test_rejects_too_many_players(self):
-        game = Game(11, lambda m: 0.0)
+        game = Game(11, lambda masks: np.zeros(masks.size))
         with pytest.raises(CapacityError):
             shapley_exact_permutations(game)
 

@@ -20,7 +20,7 @@ from shaprank.games import (
     save_game_json,
 )
 
-from conftest import MALFORMED_GAME_SPECS, constant_table_game
+from conftest import MALFORMED_GAME_SPECS, constant_table_game, per_mask
 
 
 class TestCoalition:
@@ -47,13 +47,13 @@ class TestCoalition:
 class TestGame:
     def test_empty_and_grand_evaluated_at_construction(self):
         calls = []
-        game = Game(3, lambda m: calls.append(m) or float(m))
+        game = Game(3, per_mask(lambda m: calls.append(m) or float(m)))
         assert sorted(calls) == [0, 7]
         assert game.eval_count == 2
         assert game.cached_table()[0].tolist() == [0, 7]
 
     def test_cache_soundness(self):
-        game = Game(3, lambda m: float(m) * 2.0)
+        game = Game(3, lambda masks: masks * 2.0)
         first = game.evaluate_mask(5)
         count = game.eval_count
         for _ in range(4):
@@ -66,11 +66,16 @@ class TestGame:
                 raise OSError("model file unreadable")
             return 1.0
 
-        game = Game(3, bad)
+        game = Game(3, per_mask(bad))
         with pytest.raises(CharacteristicFunctionError) as info:
             game.evaluate_mask(0b101)
         assert info.value.coalition == Coalition(0b101, 3)
         assert isinstance(info.value.__cause__, OSError)
+        # a call that raises is named by the smallest coalition it was given
+        with pytest.raises(CharacteristicFunctionError) as info:
+            game.evaluate_masks([0b110, 0b101, 0b011])
+        assert info.value.coalition == Coalition(0b011, 3)
+        assert not {0b011, 0b110} & set(game.cached_table()[0].tolist())
 
     def test_concurrent_requests_evaluate_once(self):
         calls = []
@@ -82,7 +87,7 @@ class TestGame:
             time.sleep(0.01)
             return float(mask)
 
-        game = Game(4, slow)
+        game = Game(4, per_mask(slow))
         threads = [
             threading.Thread(target=game.evaluate_mask, args=(0b1010,))
             for _ in range(8)
@@ -95,14 +100,14 @@ class TestGame:
         assert game.evaluate_mask(0b1010) == float(0b1010)
 
     def test_non_finite_payoff_names_the_coalition(self):
-        game = Game(3, lambda m: float("nan") if m == 0b011 else 1.0)
+        game = Game(3, per_mask(lambda m: float("nan") if m == 0b011 else 1.0))
         with pytest.raises(CharacteristicFunctionError) as info:
             game.evaluate_mask(0b011)
         assert info.value.coalition == Coalition(0b011, 3)
         assert 0b011 not in game.cached_table()[0].tolist()
 
     def test_counters_with_duplicate_masks(self):
-        game = Game(3, float)
+        game = Game(3, lambda masks: masks.astype(np.float64))
         values = game.evaluate_masks([1, 2, 1, 7, 2, 1])
         assert values.tolist() == [1.0, 2.0, 1.0, 7.0, 2.0, 1.0]
         assert game.eval_count == 2 + 2  # empty and grand, then masks 1 and 2
@@ -110,8 +115,8 @@ class TestGame:
 
     def test_evaluate_masks_parallel_matches_serial(self):
         masks = list(range(16))
-        serial = Game(4, lambda m: m * 1.5).evaluate_masks(masks)
-        parallel = Game(4, lambda m: m * 1.5).evaluate_masks(masks)
+        serial = Game(4, lambda masks: masks * 1.5).evaluate_masks(masks)
+        parallel = Game(4, lambda masks: masks * 1.5).evaluate_masks(masks)
         assert np.array_equal(serial, parallel)
 
     def test_target_quantity_can_be_negative(self):
@@ -119,7 +124,7 @@ class TestGame:
         assert game.target_quantity() == -4.0
 
     def test_preloaded_values_do_not_count_as_evaluations(self):
-        game = Game(2, float, preloaded={0: 9.0, 3: 9.0, 1: 9.0})
+        game = Game(2, lambda masks: masks * 1.0, preloaded={0: 9.0, 3: 9.0, 1: 9.0})
         assert game.eval_count == 0
         assert game.evaluate_mask(1) == 9.0
 

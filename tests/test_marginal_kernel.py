@@ -150,14 +150,6 @@ def _dummy_table(n: int, seed: int, dummy: int, constant: float) -> TableGame:
     return TableGame(base + constant * ((masks >> dummy) & 1))
 
 
-def _on_path(game: TableGame, path: str) -> Game:
-    """``game`` itself, whose payoff takes a mask array, or a ``Game`` over
-    the same table whose payoff takes one mask at a time."""
-    if path == "batched":
-        return game
-    return Game(game.n_players, lambda mask: float(game.values[mask]))
-
-
 ESTIMATORS = {
     "exact": shapley_exact_subsets,
     "exact-perm": shapley_exact_permutations,
@@ -165,26 +157,21 @@ ESTIMATORS = {
     "kernel": lambda game: shapley_regression(
         game, RegressionConfig(n_samples=1, sampler="exhaustive")),
 }
-PATHS = ["batched", "scalar"]
 
 
-@pytest.mark.parametrize(
-    "estimator, path",
-    [pytest.param(e, p, id=e if p == "batched" else f"{e}-{p}")
-     for e in sorted(ESTIMATORS) for p in PATHS],
-)
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 class TestShapleyAxioms:
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
-    def test_efficiency(self, estimator, path, n, seed):
+    def test_efficiency(self, estimator, n, seed):
         assume(n > 1 or estimator != "kernel")  # regression needs two players
-        game = _on_path(random_table_game(n, seed=seed), path)
+        game = random_table_game(n, seed=seed)
         values = ESTIMATORS[estimator](game).values
         assert values.sum() == pytest.approx(game.target_quantity(), rel=1e-12, abs=1e-9)
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31), st.data())
-    def test_symmetry(self, estimator, path, n, seed, data):
+    def test_symmetry(self, estimator, n, seed, data):
         a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        values = ESTIMATORS[estimator](_on_path(_symmetric_table(n, seed, a, b), path)).values
+        values = ESTIMATORS[estimator](_symmetric_table(n, seed, a, b)).values
         assert values[a] == pytest.approx(values[b], rel=1e-12, abs=1e-9)
 
     @given(
@@ -193,14 +180,13 @@ class TestShapleyAxioms:
         st.floats(min_value=-20.0, max_value=20.0),
         st.data(),
     )
-    def test_dummy_player(self, estimator, path, n, seed, constant, data):
+    def test_dummy_player(self, estimator, n, seed, constant, data):
         dummy = data.draw(st.integers(0, n - 1))
-        game = _on_path(_dummy_table(n, seed, dummy, constant), path)
+        game = _dummy_table(n, seed, dummy, constant)
         values = ESTIMATORS[estimator](game).values
         assert values[dummy] == pytest.approx(constant, rel=1e-12, abs=1e-9)
 
 
-@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
 class TestPermutationSamplingAxioms:
     @given(
@@ -208,24 +194,23 @@ class TestPermutationSamplingAxioms:
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=1, max_value=30),
     )
-    def test_efficiency(self, antithetic, path, n, seed, perms):
-        game = _on_path(random_table_game(n, seed=seed), path)
+    def test_efficiency(self, antithetic, n, seed, perms):
+        game = random_table_game(n, seed=seed)
         cfg = SamplingConfig(n_permutations=perms, seed=seed, antithetic=antithetic)
         values = shapley_sample_permutations(game, cfg).values
         assert values.sum() == pytest.approx(game.target_quantity(), rel=1e-12, abs=1e-9)
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31), st.data())
     def test_a_player_that_never_changes_the_payoff_gets_exactly_zero(
-        self, antithetic, path, n, seed, data
+        self, antithetic, n, seed, data
     ):
         dummy = data.draw(st.integers(0, n - 1))
-        game = _on_path(_dummy_table(n, seed, dummy, 0.0), path)
+        game = _dummy_table(n, seed, dummy, 0.0)
         cfg = SamplingConfig(n_permutations=20, seed=seed, antithetic=antithetic)
         est = shapley_sample_permutations(game, cfg)
         assert (est.values[dummy], est.std_err[dummy]) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("fit_intercept", [False, True], ids=["pinned", "intercept"])
 @pytest.mark.parametrize("sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"])
 @given(
@@ -233,15 +218,14 @@ class TestPermutationSamplingAxioms:
     st.integers(min_value=0, max_value=2**31),
     st.integers(min_value=0, max_value=40),
 )
-def test_sampled_regression_is_efficient(sampler, fit_intercept, path, n, seed, extra):
-    game = _on_path(random_table_game(n, seed=seed), path)
+def test_sampled_regression_is_efficient(sampler, fit_intercept, n, seed, extra):
+    game = random_table_game(n, seed=seed)
     cfg = RegressionConfig(n_samples=n + extra, sampler=sampler, seed=seed,
                            fit_intercept=fit_intercept)
     values = shapley_regression(game, cfg).values
     assert values.sum() == pytest.approx(game.target_quantity(), rel=1e-12, abs=1e-9)
 
 
-@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "raw"])
 @given(
     st.integers(min_value=1, max_value=8),
@@ -250,13 +234,13 @@ def test_sampled_regression_is_efficient(sampler, fit_intercept, path, n, seed, 
     st.floats(min_value=-5.0, max_value=5.0),
     st.data(),
 )
-def test_band_sums_are_linear_in_the_game(path, renormalize, n, seed, a, b, data):
+def test_band_sums_are_linear_in_the_game(renormalize, n, seed, a, b, data):
     high_d = data.draw(st.integers(1, n))
     band = SizeBand(high_d, low_d=data.draw(st.integers(0, n - high_d)))
     u, w = random_table_game(n, seed=seed).values, random_table_game(n, seed=seed + 1).values
 
     def values(table):
-        return shapley_partial(_on_path(TableGame(table), path), band, renormalize).values
+        return shapley_partial(TableGame(table), band, renormalize).values
 
     combined = values(a * u + b * w)
     np.testing.assert_allclose(combined, a * values(u) + b * values(w), rtol=1e-9, atol=1e-9)
@@ -269,8 +253,8 @@ class TestSixtyFourPlayers:
 
     @pytest.fixture
     def additive(self):
-        weights = self.weights
-        return Game(64, lambda mask: float(sum(weights[j] for j in range(64) if mask >> j & 1)))
+        bits = np.arange(64, dtype=np.uint64)
+        return Game(64, lambda masks: (masks[:, None] >> bits & np.uint64(1)) @ self.weights)
 
     @pytest.mark.parametrize("sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"])
     def test_regression_samplers_recover_the_weights(self, additive, sampler):

@@ -130,7 +130,7 @@ class TestOracleSubsets:
             assert oracle.best_value[k] == best
 
     def test_budget_error(self):
-        game = Game(40, lambda m: 0.0)
+        game = Game(40, lambda masks: np.zeros(masks.size))
         with pytest.raises(BudgetError):
             compute_oracle_subsets(game, "remove", [12])
 

@@ -125,7 +125,7 @@ def table_oracles(count, seed):
             table = rng.integers(0, 3, size=1 << n).astype(np.float64)
         else:
             table = rng.uniform(0.0, 100.0, size=1 << n)
-        game = Game(n, table.__getitem__, batched=True)
+        game = Game(n, table.__getitem__)
         mode = "keep" if rng.random() < 0.5 else "remove"
         yield compute_oracle_subsets(game, mode, gapped_k_range(rng, n))
 

@@ -102,7 +102,7 @@ class TestShapleyPartial:
         assert "raw" in raw.method
 
     def test_budget_error(self):
-        game = Game(30, lambda m: 0.0)
+        game = Game(30, lambda masks: np.zeros(masks.size))
         with pytest.raises(BudgetError, match="budget"):
             shapley_partial(game, SizeBand(high_d=16))
 
@@ -114,7 +114,9 @@ class TestShapleyPartial:
 
         monkeypatch.setattr("shaprank.partial.marginal_sums", refuse)
         with pytest.raises(BudgetError, match="83278066 coalitions"):
-            shapley_partial(Game(64, lambda m: 0.0), SizeBand(high_d=1, low_d=6))
+            shapley_partial(
+                Game(64, lambda masks: np.zeros(masks.size)), SizeBand(high_d=1, low_d=6)
+            )
 
     def test_workers_do_not_change_the_result(self):
         game_a = random_table_game(6, seed=17)

@@ -134,7 +134,7 @@ class TestSampledRegression:
                 raise AssertionError("enumerated past the budget")
             return np.zeros(masks.size)
 
-        game = Game(24, payoff, batched=True)
+        game = Game(24, payoff)
         with pytest.raises(BudgetError, match="16777214 coalitions"):
             shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive"))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shaprank import sampling
 from shaprank.exact import shapley_exact_subsets
 from shaprank.sampling import (
     EarlyStop,
@@ -48,12 +49,13 @@ class TestPermutationStream:
 
 
 class TestEstimator:
-    def test_exhaustive_stream_reproduces_exact_values(self, fig2):
+    def test_exhaustive_stream_reproduces_exact_values(self, fig2, monkeypatch):
         orderings = list(itertools.permutations(range(3)))
-        cfg = SamplingConfig(n_permutations=len(orderings), seed=0)
-        est = shapley_sample_permutations(
-            fig2, cfg, permutation_source=lambda j: np.array(orderings[j])
+        monkeypatch.setattr(
+            sampling, "permutation_at", lambda seed, j, n: np.array(orderings[j])
         )
+        cfg = SamplingConfig(n_permutations=len(orderings), seed=0)
+        est = shapley_sample_permutations(fig2, cfg)
         np.testing.assert_allclose(est.values, [25.0, 25.0, 30.0], atol=1e-12)
 
     def test_constant_game_gives_zero_values_and_errors(self):

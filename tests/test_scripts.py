@@ -10,14 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("run_ablation.py", ["--pairs", "1", "--perms", "50", "--samples", "200"]),
-        ("sampling_convergence.py", ["--budgets", "100,400"]),
-    ],
-)
-def test_script_exits_cleanly(script, args):
+def run_script(script, args) -> str:
+    """The stdout of ``scripts/<script>`` run with ``args``; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p
@@ -30,4 +24,20 @@ def test_script_exits_cleanly(script, args):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_ablation.py", ["--pairs", "1", "--perms", "50", "--samples", "200"]),
+        ("sampling_convergence.py", ["--budgets", "100,400"]),
+    ],
+)
+def test_script_exits_cleanly(script, args):
+    assert run_script(script, args).strip()
+
+
+def test_ablation_table_is_identical_across_reruns():
+    args = ["--seed", "0", "--pairs", "1", "--perms", "50", "--samples", "200"]
+    assert run_script("run_ablation.py", args) == run_script("run_ablation.py", args)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from shaprank import toynet
 from shaprank.errors import FormatError, TrainingDivergedError
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import Coalition
@@ -13,7 +14,6 @@ from shaprank.toynet import (
     Normalization,
     _apply_layer,
     _global_average_pool,
-    accuracy_char_fn,
     load_dataset_csv,
     load_model,
     make_accuracy_game,
@@ -107,9 +107,9 @@ class TestMaskingSemantics:
     def test_empty_mask_accuracy_equals_best_constant_on_balanced_data(
         self, trained, blobs
     ):
-        nu = accuracy_char_fn(trained, blobs)
+        game = make_accuracy_game(trained, blobs)
         best_constant = np.bincount(blobs.labels).max() / blobs.size
-        assert nu(0) == pytest.approx(best_constant)
+        assert game.evaluate_mask(0) == pytest.approx(best_constant)
 
     def test_masking_a_dead_unit_changes_nothing(self, trained, blobs):
         spec = _with_extra_unit(trained, out_scale=0.0)
@@ -200,8 +200,7 @@ class TestCharacteristicFunction:
             inputs=np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 1.0], [1.0, 3.0]]),
             labels=np.array([0, 1, 0, 0]),
         )
-        nu = accuracy_char_fn(spec, data)
-        assert nu(0b11) == 0.75
+        assert make_accuracy_game(spec, data).evaluate_mask(0b11) == 0.75
 
     def test_perfect_model_scores_one(self):
         spec = ModelSpec(
@@ -218,17 +217,17 @@ class TestCharacteristicFunction:
         data = LabeledDataset(
             inputs=np.array([[1.0, 0.0], [0.0, 1.0]]), labels=np.array([0, 1])
         )
-        assert accuracy_char_fn(spec, data)(0b11) == 1.0
+        assert make_accuracy_game(spec, data).evaluate_mask(0b11) == 1.0
 
     def test_grand_not_worse_than_empty_on_fixture(self, trained, blobs):
         game = make_accuracy_game(trained, blobs)
         assert game.evaluate_mask(game.grand_mask) >= game.evaluate_mask(0)
 
     def test_char_fn_matches_full_forward(self, trained, blobs):
-        nu = accuracy_char_fn(trained, blobs)
+        game = make_accuracy_game(trained, blobs)
         for mask in (0b0101, 0b1100, 0b11111111):
             mask &= (1 << trained.n_players) - 1
-            assert nu(mask) == pytest.approx(
+            assert game.evaluate_mask(mask) == pytest.approx(
                 accuracy(trained, Coalition(mask, trained.n_players), blobs)
             )
 
@@ -336,7 +335,8 @@ class TestModelIO:
         save_model(trained, path, removed=list(range(1, trained.n_players)))
         kept = Coalition.from_members([0], trained.n_players)
         spec = load_model(path)
-        assert accuracy_char_fn(spec, blobs)(grand(spec).bits) == accuracy(trained, kept, blobs)
+        payoff = make_accuracy_game(spec, blobs).evaluate_mask(grand(spec).bits)
+        assert payoff == accuracy(trained, kept, blobs)
         assert accuracy(spec, grand(spec), blobs) == accuracy(trained, kept, blobs)
 
     def test_mask_on_a_layer_that_is_not_prunable_zeroes_that_layer(self, tmp_path):
@@ -367,9 +367,10 @@ class TestModelIO:
         masked = forward_batch(spec.with_prunable_layer(1), Coalition.from_members([1, 3], 4), x)
         np.testing.assert_array_equal(forward_batch(loaded, grand(loaded), x), masked)
 
-    def test_binary_sidecar_round_trip(self, trained, tmp_path):
+    def test_binary_sidecar_round_trip(self, trained, tmp_path, monkeypatch):
+        monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
         path = tmp_path / "model.json"
-        save_model(trained, path, inline_limit=0)
+        save_model(trained, path)
         assert (tmp_path / "model.json.bin").exists()
         loaded = load_model(path)
         for a, b in zip(loaded.layers, trained.layers):
