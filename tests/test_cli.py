@@ -950,16 +950,28 @@ class TestErrors:
     @pytest.mark.parametrize(
         "sidecar, layer, entries, complaint",
         [(False, 0, {"weights": [[1, 0], [0, 1], [-1, 0], [True, -1]]}, "JSON numbers"),
+         (False, 1, {"weights": [[0, 1, 0, 0], [1, 0, "0", 0], [0, 0, 1, 1]]}, "JSON numbers"),
+         (False, 0, {"weights": [[1, 0], [0, 1], [-1, 0], [None, -1]]}, "JSON numbers"),
          (False, 0, {"bias": [True, "2", 0, 0]}, "JSON numbers"),
+         (False, 0, {"bias": [0, None, 0, 0]}, "JSON numbers"),
          (False, 0, {"norm": {**NORM, "mean": ["1", 0, 0, 0]}}, "JSON numbers"),
+         (False, 0, {"norm": {**NORM, "var": [1, 1, "1", 1]}}, "JSON numbers"),
+         (False, 0, {"norm": {**NORM, "gamma": [1, True, 1, 1]}}, "JSON numbers"),
+         (False, 0, {"norm": {**NORM, "beta": [0, 0, None, 0]}}, "JSON numbers"),
          (False, 0, {"norm": {**NORM, "eps": "0.1"}}, "eps must be a JSON number"),
+         (False, 0, {"norm": {**NORM, "eps": True}}, "eps must be a JSON number"),
          (True, 0, {"bias": {"tensor": 1.9}}, "JSON integer in [0, 4)"),
+         (True, 0, {"bias": {"tensor": 1.0}}, "JSON integer in [0, 4)"),
          (True, 0, {"bias": {"tensor": True}}, "JSON integer in [0, 4)"),
+         (True, 0, {"bias": {"tensor": "1"}}, "JSON integer in [0, 4)"),
          (True, 1, {"bias": {"tensor": -1}}, "JSON integer in [0, 4)"),
+         (True, 0, {"bias": {"tensor": 4}}, "JSON integer in [0, 4)"),
          (False, None, {"binary_weights": 5}, "")],
-        ids=["weights-bool", "bias-bool-and-string", "norm-vector-string", "norm-eps-string",
-             "tensor-index-fraction", "tensor-index-bool", "tensor-index-negative",
-             "sidecar-name-a-number"],
+        ids=["weights-bool", "weights-nested-string", "weights-null", "bias-bool-and-string",
+             "bias-null", "norm-vector-string", "norm-var-string", "norm-gamma-bool",
+             "norm-beta-null", "norm-eps-string", "norm-eps-bool", "tensor-index-fraction",
+             "tensor-index-float", "tensor-index-bool", "tensor-index-string",
+             "tensor-index-negative", "tensor-index-past-the-end", "sidecar-name-a-number"],
     )
     def test_model_parameters_that_are_not_json_numbers_are_format_errors(
         self, toy_files, tmp_path, capsys, monkeypatch, sidecar, layer, entries, complaint

@@ -266,6 +266,44 @@ def test_batched_payoff_must_return_one_value_per_mask(payoff):
     assert not cached_masks(game) & {1, 5, 6}
 
 
+def test_payoff_sees_each_request_as_an_ascending_uint64_vector():
+    seen = []
+
+    def payoff(masks):
+        seen.append(masks)
+        return np.zeros(masks.size)
+
+    game = Game(6, payoff)
+    game.evaluate_mask(40)
+    game.evaluate_masks([33, 2, 33, 40, 7])
+    game.evaluate_masks(np.array([[9, 1], [9, 63]], dtype=np.int64))
+    assert [m.tolist() for m in seen] == [[0], [63], [40], [2, 7, 33], [1, 9]]
+    for masks in seen:
+        assert (masks.dtype, masks.ndim) == (np.uint64, 1)
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [lambda masks: [float(m) for m in masks.tolist()],
+     lambda masks: masks.astype(np.int64),
+     lambda masks: masks.astype(np.float32)],
+    ids=["list", "int-array", "float32-array"],
+)
+def test_payoff_may_return_any_sequence_of_numbers(payoff):
+    game = Game(4, payoff)
+    values = game.evaluate_masks([6, 15, 3])
+    assert (values.dtype, values.tolist()) == (np.float64, [6.0, 15.0, 3.0])
+
+
+def test_payoff_that_returns_non_numbers_names_the_smallest_coalition():
+    game = Game(4, lambda masks: np.where(masks == 9, "nine", "0"))
+    with pytest.raises(CharacteristicFunctionError) as info:
+        game.evaluate_masks([12, 9, 5])
+    assert info.value.coalition == Coalition(5, 4)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert not cached_masks(game) & {5, 9, 12}
+
+
 def test_threads_sharing_a_game_evaluate_each_coalition_once():
     calls = []
     table = np.arange(1 << 10, dtype=np.float64)
