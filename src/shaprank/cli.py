@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -72,11 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
-
-
 def _sha256_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -130,18 +126,20 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
     provenance dict, cache source fingerprint, model spec or None)."""
     if args.game and args.model:
         raise UsageError("give either --game or --model, not both")
+    # the loaders record the sha256 of each file they read: the game; or, in
+    # this order, the model, its binary sidecar if it has one, and the dataset
+    inputs: dict = {}
     if args.game:
-        table = load_game_json(args.game)
-        inputs = {"game": _sha256_file(args.game)}
+        table = load_game_json(args.game, inputs)
         return table.n_players, table.values.__getitem__, inputs, inputs["game"], None
     if not args.model or not args.data:
         raise UsageError("need --game, or --model together with --data")
-    spec = load_model(args.model)
+    spec = load_model(args.model, inputs)
     if args.layer is not None:
         if not 0 <= args.layer < len(spec.layers):
             raise UsageError(f"--layer {args.layer} out of range")
         spec = spec.with_prunable_layer(args.layer)
-    data = load_dataset_csv(args.data)
+    data = load_dataset_csv(args.data, inputs)
     first = spec.layers[0]
     if first.kind != "dense" or data.inputs.shape[1] != first.in_units:
         wants = first.in_units if first.kind == "dense" else f"{first.in_units}-channel images"
@@ -160,24 +158,17 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
     val = parts["val"]
     if val is None:
         raise UsageError(f"--split {args.split} leaves the validation part empty")
-    inputs = {
-        "model": _sha256_file(args.model),
-        "data": _sha256_file(args.data),
-        "layer": spec.prunable_layer,
-        "split": args.split,
-        "split_seed": args.split_seed,
-    }
     source = _sha256_text(
         "|".join(
             [
-                inputs["model"],
-                inputs["data"],
+                *inputs.values(),
                 f"layer={spec.prunable_layer}",
                 f"split={args.split}",
                 f"split_seed={args.split_seed}",
             ]
         )
     )
+    inputs.update(layer=spec.prunable_layer, split=args.split, split_seed=args.split_seed)
     return spec.n_players, accuracy_char_fn(spec, val), inputs, source, spec
 
 
@@ -200,8 +191,18 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
             f"{path}: cache was built for a different game "
             f"(source {header['source']!r}, {header.get('n_players')} players)"
         )
-    values: dict[int, float] = {}
-    for ln, line in enumerate(lines[1:], start=2):
+    # the rows' text is the read's largest part: no copy of the list, and
+    # gone before the dict is built
+    del lines[0]
+    rows = _bulk_cache_rows(lines, n_players)
+    if rows is not None:
+        del lines
+        masks, payoffs = rows
+        # a repeated mask keeps its last payoff
+        return dict(zip(masks, map(float, payoffs)))
+    # only a bad cache gets here: walk it line by line to name the line
+    values = {}
+    for ln, line in enumerate(lines, start=2):
         try:
             row = json.loads(line)
             if not (
@@ -222,6 +223,43 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
             raise FormatError(f"{path}:{ln}: non-finite payoff {value} for mask {mask}")
         values[mask] = value
     return values
+
+
+def _bulk_cache_rows(lines: list[str], n_players: int) -> Optional[tuple[list, list]]:
+    """The masks and the payoffs of cache rows ``lines``, parsed in one
+    call, or None when any line is not one ``[mask, payoff]`` row that the
+    line-by-line reader accepts."""
+    if not lines:
+        return [], []
+    # every line "[" mask "," payoff "]" with no other bracket or comma: then
+    # the parse with the brackets dropped reads each line's two values in
+    # turn, and builds no list per row (a comma inside a string or an object
+    # leaves a value that is not a number)
+    body = ",".join(lines)
+    if not (body.count("[") == body.count("]") == len(lines)
+            and set(map(str.count, lines, itertools.repeat(","))) == {1}
+            and all(map(str.startswith, map(str.lstrip, lines), itertools.repeat("[")))
+            and all(map(str.endswith, map(str.rstrip, lines), itertools.repeat("]")))):
+        return None
+    # each copy of the body, and the flat list, is dropped once used: for a
+    # large cache every one is about as large as the rows' text
+    body = "[" + body.replace("[", "").replace("]", "") + "]"
+    try:
+        flat = json.loads(body)
+    except (ValueError, RecursionError):
+        return None
+    del body
+    masks, payoffs = flat[0::2], flat[1::2]
+    del flat
+    if not (set(map(type, masks)) <= JSON_INTEGER and set(map(type, payoffs)) <= JSON_NUMBER
+            and min(masks) >= 0 and max(masks) < 1 << n_players):
+        return None
+    try:
+        if not all(map(math.isfinite, payoffs)):
+            return None
+    except OverflowError:  # an integer payoff beyond float range
+        return None
+    return masks, payoffs
 
 
 def _save_cache(path, source: str, game: Game) -> None:
@@ -488,8 +526,8 @@ def cmd_prune(args) -> int:
 
 def cmd_train_toy(args) -> int:
     if args.data:
-        data = load_dataset_csv(args.data)
-        inputs = {"data": _sha256_file(args.data)}
+        inputs: dict = {}
+        data = load_dataset_csv(args.data, inputs)
     else:
         data = make_blobs_dataset(seed=args.data_seed)
         inputs = {"data": f"blobs(seed={args.data_seed})"}

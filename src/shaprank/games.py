@@ -12,11 +12,13 @@ member), which caps the number of players at 64.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
-import operator
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,6 +32,10 @@ ENUMERATION_BUDGET = 10**7
 # reader tests with ``type(value) in``: bool is a subclass of int, never one
 JSON_INTEGER = frozenset({int})
 JSON_NUMBER = frozenset({int, float})
+# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
+# number of these it reaches (from Python ints: numpy's power loop would add
+# about 0.1 MiB to every process at import)
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 
 
 def full_mask(n_players: int) -> int:
@@ -302,12 +308,17 @@ def _payoff_table(raw: dict, size: int) -> np.ndarray:
     masks = None
     if len(raw) == size:
         try:
-            masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
+            # int() also reads non-ASCII digits; str.isascii refuses a non-str key
+            if all(map(str.isascii, raw)):
+                masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
         except (TypeError, ValueError, OverflowError):
             pass
-    # compared one key at a time: a list of 2**n strings would raise peak memory
+    # on an ASCII key that int() reads, a sign, a space, a "_" or a leading
+    # zero each add a character: the key is canonical exactly when its length
+    # is the digit count of its value
     if (masks is None or masks.min() < 0 or masks.max() >= size
-            or not all(map(operator.eq, map(str, masks.tolist()), raw))):
+            or not np.array_equal(np.fromiter(map(len, raw), dtype=np.int64, count=size),
+                                  1 + np.searchsorted(_POWERS_OF_TEN, masks, side="right"))):
         extra = [key for key in raw if not _is_coalition_key(key, size)]
         missing = list(itertools.islice((k for k in _sorted_keys(size) if k not in raw), 5))
         raise FormatError(
@@ -362,12 +373,33 @@ def save_game_json(game: TableGame, path) -> None:
     write_json(game.to_json_dict(), path)
 
 
-def load_game_json(path) -> TableGame:
+def read_input(path, hashes: Optional[dict], key: str) -> bytes:
+    """The bytes of the input file ``path``.  With ``hashes``, also sets
+    ``hashes[key]`` to their sha256, as a report's ``inputs`` records it."""
+    raw = Path(path).read_bytes()
+    if hashes is not None:
+        hashes[key] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    return raw
+
+
+def decode_text(raw: bytes) -> str:
+    """``raw`` as text, as ``open(path, encoding="utf-8").read()`` reads the
+    file (newlines translated)."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def load_game_json(path, hashes: Optional[dict] = None) -> TableGame:
+    """Read a game spec; with ``hashes``, ``hashes["game"]`` is the sha256 of
+    the bytes read."""
+    # the file's bytes are gone before the parse, which holds the text and
+    # the document
+    text = decode_text(read_input(path, hashes, "game"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    del text
     try:
         return TableGame.from_json_dict(doc)
     except FormatError as exc:

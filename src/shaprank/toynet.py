@@ -16,6 +16,7 @@ datasets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, TrainingDivergedError
-from .games import JSON_INTEGER, JSON_NUMBER, Game, write_json
+from .games import JSON_INTEGER, JSON_NUMBER, Game, decode_text, read_input, write_json
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 MODEL_FORMAT = "shaprank-model-v1"
@@ -472,9 +473,11 @@ def save_dataset_csv(data: LabeledDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_dataset_csv(path) -> LabeledDataset:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    lines = text.splitlines()
+def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
+    """Read a dataset written by :func:`save_dataset_csv`: the header on line
+    1, then one row per line; blank lines may follow the last row.  With
+    ``hashes``, ``hashes["data"]`` is the sha256 of the bytes read."""
+    lines = decode_text(read_input(path, hashes, "data")).rstrip().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
@@ -483,8 +486,22 @@ def load_dataset_csv(path) -> LabeledDataset:
     if len(lines) == 1:
         raise FormatError(f"{path}: header but no samples")
     n_features = len(header) - 1
+    rows = lines[1:]
+    # counted per line: a short and a long line would balance in the total
+    if set(map(str.count, rows, itertools.repeat(","))) == {n_features}:
+        cells = ",".join(rows).split(",")
+        labels = cells[n_features::n_features + 1]
+        del cells[n_features::n_features + 1]
+        try:
+            inputs = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+            labels = np.fromiter(map(int, labels), dtype=np.int64, count=len(rows))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return LabeledDataset(inputs=inputs.reshape(len(rows), n_features), labels=labels)
+    # only a bad dataset gets here: walk it row by row to name the line
     inputs, labels = [], []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != n_features + 1:
             raise FormatError(f"{path}:{ln}: expected {n_features + 1} columns")
@@ -536,17 +553,25 @@ def write_flat_binary(tensors: Sequence[np.ndarray], path) -> None:
     Path(path).write_bytes(header + b"\n" + payload)
 
 
-def read_flat_binary(path) -> list[np.ndarray]:
-    raw = Path(path).read_bytes()
+def read_flat_binary(path, hashes: Optional[dict] = None) -> list[np.ndarray]:
+    """Read a :func:`write_flat_binary` file; with ``hashes``,
+    ``hashes["binary_weights"]`` is the sha256 of the bytes read."""
+    raw = read_input(path, hashes, "binary_weights")
     newline = raw.find(b"\n")
     if newline < 0:
         raise FormatError(f"{path}: missing binary header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-        shapes = [tuple(int(d) for d in s) for s in header["shapes"]]
+        shapes = header["shapes"]
         if header["dtype"] != "f32le":
             raise KeyError("dtype")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        # int() would read 4.9, true or "4" as a dimension
+        if not (type(shapes) is list and all(
+                type(s) is list and set(map(type, s)) <= JSON_INTEGER and min(s, default=0) >= 0
+                for s in shapes)):
+            raise ValueError("shape entries must be non-negative JSON integers")
+        shapes = [tuple(s) for s in shapes]
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad binary header") from exc
     payload = raw[newline + 1:]
     expected = sum(int(np.prod(s)) * 4 for s in shapes)
@@ -605,13 +630,15 @@ def save_model(spec: ModelSpec, path, removed: Sequence[int] = ()) -> None:
     write_json(doc, path)
 
 
-def load_model(path) -> ModelSpec:
+def load_model(path, hashes: Optional[dict] = None) -> ModelSpec:
     """Read a model file into the model it describes: a ``mask`` entry's
     units are zeroed in the layer it names, and without one every unit
-    stays on."""
+    stays on.  With ``hashes``, ``hashes["model"]`` is the sha256 of the
+    bytes read, and ``hashes["binary_weights"]`` that of the sidecar if
+    there is one."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(decode_text(read_input(path, hashes, "model")))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -628,7 +655,7 @@ def load_model(path) -> ModelSpec:
 
     try:
         if doc.get("binary_weights"):
-            tensors = read_flat_binary(path.parent / doc["binary_weights"])
+            tensors = read_flat_binary(path.parent / doc["binary_weights"], hashes)
         layers = [
             Layer(
                 kind=entry["kind"],

@@ -44,6 +44,8 @@ MALFORMED_GAME_SPECS = [
      "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected [' 1']"),
     ('{"n_players": 2, "values": {"0": 1.0, "1": 2.0, "2": 3.0, "1_0": 4.0}}',
      "game spec must contain exactly the 4 coalition keys; missing ['3'], unexpected ['1_0']"),
+    ('{"n_players": 1, "values": {"0": 1.0, "\\u0661": 2.0}}',
+     "game spec must contain exactly the 2 coalition keys; missing ['1'], unexpected ['\u0661']"),
     ('{"n_players": 1, "values": {"0": 1.0, "1": true}}',
      "payoff for coalition 1 is not a number"),
     ('{"n_players": 1, "values": {"0": null, "1": 2.0}}',

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -512,6 +513,30 @@ class TestPrune:
 
 
 class TestCache:
+    def test_rewritten_sidecar_invalidates_the_cache(
+        self, toy_files, tmp_path, capsys, monkeypatch
+    ):
+        # the model file names its sidecar, so rewriting the weights leaves
+        # it unchanged; the sidecar's hash alone tells the two models apart
+        model_path, data_path = toy_files
+        spec = load_model(model_path)
+        monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+        model, sidecar, cache = tmp_path / "m.json", tmp_path / "m.json.bin", tmp_path / "c.jsonl"
+        save_model(spec, model)
+        rank = ["rank", "--model", str(model), "--data", str(data_path),
+                "--method", "exact", "--cache", str(cache)]
+        assert main(rank + ["--out", str(tmp_path / "a.json")]) == 0
+        inputs = read_json(tmp_path / "a.json")["inputs"]
+        assert inputs["binary_weights"] == "sha256:" + hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        before = model.read_bytes()
+        layers = [Layer(l.kind, -l.weights, l.bias, l.activation, l.norm) for l in spec.layers]
+        save_model(ModelSpec(layers=layers), model)
+        assert model.read_bytes() == before
+        capsys.readouterr()
+        assert main(rank + ["--out", str(tmp_path / "b.json")]) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"].startswith(f"{cache}: cache was built for a different game")
+
     def test_kernel_reuses_exact_enumeration(self, fig2_path, tmp_path):
         cache = tmp_path / "cache.jsonl"
         rc = main(
@@ -999,6 +1024,33 @@ class TestErrors:
         assert (err["error"], err["exit_code"]) == ("FormatError", 5)
         assert err["message"].startswith(f"{model_path}: malformed model document: ")
         assert complaint in err["message"]
+
+    @pytest.mark.parametrize("shape", [[4.9, 2], [4, True], [4, "2"], [-4, -2]],
+                             ids=["fraction", "bool", "string", "negative"])
+    def test_sidecar_shapes_that_are_not_json_sizes_are_format_errors(
+        self, toy_files, tmp_path, capsys, monkeypatch, shape
+    ):
+        # int() read each of these as a dimension
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
+            Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
+        ]
+        monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+        model_path, sidecar = tmp_path / "m.json", tmp_path / "m.json.bin"
+        save_model(ModelSpec(layers=layers), model_path)
+        header, payload = sidecar.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["shapes"][0] = shape
+        sidecar.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == ("FormatError", f"{sidecar}: bad binary header")
 
     @pytest.mark.parametrize("prunable", [0.7, True, "0", None])
     def test_prunable_layer_that_is_not_a_json_integer_is_a_format_error(

@@ -113,12 +113,6 @@ class TestGame:
         assert game.eval_count == 2 + 2  # empty and grand, then masks 1 and 2
         assert game.cache_hits == 4  # the repeats of 1 and 2, and mask 7
 
-    def test_evaluate_masks_parallel_matches_serial(self):
-        masks = list(range(16))
-        serial = Game(4, lambda masks: masks * 1.5).evaluate_masks(masks)
-        parallel = Game(4, lambda masks: masks * 1.5).evaluate_masks(masks)
-        assert np.array_equal(serial, parallel)
-
     def test_target_quantity_can_be_negative(self):
         game = TableGame([5.0, 1.0])
         assert game.target_quantity() == -4.0

@@ -413,6 +413,21 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="header"):
             load_dataset_csv(path)
 
+    def test_csv_header_must_be_on_line_one(self, tmp_path):
+        # with the header found on line 3, the bad cell on line 5 was
+        # reported as line 3
+        path = tmp_path / "d.csv"
+        path.write_text("\n\nx0,x1,label\n1.0,2.0,0\n1.0,oops,1\n")
+        with pytest.raises(FormatError) as info:
+            load_dataset_csv(path)
+        assert str(info.value) == f"{path}: expected header 'x0,...,label'"
+
+    def test_csv_trailing_blank_lines_are_allowed(self, blobs, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset_csv(blobs, path)
+        path.write_text(path.read_text() + "\n  \n\n")
+        assert np.array_equal(load_dataset_csv(path).labels, blobs.labels)
+
 
 class TestSplit:
     def test_fractions_partition_the_data(self, blobs):
