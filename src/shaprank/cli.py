@@ -40,6 +40,7 @@ from .games import (
     JSON_INTEGER,
     JSON_NUMBER,
     Ranking,
+    decode_text,
     load_game_json,
     make_fig2_game,
     save_game_json,
@@ -173,12 +174,12 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
 
 
 def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = decode_text(Path(path).read_bytes(), path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty cache file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt cache header") from exc
     if (
         not isinstance(header, dict)
@@ -213,7 +214,7 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
             ):
                 raise ValueError("a cache row is [integer mask, number payoff]")
             mask, value = row[0], float(row[1])
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise FormatError(f"{path}:{ln}: corrupt cache entry") from exc
         if not 0 <= mask < 1 << n_players:
             raise FormatError(
@@ -416,7 +417,7 @@ def _ranking_from_report(path) -> tuple[str, Ranking]:
                 and set(map(type, scores)) <= JSON_NUMBER):
             raise ValueError("order must hold JSON integers and scores JSON numbers")
         ranking = Ranking(order=order, scores=scores)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: not a ranking report") from exc
     return Path(path).stem, ranking
 

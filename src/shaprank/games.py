@@ -16,6 +16,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,16 @@ JSON_NUMBER = frozenset({int, float})
 # number of these it reaches (from Python ints: numpy's power loop would add
 # about 0.1 MiB to every process at import)
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+# JSON's whitespace: str.strip() would also strip \x0b, \x0c and \x1c..\x1f
+_JSON_SPACE = " \t\n\r"
+# a game spec's "values" key up to the opening brace of its object
+_VALUES_KEY = re.compile(r'"values"[ \t\n\r]*:[ \t\n\r]*\{')
+# the entries of the "values" object as written, each '"digits": number';
+# possessive, so the match keeps no state per entry (re, Python 3.11)
+_ENTRY = r'[ \t\n\r]*+"[0-9]++"[ \t\n\r]*+:[ \t\n\r]*+-?[0-9][0-9.eE+-]*+[ \t\n\r]*+'
+_VALUES_BODY = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*+")
+# with the quotes deleted, the "values" object as one flat list
+_AS_FLAT_LIST = str.maketrans({'"': None, ":": ",", "{": "[", "}": "]"})
 
 
 def full_mask(n_players: int) -> int:
@@ -329,8 +340,18 @@ def _payoff_table(raw: dict, size: int) -> np.ndarray:
     if not set(map(type, raw.values())) <= JSON_NUMBER:
         key = next(key for key, value in raw.items() if type(value) not in JSON_NUMBER)
         raise FormatError(f"payoff for coalition {key} is not a number")
+    try:
+        payoffs = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
+    except OverflowError:
+        # an int beyond float range: walk the payoffs to name its coalition
+        for key, value in raw.items():
+            try:
+                float(value)
+            except OverflowError:
+                raise FormatError(
+                    f"payoff for coalition {key} is too large for a float") from None
     table = np.empty(size, dtype=np.float64)
-    table[masks] = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
+    table[masks] = payoffs
     return table
 
 
@@ -382,11 +403,15 @@ def read_input(path, hashes: Optional[dict], key: str) -> bytes:
     return raw
 
 
-def decode_text(raw: bytes) -> str:
-    """``raw`` as text, as ``open(path, encoding="utf-8").read()`` reads the
-    file (newlines translated)."""
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
-        return fh.read()
+def decode_text(raw: bytes, path) -> str:
+    """``raw``, the bytes of the file ``path``, as text, as
+    ``open(path, encoding="utf-8").read()`` reads the file (newlines
+    translated)."""
+    try:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def load_game_json(path, hashes: Optional[dict] = None) -> TableGame:
@@ -394,16 +419,74 @@ def load_game_json(path, hashes: Optional[dict] = None) -> TableGame:
     the bytes read."""
     # the file's bytes are gone before the parse, which holds the text and
     # the document
-    text = decode_text(read_input(path, hashes, "game"))
+    text = decode_text(read_input(path, hashes, "game"), path)
+    table = _bulk_table(text)
+    if table is not None:
+        return TableGame(table)
+    # any other document, valid or not: the dict parse reads it or names
+    # what is wrong
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     del text
     try:
         return TableGame.from_json_dict(doc)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _bulk_table(text: str) -> Optional[np.ndarray]:
+    """The payoff table of the game spec ``text``, parsed in one flat
+    ``json.loads``, or None unless ``text`` is laid out as
+    ``{"n_players": n, "values": {...}}`` (as ``write_json`` and
+    ``json.dump(sort_keys=True)`` write it), in ASCII, and holds exactly the
+    canonical keys with finite number payoffs.  Whatever it refuses, the
+    dict parse reads to the same table or refuses with its own message."""
+    found = _VALUES_KEY.search(text)
+    if found is None:
+        return None
+    # the text before "values" is a complete first member: with its comma
+    # made the closing brace, it must parse as {"n_players": n} alone
+    head = text[:found.start()].rstrip(_JSON_SPACE)
+    try:
+        doc = json.loads(head[:-1] + "}") if head.endswith(",") else None
+    except (ValueError, RecursionError):
+        return None
+    if not (type(doc) is dict and doc.keys() == {"n_players"}
+            and type(doc["n_players"]) in JSON_INTEGER and 1 <= doc["n_players"] <= MAX_PLAYERS):
+        return None
+    size = 1 << doc["n_players"]
+    # the body runs to the first "}", which must close the document; a
+    # regular expression checks it, not arrays of its bytes, whose freed
+    # buffers would stay resident under the parse's objects
+    start, end = found.end(), text.find("}", found.end())
+    if (end < 0 or text[end + 1:].strip(_JSON_SPACE) != "}"
+            or _VALUES_BODY.fullmatch(text, start, end) is None):
+        return None
+    try:
+        flat = json.loads(text[start - 1:end + 1].translate(_AS_FLAT_LIST))
+    except ValueError:  # a key with a leading zero, or a number json refuses
+        return None
+    if len(flat) != 2 * size:
+        return None
+    # every key an int and every payoff an int or a float: _VALUES_BODY let
+    # no other token through
+    keys, payoffs = flat[0::2], flat[1::2]
+    del flat
+    try:
+        masks = np.fromiter(keys, dtype=np.int64, count=size)
+        del keys
+        values = np.fromiter(payoffs, dtype=np.float64, count=size)
+    except OverflowError:  # a key beyond int64, or an int payoff beyond float
+        return None
+    del payoffs
+    if masks.max() >= size:
+        return None
+    table = np.full(size, np.nan)
+    table[masks] = values
+    # size keys in range: a NaN left is a missing key, or a payoff not finite
+    return table if np.all(np.isfinite(table)) else None
 
 
 def make_fig2_game() -> TableGame:

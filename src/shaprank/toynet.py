@@ -477,7 +477,7 @@ def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
     """Read a dataset written by :func:`save_dataset_csv`: the header on line
     1, then one row per line; blank lines may follow the last row.  With
     ``hashes``, ``hashes["data"]`` is the sha256 of the bytes read."""
-    lines = decode_text(read_input(path, hashes, "data")).rstrip().splitlines()
+    lines = decode_text(read_input(path, hashes, "data"), path).rstrip().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
@@ -638,8 +638,8 @@ def load_model(path, hashes: Optional[dict] = None) -> ModelSpec:
     there is one."""
     path = Path(path)
     try:
-        doc = json.loads(decode_text(read_input(path, hashes, "model")))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(decode_text(read_input(path, hashes, "model"), path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
@@ -672,7 +672,9 @@ def load_model(path, hashes: Optional[dict] = None) -> ModelSpec:
         spec = ModelSpec(layers=layers, prunable_layer=prunable)
         if doc.get("mask") is not None:
             spec = _without_units(spec, doc["mask"]["layer"], doc["mask"]["removed"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    # OverflowError: a weight beyond float range; RecursionError: weights
+    # nested too deeply to check
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed model document: {exc}") from exc
     return spec
 

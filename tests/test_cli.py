@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -1162,6 +1164,106 @@ class TestErrors:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "UsageError"
+
+
+# nested past any recursion limit, and an integer past float range
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE = "1" + "0" * 400
+
+
+def _replace_first_entry(key):
+    """An edit that puts ``HUGE`` in place of the first entry of the list
+    ``key`` (a ``write_json`` layout)."""
+    return lambda text: re.sub(rf'("{key}": \[\s*)[^,\s\]]+', rf"\g<1>{HUGE}", text, count=1)
+
+
+def _replace_line(index, line):
+    def edit(text):
+        lines = text.splitlines()
+        lines[index] = line
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+class TestInputsTheStandardParseRefuses:
+    """Valid inputs edited so that their decode, their ``json.loads`` or the
+    conversion of a number fails inside Python: each exits 5 naming the
+    file, and the line of a cache row."""
+
+    @pytest.fixture
+    def invocation(self, toy_files, fig2_path, tmp_path):
+        """``make(kind)``: a valid invocation and the file of ``kind`` it reads."""
+        out = ["--out", str(tmp_path / "out.json")]
+        game = ["--game", str(fig2_path)]
+
+        def make(kind):
+            if kind in ("model", "data"):
+                model, data = tmp_path / "m.json", tmp_path / "d.csv"
+                shutil.copy(toy_files[0], model)
+                shutil.copy(toy_files[1], data)
+                argv = ["rank", "--model", str(model), "--data", str(data), "--method", "exact"]
+                return argv + out, model if kind == "model" else data
+            if kind == "game":
+                return ["rank", *game, "--method", "exact", *out], fig2_path
+            if kind == "report":
+                report = tmp_path / "r.json"
+                assert main(["rank", *game, "--method", "exact", "--out", str(report)]) == 0
+                return ["oracle", *game, "--mode", "keep", "--k-range", "1:2",
+                        "--rank", str(report), *out], report
+            cache = tmp_path / "c.jsonl"
+            argv = ["rank", *game, "--method", "exact", "--cache", str(cache), *out]
+            assert main(argv) == 0
+            return argv, cache
+
+        return make
+
+    @pytest.mark.parametrize("kind", ["game", "model", "data", "cache"])
+    def test_a_file_that_is_not_utf8_is_a_format_error(self, invocation, capsys, kind):
+        argv, path = invocation(kind)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert main(argv) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == (
+            "FormatError", f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                           "in position 0: invalid start byte")
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("game", lambda text: '{"n_players": 3, "values": ' + DEEP + "}",
+             "{path}: not valid JSON: maximum recursion depth exceeded"),
+            ("model", lambda text: text.replace('"bias": [', '"bias": [' + DEEP + ",", 1),
+             "{path}: not valid JSON"),
+            # shallow enough for the parse (on CPython 3.11), too deep for
+            # the recursive check that parameters are JSON numbers
+            ("model", lambda text: text.replace(
+                '"bias": [', '"bias": [' + "[" * 600 + "]" * 600 + ",", 1),
+             "{path}: malformed model document: maximum recursion depth exceeded"),
+            ("report", lambda text: DEEP, "{path}: not a ranking report"),
+            ("cache", _replace_line(2, DEEP), "{path}:3: corrupt cache entry"),
+            ("cache", _replace_line(0, DEEP), "{path}: corrupt cache header"),
+            ("game", lambda text: text.replace('"1": 55.0', f'"1": {HUGE}'),
+             "{path}: payoff for coalition 1 is too large for a float"),
+            ("model", _replace_first_entry("bias"),
+             "{path}: malformed model document: int too large to convert to float"),
+            ("report", _replace_first_entry("scores"), "{path}: not a ranking report"),
+        ],
+        ids=["game-deep", "model-deep", "model-600-deep", "report-deep", "cache-row-deep",
+             "cache-header-deep", "game-huge-payoff", "model-huge-weight", "report-huge-score"],
+    )
+    def test_nesting_and_integers_python_cannot_take_are_format_errors(
+        self, invocation, capsys, kind, edit, message
+    ):
+        argv, path = invocation(kind)
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        capsys.readouterr()
+        assert main(argv) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "FormatError"
+        assert err["message"].startswith(message.format(path=path)), err["message"]
 
 
 class TestEntryPoint:

@@ -3,7 +3,10 @@
 ``reference_load_cache``, ``reference_payoff_table`` and
 ``reference_load_dataset_csv`` are local copies of the old readers: one
 ``json.loads`` per cache line, one ``str(int(key)) == key`` test per game
-key, one Python list per CSV row.  On valid and corrupted inputs alike, the
+key, one Python list per CSV row.  ``reference_load_game_json`` is
+``load_game_json`` with its flat parse switched off, so that every game
+spec goes through ``json.loads`` into a dict and
+``TableGame.from_json_dict``.  On valid and corrupted inputs alike, the
 readers in ``shaprank`` must return the same result or raise the same
 exception with the same text.
 """
@@ -13,22 +16,28 @@ import json
 import math
 import operator
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shaprank import cli
+from shaprank import cli, games
 from shaprank.errors import FormatError
 from shaprank.games import (
     JSON_INTEGER,
     JSON_NUMBER,
+    _bulk_table,
     _is_coalition_key,
     _payoff_table,
     _sorted_keys,
+    load_game_json,
+    save_game_json,
 )
 from shaprank.toynet import LabeledDataset, load_dataset_csv
+
+from conftest import random_table_game
 
 
 def reference_load_cache(path, source, n_players):
@@ -98,6 +107,12 @@ def reference_payoff_table(raw, size):
     table = np.empty(size, dtype=np.float64)
     table[masks] = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
     return table
+
+
+def reference_load_game_json(path):
+    """``load_game_json`` with the flat parse refusing every document."""
+    with mock.patch.object(games, "_bulk_table", lambda text: None):
+        return load_game_json(path)
 
 
 def reference_load_dataset_csv(path):
@@ -333,3 +348,154 @@ class TestDatasetReader:
         new = outcome(load_dataset_csv, path)
         assert_same_outcome(new, outcome(reference_load_dataset_csv, path))
         assert new == (FormatError, f"{path}:2: expected 3 columns")
+
+
+# ---------------------------------------------------------------------------
+# game spec documents
+# ---------------------------------------------------------------------------
+
+HUGE = "1" + "0" * 400
+BAD_GAME_KEYS = ["1", "16", " 1", "1 ", "-0", "01", "1.0", "1e0", "\u0661"]
+BAD_GAME_PAYOFFS = ["NaN", "Infinity", "-Infinity", "true", "null", '"2.0"', HUGE, "-" + HUGE,
+                    json.dumps('":,'), json.dumps('1": 2, "3')]
+
+
+def game_table(path):
+    return load_game_json(path).values.tobytes()
+
+
+def reference_game_table(path):
+    return reference_load_game_json(path).values.tobytes()
+
+
+@st.composite
+def game_spec_texts(draw):
+    """A game spec as ``json.dumps`` writes it, with or without indent, in
+    either key order, perhaps with another top-level key, then perhaps
+    corrupted; and whether the flat parse must read it (the order
+    ``sort_keys`` gives, no other key, no corruption)."""
+    n_players = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(1 << n_players)))
+    payoffs = st.one_of(st.integers(-10**20, 10**20),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    # "K<m>" and "V<m>" stand for the key and the payoff of mask m until the
+    # layout is written; then each is replaced by its token
+    keys = {m: json.dumps(str(m)) for m in order}
+    tokens = {m: json.dumps(draw(payoffs)) for m in order}
+    doc = {"values": {f"K{m}": f"V{m}" for m in order}, "n_players": n_players}
+    # mostly the order sort_keys gives and no other key, the layout the flat
+    # parse takes; without sort_keys, "values" comes first
+    sort_keys, extra = draw(st.sampled_from(
+        [(True, None), (True, None), (True, None), (False, None), (True, "comment"),
+         (True, "z"), (True, "\u00e9")]))
+    if extra:
+        doc[extra] = 1
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 1])), sort_keys=sort_keys,
+                      ensure_ascii=False)
+    corruptions = [draw(st.sampled_from(
+        ["swap", "key", "payoff", "duplicate-key", "duplicate-values"]))
+        for _ in range(draw(st.integers(0, 2)))]
+    for corruption in corruptions:
+        at = draw(st.integers(0, len(order) - 1))
+        m = order[at]
+        if corruption == "swap" and at + 1 < len(order):
+            # the comma after one entry and the colon after the next key
+            # trade places: the counts of both stay the same
+            text = text.replace(f'"V{m}",', f'"V{m}":').replace(
+                f'"K{order[at + 1]}":', f'"K{order[at + 1]}",')
+        elif corruption == "key":
+            keys[m] = json.dumps(draw(st.sampled_from(BAD_GAME_KEYS)), ensure_ascii=False)
+        elif corruption == "payoff":
+            tokens[m] = draw(st.sampled_from(BAD_GAME_PAYOFFS))
+        elif corruption == "duplicate-key":
+            other = draw(st.sampled_from(order))
+            tokens[m] += f", {keys[other]}: {json.dumps(draw(payoffs))}"
+        elif corruption == "duplicate-values":
+            again = draw(st.sampled_from(['{"0": 1.0}', "{}", "null"]))
+            text = text[:text.rindex("}")] + f', "values": {again}' + "}"
+    for m in order:
+        text = text.replace(f'"K{m}"', keys[m]).replace(f'"V{m}"', tokens[m])
+    return text, sort_keys and not extra and not corruptions
+
+
+class TestGameSpecReader:
+    @given(game_spec_texts())
+    def test_same_as_the_dict_parse(self, tmp_path_factory, case):
+        text, in_bulk = case
+        path = tmp_path_factory.mktemp("game") / "game.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(outcome(game_table, path), outcome(reference_game_table, path))
+        if in_bulk:
+            assert _bulk_table(text) is not None
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # a comma and a colon swapped; every count still right
+            '"0": 1.5: "1", 2.5, "2": 3.5, "3": 4.5',
+            *(f'"0": 1.5, "1": 2.5, "2": 3.5, {key}: 4.5' for key in
+              ['" 3"', '"3 "', '"03"', '"3.0"', '"3e0"', '"+3"', '"\u0663"', '"\\u0033"']),
+            '"-0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5',
+            '"0": 1.5, "1": 2.5, "2": 3.5, "4": 4.5',
+            # a digit outside the quotes would join the key once they are gone
+            '"0": 1.5, "1": 2.5, "2": 3.5, 3"": 4.5',
+            '"0": 1.5, "1": 2.5, "2": 3.5, ""3: 4.5',
+            '"0": 1.5, "1": 2.5, "1"0: 3.5, "3": 4.5',
+            *(f'"0": 1.5, "1": 2.5, "2": 3.5, "3": {payoff}' for payoff in BAD_GAME_PAYOFFS),
+            '"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5, "3": 5.5',
+            '"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5, "2": 3.5',
+            '"0": 1.5, "1": 2.5, "2": 3.5, "3": [4.5]',
+            '"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5,',
+            '"0": 1.5, "1": 2.5, "2": 3.5',
+            '"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5\u00a0',
+        ],
+    )
+    def test_documents_the_flat_parse_could_misread(self, tmp_path, values):
+        text = '{"n_players": 2, "values": {' + values + "}}"
+        path = tmp_path / "game.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(outcome(game_table, path), outcome(reference_game_table, path))
+        assert _bulk_table(text) is None
+
+    @pytest.mark.parametrize(
+        "text, in_bulk",
+        [
+            ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}, "values": {}}',
+             False),
+            ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}, "n_players": 2}',
+             False),
+            # json keeps the last of a repeated key: the head is {"n_players": 2}
+            ('{"n_players": 1, "n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}',
+             True),
+            ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}\x0c', False),
+            ('{"n_players": 2.0, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
+            ('{"n_players": 22 "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
+            ('{"n_players": 3, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
+            ('{"n_players": 2, "x": "\\"values\\": {", '
+             '"values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
+            ('[{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}]', False),
+            ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}}', False),
+        ],
+        ids=["second-values", "second-n_players", "n_players-twice", "form-feed-after",
+             "float-n_players", "no-comma-after-n_players", "too-few-keys", "values-in-a-string", "in-a-list",
+             "extra-brace"],
+    )
+    def test_documents_around_the_values(self, tmp_path, text, in_bulk):
+        path = tmp_path / "game.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(outcome(game_table, path), outcome(reference_game_table, path))
+        assert (_bulk_table(text) is not None) == in_bulk
+
+    @pytest.mark.parametrize("n_players", [1, 2, 5, 10])
+    def test_the_layouts_written_are_read_in_bulk(self, tmp_path, n_players):
+        # save_game_json's layout, and json.dump(sort_keys=True) without an
+        # indent as the benchmark writes its tables: if either stopped
+        # taking the flat parse, nothing else would fail
+        game = random_table_game(n_players, seed=n_players)
+        path = tmp_path / "game.json"
+        save_game_json(game, path)
+        doc = game.to_json_dict()
+        for text in (path.read_text(encoding="utf-8"), json.dumps(doc, sort_keys=True) + "\n"):
+            table = _bulk_table(text)
+            assert table is not None
+            assert table.tobytes() == game.values.tobytes()
