@@ -111,10 +111,12 @@ def _parse_k_range(text: str, n_players: int) -> list[int]:
         raise UsageError(f"bad --k-range {text!r}") from exc
     if not ks:
         raise UsageError(f"--k-range {text!r} selects no sizes")
-    for k in ks:
+    for at, k in enumerate(ks):
         if not 1 <= k <= n_players:
             raise UsageError(f"--k-range {text!r}: k={k} outside [1, {n_players}]")
-    return ks
+        if k in ks[:at]:
+            raise UsageError(f"--k-range {text!r}: k={k} given twice")
+    return sorted(ks)
 
 
 # ---------------------------------------------------------------------------

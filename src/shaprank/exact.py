@@ -8,7 +8,6 @@ precision and serve as the oracle for every approximation in this package.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
@@ -42,17 +41,32 @@ def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.n
     Each coalition of a size in ``sizes`` or one above is requested once, in
     ascending mask order.  In that order the masks of a size in ``sizes``
     without bit i, each OR-ed with bit i, are exactly the masks of a size
-    above with bit i set, so the two selections pair up by position.
+    above with bit i set, so the two selections pair up by position.  When
+    ``sizes`` is every size, the request is every mask and player i's pairs
+    are the two halves of ``reshape(-1, 2, 2**i)``: the same pairs in the
+    same order, so each ``np.dot`` sees the same vectors.
     """
+    n = game.n_players
     sizes = sorted(set(sizes))
+    if sizes == list(range(n)):
+        masks = np.arange(1 << n, dtype=np.uint64)
+        values = game.evaluate_masks(masks)
+        counts = np.bitwise_count(masks)
+        phi = np.empty(n)
+        for i in range(n):
+            pairs = values.reshape(-1, 2, 1 << i)
+            gains = pairs[:, 1] - pairs[:, 0]
+            sizes_without = counts.reshape(-1, 2, 1 << i)[:, 0]
+            phi[i] = float(np.dot(weights[sizes_without].ravel(), gains.ravel()))
+        return phi
     above = [k + 1 for k in sizes]
     pulled = sorted(set(sizes + above))
-    masks = np.sort(np.concatenate([masks_of_size(game.n_players, k) for k in pulled]))
+    masks = np.sort(np.concatenate([masks_of_size(n, k) for k in pulled]))
     counts = np.bitwise_count(masks)
     values = game.evaluate_masks(masks)
     in_band, in_above = np.isin(counts, sizes), np.isin(counts, above)
-    phi = np.empty(game.n_players)
-    for i in range(game.n_players):
+    phi = np.empty(n)
+    for i in range(n):
         has_i = (masks & np.uint64(1 << i)).astype(bool)
         without = in_band & ~has_i
         gains = values[in_above & has_i] - values[without]
@@ -81,29 +95,37 @@ def shapley_exact_subsets(game: Game) -> ShapleyEstimate:
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _all_permutations(n: int) -> np.ndarray:
-    """All permutations of range(n) as an (n!, n) int8 array."""
+def _predecessor_masks(n: int) -> np.ndarray:
+    """An (n!, n) uint16 table over every ordering of range(n): entry
+    ``[r, p]`` is the mask of the players placed before player p in ordering
+    r.  Ordering ``pos * (n-1)! + r`` is ordering r of range(n-1) with player
+    n-1 inserted at position ``pos``."""
     if n == 1:
-        return np.zeros((1, 1), dtype=np.int8)
-    smaller = _all_permutations(n - 1)
+        return np.zeros((1, 1), dtype=np.uint16)
+    smaller = _predecessor_masks(n - 1)
     rows = smaller.shape[0]
-    out = np.empty((rows * n, n), dtype=np.int8)
-    for pos in range(n):
+    # a row's predecessor masks are nested, so sorted they are its prefixes
+    prefixes = np.sort(smaller, axis=1)
+    out = np.empty((n * rows, n), dtype=np.uint16)
+    for pos in range(n - 1):
         block = out[pos * rows:(pos + 1) * rows]
-        block[:, :pos] = smaller[:, :pos]
-        block[:, pos] = n - 1
-        block[:, pos + 1:] = smaller[:, pos:]
+        after = smaller >= prefixes[:, pos, None]
+        np.bitwise_or(smaller, np.left_shift(after, n - 1, dtype=np.uint16), out=block[:, :-1])
+        block[:, -1] = prefixes[:, pos]
+    out[-rows:, :-1] = smaller
+    out[-rows:, -1] = (1 << (n - 1)) - 1
     return out
 
 
 def shapley_exact_permutations(game: Game) -> ShapleyEstimate:
     """Exact per-player values by averaging marginals over all N! orderings.
 
-    Each ordering contributes one marginal per player, read off the chain of
-    payoffs along its growing prefix; the average over the full permutation
+    Each ordering contributes one marginal per player, ``v(P + p) - v(P)``
+    with P the players before p; the average over the full permutation
     group equals the subset-sum route.  Kept as a genuinely separate
-    computation so the two can cross-check each other.
+    computation so the two can cross-check each other.  Each player's
+    marginals are summed in ordering order, one chunk of orderings at a
+    time, and the chunk sums are added up.
     """
     n = game.n_players
     if n > PERM_ENUM_MAX_PLAYERS:
@@ -112,18 +134,16 @@ def shapley_exact_permutations(game: Game) -> ShapleyEstimate:
             f"players (got {n}); use shapley_exact_subsets or sampling"
         )
     before = game.eval_count
-    table = game.evaluate_masks(np.arange(1 << n, dtype=np.uint64))
-    empty_value = table[0]
-    perms = _all_permutations(n)
+    masks = np.arange(1 << n, dtype=np.uint64)
+    table = game.evaluate_masks(masks)
+    # gains[p << n | S] = v(S + p) - v(S), so a predecessor mask OR-ed with
+    # its player's offset indexes its marginal directly
+    gains = np.concatenate([table[masks | np.uint64(1 << p)] - table for p in range(n)])
+    index = _predecessor_masks(n)
+    index |= np.arange(n, dtype=np.uint16) << n
     totals = np.zeros(n)
-    for start in range(0, perms.shape[0], _PERM_CHUNK_ROWS):
-        chunk = perms[start:start + _PERM_CHUNK_ROWS].astype(np.int64)
-        prefix_masks = np.bitwise_or.accumulate(np.left_shift(1, chunk), axis=1)
-        chain = table[prefix_masks]
-        marginals = np.empty_like(chain)
-        marginals[:, 0] = chain[:, 0] - empty_value
-        marginals[:, 1:] = np.diff(chain, axis=1)
-        totals += np.bincount(chunk.ravel(), weights=marginals.ravel(), minlength=n)
+    for start in range(0, index.shape[0], _PERM_CHUNK_ROWS):
+        totals += np.add.reduce(gains[index[start:start + _PERM_CHUNK_ROWS]], axis=0)
     phi = totals / math.factorial(n)
     return ShapleyEstimate(
         values=phi,

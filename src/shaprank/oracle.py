@@ -140,13 +140,15 @@ def _optimal_values(oracle: OracleSubsets) -> np.ndarray:
     """``value[mask] = gain(mask) + max over free i of value[mask | 1<<i]``,
     the largest ``sum K * J_K`` an ordering that starts with ``mask`` can
     reach; ``gain`` is ``|mask| * best overlap`` at scored sizes, else 0.
-    Filled from the largest prefixes down; the empty prefix is not needed."""
+    Above the largest scored size every value is 0, so a prefix of that size
+    is worth its gain; the smaller prefixes are filled from there down.  The
+    empty prefix is not needed."""
     n = oracle.n_players
     value = np.zeros(1 << n)
     for k in oracle.k_range:
         masks = masks_of_size(n, k)
         value[masks] = k * _best_overlaps(masks, oracle.per_k[k])
-    for size in range(n - 1, 0, -1):
+    for size in range(max(oracle.k_range) - 1, 0, -1):
         masks = masks_of_size(n, size)
         best = np.full(masks.size, -np.inf)
         for i in range(n):

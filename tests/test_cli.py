@@ -868,6 +868,29 @@ class TestErrors:
         assert err["error"] == "UsageError"
         assert err["message"].startswith(f"--k-range {k_range!r}")
 
+    def test_k_range_sizes_are_reported_ascending_and_given_once(
+        self, fig2_path, tmp_path, capsys
+    ):
+        def oracle(k_range):
+            out = tmp_path / f"o-{k_range}.json"
+            rc = main(["oracle", "--game", str(fig2_path), "--mode", "remove",
+                       "--k-range", k_range, "--out", str(out)])
+            return rc, out
+
+        rc, ascending = oracle("1,2")
+        assert rc == 0
+        rc, descending = oracle("2,1")
+        assert rc == 0
+        assert descending.read_bytes() == ascending.read_bytes()
+        report = json.loads(ascending.read_text())
+        assert report["k_range"] == report["params"]["k_range"] == [1, 2]
+        capsys.readouterr()
+        rc, repeated = oracle("2,1,2")
+        assert rc == 2
+        assert not repeated.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == ("UsageError", "--k-range '2,1,2': k=2 given twice")
+
     def test_optimal_rank_beyond_its_budget_exits_3(self, toy_files, tmp_path, capsys):
         _, data_path = toy_files
         model_path = tmp_path / "wide.json"

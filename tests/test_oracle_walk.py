@@ -145,9 +145,26 @@ def synthetic_oracles(count, seed):
                             best_value={k: 0.0 for k in per_k})
 
 
+def bounded_oracles(seed):
+    """Oracles of random tables whose largest size is below N - 1, in both
+    modes: one size alone, sizes up to it with gaps, and {1, largest}."""
+    rng = np.random.default_rng(seed)
+    for n in range(3, 10):
+        table = rng.uniform(0.0, 100.0, size=1 << n)
+        game = Game(n, table.__getitem__)
+        for mode in ("keep", "remove"):
+            top = int(rng.integers(1, n - 1))
+            for k_range in ([top], gapped_k_range(rng, top), [1, top]):
+                yield compute_oracle_subsets(game, mode, k_range)
+    game = Game(8, rng.integers(0, 3, size=1 << 8).astype(np.float64).__getitem__)
+    for mode in ("keep", "remove"):
+        yield compute_oracle_subsets(game, mode, [3])
+
+
 def all_oracles():
     yield from table_oracles(120, seed=0)
     yield from synthetic_oracles(120, seed=1)
+    yield from bounded_oracles(seed=3)
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "optimal"])
