@@ -103,8 +103,10 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
 def _parse_k_range(text: str, n_players: int) -> list[int]:
     try:
         if ":" in text:
-            lo, hi = text.split(":", 1)
-            ks = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(bound) for bound in text.split(":", 1))
+            # the range stops at its first size outside [1, N], so a huge
+            # bound is named without the range being built
+            ks = list(range(lo, min(hi, n_players + 1 if 1 <= lo <= n_players else lo) + 1))
         else:
             ks = [int(p) for p in text.split(",")]
     except ValueError as exc:

@@ -33,10 +33,6 @@ ENUMERATION_BUDGET = 10**7
 # reader tests with ``type(value) in``: bool is a subclass of int, never one
 JSON_INTEGER = frozenset({int})
 JSON_NUMBER = frozenset({int, float})
-# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
-# number of these it reaches (from Python ints: numpy's power loop would add
-# about 0.1 MiB to every process at import)
-_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 # JSON's whitespace: str.strip() would also strip \x0b, \x0c and \x1c..\x1f
 _JSON_SPACE = " \t\n\r"
 # a game spec's "values" key up to the opening brace of its object
@@ -310,32 +306,21 @@ def _payoff_table(raw: dict, size: int) -> np.ndarray:
     """The payoff table of ``raw``, which must have exactly the keys ``"0"``
     .. ``str(size - 1)``, written canonically, and only int or float payoffs.
 
-    Validity is decided on whole arrays; only an invalid ``raw`` is walked key
-    by key, to name what is wrong.  The missing keys come from walking the
+    ``_bulk_table`` reads every valid file in the canonical layout, so the
+    keys here are checked one by one.  The missing keys come from walking the
     ``size`` expected keys in sorted order, which stops after five absent
     ones: at most ``len(raw) + 5`` steps, however many players the spec
     declares.
     """
-    masks = None
-    if len(raw) == size:
-        try:
-            # int() also reads non-ASCII digits; str.isascii refuses a non-str key
-            if all(map(str.isascii, raw)):
-                masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    # on an ASCII key that int() reads, a sign, a space, a "_" or a leading
-    # zero each add a character: the key is canonical exactly when its length
-    # is the digit count of its value
-    if (masks is None or masks.min() < 0 or masks.max() >= size
-            or not np.array_equal(np.fromiter(map(len, raw), dtype=np.int64, count=size),
-                                  1 + np.searchsorted(_POWERS_OF_TEN, masks, side="right"))):
+    # distinct keys, each canonical and in range: exactly the size expected
+    if len(raw) != size or not all(_is_coalition_key(key, size) for key in raw):
         extra = [key for key in raw if not _is_coalition_key(key, size)]
         missing = list(itertools.islice((k for k in _sorted_keys(size) if k not in raw), 5))
         raise FormatError(
             f"game spec must contain exactly the {size} coalition keys; "
             f"missing {missing}, unexpected {sorted(extra)[:5]}"
         )
+    masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
 
     if not set(map(type, raw.values())) <= JSON_NUMBER:
         key = next(key for key, value in raw.items() if type(value) not in JSON_NUMBER)

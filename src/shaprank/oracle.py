@@ -26,10 +26,6 @@ from .games import ENUMERATION_BUDGET, Coalition, Game, Ranking, masks_of_size
 _TIE_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 16
 
-# The reference-ordering search is exact up to this many players, beyond it
-# the greedy construction takes over.
-OPTIMAL_RANK_MAX_PLAYERS = 20
-
 Mode = Literal["keep", "remove"]
 
 
@@ -136,26 +132,29 @@ def score_ranking(rank: Ranking, oracle: OracleSubsets) -> RankScore:
     return RankScore(per_k=per_k, weighted_total=total)
 
 
-def _optimal_values(oracle: OracleSubsets) -> np.ndarray:
-    """``value[mask] = gain(mask) + max over free i of value[mask | 1<<i]``,
+def _optimal_values(oracle: OracleSubsets) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per size s in 0..kmax, the ascending size-s masks and their values
+    ``value(mask) = gain(mask) + max over free i of value(mask | 1<<i)``:
     the largest ``sum K * J_K`` an ordering that starts with ``mask`` can
-    reach; ``gain`` is ``|mask| * best overlap`` at scored sizes, else 0.
-    Above the largest scored size every value is 0, so a prefix of that size
-    is worth its gain; the smaller prefixes are filled from there down.  The
-    empty prefix is not needed."""
+    reach, ``gain`` being ``|mask| * best overlap`` at scored sizes, else 0.
+    Above kmax, the largest scored size, every value is 0, so the sizes are
+    filled from kmax down; the empty prefix keeps 0.  In ascending order the
+    size-s masks without bit i, each OR-ed with bit i, are the size-(s+1)
+    masks with bit i, so the two selections pair up by position."""
     n = oracle.n_players
-    value = np.zeros(1 << n)
+    top = max(oracle.k_range)
+    masks = [masks_of_size(n, size) for size in range(top + 1)]
+    value = [np.zeros(m.size) for m in masks]
     for k in oracle.k_range:
-        masks = masks_of_size(n, k)
-        value[masks] = k * _best_overlaps(masks, oracle.per_k[k])
-    for size in range(max(oracle.k_range) - 1, 0, -1):
-        masks = masks_of_size(n, size)
-        best = np.full(masks.size, -np.inf)
+        value[k] = k * _best_overlaps(masks[k], oracle.per_k[k])
+    for size in range(top - 1, 0, -1):
+        best = np.full(masks[size].size, -np.inf)
         for i in range(n):
             bit = np.uint64(1 << i)
-            np.maximum(best, np.where(masks & bit, -np.inf, value[masks | bit]), out=best)
-        value[masks] += best
-    return value
+            without = masks[size] & bit == 0
+            best[without] = np.maximum(best[without], value[size + 1][masks[size + 1] & bit != 0])
+        value[size] += best
+    return masks, value
 
 
 def _walk(n: int, score: Callable[[np.ndarray, int], np.ndarray]) -> list[int]:
@@ -180,23 +179,28 @@ def build_oracle_rank(
 ) -> Ranking:
     """The reference ordering scored against the same oracle sets.
 
-    ``auto`` uses the exact dynamic-programming search when the player count
-    allows and falls back to the greedy construction beyond that; both are
-    selectable explicitly.  Scores attached to the result are ordinal
-    placeholders (position ranks), not payoff estimates.
+    ``auto`` uses the exact dynamic-programming search when the prefixes it
+    holds, every coalition of sizes 1..kmax, fit the enumeration budget, and
+    the greedy construction otherwise; both are selectable explicitly.
+    Scores attached to the result are ordinal placeholders (position ranks),
+    not payoff estimates.
     """
     if not oracle.per_k:
         raise ValueError("oracle has no evaluated sizes to rank against")
     n = oracle.n_players
+    top = max(oracle.k_range)
+    cost = sum(math.comb(n, size) for size in range(1, top + 1))
     if strategy == "auto":
-        strategy = "optimal" if n <= OPTIMAL_RANK_MAX_PLAYERS else "greedy"
+        strategy = "optimal" if cost <= ENUMERATION_BUDGET else "greedy"
     if strategy == "optimal":
-        if n > OPTIMAL_RANK_MAX_PLAYERS:
+        if cost > ENUMERATION_BUDGET:
             raise BudgetError(
-                f"exact rank search supports at most {OPTIMAL_RANK_MAX_PLAYERS} players"
+                f"exact rank search holds {cost} prefixes, over the {ENUMERATION_BUDGET} budget"
             )
-        value = _optimal_values(oracle)
-        order = _walk(n, lambda extended, k: value[extended])
+        masks, value = _optimal_values(oracle)
+        # every prefix above the largest scored size is worth 0
+        order = _walk(n, lambda extended, k: value[k][np.searchsorted(masks[k], extended)]
+                      if k <= top else np.zeros(extended.size))
     elif strategy == "greedy":
         # the prefixes fixed before a slot add the same amount to every
         # candidate's weighted overlap, so only the new prefix's gain differs;

@@ -507,8 +507,8 @@ def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
             raise FormatError(f"{path}:{ln}: expected {n_features + 1} columns")
         try:
             inputs.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
-        except ValueError as exc:
+            labels.append(np.int64(int(parts[-1])))
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from exc
     return LabeledDataset(inputs=np.array(inputs), labels=np.array(labels))
 

@@ -246,3 +246,21 @@ class TestOracleRank:
         for est in estimates:
             removal_rank = est.ranking().reversed()
             assert score_ranking(removal_rank, oracle).weighted_total <= ceiling + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode, k_range", [("remove", range(1, 4)), ("keep", range(1, 5))])
+    def test_auto_is_optimal_beyond_twenty_players(self, seed, mode, k_range):
+        # greedy scores below the best order on every one of these games
+        oracle = compute_oracle_subsets(random_table_game(22, seed), mode, k_range)
+        auto = build_oracle_rank(oracle)
+        assert auto.order.tolist() == build_oracle_rank(oracle, strategy="optimal").order.tolist()
+        greedy = score_ranking(build_oracle_rank(oracle, strategy="greedy"), oracle)
+        assert score_ranking(auto, oracle).weighted_total > greedy.weighted_total
+
+    def test_optimal_beyond_the_enumeration_budget_raises(self):
+        # sizes 1..23 of 24 players: 2**24 - 2 prefixes
+        oracle = synthetic_oracle(24, {1: [{0}], 23: [set(range(23))]})
+        with pytest.raises(BudgetError, match="holds 16777214 prefixes, over the 10000000"):
+            build_oracle_rank(oracle, strategy="optimal")
+        rank = build_oracle_rank(oracle)
+        assert score_ranking(rank, oracle).weighted_total == 1.0

@@ -4,8 +4,9 @@
 copies of the earlier implementations: per-set ``jaccard`` calls for scoring,
 a greedy that rescores every fixed prefix for every candidate, and a dynamic
 program over separate ``gains`` and ``remaining`` arrays with its own
-reconstruction loop.  The new code must give the same orders and the same
-floats, not merely close ones.
+reconstruction loop.  ``reference_dense_values`` is the dynamic program over
+one dense ``2**N`` table that the per-size arrays replaced.  The new code
+must give the same orders and the same floats, not merely close ones.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from shaprank.oracle import (
     OracleSubsets,
     RankScore,
     _best_overlaps,
+    _optimal_values,
     build_oracle_rank,
     compute_oracle_subsets,
     jaccard,
@@ -82,6 +84,22 @@ def reference_optimal(oracle):
                 mask = cand
                 break
     return order
+
+
+def reference_dense_values(oracle):
+    n = oracle.n_players
+    value = np.zeros(1 << n)
+    for k in oracle.k_range:
+        masks = masks_of_size(n, k)
+        value[masks] = k * _best_overlaps(masks, oracle.per_k[k])
+    for size in range(max(oracle.k_range) - 1, 0, -1):
+        masks = masks_of_size(n, size)
+        best = np.full(masks.size, -np.inf)
+        for i in range(n):
+            bit = np.uint64(1 << i)
+            np.maximum(best, np.where(masks & bit, -np.inf, value[masks | bit]), out=best)
+        value[masks] += best
+    return value
 
 
 def reference_greedy(oracle):
@@ -186,6 +204,30 @@ def test_scores_of_random_rankings_match_the_reference():
         new, old = score_ranking(rank, oracle), reference_score(rank, oracle)
         assert new.per_k == old.per_k
         assert new.weighted_total == old.weighted_total
+
+
+def wide_oracles(seed):
+    """Oracles of random tables at N = 10..16 in both modes: one size alone,
+    sizes up to it with gaps, and {1, largest}; the largest may be N."""
+    rng = np.random.default_rng(seed)
+    for n in (10, 13, 16):
+        table = rng.uniform(0.0, 100.0, size=1 << n)
+        game = Game(n, table.__getitem__)
+        for mode in ("keep", "remove"):
+            top = int(rng.integers(2, n + 1))
+            for k_range in ([top], gapped_k_range(rng, top), [1, top]):
+                yield compute_oracle_subsets(game, mode, k_range)
+
+
+def test_per_size_values_equal_the_dense_table_bit_for_bit():
+    for oracle in itertools.chain(all_oracles(), wide_oracles(seed=4)):
+        n, top = oracle.n_players, max(oracle.k_range)
+        masks, value = _optimal_values(oracle)
+        dense = reference_dense_values(oracle)
+        assert len(masks) == len(value) == top + 1
+        for size in range(1, top + 1):
+            assert np.array_equal(masks[size], masks_of_size(n, size))
+            assert value[size].tobytes() == dense[masks[size]].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 20, 64])

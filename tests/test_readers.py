@@ -118,7 +118,9 @@ def reference_load_game_json(path):
 def reference_load_dataset_csv(path):
     """``toynet.load_dataset_csv`` before the bulk conversion, one list per
     row.  It strips the text at the end only, as the header-on-line-1 rule
-    does; before that rule it stripped both ends."""
+    does; before that rule it stripped both ends.  A label beyond int64 is a
+    format error naming its line, as the reader has it now; before, it
+    escaped as an ``OverflowError``."""
     lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
@@ -135,8 +137,8 @@ def reference_load_dataset_csv(path):
             raise FormatError(f"{path}:{ln}: expected {n_features + 1} columns")
         try:
             inputs.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
-        except ValueError as exc:
+            labels.append(np.int64(int(parts[-1])))
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from exc
     return LabeledDataset(inputs=np.array(inputs), labels=np.array(labels))
 
