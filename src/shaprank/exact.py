@@ -9,17 +9,38 @@ precision and serve as the oracle for every approximation in this package.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .games import Game, ShapleyEstimate, masks_of_size
+from .games import Game, ShapleyEstimate, masks_by_size
 
 SUBSET_ENUM_MAX_PLAYERS = 24
 PERM_ENUM_MAX_PLAYERS = 10
 
 _PERM_CHUNK_ROWS = 1 << 18
+# terms per np.add.reduce call in ordered_sum
+REDUCE_BLOCK = 1 << 16
+
+
+def ordered_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
+    """``sum(a * b)``, or ``sum(a)`` without ``b``, over 1-D arrays in one
+    fixed order: ``np.add.reduce`` of each consecutive block of
+    ``REDUCE_BLOCK`` terms, the block sums added in order.
+
+    ``np.dot`` leaves the order to BLAS, whose threads split a long vector
+    between them, so its last digits depend on the thread count; numpy's
+    own reduction runs on one thread, and the blocks bound the products
+    held at once.
+    """
+    total = 0.0
+    for start in range(0, a.size, REDUCE_BLOCK):
+        terms = a[start:start + REDUCE_BLOCK]
+        if b is not None:
+            terms = terms * b[start:start + REDUCE_BLOCK]
+        total += float(np.add.reduce(terms))
+    return total
 
 
 def subset_weights(n_players: int) -> np.ndarray:
@@ -44,7 +65,7 @@ def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.n
     above with bit i set, so the two selections pair up by position.  When
     ``sizes`` is every size, the request is every mask and player i's pairs
     are the two halves of ``reshape(-1, 2, 2**i)``: the same pairs in the
-    same order, so each ``np.dot`` sees the same vectors.
+    same order, so each ``ordered_sum`` sees the same vectors.
     """
     n = game.n_players
     sizes = sorted(set(sizes))
@@ -57,11 +78,11 @@ def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.n
             pairs = values.reshape(-1, 2, 1 << i)
             gains = pairs[:, 1] - pairs[:, 0]
             sizes_without = counts.reshape(-1, 2, 1 << i)[:, 0]
-            phi[i] = float(np.dot(weights[sizes_without].ravel(), gains.ravel()))
+            phi[i] = ordered_sum(weights[sizes_without].ravel(), gains.ravel())
         return phi
     above = [k + 1 for k in sizes]
     pulled = sorted(set(sizes + above))
-    masks = np.sort(np.concatenate([masks_of_size(n, k) for k in pulled]))
+    masks = np.sort(np.concatenate(list(masks_by_size(n, pulled).values())))
     counts = np.bitwise_count(masks)
     values = game.evaluate_masks(masks)
     in_band, in_above = np.isin(counts, sizes), np.isin(counts, above)
@@ -70,7 +91,7 @@ def marginal_sums(game: Game, sizes: Sequence[int], weights: np.ndarray) -> np.n
         has_i = (masks & np.uint64(1 << i)).astype(bool)
         without = in_band & ~has_i
         gains = values[in_above & has_i] - values[without]
-        phi[i] = float(np.dot(weights[counts[without]], gains))
+        phi[i] = ordered_sum(weights[counts[without]], gains)
     return phi
 
 

@@ -61,18 +61,34 @@ def mask_from_members(members: Iterable[int], n_players: int) -> int:
 def masks_of_size(n_players: int, size: int) -> np.ndarray:
     """All bitmasks over ``n_players`` with exactly ``size`` bits set, as an
     ascending uint64 array (empty when ``size`` is out of range)."""
-    if not 0 <= size <= n_players:
-        return np.empty(0, dtype=np.uint64)
-    if 2 * size > n_players:
-        full = np.uint64(full_mask(n_players))
-        return full ^ masks_of_size(n_players, n_players - size)[::-1]
+    return masks_by_size(n_players, [size])[size]
+
+
+def masks_by_size(n_players: int, sizes: Iterable[int]) -> dict[int, np.ndarray]:
+    """``masks_of_size(n_players, size)`` for each of ``sizes``, keyed by size.
+
+    One sweep over the bits builds every size up to the largest
+    ``min(size, n_players - size)`` asked for; a size above half is the
+    complement of the size below it, in reverse.
+    """
+    sizes = set(sizes)
+    top = max((min(s, n_players - s) for s in sizes if 0 <= s <= n_players), default=0)
     # by_count[j]: ascending masks over the bits seen so far with j bits
     # set; each new top bit appends the masks that take it
-    by_count = [np.zeros(1, dtype=np.uint64)] + [np.empty(0, dtype=np.uint64)] * size
+    by_count = [np.zeros(1, dtype=np.uint64)] + [np.empty(0, dtype=np.uint64)] * top
     for bit in range(n_players):
-        for j in range(min(size, bit + 1), 0, -1):
+        for j in range(min(top, bit + 1), 0, -1):
             by_count[j] = np.concatenate([by_count[j], by_count[j - 1] | np.uint64(1 << bit)])
-    return by_count[size]
+    full = np.uint64(full_mask(n_players))
+    out = {}
+    for size in sizes:
+        if not 0 <= size <= n_players:
+            out[size] = np.empty(0, dtype=np.uint64)
+        elif 2 * size > n_players:
+            out[size] = full ^ by_count[n_players - size][::-1]
+        else:
+            out[size] = by_count[size]
+    return out
 
 
 @dataclass(frozen=True)

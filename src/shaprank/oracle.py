@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .games import ENUMERATION_BUDGET, Coalition, Game, Ranking, masks_of_size
+from .games import ENUMERATION_BUDGET, Coalition, Game, Ranking, masks_by_size, masks_of_size
 
 _TIE_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 16
@@ -143,7 +143,8 @@ def _optimal_values(oracle: OracleSubsets) -> tuple[list[np.ndarray], list[np.nd
     masks with bit i, so the two selections pair up by position."""
     n = oracle.n_players
     top = max(oracle.k_range)
-    masks = [masks_of_size(n, size) for size in range(top + 1)]
+    by_size = masks_by_size(n, range(top + 1))
+    masks = [by_size[size] for size in range(top + 1)]
     value = [np.zeros(m.size) for m in masks]
     for k in oracle.k_range:
         value[k] = k * _best_overlaps(masks[k], oracle.per_k[k])

@@ -1,15 +1,21 @@
 """Shapley estimation as kernel-weighted least squares over coalition rows.
 
-Each sampled coalition becomes one regression row: a binary membership
-vector, the coalition's payoff, and a weight.  Solving the weighted
-least-squares problem whose weights follow the closed-form coalition kernel
-recovers the Shapley values; with every proper nonempty coalition enumerated
-the recovery is exact.
+Each sampled coalition is one regression row: a binary membership vector,
+the coalition's payoff, and a weight.  Solving the weighted least-squares
+problem whose weights follow the closed-form coalition kernel recovers the
+Shapley values; with every proper nonempty coalition enumerated the recovery
+is exact.
+
+The rows enter only through one moment matrix ``G = sum w z z^T`` over
+``z = [1, x_0..x_{N-1}, v]`` (Covert & Lee, "Improving KernelSHAP", AISTATS
+2021).  Sampled rows are folded into it block by block; the exhaustive rows
+need no rows at all, since their membership moments are binomial sums and
+their payoff moments one pass over the payoff vector.
 
 The intercept is pinned to the empty coalition's payoff, and by default the
 solution is constrained (by variable elimination) to distribute the target
 quantity exactly, which is numerically far better behaved than emulating the
-constraints with huge anchor weights.
+constraints with huge anchor weights.  Both are linear maps applied to ``G``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, SingularSystemError
+from .exact import REDUCE_BLOCK, ordered_sum
 from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members
 
 LARGE_KERNEL_WEIGHT = 1e10
@@ -84,7 +91,8 @@ class RegressionConfig:
 
 
 def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Coalition bitmasks plus their regression weights for ``cfg.sampler``.
+    """Coalition bitmasks plus their regression weights for a sampling
+    ``cfg.sampler``.
 
     Weights are importance-corrected so every sampler targets the same
     kernel-weighted objective: rows drawn proportionally to kernel mass get
@@ -92,14 +100,6 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
     prefixes (uniform over sizes) get the kernel scaled by the size count.
     """
     full = (1 << n) - 1
-    if cfg.sampler == "exhaustive":
-        if full - 1 > ENUMERATION_BUDGET:
-            raise BudgetError(f"the exhaustive sampler enumerates {full - 1} coalitions, "
-                              f"over the {ENUMERATION_BUDGET} budget; sample instead")
-        masks = np.arange(1, full, dtype=np.uint64)
-        kernel = np.array([shapley_kernel_weight(n, k) for k in range(n + 1)])
-        return masks, kernel[np.bitwise_count(masks)]
-
     rng = np.random.default_rng(cfg.seed)
     masks: list[int] = []
     weights: list[float] = []
@@ -136,6 +136,84 @@ def _indicators(masks: np.ndarray, n: int) -> np.ndarray:
     """Membership rows of ``uint64`` masks: column ``j`` is 1.0 where bit
     ``j`` is set, else 0.0."""
     return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.float64)
+
+
+def _sampled_moments(masks: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                     n: int) -> np.ndarray:
+    """``G = sum over rows of w * z z^T`` with ``z = [1, x_0..x_{n-1}, v]``.
+
+    Rows are folded in consecutive blocks of about ``REDUCE_BLOCK`` products,
+    each summed by ``np.add.reduce`` and added in order, so no more than one
+    block of membership rows exists at a time and the sum's order is fixed.
+    """
+    width = n + 2
+    rows = max(1, REDUCE_BLOCK // (width * width))
+    moments = np.zeros((width, width))
+    for start in range(0, masks.size, rows):
+        block = slice(start, start + rows)
+        z = np.empty((masks[block].size, width))
+        z[:, 0] = 1.0
+        z[:, 1:-1] = _indicators(masks[block], n)
+        z[:, -1] = values[block]
+        weighted = weights[block, None] * z
+        moments += np.add.reduce(weighted[:, :, None] * z[:, None, :], axis=0)
+    return moments
+
+
+def _exhaustive_moments(masks: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``G`` over every proper nonempty coalition, ``masks`` being
+    ``1 .. 2**n - 2`` in order, without forming a row.
+
+    The membership moments depend only on sizes: ``sum w`` counts C(n, k)
+    coalitions of size k, ``sum w x_i`` C(n-1, k-1) and ``sum w x_i x_j``
+    (i != j) C(n-2, k-2).  The payoff moments take one pass over the
+    kernel-weighted payoffs of every mask, zero at the empty and grand
+    coalitions: player i's coalitions are the upper halves of
+    ``reshape(-1, 2, 2**i)``.
+    """
+    kernel = [shapley_kernel_weight(n, k) for k in range(n + 1)]
+
+    def moment(fixed: int) -> float:
+        # the proper coalitions holding ``fixed`` given players: C(n-fixed, k-fixed) of size k
+        return math.fsum(math.comb(n - fixed, k - fixed) * kernel[k]
+                         for k in range(max(1, fixed), n))
+
+    moments = np.empty((n + 2, n + 2))
+    moments[0, 0] = moment(0)
+    moments[1:-1, 1:-1] = moment(2)
+    moments[0, 1:-1] = moments[1:-1, 0] = moment(1)
+    np.fill_diagonal(moments[1:-1, 1:-1], moments[0, 1])
+    weighted = np.zeros(1 << n)
+    np.multiply(np.array(kernel)[np.bitwise_count(masks)], values, out=weighted[1:-1])
+    moments[0, -1] = moments[-1, 0] = ordered_sum(weighted)
+    for i in range(n):
+        moments[1 + i, -1] = moments[-1, 1 + i] = ordered_sum(
+            weighted.reshape(-1, 2, 1 << i)[:, 1].ravel())
+    moments[-1, -1] = ordered_sum(weighted[1:-1], values)
+    return moments
+
+
+def _normal_equations(moments: np.ndarray, n: int, base: float, total: float,
+                      cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The solved system ``A theta = b`` as a linear map of the moments.
+
+    Each design column and the target is a row of ``M`` over
+    ``z = [1, x_0..x_{n-1}, v]``, so ``M G M^T`` holds ``A`` and ``b``.  A
+    pinned intercept regresses ``v - v(empty)``; efficiency eliminates the
+    last player through the sum constraint, turning columns into
+    ``x_j - x_last`` and the target into ``... - total * x_last``.
+    """
+    transform = np.eye(n + 2)
+    if not cfg.fit_intercept:
+        transform[-1, 0] = -base
+    if cfg.enforce_efficiency:
+        transform[-1, n] = -total
+        transform[1:n, n] = -1.0
+    players = range(1, n if cfg.enforce_efficiency else n + 1)
+    transform = transform[[0, *players, -1] if cfg.fit_intercept else [*players, -1]]
+    # sums of at most n + 2 terms, which BLAS splits by output, not by term
+    mapped = transform @ moments @ transform.T
+    return mapped[:-1, :-1], mapped[:-1, -1]
 
 
 def _solve_symmetric(
@@ -177,9 +255,10 @@ def shapley_regression(
 ) -> ShapleyEstimate:
     """Kernel-weighted least squares over sampled coalition rows.
 
-    With ``enforce_efficiency`` the last player's coefficient is eliminated
-    through the sum constraint, so the returned values always distribute the
-    target quantity exactly.
+    The exhaustive sampler requests every proper nonempty coalition, in
+    ascending order.  With ``enforce_efficiency`` the last player's
+    coefficient is eliminated through the sum constraint, so the returned
+    values always distribute the target quantity exactly.
     """
     n = game.n_players
     if n < 2:
@@ -189,22 +268,20 @@ def shapley_regression(
             f"n_samples={cfg.n_samples} underdetermines {n} players; need >= {n}"
         )
     before = game.eval_count
-    masks, weights = _sample_masks(n, cfg)
-    values = game.evaluate_masks(masks)
-
-    columns = _indicators(masks, n)
+    if cfg.sampler == "exhaustive":
+        full = (1 << n) - 1
+        if full - 1 > ENUMERATION_BUDGET:
+            raise BudgetError(f"the exhaustive sampler enumerates {full - 1} coalitions, "
+                              f"over the {ENUMERATION_BUDGET} budget; sample instead")
+        masks = np.arange(1, full, dtype=np.uint64)
+        moments = _exhaustive_moments(masks, game.evaluate_masks(masks), n)
+    else:
+        masks, weights = _sample_masks(n, cfg)
+        moments = _sampled_moments(masks, weights, game.evaluate_masks(masks), n)
     base = game.evaluate_mask(0)
     target_total = game.target_quantity()
-    y = values if cfg.fit_intercept else values - base
-
-    if cfg.enforce_efficiency:
-        # eliminate the last player's coefficient via the sum constraint;
-        # the intercept column, when fitted, is untouched by it
-        y = y - columns[:, -1] * target_total
-        columns = columns[:, :-1] - columns[:, -1:]
-    X = np.hstack([np.ones((masks.size, 1)), columns]) if cfg.fit_intercept else columns
     solved, ridge_applied, condition = _solve_symmetric(
-        X.T @ (weights[:, None] * X), X.T @ (weights * y), cfg.ridge)
+        *_normal_equations(moments, n, base, target_total, cfg), cfg.ridge)
     phi = solved[1:] if cfg.fit_intercept else solved
     if cfg.enforce_efficiency:
         phi = np.append(phi, target_total - phi.sum())

@@ -5,7 +5,8 @@ a table of every ordering, and per chunk of orderings the prefix masks, the
 chain of payoffs along them, its differences and one ``np.bincount`` per
 player.  ``reference_marginal_sums`` is the earlier pairing of coalitions
 by boolean selections over the ascending masks, which ``marginal_sums``
-still uses for proper bands.  The new code must give the same floats, not
+still uses for proper bands; it sums each player's products with the same
+fixed-order ``ordered_sum``.  The new code must give the same floats, not
 merely close ones.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from shaprank.exact import (
     _predecessor_masks,
     marginal_sums,
+    ordered_sum,
     shapley_exact_permutations,
     subset_weights,
 )
@@ -74,7 +76,7 @@ def reference_marginal_sums(game, sizes, weights):
         has_i = (masks & np.uint64(1 << i)).astype(bool)
         without = in_band & ~has_i
         gains = values[in_above & has_i] - values[without]
-        phi[i] = float(np.dot(weights[counts[without]], gains))
+        phi[i] = ordered_sum(weights[counts[without]], gains)
     return phi
 
 

@@ -6,16 +6,23 @@ a seeded 10-player table, and ``exact``, exhaustive ``kernel``, ``oracle``
 and ``prune`` on a small seeded ``train-toy`` net.  Table payoffs are read
 from the file, but the toy net is trained here and its payoffs go through
 BLAS matrix products, so the toy-net files (``net*``) pin the environment
-they were made in: Python 3.11, numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64
-(two cores; the files come out the same with one or two BLAS threads).
+they were made in: Python 3.11, numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64.
+``tests/test_blas_threads.py`` checks that reports do not depend on the BLAS
+thread count.
 
 Regenerating the files is a deliberate step, with a note in CHANGES.md
 saying which bytes moved and why::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It generates every file into a temporary directory and prints each file's
+name as ``unchanged``, ``changed``, ``new`` or ``removed`` before replacing
+the directory's contents.
 """
 
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -90,9 +97,30 @@ def test_cli_reproduces_the_golden_file(generated, name):
     assert same, f"{name} differs from tests/golden/{name}"
 
 
+def replace_golden_files() -> None:
+    """Regenerate every golden file, printing what moved."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        generate(fresh)
+        old = {p.name for p in GOLDEN.glob("*")}
+        new = {p.name for p in fresh.iterdir()}
+        for name in sorted(old | new):
+            if name not in new:
+                status = "removed"
+            elif name not in old:
+                status = "new"
+            elif (fresh / name).read_bytes() == (GOLDEN / name).read_bytes():
+                status = "unchanged"
+            else:
+                status = "changed"
+            print(f"{status:<9} {name}")
+        GOLDEN.mkdir(exist_ok=True)
+        for stale in GOLDEN.iterdir():
+            stale.unlink()
+        for made in fresh.iterdir():
+            shutil.copyfile(made, GOLDEN / made.name)
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.iterdir():
-        stale.unlink()
-    generate(GOLDEN)
+    replace_golden_files()

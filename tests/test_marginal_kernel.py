@@ -2,8 +2,9 @@
 exact subsets, band sums, leave-one-out and the oracle.
 
 The differential tests keep local copies of the per-player loops the kernel
-replaced: exact must match the old gather bit for bit, band sums the old
-per-size enumeration to the last few bits.
+replaced: exact must match the old gather bit for bit (both sum each
+player's products with ``ordered_sum``), band sums the old per-size
+enumeration to the last few bits.
 """
 
 import itertools
@@ -14,8 +15,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from shaprank.exact import shapley_exact_permutations, shapley_exact_subsets, subset_weights
-from shaprank.games import Game, TableGame, masks_of_size
+from shaprank.exact import (
+    ordered_sum,
+    shapley_exact_permutations,
+    shapley_exact_subsets,
+    subset_weights,
+)
+from shaprank.games import Game, TableGame, masks_by_size, masks_of_size
 from shaprank.oracle import compute_oracle_subsets
 from shaprank.partial import SizeBand, leave_one_out, shapley_partial
 from shaprank.regression import RegressionConfig, shapley_regression
@@ -36,7 +42,7 @@ def old_exact_gather(game: Game) -> np.ndarray:
     for i in range(n):
         without = all_masks[(all_masks >> i) & 1 == 0]
         gains = table[without | (1 << i)] - table[without]
-        phi[i] = float(np.dot(weights[sizes[without]], gains))
+        phi[i] = ordered_sum(weights[sizes[without]], gains)
     return phi
 
 
@@ -84,6 +90,18 @@ class TestMasksOfSize:
     def test_size_out_of_range_is_empty(self):
         assert masks_of_size(5, 6).size == 0
         assert masks_of_size(5, -1).size == 0
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 20])
+    def test_one_sweep_builds_every_size_at_once(self, n):
+        by_size = masks_by_size(n, range(-1, n + 2))
+        assert sorted(by_size) == list(range(-1, n + 2))
+        for k in range(-1, n + 2):
+            assert by_size[k].dtype == np.uint64
+            assert np.array_equal(by_size[k], masks_of_size(n, k))
+        # a partial request sweeps only as far as its sizes need
+        for sizes in ([0, n], [1, n - 1], [n // 2, n // 2 + 1]):
+            partial = masks_by_size(n, sizes)
+            assert all(np.array_equal(partial[k], by_size[k]) for k in sizes)
 
 
 class TestAgainstTheOldLoops:
