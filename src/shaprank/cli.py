@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -40,6 +40,8 @@ from .games import (
     JSON_INTEGER,
     JSON_NUMBER,
     Ranking,
+    _NUMBER,
+    _flat_pairs,
     decode_text,
     load_game_json,
     make_fig2_game,
@@ -63,6 +65,12 @@ from .toynet import (
 )
 
 CACHE_FORMAT = "shaprank-cache-v1"
+# cache rows, each "[" integer mask "," number payoff "]" with spaces or tabs
+# around the tokens, joined by "\n"; possessive, as games._VALUES_BODY
+_CACHE_ROW = rf"[ \t]*+\[[ \t]*+-?[0-9]++[ \t]*+,[ \t]*+{_NUMBER}[ \t]*+\][ \t]*+"
+_CACHE_ROWS = re.compile(rf"(?:{_CACHE_ROW}(?:\n|\Z))*+")
+# with the brackets deleted and each "\n" a comma, the rows as one flat list
+_ROWS_AS_FLAT_LIST = str.maketrans({"[": None, "]": None, "\n": ","})
 
 
 class UsageError(ShapRankError):
@@ -177,12 +185,16 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
     return spec.n_players, accuracy_char_fn(spec, val), inputs, source, spec
 
 
-def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
-    lines = decode_text(Path(path).read_bytes(), path).splitlines()
-    if not lines:
+def _load_cache(path, source: str, n_players: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks and the payoffs of the cache file ``path``, in file order."""
+    text = decode_text(Path(path).read_bytes(), path)
+    # the header is the first line as str.splitlines() cuts it
+    start = text.find("\n") + 1 or len(text)
+    head = text[:start].splitlines()
+    if not head:
         raise FormatError(f"{path}: empty cache file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(head[0])
     except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt cache header") from exc
     if (
@@ -196,18 +208,17 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
             f"{path}: cache was built for a different game "
             f"(source {header['source']!r}, {header.get('n_players')} players)"
         )
-    # the rows' text is the read's largest part: no copy of the list, and
-    # gone before the dict is built
-    del lines[0]
-    rows = _bulk_cache_rows(lines, n_players)
-    if rows is not None:
-        del lines
-        masks, payoffs = rows
-        # a repeated mask keeps its last payoff
-        return dict(zip(masks, map(float, payoffs)))
+    # rows after a header that ends at the first "\n", each one line as
+    # _save_cache writes it up to spaces and tabs, are parsed in one call
+    if len(head) == 1 and _CACHE_ROWS.fullmatch(text, start):
+        end = len(text) - text.endswith("\n")
+        rows = _flat_pairs("[" + text[start:end].translate(_ROWS_AS_FLAT_LIST) + "]")
+        if (rows is not None and int(rows[0].max(initial=0)) >> n_players == 0
+                and np.all(np.isfinite(rows[1]))):
+            return rows
     # only a bad cache gets here: walk it line by line to name the line
-    values = {}
-    for ln, line in enumerate(lines, start=2):
+    masks, payoffs = [], []
+    for ln, line in enumerate(text.splitlines()[1:], start=2):
         try:
             row = json.loads(line)
             if not (
@@ -226,45 +237,9 @@ def _load_cache(path, source: str, n_players: int) -> dict[int, float]:
             )
         if not math.isfinite(value):
             raise FormatError(f"{path}:{ln}: non-finite payoff {value} for mask {mask}")
-        values[mask] = value
-    return values
-
-
-def _bulk_cache_rows(lines: list[str], n_players: int) -> Optional[tuple[list, list]]:
-    """The masks and the payoffs of cache rows ``lines``, parsed in one
-    call, or None when any line is not one ``[mask, payoff]`` row that the
-    line-by-line reader accepts."""
-    if not lines:
-        return [], []
-    # every line "[" mask "," payoff "]" with no other bracket or comma: then
-    # the parse with the brackets dropped reads each line's two values in
-    # turn, and builds no list per row (a comma inside a string or an object
-    # leaves a value that is not a number)
-    body = ",".join(lines)
-    if not (body.count("[") == body.count("]") == len(lines)
-            and set(map(str.count, lines, itertools.repeat(","))) == {1}
-            and all(map(str.startswith, map(str.lstrip, lines), itertools.repeat("[")))
-            and all(map(str.endswith, map(str.rstrip, lines), itertools.repeat("]")))):
-        return None
-    # each copy of the body, and the flat list, is dropped once used: for a
-    # large cache every one is about as large as the rows' text
-    body = "[" + body.replace("[", "").replace("]", "") + "]"
-    try:
-        flat = json.loads(body)
-    except (ValueError, RecursionError):
-        return None
-    del body
-    masks, payoffs = flat[0::2], flat[1::2]
-    del flat
-    if not (set(map(type, masks)) <= JSON_INTEGER and set(map(type, payoffs)) <= JSON_NUMBER
-            and min(masks) >= 0 and max(masks) < 1 << n_players):
-        return None
-    try:
-        if not all(map(math.isfinite, payoffs)):
-            return None
-    except OverflowError:  # an integer payoff beyond float range
-        return None
-    return masks, payoffs
+        masks.append(mask)
+        payoffs.append(value)
+    return np.array(masks, dtype=np.uint64), np.array(payoffs, dtype=np.float64)
 
 
 def _save_cache(path, source: str, game: Game) -> None:
@@ -312,6 +287,9 @@ def _early_stop(args) -> Optional[dict]:
     given = [v is not None for v in pair.values()]
     if any(given) and not all(given):
         raise UsageError("--early-stop-window and --early-stop-eps go together")
+    # the window is the length of a deque, which must fit a C ssize_t
+    if all(given) and pair["window"] > sys.maxsize:
+        raise UsageError(f"--early-stop-window {pair['window']} is over {sys.maxsize}")
     return pair if all(given) else None
 
 

@@ -20,7 +20,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +37,11 @@ JSON_NUMBER = frozenset({int, float})
 _JSON_SPACE = " \t\n\r"
 # a game spec's "values" key up to the opening brace of its object
 _VALUES_KEY = re.compile(r'"values"[ \t\n\r]*:[ \t\n\r]*\{')
+# a number token of a flat parse's text: json reads it or refuses it
+_NUMBER = r"-?[0-9][0-9.eE+-]*+"
 # the entries of the "values" object as written, each '"digits": number';
 # possessive, so the match keeps no state per entry (re, Python 3.11)
-_ENTRY = r'[ \t\n\r]*+"[0-9]++"[ \t\n\r]*+:[ \t\n\r]*+-?[0-9][0-9.eE+-]*+[ \t\n\r]*+'
+_ENTRY = rf'[ \t\n\r]*+"[0-9]++"[ \t\n\r]*+:[ \t\n\r]*+{_NUMBER}[ \t\n\r]*+'
 _VALUES_BODY = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*+")
 # with the quotes deleted, the "values" object as one flat list
 _AS_FLAT_LIST = str.maketrans({'"': None, ":": ",", "{": "[", "}": "]"})
@@ -142,7 +144,8 @@ class Game:
     The cache is two arrays kept in step: the cached masks in ascending
     order (``uint64``) and their payoffs (float64), 16 bytes per cached
     coalition whatever the number of players.  A lookup is a binary search.
-    ``preloaded`` maps bitmasks to finite payoffs.
+    ``preloaded`` is a pair of arrays, bitmasks and their finite payoffs; a
+    repeated mask keeps its last payoff.
 
     One lock is held across each lookup, characteristic-function call and
     store, so concurrent requests for the same coalition still evaluate it
@@ -162,7 +165,7 @@ class Game:
         self,
         n_players: int,
         char_fn: Callable,
-        preloaded: Optional[Mapping[int, float]] = None,
+        preloaded: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ):
         if not 1 <= n_players <= MAX_PLAYERS:
             raise ValueError(f"n_players must be in [1, {MAX_PLAYERS}]")
@@ -173,13 +176,16 @@ class Game:
         self._lock = threading.Lock()
         self._masks = np.empty(0, dtype=np.uint64)
         self._payoffs = np.empty(0, dtype=np.float64)
-        if preloaded:
-            values = np.fromiter(preloaded.values(), dtype=np.float64, count=len(preloaded))
+        if preloaded is not None:
+            masks = self._as_masks(preloaded[0])
+            values = np.asarray(preloaded[1], dtype=np.float64)
+            if values.shape != masks.shape:
+                raise ValueError("preloaded masks and payoffs differ in length")
             if not np.all(np.isfinite(values)):
                 raise ValueError("preloaded payoffs must be finite")
-            masks = self._as_masks(list(preloaded))
-            order = np.argsort(masks)
-            self._masks, self._payoffs = masks[order], values[order]
+            # the first of each mask in reverse is its last payoff
+            self._masks, last = np.unique(masks[::-1], return_index=True)
+            self._payoffs = values[::-1][last]
         self.evaluate_mask(0)
         self.evaluate_mask(full_mask(n_players))
 
@@ -465,29 +471,36 @@ def _bulk_table(text: str) -> Optional[np.ndarray]:
     if (end < 0 or text[end + 1:].strip(_JSON_SPACE) != "}"
             or _VALUES_BODY.fullmatch(text, start, end) is None):
         return None
-    try:
-        flat = json.loads(text[start - 1:end + 1].translate(_AS_FLAT_LIST))
-    except ValueError:  # a key with a leading zero, or a number json refuses
+    pairs = _flat_pairs(text[start - 1:end + 1].translate(_AS_FLAT_LIST))
+    if pairs is None or pairs[0].size != size or pairs[0].max() >= size:
         return None
-    if len(flat) != 2 * size:
-        return None
-    # every key an int and every payoff an int or a float: _VALUES_BODY let
-    # no other token through
-    keys, payoffs = flat[0::2], flat[1::2]
-    del flat
-    try:
-        masks = np.fromiter(keys, dtype=np.int64, count=size)
-        del keys
-        values = np.fromiter(payoffs, dtype=np.float64, count=size)
-    except OverflowError:  # a key beyond int64, or an int payoff beyond float
-        return None
-    del payoffs
-    if masks.max() >= size:
-        return None
+    masks, values = pairs
     table = np.full(size, np.nan)
     table[masks] = values
     # size keys in range: a NaN left is a missing key, or a payoff not finite
     return table if np.all(np.isfinite(table)) else None
+
+
+def _flat_pairs(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The flat JSON list ``text`` of alternating integer keys and number
+    payoffs, parsed in one ``json.loads``, as ``uint64`` keys and float64
+    payoffs; None when json refuses a number (a leading zero, ``1.``), a key
+    is outside ``uint64`` or an integer payoff is beyond float range.  The
+    caller's regular expression lets no other token through."""
+    try:
+        flat = json.loads(text)
+    except ValueError:
+        return None
+    # each of these is about as large as the rows' text: drop it once used
+    del text
+    keys, payoffs = flat[0::2], flat[1::2]
+    del flat
+    try:
+        masks = np.fromiter(keys, dtype=np.uint64, count=len(keys))
+        del keys
+        return masks, np.fromiter(payoffs, dtype=np.float64, count=len(payoffs))
+    except OverflowError:
+        return None
 
 
 def make_fig2_game() -> TableGame:

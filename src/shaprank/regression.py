@@ -67,7 +67,8 @@ class RegressionConfig:
 
     ``n_samples`` is ignored by the exhaustive sampler, which always uses all
     ``2**N - 2`` proper nonempty coalitions (so at most N = 23 players fit
-    the enumeration budget).  ``ridge`` is the fallback
+    the enumeration budget); every other sampler draws ``n_samples`` rows,
+    held to the same budget.  ``ridge`` is the fallback
     regularizer applied only if the plain normal equations are singular; set
     it to 0 to make singularity a hard error.  By default the intercept is
     pinned to the empty coalition's payoff; ``fit_intercept`` estimates it
@@ -276,6 +277,9 @@ def shapley_regression(
         masks = np.arange(1, full, dtype=np.uint64)
         moments = _exhaustive_moments(masks, game.evaluate_masks(masks), n)
     else:
+        if cfg.n_samples > ENUMERATION_BUDGET:
+            raise BudgetError(f"the {cfg.sampler} sampler draws {cfg.n_samples} coalitions, "
+                              f"over the {ENUMERATION_BUDGET} budget")
         masks, weights = _sample_masks(n, cfg)
         moments = _sampled_moments(masks, weights, game.evaluate_masks(masks), n)
     base = game.evaluate_mask(0)

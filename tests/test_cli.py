@@ -671,12 +671,13 @@ class TestCache:
         rng = np.random.default_rng(5)
         masks = [0, 1, 2**40 + 3, 2**63 + 7, 2**64 - 1]
         payoffs = [0.1, -2.5e-300, 1e300, float(rng.standard_normal()), 3.0]
-        game = Game(64, lambda masks: np.zeros(masks.size), preloaded=dict(zip(masks, payoffs)))
+        game = Game(64, lambda masks: np.zeros(masks.size), preloaded=(masks, payoffs))
         path = tmp_path / "cache.jsonl"
         cli._save_cache(path, "src", game)
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert rows == [json.dumps([m, v]) for m, v in sorted(zip(masks, payoffs))]
-        assert cli._load_cache(path, "src", 64) == dict(zip(masks, payoffs))
+        loaded = cli._load_cache(path, "src", 64)
+        assert loaded[0].tolist() == masks and loaded[1].tolist() == payoffs
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -691,7 +692,8 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         header = {"format": cli.CACHE_FORMAT, "n_players": 3, "source": "src"}
         path.write_text("\n".join([json.dumps(header)] + rows) + "\n")
-        assert cli._load_cache(path, "src", 3) == expected
+        masks, payoffs = cli._load_cache(path, "src", 3)
+        assert dict(zip(masks.tolist(), payoffs.tolist())) == expected
 
     @pytest.mark.parametrize(
         "rows, line, complaint",
@@ -1196,6 +1198,26 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
         assert flag in err["message"] and value in err["message"]
+
+    def test_early_stop_window_beyond_a_deque_is_a_usage_error(self, fig2_path, tmp_path, capsys):
+        window = "100000000000000000000"
+        rc = main(["rank", "--game", str(fig2_path), "--method", "perm", "--perms", "10",
+                   "--early-stop-window", window, "--early-stop-eps", "0.1",
+                   "--out", str(tmp_path / "r.json")])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert "--early-stop-window" in err["message"] and window in err["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"])
+    def test_samples_beyond_the_budget_exit_3(self, fig2_path, tmp_path, capsys, sampler):
+        samples = "100000000000000000000"
+        rc = main(["rank", "--game", str(fig2_path), "--method", "kernel", "--sampler", sampler,
+                   "--samples", samples, "--out", str(tmp_path / "r.json")])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (3, "BudgetError", 3)
+        assert samples in err["message"] and "10000000" in err["message"]
+        assert not (tmp_path / "r.json").exists()
 
     def test_error_classes_without_a_type_of_their_own(
         self, fig2_path, tmp_path, capsys, monkeypatch

@@ -32,7 +32,7 @@ class DictGame:
         self.cache_hits = 0
         self._cache = {}
         self._lock = threading.Lock()
-        for mask, value in (preloaded or {}).items():
+        for mask, value in zip(*(preloaded or ((), ()))):
             self._cache[int(mask)] = float(value)
         self.evaluate_mask(0)
         self.evaluate_mask((1 << n_players) - 1)
@@ -89,7 +89,7 @@ def test_batches_match_the_dict_path(n):
     rng = np.random.default_rng(n)
     table = random_table_game(n, seed=n).values
     keys = rng.choice(1 << n, size=min(3, 1 << n), replace=False).tolist()
-    preloaded = {int(k): float(rng.standard_normal()) for k in keys}
+    preloaded = (keys, [float(rng.standard_normal()) for _ in keys])
     new = Game(n, table.__getitem__, preloaded=preloaded)
     old = DictGame(n, lambda mask: table[mask], preloaded=preloaded)
     assert_same_state(new, old)
@@ -204,8 +204,8 @@ def test_sparse_batches_with_preloads_match_the_dict_path(n):
 
     rng = np.random.default_rng(n)
     pool = rng.integers(0, 1 << n, size=300).astype(np.uint64)
-    preloaded = {int(m): float(rng.standard_normal()) for m in pool[:20]}
-    preloaded[(1 << n) - 1] = 4.25
+    preloaded = ([*pool[:20].tolist(), (1 << n) - 1],
+                 [*(float(rng.standard_normal()) for _ in range(20)), 4.25])
     new = Game(n, payoff, preloaded=preloaded)
     old = DictGame(n, payoff, preloaded=preloaded)
     assert_same_state(new, old)
@@ -221,9 +221,9 @@ def test_bad_masks_and_preloaded_payoffs_are_refused():
     with pytest.raises(ValueError):
         game.evaluate_masks([1, 8])
     with pytest.raises(ValueError):
-        Game(3, payoff, preloaded={-1: 0.0})
+        Game(3, payoff, preloaded=([-1], [0.0]))
     with pytest.raises(ValueError):
-        Game(3, payoff, preloaded={1: float("nan")})
+        Game(3, payoff, preloaded=([1], [float("nan")]))
 
 
 def test_failing_batched_payoff_caches_nothing():

@@ -118,9 +118,22 @@ class TestGame:
         assert game.target_quantity() == -4.0
 
     def test_preloaded_values_do_not_count_as_evaluations(self):
-        game = Game(2, lambda masks: masks * 1.0, preloaded={0: 9.0, 3: 9.0, 1: 9.0})
+        game = Game(2, lambda masks: masks * 1.0, preloaded=([0, 3, 1], [9.0, 9.0, 9.0]))
         assert game.eval_count == 0
         assert game.evaluate_mask(1) == 9.0
+
+    def test_a_repeated_preloaded_mask_keeps_its_last_payoff(self):
+        masks = np.array([3, 1, 0, 1, 3, 1], dtype=np.uint64)
+        payoffs = np.array([1.0, 2.0, 3.0, 4.0, -0.0, 6.0])
+        game = Game(2, lambda masks: masks * 1.0, preloaded=(masks, payoffs))
+        cached_masks, cached_payoffs = game.cached_table()
+        assert cached_masks.tolist() == [0, 1, 3]
+        assert cached_payoffs.tobytes() == np.array([3.0, 6.0, -0.0]).tobytes()
+        assert (game.eval_count, game.cache_hits) == (0, 2)
+
+    def test_preloaded_arrays_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Game(2, lambda masks: masks * 1.0, preloaded=([0, 3, 1], [9.0, 9.0]))
 
 
 class TestTableGame:

@@ -151,6 +151,14 @@ def outcome(read, *args):
         return type(exc), str(exc)
 
 
+def cache_dict(rows):
+    """Cache rows ``(masks, payoffs)`` as the reference reader returns
+    them: a dict in first-seen order, a repeated mask keeping its last
+    payoff."""
+    masks, payoffs = rows
+    return dict(zip(masks.tolist(), payoffs.tolist()))
+
+
 def assert_same_outcome(new, old):
     assert new[0] == old[0], (new, old)
     if new[0] != "ok":
@@ -162,6 +170,15 @@ def assert_same_outcome(new, old):
         assert np.array_equal(new[1].labels, old[1].labels)
     elif isinstance(old[1], np.ndarray):
         assert np.array_equal(new[1], old[1], equal_nan=True)
+    elif isinstance(new[1], tuple):
+        # cache rows against the reference's dict, bit for bit: dict ==
+        # cannot tell -0.0 from 0.0
+        masks, payoffs = new[1]
+        assert (masks.dtype, payoffs.dtype) == (np.uint64, np.float64)
+        rows = cache_dict(new[1])
+        assert list(rows) == list(old[1])
+        assert (np.array(list(rows.values()), dtype=np.float64).tobytes()
+                == np.array(list(old[1].values()), dtype=np.float64).tobytes())
     else:
         assert new[1] == old[1]
         assert list(new[1]) == list(old[1])
@@ -231,6 +248,27 @@ class TestCacheReader:
             (["[1, 2.0]", '["a,b"]'], "\n", "3: corrupt cache entry"),
             (["[0, 1.0]", "[1, 2.0]"], "\r\n", {0: 1.0, 1: 2.0}),
             (["[0, 1.0]   ", "[1, 2.0]\t", "[0, 3.0] "], "\n", {0: 3.0, 1: 2.0}),
+            # tokens the row pattern lets through to json, which reads or
+            # refuses them; the comparison with the reference is bit for bit
+            (["[-0, 1.0]"], "\n", {0: 1.0}),
+            (["[01, 1.0]"], "\n", "2: corrupt cache entry"),
+            (["[1, 1.]"], "\n", "2: corrupt cache entry"),
+            (["[1, 1e]"], "\n", "2: corrupt cache entry"),
+            (["[18446744073709551616, 1.0]"], "\n",
+             "2: mask 18446744073709551616 out of range for 3 players"),
+            (["[1, -0]"], "\n", {1: 0.0}),
+            (["[1, -0.0]", "[2, 0.0]"], "\n", {1: -0.0, 2: 0.0}),
+            (["[1, NaN]"], "\n", "2: non-finite payoff nan for mask 1"),
+            (["[1, Infinity]"], "\n", "2: non-finite payoff inf for mask 1"),
+            (["\t[\t1\t,\t2.5\t]\t"], "\n", {1: 2.5}),
+            # beside a row: JSON whitespace neither, a line break to
+            # str.splitlines() the second
+            (["[1, 2.0]\xa0"], "\n", "2: corrupt cache entry"),
+            (["[1, 2.0]\x0b[2, 3.0]"], "\n", {1: 2.0, 2: 3.0}),
+            (["\x0b[1, 2.0]"], "\n", "2: corrupt cache entry"),
+            # a line break to str.splitlines() ending the header
+            (["\x0c[1, 2.0]\n"], "", {1: 2.0}),
+            (["\x0c\n[1, 2.0]\n"], "", "2: corrupt cache entry"),
         ],
     )
     def test_rows_the_bulk_parse_could_misread(self, tmp_path, lines, newline, expected):
@@ -241,7 +279,7 @@ class TestCacheReader:
         if isinstance(expected, str):
             assert new == (FormatError, f"{path}:{expected}")
         else:
-            assert new == ("ok", expected)
+            assert new[0] == "ok" and cache_dict(new[1]) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from scipy import stats
 
 from shaprank.errors import BudgetError, SingularSystemError
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import Game, TableGame
+from shaprank.games import ENUMERATION_BUDGET, Game, TableGame
 from shaprank.regression import (
     LARGE_KERNEL_WEIGHT,
+    SAMPLERS,
     RegressionConfig,
     _sample_masks,
     _solve_symmetric,
@@ -136,6 +137,17 @@ class TestSampledRegression:
         game = Game(24, payoff)
         with pytest.raises(BudgetError, match="16777214 coalitions"):
             shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive"))
+
+    @pytest.mark.parametrize("sampler", [s for s in SAMPLERS if s != "exhaustive"])
+    def test_samples_beyond_the_budget_draw_nothing(self, sampler):
+        def payoff(masks):
+            raise AssertionError("drew past the budget")
+
+        # the empty and grand payoffs preloaded: the payoff is never called
+        game = Game(4, payoff, preloaded=([0, 15], [0.0, 1.0]))
+        samples = ENUMERATION_BUDGET + 1
+        with pytest.raises(BudgetError, match=f"{samples} coalitions"):
+            shapley_regression(game, RegressionConfig(n_samples=samples, sampler=sampler))
 
     def test_underdetermined_budget_rejected(self):
         game = random_table_game(6, seed=2)
