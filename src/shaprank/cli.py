@@ -423,7 +423,7 @@ def cmd_oracle(args) -> int:
     k_range = _parse_k_range(args.k_range, game.n_players)
     started = time.perf_counter()
     oracle = compute_oracle_subsets(game, args.mode, k_range)
-    rankings = _rankings_to_score(args, build_oracle_rank(oracle, strategy=args.rank_strategy))
+    rankings = _rankings_to_score(args, build_oracle_rank(oracle))
     # reports are read lazily, each scored before the next is opened, so the
     # first bad report decides the error
     rows = [
@@ -440,7 +440,8 @@ def cmd_oracle(args) -> int:
             str(k): [list(c.members()) for c in oracle.per_k[k]] for k in oracle.k_range
         },
         "oracle_best_value": {str(k): oracle.best_value[k] for k in oracle.k_range},
-        "rank_strategy": args.rank_strategy,
+        # the construction follows from the budget; the key keeps reports unchanged
+        "rank_strategy": "auto",
         "scores": rows,
         **_provenance(inputs, game, {"mode": args.mode, "k_range": k_range}),
     }
@@ -614,9 +615,6 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--k-range", required=True, dest="k_range")
     p_oracle.add_argument(
         "--rank", action="append", help="ranking report to score (repeatable)"
-    )
-    p_oracle.add_argument(
-        "--rank-strategy", default="auto", choices=["auto", "optimal", "greedy"]
     )
     p_oracle.add_argument("--out", required=True)
     p_oracle.add_argument("--csv", action="store_true")

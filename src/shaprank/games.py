@@ -35,8 +35,10 @@ JSON_INTEGER = frozenset({int})
 JSON_NUMBER = frozenset({int, float})
 # JSON's whitespace: str.strip() would also strip \x0b, \x0c and \x1c..\x1f
 _JSON_SPACE = " \t\n\r"
-# a game spec's "values" key up to the opening brace of its object
-_VALUES_KEY = re.compile(r'"values"[ \t\n\r]*:[ \t\n\r]*\{')
+# a game spec's head up to the opening brace of its "values" object, with
+# "n_players" once, unescaped, and an integer without a leading zero
+_HEAD = re.compile(r'[ \t\n\r]*+\{[ \t\n\r]*+"n_players"[ \t\n\r]*+:[ \t\n\r]*+([1-9][0-9]{0,2}+)'
+                   r'[ \t\n\r]*+,[ \t\n\r]*+"values"[ \t\n\r]*+:[ \t\n\r]*+\{')
 # a number token of a flat parse's text: json reads it or refuses it
 _NUMBER = r"-?[0-9][0-9.eE+-]*+"
 # the entries of the "values" object as written, each '"digits": number';
@@ -91,6 +93,12 @@ def masks_by_size(n_players: int, sizes: Iterable[int]) -> dict[int, np.ndarray]
         else:
             out[size] = by_count[size]
     return out
+
+
+def prefix_masks(perm: np.ndarray) -> np.ndarray:
+    """Bitmasks of the ordering's proper nonempty prefixes, shortest first."""
+    bits = np.left_shift(np.uint64(1), perm[:-1].astype(np.uint64))
+    return np.bitwise_or.accumulate(bits)
 
 
 @dataclass(frozen=True)
@@ -450,24 +458,14 @@ def _bulk_table(text: str) -> Optional[np.ndarray]:
     ``json.dump(sort_keys=True)`` write it), in ASCII, and holds exactly the
     canonical keys with finite number payoffs.  Whatever it refuses, the
     dict parse reads to the same table or refuses with its own message."""
-    found = _VALUES_KEY.search(text)
-    if found is None:
+    head = _HEAD.match(text)
+    if head is None or int(head[1]) > MAX_PLAYERS:
         return None
-    # the text before "values" is a complete first member: with its comma
-    # made the closing brace, it must parse as {"n_players": n} alone
-    head = text[:found.start()].rstrip(_JSON_SPACE)
-    try:
-        doc = json.loads(head[:-1] + "}") if head.endswith(",") else None
-    except (ValueError, RecursionError):
-        return None
-    if not (type(doc) is dict and doc.keys() == {"n_players"}
-            and type(doc["n_players"]) in JSON_INTEGER and 1 <= doc["n_players"] <= MAX_PLAYERS):
-        return None
-    size = 1 << doc["n_players"]
+    size = 1 << int(head[1])
     # the body runs to the first "}", which must close the document; a
     # regular expression checks it, not arrays of its bytes, whose freed
     # buffers would stay resident under the parse's objects
-    start, end = found.end(), text.find("}", found.end())
+    start, end = head.end(), text.find("}", head.end())
     if (end < 0 or text[end + 1:].strip(_JSON_SPACE) != "}"
             or _VALUES_BODY.fullmatch(text, start, end) is None):
         return None

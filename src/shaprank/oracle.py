@@ -174,41 +174,28 @@ def _walk(n: int, score: Callable[[np.ndarray, int], np.ndarray]) -> list[int]:
     return order
 
 
-def build_oracle_rank(
-    oracle: OracleSubsets,
-    strategy: str = "auto",
-) -> Ranking:
+def build_oracle_rank(oracle: OracleSubsets) -> Ranking:
     """The reference ordering scored against the same oracle sets.
 
-    ``auto`` uses the exact dynamic-programming search when the prefixes it
-    holds, every coalition of sizes 1..kmax, fit the enumeration budget, and
-    the greedy construction otherwise; both are selectable explicitly.
-    Scores attached to the result are ordinal placeholders (position ranks),
-    not payoff estimates.
+    The exact dynamic-programming search runs when the prefixes it holds,
+    every coalition of sizes 1..kmax, fit the enumeration budget, and the
+    greedy construction otherwise.  Scores attached to the result are
+    ordinal placeholders (position ranks), not payoff estimates.
     """
     if not oracle.per_k:
         raise ValueError("oracle has no evaluated sizes to rank against")
     n = oracle.n_players
     top = max(oracle.k_range)
-    cost = sum(math.comb(n, size) for size in range(1, top + 1))
-    if strategy == "auto":
-        strategy = "optimal" if cost <= ENUMERATION_BUDGET else "greedy"
-    if strategy == "optimal":
-        if cost > ENUMERATION_BUDGET:
-            raise BudgetError(
-                f"exact rank search holds {cost} prefixes, over the {ENUMERATION_BUDGET} budget"
-            )
+    if sum(math.comb(n, size) for size in range(1, top + 1)) <= ENUMERATION_BUDGET:
         masks, value = _optimal_values(oracle)
         # every prefix above the largest scored size is worth 0
         order = _walk(n, lambda extended, k: value[k][np.searchsorted(masks[k], extended)]
                       if k <= top else np.zeros(extended.size))
-    elif strategy == "greedy":
+    else:
         # the prefixes fixed before a slot add the same amount to every
         # candidate's weighted overlap, so only the new prefix's gain differs;
         # distinct gains differ by at least 1/(64*63), far above the tolerance
         order = _walk(n, lambda extended, k: k * _best_overlaps(extended, oracle.per_k.get(k, ())))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     scores = np.arange(n, 0, -1, dtype=np.float64)
     return Ranking(order=np.array(order), scores=scores)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetError, SingularSystemError
 from .exact import REDUCE_BLOCK, ordered_sum
-from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members
+from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members, prefix_masks
 
 LARGE_KERNEL_WEIGHT = 1e10
 _COND_LIMIT = 1e12
@@ -120,16 +120,11 @@ def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray
             masks.append(mask)
             weights.append(shapley_kernel_weight(n, int(bits.sum())))
     else:  # permutation-prefix
-        while len(masks) < cfg.n_samples:
-            perm = rng.permutation(n)
-            mask = 0
-            for p in perm[:-1]:
-                mask |= 1 << int(p)
-                k = int(mask).bit_count()
-                masks.append(mask)
-                weights.append(shapley_kernel_weight(n, k) * math.comb(n, k))
-        del masks[cfg.n_samples:]
-        del weights[cfg.n_samples:]
+        # an ordering's n - 1 prefixes have sizes 1..n-1, in that order
+        orderings = -(-cfg.n_samples // (n - 1))
+        prefixes = np.concatenate([prefix_masks(rng.permutation(n)) for _ in range(orderings)])
+        per_size = [shapley_kernel_weight(n, k) * math.comb(n, k) for k in range(1, n)]
+        return prefixes[:cfg.n_samples], np.tile(per_size, orderings)[:cfg.n_samples]
     return np.array(masks, dtype=np.uint64), np.array(weights)
 
 

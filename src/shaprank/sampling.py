@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .games import Game, ShapleyEstimate
+from .errors import BudgetError
+from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, prefix_masks
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,6 @@ def _stream(cfg: SamplingConfig, n_players: int) -> Callable[[int], np.ndarray]:
     return paired
 
 
-def _prefix_masks(perm: np.ndarray) -> np.ndarray:
-    """Bitmasks of the ordering's proper nonempty prefixes, shortest first."""
-    bits = np.left_shift(np.uint64(1), perm[:-1].astype(np.uint64))
-    return np.bitwise_or.accumulate(bits)
-
-
 def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstimate:
     """Average marginal contributions over sampled orderings.
 
@@ -85,6 +80,10 @@ def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstim
     divided by sqrt of the realized ordering count.
     """
     n = game.n_players
+    # one marginal per player per ordering, also where N = 1 requests no prefix
+    if cfg.n_permutations * n > ENUMERATION_BUDGET:
+        raise BudgetError(f"{cfg.n_permutations} orderings of {n} players take "
+                          f"{cfg.n_permutations * n} marginals, over the {ENUMERATION_BUDGET} budget")
     source = _stream(cfg, n)
     empty_value = game.evaluate_mask(0)
     full_value = game.evaluate_mask(game.grand_mask)
@@ -98,7 +97,7 @@ def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstim
 
     for j in range(cfg.n_permutations):
         perm = np.asarray(source(j))
-        chain = game.evaluate_masks(_prefix_masks(perm))
+        chain = game.evaluate_masks(prefix_masks(perm))
         marginals = np.empty(n)
         marginals[perm] = np.diff(chain, prepend=empty_value, append=full_value)
         sums += marginals

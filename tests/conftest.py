@@ -74,6 +74,17 @@ def per_mask(payoff):
     return lambda masks: np.array([payoff(mask) for mask in masks.tolist()], dtype=np.float64)
 
 
+def greedy_oracle_rank(oracle):
+    """``build_oracle_rank``'s greedy construction, which runs when the
+    optimal search's prefixes exceed the enumeration budget: here a budget
+    of 0, set only for this call, so the oracle must already be computed."""
+    from shaprank.oracle import build_oracle_rank
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("shaprank.oracle.ENUMERATION_BUDGET", 0)
+        return build_oracle_rank(oracle)
+
+
 def constant_table_game(n_players: int, value: float = 7.5) -> TableGame:
     return TableGame(np.full(1 << n_players, value))
 

@@ -36,7 +36,7 @@ from shaprank.toynet import (
     train_toy_model,
 )
 
-from conftest import build_redundancy_game, random_table_game
+from conftest import build_redundancy_game, greedy_oracle_rank, random_table_game
 
 
 @contextmanager
@@ -273,10 +273,10 @@ def test_criterion_5_oracle_benchmark():
         oracle = OracleSubsets(
             mode="remove", n_players=8, per_k=per_k, best_value={1: 0.0, 2: 0.0}
         )
-        greedy = build_oracle_rank(oracle, strategy="greedy")
+        greedy = greedy_oracle_rank(oracle)
         assert greedy.order[0] == 5
         assert score_ranking(greedy, oracle).weighted_total == pytest.approx(5.0 / 9.0)
-        optimal = build_oracle_rank(oracle, strategy="optimal")
+        optimal = build_oracle_rank(oracle)
         best = score_ranking(optimal, oracle).weighted_total
         assert best == pytest.approx(_exhaustive_best_total(oracle))
         assert best == pytest.approx(2.0 / 3.0)

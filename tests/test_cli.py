@@ -260,15 +260,18 @@ class TestOracle:
         assert set(rows["rank"]["per_k"]) == {"1", "2"}
         assert rows["rank"]["mode"] == "remove"
 
-    def test_full_size_scores_everything_one(self, fig2_path, tmp_path):
+    def test_full_size_scores_everything_one(self, fig2_path, tmp_path, monkeypatch):
         rank_out = tmp_path / "rank.json"
         main(["rank", "--game", str(fig2_path), "--method", "exact", "--out", str(rank_out)])
         out = tmp_path / "oracle.json"
+        # one coalition of size 3 fits, the 7 prefixes of the optimal search
+        # do not, so the greedy construction runs
+        monkeypatch.setattr("shaprank.oracle.ENUMERATION_BUDGET", 1)
         rc = main(
             [
                 "oracle", "--game", str(fig2_path),
                 "--mode", "keep", "--k-range", "3",
-                "--rank", str(rank_out), "--rank-strategy", "greedy",
+                "--rank", str(rank_out),
                 "--out", str(out),
             ]
         )
@@ -928,21 +931,15 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == ("UsageError", "--k-range '2,1,2': k=2 given twice")
 
-    def test_optimal_rank_beyond_its_budget_exits_3(self, toy_files, tmp_path, capsys):
-        _, data_path = toy_files
-        model_path = tmp_path / "wide.json"
-        assert main(["train-toy", "--out", str(model_path), "--data", str(data_path),
-                     "--hidden", "24", "--epochs", "0"]) == 0
-        rc = main(
-            ["oracle", "--model", str(model_path), "--data", str(data_path),
-             "--mode", "remove", "--k-range", "1,23", "--rank-strategy", "optimal",
-             "--out", str(tmp_path / "o.json")]
-        )
-        assert rc == 3
+    def test_rank_strategy_is_a_usage_error(self, fig2_path, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        rc = main(["oracle", "--game", str(fig2_path), "--mode", "remove", "--k-range", "1:2",
+                   "--rank-strategy", "greedy", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["exit_code"]) == ("BudgetError", 3)
-        # sizes 1..23 of 24 players: 2**24 - 2 prefixes
-        assert "16777214 prefixes" in err["message"] and "10000000" in err["message"]
+        assert (err["error"], err["exit_code"]) == ("UsageError", 2)
+        assert "unrecognized arguments: --rank-strategy greedy" in err["message"]
 
     def test_diverged_training_exits_4(self, tmp_path, capsys):
         rc = main(["train-toy", "--out", str(tmp_path / "m.json"), "--hidden", "8",
@@ -1217,6 +1214,15 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (rc, err["error"], err["exit_code"]) == (3, "BudgetError", 3)
         assert samples in err["message"] and "10000000" in err["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_orderings_beyond_the_budget_exit_3(self, fig2_path, tmp_path, capsys):
+        perms = "100000000000000000000"
+        rc = main(["rank", "--game", str(fig2_path), "--method", "perm", "--perms", perms,
+                   "--out", str(tmp_path / "r.json")])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (3, "BudgetError", 3)
+        assert perms in err["message"] and "10000000" in err["message"]
         assert not (tmp_path / "r.json").exists()
 
     def test_error_classes_without_a_type_of_their_own(

@@ -19,7 +19,12 @@ from shaprank.partial import leave_one_out
 from shaprank.regression import RegressionConfig, shapley_regression
 from shaprank.sampling import SamplingConfig, shapley_sample_permutations
 
-from conftest import build_redundancy_game, constant_table_game, random_table_game
+from conftest import (
+    build_redundancy_game,
+    constant_table_game,
+    greedy_oracle_rank,
+    random_table_game,
+)
 
 
 def exhaustive_best_total(oracle: OracleSubsets) -> float:
@@ -181,13 +186,13 @@ class TestOracleRank:
 
     def test_fig2_greedy_strategy_matches_hand_construction(self, fig2):
         oracle = compute_oracle_subsets(fig2, "remove", [1, 2])
-        rank = build_oracle_rank(oracle, strategy="greedy")
+        rank = greedy_oracle_rank(oracle)
         assert rank.order.tolist() == [0, 1, 2]
         assert score_ranking(rank, oracle).weighted_total == pytest.approx(5.0 / 9.0)
 
     def test_fig2_optimal_strategy_beats_greedy(self, fig2):
         oracle = compute_oracle_subsets(fig2, "remove", [1, 2])
-        rank = build_oracle_rank(oracle, strategy="optimal")
+        rank = build_oracle_rank(oracle)
         total = score_ranking(rank, oracle).weighted_total
         assert total == pytest.approx(2.0 / 3.0)
         assert total == pytest.approx(exhaustive_best_total(oracle))
@@ -195,10 +200,10 @@ class TestOracleRank:
     def test_two_disjoint_oracle_sets_example(self):
         # oracle wants {5} first but {2,7} second: no ordering satisfies both
         oracle = synthetic_oracle(8, {1: [{5}], 2: [{2, 7}]})
-        greedy = build_oracle_rank(oracle, strategy="greedy")
+        greedy = greedy_oracle_rank(oracle)
         assert greedy.order[0] == 5
         assert score_ranking(greedy, oracle).weighted_total == pytest.approx(5.0 / 9.0)
-        optimal = build_oracle_rank(oracle, strategy="optimal")
+        optimal = build_oracle_rank(oracle)
         best = score_ranking(optimal, oracle).weighted_total
         assert best == pytest.approx(2.0 / 3.0)
         assert best == pytest.approx(exhaustive_best_total(oracle))
@@ -208,14 +213,14 @@ class TestOracleRank:
     def test_optimal_matches_independent_exhaustive_search(self, seed):
         game = random_table_game(6, seed=seed)
         oracle = compute_oracle_subsets(game, "remove", [1, 2, 3])
-        rank = build_oracle_rank(oracle, strategy="optimal")
+        rank = build_oracle_rank(oracle)
         assert score_ranking(rank, oracle).weighted_total == pytest.approx(
             exhaustive_best_total(oracle), abs=1e-12
         )
 
     def test_reconstruction_prefers_small_indices(self):
         oracle = synthetic_oracle(4, {1: [{0}, {1}]})  # tied singletons
-        rank = build_oracle_rank(oracle, strategy="optimal")
+        rank = build_oracle_rank(oracle)
         assert rank.order[0] == 0
 
     def test_non_contiguous_range_scores_only_its_sizes(self, fig2):
@@ -249,18 +254,23 @@ class TestOracleRank:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("mode, k_range", [("remove", range(1, 4)), ("keep", range(1, 5))])
-    def test_auto_is_optimal_beyond_twenty_players(self, seed, mode, k_range):
+    def test_optimal_beyond_twenty_players(self, seed, mode, k_range):
         # greedy scores below the best order on every one of these games
         oracle = compute_oracle_subsets(random_table_game(22, seed), mode, k_range)
-        auto = build_oracle_rank(oracle)
-        assert auto.order.tolist() == build_oracle_rank(oracle, strategy="optimal").order.tolist()
-        greedy = score_ranking(build_oracle_rank(oracle, strategy="greedy"), oracle)
-        assert score_ranking(auto, oracle).weighted_total > greedy.weighted_total
+        optimal = score_ranking(build_oracle_rank(oracle), oracle)
+        assert optimal.weighted_total > score_ranking(greedy_oracle_rank(oracle), oracle).weighted_total
 
-    def test_optimal_beyond_the_enumeration_budget_raises(self):
+    def test_the_budget_selects_the_construction(self, monkeypatch):
+        # sizes 1..2 of 8 players hold 8 + 28 prefixes; greedy leads with {5}
+        oracle = synthetic_oracle(8, {1: [{5}], 2: [{2, 7}]})
+        monkeypatch.setattr("shaprank.oracle.ENUMERATION_BUDGET", 36)
+        assert score_ranking(build_oracle_rank(oracle), oracle).weighted_total == pytest.approx(2 / 3)
+        monkeypatch.setattr("shaprank.oracle.ENUMERATION_BUDGET", 35)
+        assert build_oracle_rank(oracle).order[0] == 5
+
+    def test_greedy_beyond_the_enumeration_budget(self):
         # sizes 1..23 of 24 players: 2**24 - 2 prefixes
         oracle = synthetic_oracle(24, {1: [{0}], 23: [set(range(23))]})
-        with pytest.raises(BudgetError, match="holds 16777214 prefixes, over the 10000000"):
-            build_oracle_rank(oracle, strategy="optimal")
         rank = build_oracle_rank(oracle)
+        assert rank.order.tolist() == greedy_oracle_rank(oracle).order.tolist()
         assert score_ranking(rank, oracle).weighted_total == 1.0

@@ -26,6 +26,8 @@ from shaprank.oracle import (
     score_ranking,
 )
 
+from conftest import greedy_oracle_rank
+
 
 def reference_best_overlap(prefix, tied):
     return max(jaccard(oracle_set, prefix) for oracle_set in tied)
@@ -185,11 +187,13 @@ def all_oracles():
     yield from bounded_oracles(seed=3)
 
 
-@pytest.mark.parametrize("strategy", ["greedy", "optimal"])
-def test_orders_and_scores_match_the_reference(strategy):
-    reference = reference_greedy if strategy == "greedy" else reference_optimal
+@pytest.mark.parametrize("construct, reference", [
+    (greedy_oracle_rank, reference_greedy),
+    (build_oracle_rank, reference_optimal),
+], ids=["greedy", "optimal"])
+def test_orders_and_scores_match_the_reference(construct, reference):
     for oracle in all_oracles():
-        rank = build_oracle_rank(oracle, strategy=strategy)
+        rank = construct(oracle)
         assert rank.order.tolist() == reference(oracle)
         new, old = score_ranking(rank, oracle), reference_score(rank, oracle)
         assert new.per_k == old.per_k

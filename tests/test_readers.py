@@ -504,9 +504,9 @@ class TestGameSpecReader:
              False),
             ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}, "n_players": 2}',
              False),
-            # json keeps the last of a repeated key: the head is {"n_players": 2}
+            # json keeps the last of a repeated key; the bulk layout writes it once
             ('{"n_players": 1, "n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}',
-             True),
+             False),
             ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}\x0c', False),
             ('{"n_players": 2.0, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
             ('{"n_players": 22 "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
@@ -515,10 +515,13 @@ class TestGameSpecReader:
              '"values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
             ('[{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}]', False),
             ('{"n_players": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}}', False),
+            ('{"n_\\u0070layers": 2, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
+            (' \r\n{ "n_players" :2 ,"values":{"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', True),
+            ('{"n_players": 65, "values": {"0": 1.5, "1": 2.5, "2": 3.5, "3": 4.5}}', False),
         ],
         ids=["second-values", "second-n_players", "n_players-twice", "form-feed-after",
              "float-n_players", "no-comma-after-n_players", "too-few-keys", "values-in-a-string", "in-a-list",
-             "extra-brace"],
+             "extra-brace", "escaped-n_players", "spaces-around-the-head", "n_players-too-large"],
     )
     def test_documents_around_the_values(self, tmp_path, text, in_bulk):
         path = tmp_path / "game.json"

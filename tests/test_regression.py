@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -185,6 +187,37 @@ class TestSizeStratifiedSampler:
         assert values.size == 15  # all C(6,2) patterns appear
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
+
+
+def reference_permutation_prefix(n, cfg):
+    """The permutation-prefix sampler as a per-bit loop over each ordering."""
+    rng = np.random.default_rng(cfg.seed)
+    masks: list[int] = []
+    weights: list[float] = []
+    while len(masks) < cfg.n_samples:
+        perm = rng.permutation(n)
+        mask = 0
+        for p in perm[:-1]:
+            mask |= 1 << int(p)
+            k = int(mask).bit_count()
+            masks.append(mask)
+            weights.append(shapley_kernel_weight(n, k) * math.comb(n, k))
+    del masks[cfg.n_samples:]
+    del weights[cfg.n_samples:]
+    return np.array(masks, dtype=np.uint64), np.array(weights)
+
+
+class TestPermutationPrefixSampler:
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 32, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_matches_the_per_bit_loop(self, n, seed):
+        for rows in (1, 10, 999, 5000):
+            cfg = RegressionConfig(n_samples=rows, sampler="permutation-prefix", seed=seed)
+            masks, weights = _sample_masks(n, cfg)
+            ref_masks, ref_weights = reference_permutation_prefix(n, cfg)
+            assert masks.dtype == ref_masks.dtype and weights.dtype == ref_weights.dtype
+            assert masks.tobytes() == ref_masks.tobytes()
+            assert weights.tobytes() == ref_weights.tobytes()
 
 
 class TestSolver:

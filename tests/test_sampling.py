@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shaprank import sampling
+from shaprank.errors import BudgetError
 from shaprank.exact import shapley_exact_subsets
+from shaprank.games import ENUMERATION_BUDGET, Game
 from shaprank.sampling import (
     EarlyStop,
     SamplingConfig,
@@ -30,6 +32,27 @@ class TestConfigValidation:
     def test_early_stop_epsilon_positive(self):
         with pytest.raises(ValueError):
             EarlyStop(window=3, epsilon=0.0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_orderings_beyond_the_budget_draw_nothing(self, monkeypatch, n, antithetic):
+        def payoff(masks):
+            raise AssertionError("evaluated past the budget")
+
+        def draw(seed, index, n_players):
+            raise AssertionError("drew past the budget")
+
+        monkeypatch.setattr(sampling, "permutation_at", draw)
+        # the empty and grand payoffs preloaded: the payoff is never called
+        game = Game(n, payoff, preloaded=([0, (1 << n) - 1], [0.0, 1.0]))
+        count = ENUMERATION_BUDGET // n + 1
+        cfg = SamplingConfig(n_permutations=count, antithetic=antithetic)
+        with pytest.raises(BudgetError, match=f"{count} orderings of {n} players"):
+            shapley_sample_permutations(game, cfg)
+        # the largest count within the budget passes the check
+        cfg = SamplingConfig(n_permutations=count - 1, antithetic=antithetic)
+        with pytest.raises(AssertionError, match="drew past the budget"):
+            shapley_sample_permutations(game, cfg)
 
 
 class TestPermutationStream:
