@@ -14,15 +14,14 @@ from .errors import (
     TrainingDivergedError,
 )
 from .exact import shapley_exact_permutations, shapley_exact_subsets
+from .formats import load_game_json, load_model, save_game_json, save_model
 from .games import (
     Coalition,
     Game,
     Ranking,
     ShapleyEstimate,
     TableGame,
-    load_game_json,
     make_fig2_game,
-    save_game_json,
 )
 from .oracle import (
     OracleSubsets,
@@ -40,10 +39,8 @@ from .toynet import (
     Layer,
     ModelSpec,
     accuracy_char_fn,
-    load_model,
     make_accuracy_game,
     make_blobs_dataset,
-    save_model,
     train_toy_model,
 )
 

@@ -13,8 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -34,43 +32,39 @@ from .errors import (
     TrainingDivergedError,
 )
 from .exact import shapley_exact_permutations, shapley_exact_subsets
+from .formats import (
+    check_labels,
+    check_model_data,
+    load_cache,
+    load_dataset_csv,
+    load_game_json,
+    load_model,
+    ranking_from_report,
+    save_cache,
+    save_dataset_csv,
+    save_game_json,
+    save_model,
+    write_json,
+    write_oracle_csv,
+    write_rank_csv,
+)
 from .games import (
     Coalition,
     Game,
-    JSON_INTEGER,
-    JSON_NUMBER,
     Ranking,
-    _NUMBER,
-    _flat_pairs,
-    decode_text,
-    load_game_json,
     make_fig2_game,
-    save_game_json,
-    write_json,
 )
 from .oracle import build_oracle_rank, compute_oracle_subsets, score_ranking, score_report_dict
 from .partial import SizeBand, shapley_partial
 from .regression import SAMPLERS, RegressionConfig, shapley_regression
 from .sampling import EarlyStop, SamplingConfig, shapley_sample_permutations
 from .toynet import (
-    load_dataset_csv,
-    load_model,
     make_blobs_dataset,
-    save_dataset_csv,
-    save_model,
     split_dataset,
     train_toy_model,
     ModelSpec,
     accuracy_char_fn,
 )
-
-CACHE_FORMAT = "shaprank-cache-v1"
-# cache rows, each "[" integer mask "," number payoff "]" with spaces or tabs
-# around the tokens, joined by "\n"; possessive, as games._VALUES_BODY
-_CACHE_ROW = rf"[ \t]*+\[[ \t]*+-?[0-9]++[ \t]*+,[ \t]*+{_NUMBER}[ \t]*+\][ \t]*+"
-_CACHE_ROWS = re.compile(rf"(?:{_CACHE_ROW}(?:\n|\Z))*+")
-# with the brackets deleted and each "\n" a comma, the rows as one flat list
-_ROWS_AS_FLAT_LIST = str.maketrans({"[": None, "]": None, "\n": ","})
 
 
 class UsageError(ShapRankError):
@@ -130,7 +124,7 @@ def _parse_k_range(text: str, n_players: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Game sources and cache persistence
+# Game sources
 # ---------------------------------------------------------------------------
 
 
@@ -153,19 +147,7 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
             raise UsageError(f"--layer {args.layer} out of range")
         spec = spec.with_prunable_layer(args.layer)
     data = load_dataset_csv(args.data, inputs)
-    first = spec.layers[0]
-    if first.kind != "dense" or data.inputs.shape[1] != first.in_units:
-        wants = first.in_units if first.kind == "dense" else f"{first.in_units}-channel images"
-        raise FormatError(f"{args.data}: {data.inputs.shape[1]} features, "
-                          f"the model's first layer expects {wants}")
-    n_classes = spec.layers[-1].out_units
-    outside = np.flatnonzero((data.labels < 0) | (data.labels >= n_classes))
-    if outside.size:
-        row = int(outside[0])
-        raise FormatError(
-            f"{args.data}:{row + 2}: label {data.labels[row]} outside the "
-            f"model's {n_classes} classes"
-        )
+    check_model_data(spec, data, args.data)
     fractions = _parse_fractions(args.split)
     parts = split_dataset(data, fractions, seed=args.split_seed)
     val = parts["val"]
@@ -185,94 +167,11 @@ def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]
     return spec.n_players, accuracy_char_fn(spec, val), inputs, source, spec
 
 
-def _load_cache(path, source: str, n_players: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks and the payoffs of the cache file ``path``, in file order."""
-    text = decode_text(Path(path).read_bytes(), path)
-    # the header is the first line as str.splitlines() cuts it
-    start = text.find("\n") + 1 or len(text)
-    head = text[:start].splitlines()
-    if not head:
-        raise FormatError(f"{path}: empty cache file")
-    try:
-        header = json.loads(head[0])
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: corrupt cache header") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != CACHE_FORMAT
-        or "source" not in header
-    ):
-        raise FormatError(f"{path}: corrupt cache header")
-    if header["source"] != source or header.get("n_players") != n_players:
-        raise FormatError(
-            f"{path}: cache was built for a different game "
-            f"(source {header['source']!r}, {header.get('n_players')} players)"
-        )
-    # rows after a header that ends at the first "\n", each one line as
-    # _save_cache writes it up to spaces and tabs, are parsed in one call
-    if len(head) == 1 and _CACHE_ROWS.fullmatch(text, start):
-        end = len(text) - text.endswith("\n")
-        rows = _flat_pairs("[" + text[start:end].translate(_ROWS_AS_FLAT_LIST) + "]")
-        if (rows is not None and int(rows[0].max(initial=0)) >> n_players == 0
-                and np.all(np.isfinite(rows[1]))):
-            return rows
-    # only a bad cache gets here: walk it line by line to name the line
-    masks, payoffs = [], []
-    for ln, line in enumerate(text.splitlines()[1:], start=2):
-        try:
-            row = json.loads(line)
-            if not (
-                isinstance(row, list)
-                and len(row) == 2
-                and type(row[0]) in JSON_INTEGER
-                and type(row[1]) in JSON_NUMBER
-            ):
-                raise ValueError("a cache row is [integer mask, number payoff]")
-            mask, value = row[0], float(row[1])
-        except (ValueError, OverflowError, RecursionError) as exc:
-            raise FormatError(f"{path}:{ln}: corrupt cache entry") from exc
-        if not 0 <= mask < 1 << n_players:
-            raise FormatError(
-                f"{path}:{ln}: mask {mask} out of range for {n_players} players"
-            )
-        if not math.isfinite(value):
-            raise FormatError(f"{path}:{ln}: non-finite payoff {value} for mask {mask}")
-        masks.append(mask)
-        payoffs.append(value)
-    return np.array(masks, dtype=np.uint64), np.array(payoffs, dtype=np.float64)
-
-
-def _save_cache(path, source: str, game: Game) -> None:
-    """Write every cached payoff of ``game`` to ``path``.
-
-    A run that computed nothing new leaves an existing file as it is, so warm
-    runs do not rewrite a large cache.
-    """
-    path = Path(path)
-    if game.eval_count == 0 and path.exists():
-        return
-    masks, values = game.cached_table()
-    header = json.dumps(
-        {"format": CACHE_FORMAT, "source": source, "n_players": game.n_players},
-        sort_keys=True,
-    )
-    # the repr of Python ints and floats is what json.dumps writes for them
-    body = "\n".join(f"[{m}, {v!r}]" for m, v in zip(masks.tolist(), values.tolist()))
-    # write beside the target, then rename over it: an interrupted write
-    # leaves the previous cache intact
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(header + "\n" + body + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _game_with_cache(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     n_players, char_fn, inputs, source, spec = _load_game_source(args)
     preloaded = None
     if args.cache and Path(args.cache).exists():
-        preloaded = _load_cache(args.cache, source, n_players)
+        preloaded = load_cache(args.cache, source, n_players)
     game = Game(n_players, char_fn, preloaded=preloaded)
     return game, inputs, source, spec
 
@@ -372,36 +271,11 @@ def cmd_rank(args) -> int:
         report["std_err"] = est.std_err[ranking.order].tolist()
     write_json(report, args.out)
     if args.csv:
-        _write_rank_csv(args.out, ranking, est)
+        write_rank_csv(args.out, ranking, est)
     if args.cache:
-        _save_cache(args.cache, source, game)
+        save_cache(args.cache, source, game)
     _stderr_note({"command": "rank", "out": str(args.out), "wall_time_s": elapsed})
     return 0
-
-
-def _write_rank_csv(out_path, ranking: Ranking, est) -> None:
-    lines = ["position,player,score" + (",std_err" if est.std_err is not None else "")]
-    for pos, (player, score) in enumerate(zip(ranking.order, ranking.scores)):
-        row = f"{pos},{int(player)},{float(score)!r}"
-        if est.std_err is not None:
-            row += f",{float(est.std_err[player])!r}"
-        lines.append(row)
-    Path(str(out_path) + ".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _ranking_from_report(path) -> tuple[str, Ranking]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        order, scores = doc["order"], doc["scores"]
-        # Ranking would convert 0.7, true or "3"
-        if not (isinstance(order, list) and isinstance(scores, list)
-                and set(map(type, order)) <= JSON_INTEGER
-                and set(map(type, scores)) <= JSON_NUMBER):
-            raise ValueError("order must hold JSON integers and scores JSON numbers")
-        ranking = Ranking(order=order, scores=scores)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise FormatError(f"{path}: not a ranking report") from exc
-    return Path(path).stem, ranking
 
 
 def _rankings_to_score(args, oracle_rank: Ranking) -> Iterator[tuple[str, Ranking]]:
@@ -409,7 +283,7 @@ def _rankings_to_score(args, oracle_rank: Ranking) -> Iterator[tuple[str, Rankin
     which must rank the oracle rank's players."""
     yield "oracle-rank", oracle_rank
     for path in args.rank or []:
-        name, ranking = _ranking_from_report(path)
+        name, ranking = ranking_from_report(path)
         if ranking.n_players != oracle_rank.n_players:
             raise FormatError(f"{path}: ranks {ranking.n_players} players, "
                               f"the game has {oracle_rank.n_players}")
@@ -448,19 +322,11 @@ def cmd_oracle(args) -> int:
     report["evals_used"] = game.eval_count
     write_json(report, args.out)
     if args.csv:
-        _write_oracle_csv(args.out, rows)
+        write_oracle_csv(args.out, rows)
     if args.cache:
-        _save_cache(args.cache, source, game)
+        save_cache(args.cache, source, game)
     _stderr_note({"command": "oracle", "out": str(args.out), "wall_time_s": elapsed})
     return 0
-
-
-def _write_oracle_csv(out_path, rows) -> None:
-    lines = ["name,k,jaccard,weighted_total"]
-    for row in rows:
-        for k, value in sorted(row["per_k"].items(), key=lambda kv: int(kv[0])):
-            lines.append(f"{row['name']},{k},{value!r},{row['weighted_total']!r}")
-    Path(str(out_path) + ".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_prune(args) -> int:
@@ -503,7 +369,7 @@ def cmd_prune(args) -> int:
     summary_path = args.summary or (str(args.out) + ".summary.json")
     write_json(summary, summary_path)
     if args.cache:
-        _save_cache(args.cache, source, game)
+        save_cache(args.cache, source, game)
     _stderr_note({"command": "prune", "out": str(args.out), "wall_time_s": elapsed})
     return 0
 
@@ -512,6 +378,8 @@ def cmd_train_toy(args) -> int:
     if args.data:
         inputs: dict = {}
         data = load_dataset_csv(args.data, inputs)
+        # the trainer makes a class of each label up to the largest
+        check_labels(data, int(data.labels.max()) + 1, args.data)
     else:
         data = make_blobs_dataset(seed=args.data_seed)
         inputs = {"data": f"blobs(seed={args.data_seed})"}

@@ -12,41 +12,17 @@ member), which caps the number of players at 64.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import itertools
-import json
-import re
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CharacteristicFunctionError, FormatError
+from .errors import CharacteristicFunctionError
 
 MAX_PLAYERS = 64
 # the most coalitions one enumeration may materialise, whatever the estimator
 ENUMERATION_BUDGET = 10**7
-# the types ``json`` decodes a JSON integer and a JSON number to, which every
-# reader tests with ``type(value) in``: bool is a subclass of int, never one
-JSON_INTEGER = frozenset({int})
-JSON_NUMBER = frozenset({int, float})
-# JSON's whitespace: str.strip() would also strip \x0b, \x0c and \x1c..\x1f
-_JSON_SPACE = " \t\n\r"
-# a game spec's head up to the opening brace of its "values" object, with
-# "n_players" once, unescaped, and an integer without a leading zero
-_HEAD = re.compile(r'[ \t\n\r]*+\{[ \t\n\r]*+"n_players"[ \t\n\r]*+:[ \t\n\r]*+([1-9][0-9]{0,2}+)'
-                   r'[ \t\n\r]*+,[ \t\n\r]*+"values"[ \t\n\r]*+:[ \t\n\r]*+\{')
-# a number token of a flat parse's text: json reads it or refuses it
-_NUMBER = r"-?[0-9][0-9.eE+-]*+"
-# the entries of the "values" object as written, each '"digits": number';
-# possessive, so the match keeps no state per entry (re, Python 3.11)
-_ENTRY = rf'[ \t\n\r]*+"[0-9]++"[ \t\n\r]*+:[ \t\n\r]*+{_NUMBER}[ \t\n\r]*+'
-_VALUES_BODY = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*+")
-# with the quotes deleted, the "values" object as one flat list
-_AS_FLAT_LIST = str.maketrans({'"': None, ":": ",", "{": "[", "}": "]"})
 
 
 def full_mask(n_players: int) -> int:
@@ -308,197 +284,6 @@ class TableGame(Game):
             )
         self.values = values
         super().__init__(n_players, values.__getitem__)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_players": self.n_players,
-            "values": {str(m): float(v) for m, v in enumerate(self.values)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TableGame":
-        if not isinstance(doc, dict):
-            raise FormatError("game spec must be a JSON object")
-        if type(doc.get("n_players")) not in JSON_INTEGER or "values" not in doc:
-            raise FormatError("game spec needs integer 'n_players' and 'values'")
-        n_players, raw = doc["n_players"], doc["values"]
-        if not 1 <= n_players <= MAX_PLAYERS:
-            raise FormatError(f"n_players must be in [1, {MAX_PLAYERS}]")
-        if not isinstance(raw, dict):
-            raise FormatError("'values' must map bitmask strings to payoffs")
-        table = _payoff_table(raw, 1 << n_players)
-        if not np.all(np.isfinite(table)):
-            raise FormatError("game spec contains non-finite payoffs")
-        return cls(table)
-
-
-def _payoff_table(raw: dict, size: int) -> np.ndarray:
-    """The payoff table of ``raw``, which must have exactly the keys ``"0"``
-    .. ``str(size - 1)``, written canonically, and only int or float payoffs.
-
-    ``_bulk_table`` reads every valid file in the canonical layout, so the
-    keys here are checked one by one.  The missing keys come from walking the
-    ``size`` expected keys in sorted order, which stops after five absent
-    ones: at most ``len(raw) + 5`` steps, however many players the spec
-    declares.
-    """
-    # distinct keys, each canonical and in range: exactly the size expected
-    if len(raw) != size or not all(_is_coalition_key(key, size) for key in raw):
-        extra = [key for key in raw if not _is_coalition_key(key, size)]
-        missing = list(itertools.islice((k for k in _sorted_keys(size) if k not in raw), 5))
-        raise FormatError(
-            f"game spec must contain exactly the {size} coalition keys; "
-            f"missing {missing}, unexpected {sorted(extra)[:5]}"
-        )
-    masks = np.fromiter(map(int, raw), dtype=np.int64, count=size)
-
-    if not set(map(type, raw.values())) <= JSON_NUMBER:
-        key = next(key for key, value in raw.items() if type(value) not in JSON_NUMBER)
-        raise FormatError(f"payoff for coalition {key} is not a number")
-    try:
-        payoffs = np.fromiter(map(float, raw.values()), dtype=np.float64, count=size)
-    except OverflowError:
-        # an int beyond float range: walk the payoffs to name its coalition
-        for key, value in raw.items():
-            try:
-                float(value)
-            except OverflowError:
-                raise FormatError(
-                    f"payoff for coalition {key} is too large for a float") from None
-    table = np.empty(size, dtype=np.float64)
-    table[masks] = payoffs
-    return table
-
-
-def _is_coalition_key(key, size: int) -> bool:
-    """Whether ``key`` is ``str(m)`` for some ``m`` in ``range(size)``."""
-    try:
-        mask = int(key)
-    except (TypeError, ValueError):
-        return False
-    return 0 <= mask < size and str(mask) == key
-
-
-def _sorted_keys(size: int):
-    """``str(m)`` for every ``m`` in ``range(size)``, in sorted order, made
-    one at a time: a key's successor is its first child (key + "0"), else
-    the next sibling of it or of its nearest ancestor that has one."""
-    yield "0"
-    m = 1
-    while m < size:
-        yield str(m)
-        if m * 10 < size:
-            m *= 10
-            continue
-        while m % 10 == 9 or m + 1 >= size:
-            m //= 10
-            if m == 0:
-                return
-        m += 1
-
-
-def write_json(doc, path) -> None:
-    """Write ``doc`` deterministically: sorted keys, one-space indent and a
-    trailing newline, so equal documents are equal bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def save_game_json(game: TableGame, path) -> None:
-    write_json(game.to_json_dict(), path)
-
-
-def read_input(path, hashes: Optional[dict], key: str) -> bytes:
-    """The bytes of the input file ``path``.  With ``hashes``, also sets
-    ``hashes[key]`` to their sha256, as a report's ``inputs`` records it."""
-    raw = Path(path).read_bytes()
-    if hashes is not None:
-        hashes[key] = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return raw
-
-
-def decode_text(raw: bytes, path) -> str:
-    """``raw``, the bytes of the file ``path``, as text, as
-    ``open(path, encoding="utf-8").read()`` reads the file (newlines
-    translated)."""
-    try:
-        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def load_game_json(path, hashes: Optional[dict] = None) -> TableGame:
-    """Read a game spec; with ``hashes``, ``hashes["game"]`` is the sha256 of
-    the bytes read."""
-    # the file's bytes are gone before the parse, which holds the text and
-    # the document
-    text = decode_text(read_input(path, hashes, "game"), path)
-    table = _bulk_table(text)
-    if table is not None:
-        return TableGame(table)
-    # any other document, valid or not: the dict parse reads it or names
-    # what is wrong
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    del text
-    try:
-        return TableGame.from_json_dict(doc)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def _bulk_table(text: str) -> Optional[np.ndarray]:
-    """The payoff table of the game spec ``text``, parsed in one flat
-    ``json.loads``, or None unless ``text`` is laid out as
-    ``{"n_players": n, "values": {...}}`` (as ``write_json`` and
-    ``json.dump(sort_keys=True)`` write it), in ASCII, and holds exactly the
-    canonical keys with finite number payoffs.  Whatever it refuses, the
-    dict parse reads to the same table or refuses with its own message."""
-    head = _HEAD.match(text)
-    if head is None or int(head[1]) > MAX_PLAYERS:
-        return None
-    size = 1 << int(head[1])
-    # the body runs to the first "}", which must close the document; a
-    # regular expression checks it, not arrays of its bytes, whose freed
-    # buffers would stay resident under the parse's objects
-    start, end = head.end(), text.find("}", head.end())
-    if (end < 0 or text[end + 1:].strip(_JSON_SPACE) != "}"
-            or _VALUES_BODY.fullmatch(text, start, end) is None):
-        return None
-    pairs = _flat_pairs(text[start - 1:end + 1].translate(_AS_FLAT_LIST))
-    if pairs is None or pairs[0].size != size or pairs[0].max() >= size:
-        return None
-    masks, values = pairs
-    table = np.full(size, np.nan)
-    table[masks] = values
-    # size keys in range: a NaN left is a missing key, or a payoff not finite
-    return table if np.all(np.isfinite(table)) else None
-
-
-def _flat_pairs(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The flat JSON list ``text`` of alternating integer keys and number
-    payoffs, parsed in one ``json.loads``, as ``uint64`` keys and float64
-    payoffs; None when json refuses a number (a leading zero, ``1.``), a key
-    is outside ``uint64`` or an integer payoff is beyond float range.  The
-    caller's regular expression lets no other token through."""
-    try:
-        flat = json.loads(text)
-    except ValueError:
-        return None
-    # each of these is about as large as the rows' text: drop it once used
-    del text
-    keys, payoffs = flat[0::2], flat[1::2]
-    del flat
-    try:
-        masks = np.fromiter(keys, dtype=np.uint64, count=len(keys))
-        del keys
-        return masks, np.fromiter(payoffs, dtype=np.float64, count=len(payoffs))
-    except OverflowError:
-        return None
 
 
 def make_fig2_game() -> TableGame:

@@ -9,28 +9,22 @@ happens on the layer's final output.
 
 Also included: a deliberately small trainer (hand-written gradients, plain
 full-batch gradient descent) so the repository can generate its own model
-fixtures, a balanced synthetic blob dataset, and file formats for models and
-datasets.
+fixtures, and a balanced synthetic blob dataset.  The files of models and
+datasets are read and written by :mod:`shaprank.formats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, TrainingDivergedError
-from .games import JSON_INTEGER, JSON_NUMBER, Game, decode_text, read_input, write_json
+from .errors import TrainingDivergedError
+from .games import Game
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
-MODEL_FORMAT = "shaprank-model-v1"
-INLINE_PARAM_LIMIT = 8192
-_NORM_VECTORS = ("mean", "var", "gamma", "beta")
 # about this many float64 per intermediate array of a block of coalitions
 # in the accuracy payoff (1 MiB)
 _BLOCK_ELEMENTS = 1 << 17
@@ -456,248 +450,6 @@ def train_toy_model(
         Layer(kind="dense", weights=weights[-1], bias=biases[-1], activation="softmax-logits")
     )
     return ModelSpec(layers=layers, prunable_layer=0)
-
-
-# ---------------------------------------------------------------------------
-# File formats
-# ---------------------------------------------------------------------------
-
-
-def save_dataset_csv(data: LabeledDataset, path) -> None:
-    """Rows are ``x0,...,xD-1,label``; image inputs are flattened."""
-    flat = data.inputs.reshape(data.size, -1)
-    header = ",".join(f"x{i}" for i in range(flat.shape[1])) + ",label"
-    lines = [header]
-    for row, label in zip(flat, data.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
-    """Read a dataset written by :func:`save_dataset_csv`: the header on line
-    1, then one row per line; blank lines may follow the last row.  With
-    ``hashes``, ``hashes["data"]`` is the sha256 of the bytes read."""
-    lines = decode_text(read_input(path, hashes, "data"), path).rstrip().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
-    if header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
-        raise FormatError(f"{path}: expected header 'x0,...,label'")
-    if len(lines) == 1:
-        raise FormatError(f"{path}: header but no samples")
-    n_features = len(header) - 1
-    rows = lines[1:]
-    # counted per line: a short and a long line would balance in the total
-    if set(map(str.count, rows, itertools.repeat(","))) == {n_features}:
-        cells = ",".join(rows).split(",")
-        labels = cells[n_features::n_features + 1]
-        del cells[n_features::n_features + 1]
-        try:
-            inputs = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-            labels = np.fromiter(map(int, labels), dtype=np.int64, count=len(rows))
-        except (ValueError, OverflowError):
-            pass
-        else:
-            return LabeledDataset(inputs=inputs.reshape(len(rows), n_features), labels=labels)
-    # only a bad dataset gets here: walk it row by row to name the line
-    inputs, labels = [], []
-    for ln, line in enumerate(rows, start=2):
-        parts = line.split(",")
-        if len(parts) != n_features + 1:
-            raise FormatError(f"{path}:{ln}: expected {n_features + 1} columns")
-        try:
-            inputs.append([float(v) for v in parts[:-1]])
-            labels.append(np.int64(int(parts[-1])))
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}:{ln}: {exc}") from exc
-    return LabeledDataset(inputs=np.array(inputs), labels=np.array(labels))
-
-
-def _norm_to_json(norm: Optional[Normalization]):
-    if norm is None:
-        return None
-    return {**{key: getattr(norm, key).tolist() for key in _NORM_VECTORS}, "eps": norm.eps}
-
-
-def _norm_from_json(doc) -> Optional[Normalization]:
-    if doc is None:
-        return None
-    vectors = {key: _number_array(doc[key]) for key in _NORM_VECTORS}
-    eps = doc.get("eps", 1e-5)
-    if type(eps) not in JSON_NUMBER:
-        raise ValueError("norm eps must be a JSON number")
-    return Normalization(**vectors, eps=float(eps))
-
-
-def _number_array(node) -> np.ndarray:
-    """``node``, nested lists of JSON numbers, as a float64 array; numpy
-    would also take ``true`` or ``"2"`` for a number."""
-    if not _json_numbers(node):
-        raise ValueError("model parameters must be JSON numbers")
-    return np.array(node, dtype=np.float64)
-
-
-def _json_numbers(node) -> bool:
-    if type(node) is list:
-        return all(map(_json_numbers, node))
-    return type(node) in JSON_NUMBER
-
-
-def write_flat_binary(tensors: Sequence[np.ndarray], path) -> None:
-    """Little-endian float32 tensors behind a one-line JSON header."""
-    header = json.dumps(
-        {"dtype": "f32le", "shapes": [list(t.shape) for t in tensors]},
-        sort_keys=True,
-    ).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors)
-    Path(path).write_bytes(header + b"\n" + payload)
-
-
-def read_flat_binary(path, hashes: Optional[dict] = None) -> list[np.ndarray]:
-    """Read a :func:`write_flat_binary` file; with ``hashes``,
-    ``hashes["binary_weights"]`` is the sha256 of the bytes read."""
-    raw = read_input(path, hashes, "binary_weights")
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise FormatError(f"{path}: missing binary header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-        shapes = header["shapes"]
-        if header["dtype"] != "f32le":
-            raise KeyError("dtype")
-        # int() would read 4.9, true or "4" as a dimension
-        if not (type(shapes) is list and all(
-                type(s) is list and set(map(type, s)) <= JSON_INTEGER and min(s, default=0) >= 0
-                for s in shapes)):
-            raise ValueError("shape entries must be non-negative JSON integers")
-        shapes = [tuple(s) for s in shapes]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad binary header") from exc
-    payload = raw[newline + 1:]
-    expected = sum(int(np.prod(s)) * 4 for s in shapes)
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload size mismatch")
-    tensors = []
-    offset = 0
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors.append(arr.astype(np.float64).reshape(shape))
-        offset += count * 4
-    return tensors
-
-
-def save_model(spec: ModelSpec, path, removed: Sequence[int] = ()) -> None:
-    """Write a model as JSON; large weight sets go to a binary sidecar.
-
-    ``removed`` units of the prunable layer are written as the file's
-    ``mask``, which :func:`load_model` applies.  Small models embed every
-    tensor in the JSON document (exact float64 round trip); above
-    ``INLINE_PARAM_LIMIT`` total parameters the weights and biases move to
-    ``<path>.bin`` in the flat float32 format.
-    """
-    path = Path(path)
-    n_params = sum(l.weights.size + l.bias.size for l in spec.layers)
-    doc = {
-        "format": MODEL_FORMAT,
-        "prunable_layer": spec.prunable_layer,
-        "mask": {"layer": spec.prunable_layer, "removed": sorted(map(int, removed))}
-        if len(removed) else None,
-        "layers": [],
-        "binary_weights": None,
-    }
-    tensors: list[np.ndarray] = []
-    inline = n_params <= INLINE_PARAM_LIMIT
-    for layer in spec.layers:
-        entry = {
-            "kind": layer.kind,
-            "activation": layer.activation,
-            "norm": _norm_to_json(layer.norm),
-        }
-        if inline:
-            entry["weights"] = layer.weights.tolist()
-            entry["bias"] = layer.bias.tolist()
-        else:
-            entry["weights"] = {"tensor": len(tensors)}
-            tensors.append(layer.weights)
-            entry["bias"] = {"tensor": len(tensors)}
-            tensors.append(layer.bias)
-        doc["layers"].append(entry)
-    if not inline:
-        sidecar = path.with_suffix(path.suffix + ".bin")
-        write_flat_binary(tensors, sidecar)
-        doc["binary_weights"] = sidecar.name
-    write_json(doc, path)
-
-
-def load_model(path, hashes: Optional[dict] = None) -> ModelSpec:
-    """Read a model file into the model it describes: a ``mask`` entry's
-    units are zeroed in the layer it names, and without one every unit
-    stays on.  With ``hashes``, ``hashes["model"]`` is the sha256 of the
-    bytes read, and ``hashes["binary_weights"]`` that of the sidecar if
-    there is one."""
-    path = Path(path)
-    try:
-        doc = json.loads(decode_text(read_input(path, hashes, "model"), path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: not valid JSON") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
-    tensors: list[np.ndarray] = []
-
-    def fetch(node) -> np.ndarray:
-        if not isinstance(node, dict):
-            return _number_array(node)
-        index = node["tensor"]
-        if not (type(index) in JSON_INTEGER and 0 <= index < len(tensors)):
-            raise ValueError(f"a tensor index must be a JSON integer in [0, {len(tensors)})")
-        return tensors[index]
-
-    try:
-        if doc.get("binary_weights"):
-            tensors = read_flat_binary(path.parent / doc["binary_weights"], hashes)
-        layers = [
-            Layer(
-                kind=entry["kind"],
-                weights=fetch(entry["weights"]),
-                bias=fetch(entry["bias"]),
-                activation=entry["activation"],
-                norm=_norm_from_json(entry.get("norm")),
-            )
-            for entry in doc["layers"]
-        ]
-        prunable = doc["prunable_layer"]
-        if type(prunable) not in JSON_INTEGER:
-            raise ValueError("prunable_layer must be a JSON integer")
-        spec = ModelSpec(layers=layers, prunable_layer=prunable)
-        if doc.get("mask") is not None:
-            spec = _without_units(spec, doc["mask"]["layer"], doc["mask"]["removed"])
-    # OverflowError: a weight beyond float range; RecursionError: weights
-    # nested too deeply to check
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise FormatError(f"{path}: malformed model document: {exc}") from exc
-    return spec
-
-
-def _without_units(spec: ModelSpec, index, removed) -> ModelSpec:
-    """``spec`` with the units ``removed`` of layer ``index`` zeroed: their
-    weight rows, biases and norm ``gamma``/``beta``.  On finite inputs each
-    such unit then outputs exactly zero, so it is a dummy player."""
-    if not (type(index) in JSON_INTEGER and 0 <= index < len(spec.layers)):
-        raise ValueError(f"mask layer must be a layer index in [0, {len(spec.layers)})")
-    layer = spec.layers[index]
-    if not (isinstance(removed, list) and all(
-            type(i) in JSON_INTEGER and 0 <= i < layer.out_units for i in removed)):
-        raise ValueError(f"mask must remove unit indices in [0, {layer.out_units})")
-    weights, bias, norm = layer.weights.copy(), layer.bias.copy(), layer.norm
-    weights[removed] = bias[removed] = 0.0
-    if norm is not None:
-        gamma, beta = norm.gamma.copy(), norm.beta.copy()
-        gamma[removed] = beta[removed] = 0.0
-        norm = dataclasses.replace(norm, gamma=gamma, beta=beta)
-    layers = list(spec.layers)
-    layers[index] = dataclasses.replace(layer, weights=weights, bias=bias, norm=norm)
-    return dataclasses.replace(spec, layers=layers)
 
 
 def split_dataset(

@@ -28,11 +28,11 @@ from shaprank.oracle import (
 )
 from shaprank.partial import SizeBand, leave_one_out, shapley_partial
 from shaprank.regression import RegressionConfig, shapley_regression
+from shaprank.formats import save_dataset_csv
 from shaprank.sampling import SamplingConfig, shapley_sample_permutations
 from shaprank.toynet import (
     make_accuracy_game,
     make_blobs_dataset,
-    save_dataset_csv,
     train_toy_model,
 )
 
@@ -313,7 +313,7 @@ def test_criterion_7_prune_contrast_on_frozen_fixture(tmp_path):
         data_path = tmp_path / "blobs.csv"
         save_dataset_csv(data, data_path)
         spec = train_toy_model([8], data, epochs=150, lr=0.1, seed=0)
-        from shaprank.toynet import save_model
+        from shaprank.formats import save_model
 
         model_path = tmp_path / "toy.json"
         save_model(spec, model_path)

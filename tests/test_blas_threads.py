@@ -23,7 +23,7 @@ import pytest
 
 import shaprank
 from shaprank import cli
-from shaprank.games import save_game_json
+from shaprank.formats import save_game_json
 
 SRC = Path(shaprank.__file__).resolve().parents[1]
 TABLE = "table16.json"

@@ -11,17 +11,21 @@ import warnings
 import numpy as np
 import pytest
 
-from shaprank import cli, toynet
+from shaprank import cli, formats
 from shaprank.cli import main
 from shaprank.errors import FormatError
-from shaprank.games import Game, load_game_json, save_game_json
+from shaprank.formats import (
+    load_game_json,
+    load_model,
+    save_dataset_csv,
+    save_game_json,
+    save_model,
+)
+from shaprank.games import Game
 from shaprank.toynet import (
     Layer,
     ModelSpec,
-    load_model,
     make_blobs_dataset,
-    save_dataset_csv,
-    save_model,
 )
 
 from conftest import MALFORMED_GAME_SPECS, random_table_game
@@ -415,7 +419,8 @@ class TestPrune:
 
     @pytest.mark.parametrize("count", [1, 4, 7])
     def test_pruned_model_file_reproduces_nu_after(self, toy_files, tmp_path, count):
-        from shaprank.toynet import load_dataset_csv, make_accuracy_game
+        from shaprank.formats import load_dataset_csv
+        from shaprank.toynet import make_accuracy_game
 
         model_path, data_path = toy_files
         out, summary_path = tmp_path / "pruned.json", tmp_path / "summary.json"
@@ -462,11 +467,11 @@ class TestPrune:
     def test_pruning_a_dead_unit_keeps_the_payoff(self, tmp_path):
         import numpy as np
 
+        from shaprank.formats import save_model
         from shaprank.toynet import (
             Layer,
             ModelSpec,
             make_blobs_dataset,
-            save_model,
             train_toy_model,
         )
 
@@ -523,7 +528,8 @@ class TestPrune:
         # manually mask the TOP-ranked units instead and compare payoffs
         from shaprank.exact import shapley_exact_subsets
         from shaprank.games import Coalition
-        from shaprank.toynet import load_dataset_csv, make_accuracy_game
+        from shaprank.formats import load_dataset_csv
+        from shaprank.toynet import make_accuracy_game
 
         data = load_dataset_csv(data_path)
         game = make_accuracy_game(load_model(model_path), data)
@@ -544,7 +550,7 @@ class TestCache:
         # it unchanged; the sidecar's hash alone tells the two models apart
         model_path, data_path = toy_files
         spec = load_model(model_path)
-        monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
         model, sidecar, cache = tmp_path / "m.json", tmp_path / "m.json.bin", tmp_path / "c.jsonl"
         save_model(spec, model)
         rank = ["rank", "--model", str(model), "--data", str(data_path),
@@ -676,10 +682,10 @@ class TestCache:
         payoffs = [0.1, -2.5e-300, 1e300, float(rng.standard_normal()), 3.0]
         game = Game(64, lambda masks: np.zeros(masks.size), preloaded=(masks, payoffs))
         path = tmp_path / "cache.jsonl"
-        cli._save_cache(path, "src", game)
+        formats.save_cache(path, "src", game)
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert rows == [json.dumps([m, v]) for m, v in sorted(zip(masks, payoffs))]
-        loaded = cli._load_cache(path, "src", 64)
+        loaded = formats.load_cache(path, "src", 64)
         assert loaded[0].tolist() == masks and loaded[1].tolist() == payoffs
 
     @pytest.mark.parametrize(
@@ -693,9 +699,9 @@ class TestCache:
     )
     def test_cache_rows_load_last_one_wins(self, tmp_path, rows, expected):
         path = tmp_path / "cache.jsonl"
-        header = {"format": cli.CACHE_FORMAT, "n_players": 3, "source": "src"}
+        header = {"format": formats.CACHE_FORMAT, "n_players": 3, "source": "src"}
         path.write_text("\n".join([json.dumps(header)] + rows) + "\n")
-        masks, payoffs = cli._load_cache(path, "src", 3)
+        masks, payoffs = formats.load_cache(path, "src", 3)
         assert dict(zip(masks.tolist(), payoffs.tolist())) == expected
 
     @pytest.mark.parametrize(
@@ -722,10 +728,10 @@ class TestCache:
     )
     def test_bad_cache_rows_name_their_line(self, tmp_path, rows, line, complaint):
         path = tmp_path / "cache.jsonl"
-        header = {"format": cli.CACHE_FORMAT, "n_players": 3, "source": "src"}
+        header = {"format": formats.CACHE_FORMAT, "n_players": 3, "source": "src"}
         path.write_text("\n".join([json.dumps(header)] + rows) + "\n")
         with pytest.raises(FormatError) as info:
-            cli._load_cache(path, "src", 3)
+            formats.load_cache(path, "src", 3)
         assert str(info.value) == f"{path}:{line}: {complaint}"
 
     def test_failed_cache_write_keeps_the_previous_file(
@@ -1069,7 +1075,7 @@ class TestErrors:
             Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
         ]
         if sidecar:
-            monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+            monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
         model_path = tmp_path / "m.json"
         save_model(ModelSpec(layers=layers), model_path)
         doc = json.loads(model_path.read_text())
@@ -1098,7 +1104,7 @@ class TestErrors:
             Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
             Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
         ]
-        monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
         model_path, sidecar = tmp_path / "m.json", tmp_path / "m.json.bin"
         save_model(ModelSpec(layers=layers), model_path)
         header, payload = sidecar.read_bytes().split(b"\n", 1)
@@ -1112,6 +1118,34 @@ class TestErrors:
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == ("FormatError", f"{sidecar}: bad binary header")
+
+    @pytest.mark.parametrize(
+        "header, complaint",
+        [("[" * 100_000 + "]" * 100_000, "bad binary header"),
+         ('{"dtype": "f32le", "shapes": [[4294967296, 4294967296]]}', "payload size mismatch")],
+        ids=["nested-past-the-recursion-limit", "sizes-whose-product-wraps-int64"],
+    )
+    def test_a_bad_sidecar_header_names_the_sidecar(
+        self, toy_files, tmp_path, capsys, monkeypatch, header, complaint
+    ):
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
+            Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
+        ]
+        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
+        model_path, sidecar = tmp_path / "m.json", tmp_path / "m.json.bin"
+        save_model(ModelSpec(layers=layers), model_path)
+        # an empty payload, which 2**32 * 2**32 floats wrap to in int64
+        sidecar.write_bytes(header.encode() + b"\n")
+        rc = main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == ("FormatError", f"{sidecar}: {complaint}")
 
     @pytest.mark.parametrize("prunable", [0.7, True, "0", None])
     def test_prunable_layer_that_is_not_a_json_integer_is_a_format_error(
@@ -1257,6 +1291,8 @@ class TestErrors:
 # nested past any recursion limit, and an integer past float range
 DEEP = "[" * 100_000 + "]" * 100_000
 HUGE = "1" + "0" * 400
+# more digits than int() converts from text (4300 by default)
+LONG = "1" * 5000
 
 
 def _replace_first_entry(key):
@@ -1305,7 +1341,7 @@ class TestInputsTheStandardParseRefuses:
 
         return make
 
-    @pytest.mark.parametrize("kind", ["game", "model", "data", "cache"])
+    @pytest.mark.parametrize("kind", ["game", "model", "data", "cache", "report"])
     def test_a_file_that_is_not_utf8_is_a_format_error(self, invocation, capsys, kind):
         argv, path = invocation(kind)
         path.write_bytes(b"\xff" + path.read_bytes())
@@ -1336,9 +1372,15 @@ class TestInputsTheStandardParseRefuses:
             ("model", _replace_first_entry("bias"),
              "{path}: malformed model document: int too large to convert to float"),
             ("report", _replace_first_entry("scores"), "{path}: not a ranking report"),
+            ("game", lambda text: text.replace('"1": 55.0', f'"1": {LONG}'),
+             "{path}: not valid JSON: Exceeds the limit (4300 digits)"),
+            ("model", lambda text: text.replace('"bias": [', '"bias": [' + LONG + ",", 1),
+             "{path}: not valid JSON"),
+            ("cache", _replace_line(0, f"[{LONG}]"), "{path}: corrupt cache header"),
         ],
         ids=["game-deep", "model-deep", "model-600-deep", "report-deep", "cache-row-deep",
-             "cache-header-deep", "game-huge-payoff", "model-huge-weight", "report-huge-score"],
+             "cache-header-deep", "game-huge-payoff", "model-huge-weight", "report-huge-score",
+             "game-long-integer", "model-long-integer", "cache-header-long-integer"],
     )
     def test_nesting_and_integers_python_cannot_take_are_format_errors(
         self, invocation, capsys, kind, edit, message
@@ -1389,3 +1431,19 @@ class TestTrainToy:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_negative_label_is_a_format_error(self, tmp_path, capsys):
+        # numpy's negative indexing would train label -1 as the last class
+        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
+        save_dataset_csv(make_blobs_dataset(seed=0), data_path)
+        lines = data_path.read_text().splitlines()
+        x0, x1, _ = lines[3].split(",")
+        lines[3] = f"{x0},{x1},-1"
+        data_path.write_text("\n".join(lines) + "\n")
+        rc = main(["train-toy", "--data", str(data_path), "--out", str(out),
+                   "--hidden", "4", "--epochs", "5"])
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == (
+            "FormatError", f"{data_path}:4: label -1 outside the model's 3 classes")
+        assert not out.exists()

@@ -9,15 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shaprank.errors import CharacteristicFunctionError, FormatError
+from shaprank.formats import (
+    game_from_json_dict,
+    game_to_json_dict,
+    load_game_json,
+    save_game_json,
+)
 from shaprank.games import (
     Coalition,
     Game,
     Ranking,
     ShapleyEstimate,
     TableGame,
-    load_game_json,
     make_fig2_game,
-    save_game_json,
 )
 
 from conftest import MALFORMED_GAME_SPECS, constant_table_game, per_mask
@@ -151,7 +155,7 @@ class TestTableGame:
         assert np.array_equal(loaded.values, game.values)
 
     def test_missing_key_is_a_parse_error(self, tmp_path):
-        doc = make_fig2_game().to_json_dict()
+        doc = game_to_json_dict(make_fig2_game())
         del doc["values"]["3"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -159,7 +163,7 @@ class TestTableGame:
             load_game_json(path)
 
     def test_extra_key_is_a_parse_error(self, tmp_path):
-        doc = make_fig2_game().to_json_dict()
+        doc = game_to_json_dict(make_fig2_game())
         doc["values"]["8"] = 1.0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -167,7 +171,7 @@ class TestTableGame:
             load_game_json(path)
 
     def test_non_numeric_payoff_rejected(self, tmp_path):
-        doc = make_fig2_game().to_json_dict()
+        doc = game_to_json_dict(make_fig2_game())
         doc["values"]["0"] = "ten"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -205,18 +209,18 @@ class TestTableGame:
                 f"unexpected {sorted(set(values) - expected)[:5]}"
             )
             with pytest.raises(FormatError) as info:
-                TableGame.from_json_dict({"n_players": n, "values": values})
+                game_from_json_dict({"n_players": n, "values": values})
             assert str(info.value) == reference
 
     def test_expected_keys_are_walked_in_sorted_order(self):
-        from shaprank.games import _sorted_keys
+        from shaprank.formats import _sorted_keys
 
         for size in [*range(1, 300), 1000, 1024, 4096]:
             assert list(_sorted_keys(size)) == sorted(str(m) for m in range(size))
 
     def test_keys_in_any_order_and_int_payoffs_load(self):
         values = {str(m): m * 3 for m in (5, 0, 7, 2, 1, 3, 6, 4)}
-        game = TableGame.from_json_dict({"n_players": 3, "values": values})
+        game = game_from_json_dict({"n_players": 3, "values": values})
         assert game.values.tolist() == [3.0 * m for m in range(8)]
 
 

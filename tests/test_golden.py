@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from shaprank import cli
-from shaprank.games import save_game_json
+from shaprank.formats import save_game_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TABLE_SEED = 10

@@ -1,14 +1,16 @@
-"""The bulk input readers against the record-by-record readers they replaced.
+"""The bulk input readers of ``shaprank.formats`` against the
+record-by-record readers they replaced.
 
 ``reference_load_cache``, ``reference_payoff_table`` and
-``reference_load_dataset_csv`` are local copies of the old readers: one
-``json.loads`` per cache line, one ``str(int(key)) == key`` test per game
-key, one Python list per CSV row.  ``reference_load_game_json`` is
-``load_game_json`` with its flat parse switched off, so that every game
-spec goes through ``json.loads`` into a dict and
-``TableGame.from_json_dict``.  On valid and corrupted inputs alike, the
-readers in ``shaprank`` must return the same result or raise the same
-exception with the same text.
+``reference_load_dataset_csv`` are local copies of the readers that
+``formats.load_cache``, ``formats._payoff_table`` and
+``formats.load_dataset_csv`` replaced: one ``json.loads`` per cache line,
+one ``str(int(key)) == key`` test per game key, one Python list per CSV
+row.  ``reference_load_game_json`` is ``formats.load_game_json`` with its
+flat parse switched off, so that every game spec goes through
+``json.loads`` into a dict and ``formats.game_from_json_dict``.  On valid
+and corrupted inputs alike, the readers in ``shaprank`` must return the
+same result or raise the same exception with the same text.
 """
 
 import itertools
@@ -23,25 +25,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shaprank import cli, games
+from shaprank import formats
 from shaprank.errors import FormatError
-from shaprank.games import (
+from shaprank.formats import (
     JSON_INTEGER,
     JSON_NUMBER,
     _bulk_table,
     _is_coalition_key,
     _payoff_table,
     _sorted_keys,
+    game_to_json_dict,
+    load_dataset_csv,
     load_game_json,
     save_game_json,
 )
-from shaprank.toynet import LabeledDataset, load_dataset_csv
+from shaprank.toynet import LabeledDataset
 
 from conftest import random_table_game
 
 
 def reference_load_cache(path, source, n_players):
-    """``cli._load_cache`` before the bulk parse, kept verbatim in behaviour."""
+    """``formats.load_cache`` before the bulk parse, kept verbatim in behaviour."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise FormatError(f"{path}: empty cache file")
@@ -51,7 +55,7 @@ def reference_load_cache(path, source, n_players):
         raise FormatError(f"{path}: corrupt cache header") from exc
     if (
         not isinstance(header, dict)
-        or header.get("format") != cli.CACHE_FORMAT
+        or header.get("format") != formats.CACHE_FORMAT
         or "source" not in header
     ):
         raise FormatError(f"{path}: corrupt cache header")
@@ -85,7 +89,7 @@ def reference_load_cache(path, source, n_players):
 
 
 def reference_payoff_table(raw, size):
-    """``games._payoff_table`` before the bulk key check, kept verbatim in
+    """``formats._payoff_table`` before the bulk key check, kept verbatim in
     behaviour."""
     masks = None
     if len(raw) == size:
@@ -111,12 +115,12 @@ def reference_payoff_table(raw, size):
 
 def reference_load_game_json(path):
     """``load_game_json`` with the flat parse refusing every document."""
-    with mock.patch.object(games, "_bulk_table", lambda text: None):
+    with mock.patch.object(formats, "_bulk_table", lambda text: None):
         return load_game_json(path)
 
 
 def reference_load_dataset_csv(path):
-    """``toynet.load_dataset_csv`` before the bulk conversion, one list per
+    """``formats.load_dataset_csv`` before the bulk conversion, one list per
     row.  It strips the text at the end only, as the header-on-line-1 rule
     does; before that rule it stripped both ends.  A label beyond int64 is a
     format error naming its line, as the reader has it now; before, it
@@ -224,7 +228,7 @@ def cache_bodies(draw):
 
 
 def write_cache(path, lines, newline="\n"):
-    header = json.dumps({"format": cli.CACHE_FORMAT, "n_players": CACHE_PLAYERS, "source": "s"})
+    header = json.dumps({"format": formats.CACHE_FORMAT, "n_players": CACHE_PLAYERS, "source": "s"})
     path.write_bytes(newline.join([header, *lines]).encode("utf-8") + newline.encode())
 
 
@@ -233,7 +237,7 @@ class TestCacheReader:
     def test_same_as_the_line_by_line_reader(self, tmp_path_factory, lines, newline):
         path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
         write_cache(path, lines, newline)
-        assert_same_outcome(outcome(cli._load_cache, path, "s", CACHE_PLAYERS),
+        assert_same_outcome(outcome(formats.load_cache, path, "s", CACHE_PLAYERS),
                             outcome(reference_load_cache, path, "s", CACHE_PLAYERS))
 
     @pytest.mark.parametrize(
@@ -274,7 +278,7 @@ class TestCacheReader:
     def test_rows_the_bulk_parse_could_misread(self, tmp_path, lines, newline, expected):
         path = tmp_path / "cache.jsonl"
         write_cache(path, lines, newline)
-        new = outcome(cli._load_cache, path, "s", CACHE_PLAYERS)
+        new = outcome(formats.load_cache, path, "s", CACHE_PLAYERS)
         assert_same_outcome(new, outcome(reference_load_cache, path, "s", CACHE_PLAYERS))
         if isinstance(expected, str):
             assert new == (FormatError, f"{path}:{expected}")
@@ -537,7 +541,7 @@ class TestGameSpecReader:
         game = random_table_game(n_players, seed=n_players)
         path = tmp_path / "game.json"
         save_game_json(game, path)
-        doc = game.to_json_dict()
+        doc = game_to_json_dict(game)
         for text in (path.read_text(encoding="utf-8"), json.dumps(doc, sort_keys=True) + "\n"):
             table = _bulk_table(text)
             assert table is not None

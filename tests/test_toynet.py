@@ -3,10 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from shaprank import toynet
+from shaprank import formats
 from shaprank.errors import FormatError, TrainingDivergedError
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import Coalition
+from shaprank.formats import (
+    load_dataset_csv,
+    load_model,
+    read_flat_binary,
+    save_dataset_csv,
+    save_model,
+    write_flat_binary,
+)
 from shaprank.toynet import (
     LabeledDataset,
     Layer,
@@ -14,16 +22,10 @@ from shaprank.toynet import (
     Normalization,
     _apply_layer,
     _global_average_pool,
-    load_dataset_csv,
-    load_model,
     make_accuracy_game,
     make_blobs_dataset,
-    read_flat_binary,
-    save_dataset_csv,
-    save_model,
     split_dataset,
     train_toy_model,
-    write_flat_binary,
 )
 
 
@@ -368,7 +370,7 @@ class TestModelIO:
         np.testing.assert_array_equal(forward_batch(loaded, grand(loaded), x), masked)
 
     def test_binary_sidecar_round_trip(self, trained, tmp_path, monkeypatch):
-        monkeypatch.setattr(toynet, "INLINE_PARAM_LIMIT", 0)
+        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
         path = tmp_path / "model.json"
         save_model(trained, path)
         assert (tmp_path / "model.json.bin").exists()
