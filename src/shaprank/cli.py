@@ -26,7 +26,6 @@ from .errors import (
     CapacityError,
     CharacteristicFunctionError,
     FormatError,
-    InvalidBandError,
     ShapRankError,
     SingularSystemError,
     TrainingDivergedError,
@@ -49,10 +48,12 @@ from .formats import (
     write_rank_csv,
 )
 from .games import (
-    Coalition,
+    ENUMERATION_BUDGET,
+    MAX_PLAYERS,
     Game,
     Ranking,
     make_fig2_game,
+    mask_from_members,
 )
 from .oracle import build_oracle_rank, compute_oracle_subsets, score_ranking, score_report_dict
 from .partial import SizeBand, shapley_partial
@@ -128,52 +129,53 @@ def _parse_k_range(text: str, n_players: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _load_game_source(args) -> tuple[int, object, dict, str, Optional[ModelSpec]]:
-    """Resolve --game or --model/--data into (n_players, char_fn, input
-    provenance dict, cache source fingerprint, model spec or None)."""
+def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
+    """Resolve --game or --model/--data into (game holding the --cache
+    file's payoffs, input provenance dict, cache source fingerprint, model
+    spec or None)."""
     if args.game and args.model:
         raise UsageError("give either --game or --model, not both")
     # the loaders record the sha256 of each file they read: the game; or, in
     # this order, the model, its binary sidecar if it has one, and the dataset
     inputs: dict = {}
+    spec = None
     if args.game:
         table = load_game_json(args.game, inputs)
-        return table.n_players, table.values.__getitem__, inputs, inputs["game"], None
-    if not args.model or not args.data:
-        raise UsageError("need --game, or --model together with --data")
-    spec = load_model(args.model, inputs)
-    if args.layer is not None:
-        if not 0 <= args.layer < len(spec.layers):
-            raise UsageError(f"--layer {args.layer} out of range")
-        spec = spec.with_prunable_layer(args.layer)
-    data = load_dataset_csv(args.data, inputs)
-    check_model_data(spec, data, args.data)
-    fractions = _parse_fractions(args.split)
-    parts = split_dataset(data, fractions, seed=args.split_seed)
-    val = parts["val"]
-    if val is None:
-        raise UsageError(f"--split {args.split} leaves the validation part empty")
-    source = _sha256_text(
-        "|".join(
-            [
-                *inputs.values(),
-                f"layer={spec.prunable_layer}",
-                f"split={args.split}",
-                f"split_seed={args.split_seed}",
-            ]
+        n_players, char_fn, source = table.n_players, table.values.__getitem__, inputs["game"]
+    else:
+        if not args.model or not args.data:
+            raise UsageError("need --game, or --model together with --data")
+        spec = load_model(args.model, inputs)
+        if args.layer is not None:
+            if not 0 <= args.layer < len(spec.layers):
+                raise UsageError(f"--layer {args.layer} out of range")
+            spec = spec.with_prunable_layer(args.layer)
+        if spec.n_players > MAX_PLAYERS:
+            raise CapacityError(f"{args.model}: layer {spec.prunable_layer} has {spec.n_players} "
+                                f"units, over the {MAX_PLAYERS}-player limit")
+        data = load_dataset_csv(args.data, inputs)
+        check_model_data(spec, data, args.data)
+        fractions = _parse_fractions(args.split)
+        parts = split_dataset(data, fractions, seed=args.split_seed)
+        val = parts["val"]
+        if val is None:
+            raise UsageError(f"--split {args.split} leaves the validation part empty")
+        source = _sha256_text(
+            "|".join(
+                [
+                    *inputs.values(),
+                    f"layer={spec.prunable_layer}",
+                    f"split={args.split}",
+                    f"split_seed={args.split_seed}",
+                ]
+            )
         )
-    )
-    inputs.update(layer=spec.prunable_layer, split=args.split, split_seed=args.split_seed)
-    return spec.n_players, accuracy_char_fn(spec, val), inputs, source, spec
-
-
-def _game_with_cache(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
-    n_players, char_fn, inputs, source, spec = _load_game_source(args)
+        inputs.update(layer=spec.prunable_layer, split=args.split, split_seed=args.split_seed)
+        n_players, char_fn = spec.n_players, accuracy_char_fn(spec, val)
     preloaded = None
     if args.cache and Path(args.cache).exists():
         preloaded = load_cache(args.cache, source, n_players)
-    game = Game(n_players, char_fn, preloaded=preloaded)
-    return game, inputs, source, spec
+    return Game(n_players, char_fn, preloaded=preloaded), inputs, source, spec
 
 
 # ---------------------------------------------------------------------------
@@ -192,41 +194,36 @@ def _early_stop(args) -> Optional[dict]:
     return pair if all(given) else None
 
 
-# --method -> (estimator, the report's params from the parsed arguments a, the
-# estimator's arguments after the game from a and those params p).  The
-# estimator is looked up by name when the method runs, so wrappers set on this
-# module after import (the benchmark's set-up marker, its tracer) see the call.
-_METHODS = {
-    "exact": ("shapley_exact_subsets", lambda a: {"route": "subsets"}, lambda a, p: ()),
-    "exact-perm": ("shapley_exact_permutations", lambda a: {"route": "permutations"},
-                   lambda a, p: ()),
-    "partial": (
-        "shapley_partial",
-        lambda a: {"high_d": a.high_d, "low_d": a.low_d, "renormalize": not a.raw_sum},
-        lambda a, p: (SizeBand(high_d=p["high_d"], low_d=p["low_d"]), p["renormalize"]),
-    ),
-    "perm": (
-        "shapley_sample_permutations",
-        lambda a: {"perms": a.perms, "antithetic": a.antithetic, "early_stop": _early_stop(a)},
-        lambda a, p: (SamplingConfig(
-            n_permutations=p["perms"], seed=a.seed, antithetic=p["antithetic"],
-            early_stop=p["early_stop"] and EarlyStop(**p["early_stop"])),),
-    ),
-    "kernel": (
-        "shapley_regression",
-        lambda a: {"samples": a.samples, "sampler": a.sampler, "ridge": a.ridge,
-                   "enforce_efficiency": not a.no_efficiency, "fit_intercept": a.fit_intercept},
-        lambda a, p: (RegressionConfig(
-            n_samples=p["samples"], sampler=p["sampler"], seed=a.seed, ridge=p["ridge"],
-            enforce_efficiency=p["enforce_efficiency"], fit_intercept=p["fit_intercept"]),),
-    ),
-}
+METHODS = ("exact", "exact-perm", "partial", "perm", "kernel")
 
 
-def _run_method(game: Game, args):
-    estimator, params_of, arguments_of = _METHODS[args.method]
-    params = params_of(args)
-    return globals()[estimator](game, *arguments_of(args, params)), params
+def _estimate(game: Game, args):
+    """Run --method on ``game``: (estimate, the report's params).  Each
+    estimator is called by its name in this module, which is looked up when
+    the call runs, so wrappers set on this module after import (the
+    benchmark's set-up marker, its tracer) see the call."""
+    if args.method == "exact":
+        return shapley_exact_subsets(game), {"route": "subsets"}
+    if args.method == "exact-perm":
+        return shapley_exact_permutations(game), {"route": "permutations"}
+    if args.method == "partial":
+        params = {"high_d": args.high_d, "low_d": args.low_d, "renormalize": not args.raw_sum}
+        band = SizeBand(high_d=args.high_d, low_d=args.low_d)
+        return shapley_partial(game, band, params["renormalize"]), params
+    if args.method == "perm":
+        early_stop = _early_stop(args)
+        params = {"perms": args.perms, "antithetic": args.antithetic, "early_stop": early_stop}
+        cfg = SamplingConfig(
+            n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
+            early_stop=early_stop and EarlyStop(**early_stop))
+        return shapley_sample_permutations(game, cfg), params
+    # kernel
+    params = {"samples": args.samples, "sampler": args.sampler, "ridge": args.ridge,
+              "enforce_efficiency": not args.no_efficiency, "fit_intercept": args.fit_intercept}
+    cfg = RegressionConfig(
+        n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge,
+        enforce_efficiency=not args.no_efficiency, fit_intercept=args.fit_intercept)
+    return shapley_regression(game, cfg), params
 
 
 def _provenance(inputs: dict, game: Game, params: dict, est=None) -> dict:
@@ -254,9 +251,9 @@ def _provenance(inputs: dict, game: Game, params: dict, est=None) -> dict:
 
 
 def cmd_rank(args) -> int:
-    game, inputs, source, _ = _game_with_cache(args)
+    game, inputs, source, _ = _load_game(args)
     started = time.perf_counter()
-    est, params = _run_method(game, args)
+    est, params = _estimate(game, args)
     elapsed = time.perf_counter() - started
     ranking = est.ranking()
     report = {
@@ -293,7 +290,7 @@ def _rankings_to_score(args, oracle_rank: Ranking) -> Iterator[tuple[str, Rankin
 
 
 def cmd_oracle(args) -> int:
-    game, inputs, source, _ = _game_with_cache(args)
+    game, inputs, source, _ = _load_game(args)
     k_range = _parse_k_range(args.k_range, game.n_players)
     started = time.perf_counter()
     oracle = compute_oracle_subsets(game, args.mode, k_range)
@@ -338,21 +335,19 @@ def cmd_prune(args) -> int:
         raise UsageError("need --count or --fraction")
     if args.fraction is not None and not 0 < args.fraction < 1:
         raise UsageError(f"--fraction must be in (0, 1), got {args.fraction}")
-    game, inputs, source, spec = _game_with_cache(args)
+    game, inputs, source, spec = _load_game(args)
     n = game.n_players
     count = args.count if args.count is not None else int(round(args.fraction * n))
     if not 0 < count < n:
         raise UsageError(f"remove count must be in (0, {n}), got {count}")
 
     started = time.perf_counter()
-    est, params = _run_method(game, args)
+    est, params = _estimate(game, args)
     ranking = est.ranking()
     removed = sorted(int(p) for p in ranking.order[n - count:])
-    kept = Coalition.from_members(
-        (i for i in range(n) if i not in removed), n
-    )
+    kept = [i for i in range(n) if i not in removed]
     nu_before = game.evaluate_mask(game.grand_mask)
-    nu_after = game.evaluate_mask(kept.bits)
+    nu_after = game.evaluate_mask(mask_from_members(kept, n))
     elapsed = time.perf_counter() - started
     save_model(spec, args.out, removed=removed)
 
@@ -360,7 +355,7 @@ def cmd_prune(args) -> int:
         "report": "prune",
         "method": est.method,
         "removed_players": removed,
-        "kept_players": list(kept.members()),
+        "kept_players": kept,
         "nu_before": nu_before,
         "nu_after": nu_after,
         "count": count,
@@ -379,7 +374,14 @@ def cmd_train_toy(args) -> int:
         inputs: dict = {}
         data = load_dataset_csv(args.data, inputs)
         # the trainer makes a class of each label up to the largest
-        check_labels(data, int(data.labels.max()) + 1, args.data)
+        classes = int(data.labels.max()) + 1
+        check_labels(data, classes, args.data)
+        # and holds its one-hot targets as rows x classes floats
+        if data.size * classes > ENUMERATION_BUDGET:
+            row = int(data.labels.argmax())
+            raise BudgetError(f"{args.data}:{row + 2}: label {data.labels[row]} asks for {classes} "
+                              f"classes; {data.size} rows x {classes} one-hot targets are over "
+                              f"the {ENUMERATION_BUDGET} budget")
     else:
         data = make_blobs_dataset(seed=args.data_seed)
         inputs = {"data": f"blobs(seed={args.data_seed})"}
@@ -444,7 +446,7 @@ def _add_method(p: _Parser) -> None:
     p.add_argument(
         "--method",
         required=True,
-        choices=list(_METHODS),
+        choices=METHODS,
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--high-d", type=int, default=1, dest="high_d")
@@ -520,7 +522,6 @@ def build_parser() -> _Parser:
 # first match wins; LinAlgError is a ValueError, so it comes before that
 _EXIT_CODES: list[tuple[type, int]] = [
     (UsageError, 2),
-    (InvalidBandError, 2),
     (np.linalg.LinAlgError, 4),
     (ValueError, 2),
     (CapacityError, 3),
@@ -547,17 +548,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - single funnel to structured stderr
         code = _exit_code_for(exc)
-        print(
-            json.dumps(
-                {
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                    "exit_code": code,
-                },
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        _stderr_note({"error": type(exc).__name__, "message": str(exc), "exit_code": code})
         return code
 
 

@@ -575,7 +575,8 @@ def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
-    if header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
+    # at least one feature: the trainer scales its first weights by the width
+    if len(header) < 2 or header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
         raise FormatError(f"{path}: expected header 'x0,...,label'")
     if len(lines) == 1:
         raise FormatError(f"{path}: header but no samples")

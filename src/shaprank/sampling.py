@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,17 +62,6 @@ def permutation_at(seed: int, index: int, n_players: int) -> np.ndarray:
     return rng.permutation(n_players)
 
 
-def _stream(cfg: SamplingConfig, n_players: int) -> Callable[[int], np.ndarray]:
-    if not cfg.antithetic:
-        return lambda j: permutation_at(cfg.seed, j, n_players)
-
-    def paired(j: int) -> np.ndarray:
-        base = permutation_at(cfg.seed, j // 2, n_players)
-        return base if j % 2 == 0 else base[::-1]
-
-    return paired
-
-
 def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstimate:
     """Average marginal contributions over sampled orderings.
 
@@ -84,7 +73,6 @@ def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstim
     if cfg.n_permutations * n > ENUMERATION_BUDGET:
         raise BudgetError(f"{cfg.n_permutations} orderings of {n} players take "
                           f"{cfg.n_permutations * n} marginals, over the {ENUMERATION_BUDGET} budget")
-    source = _stream(cfg, n)
     empty_value = game.evaluate_mask(0)
     full_value = game.evaluate_mask(game.grand_mask)
     before = game.eval_count
@@ -96,7 +84,10 @@ def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstim
     realized = 0
 
     for j in range(cfg.n_permutations):
-        perm = np.asarray(source(j))
+        # an antithetic pair walks one ordering forward, then backward
+        perm = permutation_at(cfg.seed, j // 2 if cfg.antithetic else j, n)
+        if cfg.antithetic and j % 2:
+            perm = perm[::-1]
         chain = game.evaluate_masks(prefix_masks(perm))
         marginals = np.empty(n)
         marginals[perm] = np.diff(chain, prepend=empty_value, append=full_value)

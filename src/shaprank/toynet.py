@@ -384,7 +384,6 @@ def train_toy_model(
     epochs: int = 200,
     lr: float = 0.1,
     seed: int = 0,
-    n_classes: Optional[int] = None,
 ) -> ModelSpec:
     """Train a small dense classifier with full-batch gradient descent.
 
@@ -401,7 +400,7 @@ def train_toy_model(
     if x.ndim != 2:
         raise ValueError("trainer expects flat feature vectors")
     y = data.labels
-    classes = int(n_classes if n_classes is not None else y.max() + 1)
+    classes = int(y.max()) + 1
     m = x.shape[0]
 
     rng = np.random.default_rng(seed)

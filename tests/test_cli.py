@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -29,6 +30,30 @@ from shaprank.toynet import (
 )
 
 from conftest import MALFORMED_GAME_SPECS, random_table_game
+
+
+def _benchmark_estimators() -> tuple[str, ...]:
+    """``ESTIMATORS`` of perfbench/worker.py, read from its source: the
+    ``shaprank.cli`` names whose first call ends an invocation's set-up."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "worker.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ESTIMATORS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} defines no ESTIMATORS")
+
+
+WRAPPED_ESTIMATORS = _benchmark_estimators()
+# a fig2 invocation that calls each of them once
+ESTIMATOR_ARGV = {
+    "shapley_exact_subsets": ["rank", "--method", "exact"],
+    "shapley_exact_permutations": ["rank", "--method", "exact-perm"],
+    "shapley_partial": ["rank", "--method", "partial"],
+    "shapley_sample_permutations": ["rank", "--method", "perm"],
+    "shapley_regression": ["rank", "--method", "kernel"],
+    "compute_oracle_subsets": ["oracle", "--mode", "remove", "--k-range", "1:2"],
+}
 
 
 @pytest.fixture
@@ -227,18 +252,18 @@ class TestReportParams:
             "(choose from 'exact', 'exact-perm', 'partial', 'perm', 'kernel')",
         )
 
-    @pytest.mark.parametrize("method", list(cli._METHODS))
+    @pytest.mark.parametrize("name", WRAPPED_ESTIMATORS)
     def test_estimator_is_looked_up_when_the_method_runs(
-        self, fig2_path, tmp_path, monkeypatch, method
+        self, fig2_path, tmp_path, monkeypatch, name
     ):
         # wrappers set on shaprank.cli after import (the benchmark's set-up
         # marker, its tracer) must see every estimator call
-        name = cli._METHODS[method][0]
+        assert hasattr(cli, name)
         calls = []
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        rc = main(["rank", "--game", str(fig2_path), "--method", method,
-                   "--out", str(tmp_path / "r.json")])
+        argv = ESTIMATOR_ARGV[name] + ["--game", str(fig2_path), "--out", str(tmp_path / "r.json")]
+        rc = main(argv)
         assert rc == 0
         assert calls == [1]
 
@@ -901,6 +926,46 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == ("FormatError", f"{data_path}: {expected}")
 
+    @pytest.mark.parametrize("by_flag", [False, True], ids=["file", "flag"])
+    def test_a_prunable_layer_over_64_units_is_a_capacity_error(
+        self, tmp_path, capsys, monkeypatch, by_flag
+    ):
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
+            Layer("dense", rng.standard_normal((65, 4)), np.zeros(65)),
+            Layer("dense", rng.standard_normal((3, 65)), np.zeros(3), "softmax-logits"),
+        ]
+        model_path, data_path = tmp_path / "m.json", tmp_path / "d.csv"
+        save_model(ModelSpec(layers=layers, prunable_layer=0 if by_flag else 1), model_path)
+        data_path.write_text("x0,x1,label\n0.5,1.0,0\n1.5,-1.0,2\n")
+        # the layer is refused before its payoff function is built
+        monkeypatch.setattr(cli, "accuracy_char_fn", lambda *a: pytest.fail("payoff built"))
+        rc = main(["rank", "--model", str(model_path), "--data", str(data_path),
+                   *(["--layer", "1"] if by_flag else []),
+                   "--method", "perm", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == (
+            "CapacityError", f"{model_path}: layer 1 has 65 units, over the 64-player limit")
+
+    @pytest.mark.parametrize("command", ["train-toy", "rank"])
+    def test_a_dataset_without_a_feature_column_is_a_format_error(
+        self, toy_files, tmp_path, capsys, command
+    ):
+        model_path, _ = toy_files
+        data_path, out = tmp_path / "d.csv", tmp_path / "out.json"
+        data_path.write_text("label\n0\n1\n2\n0\n")
+        argv = ["--data", str(data_path), "--out", str(out)]
+        if command == "rank":
+            argv += ["--model", str(model_path), "--method", "exact"]
+        rc = main([command, *argv])
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == (
+            "FormatError", f"{data_path}: expected header 'x0,...,label'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("k_range", ["3:1", "0:2", "1,9", "1:100000000000000000000"])
     def test_k_range_outside_the_players_is_a_usage_error(
         self, fig2_path, tmp_path, capsys, k_range
@@ -1446,4 +1511,15 @@ class TestTrainToy:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == (
             "FormatError", f"{data_path}:4: label -1 outside the model's 3 classes")
+        assert not out.exists()
+
+    def test_a_label_that_makes_too_many_classes_is_a_budget_error(self, tmp_path, capsys):
+        # the trainer's one-hot targets would be 4 x (10^9 + 1) floats
+        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
+        data_path.write_text("x0,x1,label\n0.5,1.0,0\n1.5,-1.0,1\n0.0,2.0,2\n1.0,1.0,1000000000\n")
+        rc = main(["train-toy", "--data", str(data_path), "--out", str(out)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "BudgetError"
+        assert err["message"].startswith(f"{data_path}:5: label 1000000000 ")
         assert not out.exists()

@@ -124,12 +124,13 @@ def reference_load_dataset_csv(path):
     row.  It strips the text at the end only, as the header-on-line-1 rule
     does; before that rule it stripped both ends.  A label beyond int64 is a
     format error naming its line, as the reader has it now; before, it
-    escaped as an ``OverflowError``."""
+    escaped as an ``OverflowError``.  A header without a feature column is
+    refused, as the reader does now; before, it read rows of no features."""
     lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
-    if header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
+    if len(header) < 2 or header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
         raise FormatError(f"{path}: expected header 'x0,...,label'")
     if len(lines) == 1:
         raise FormatError(f"{path}: header but no samples")
