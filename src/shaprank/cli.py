@@ -60,6 +60,7 @@ from .partial import SizeBand, shapley_partial
 from .regression import SAMPLERS, RegressionConfig, shapley_regression
 from .sampling import EarlyStop, SamplingConfig, shapley_sample_permutations
 from .toynet import (
+    check_hidden,
     make_blobs_dataset,
     split_dataset,
     train_toy_model,
@@ -90,6 +91,15 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse ``type`` of the seed flags that seed numpy's generators,
+    which take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -156,8 +166,13 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
         data = load_dataset_csv(args.data, inputs)
         check_model_data(spec, data, args.data)
         fractions = _parse_fractions(args.split)
-        parts = split_dataset(data, fractions, seed=args.split_seed)
-        val = parts["val"]
+        if fractions[0] == fractions[2] == 0 < fractions[1]:
+            # every payoff is a hit count over the rows, which their order
+            # does not change, so a split that sets no rows aside keeps the
+            # file's order and skips the shuffle
+            val = data
+        else:
+            val = split_dataset(data, fractions, seed=args.split_seed)["val"]
         if val is None:
             raise UsageError(f"--split {args.split} leaves the validation part empty")
         source = _sha256_text(
@@ -370,18 +385,25 @@ def cmd_prune(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    try:
+        hidden = [int(h) for h in args.hidden.split(",") if h]
+    except ValueError as exc:
+        raise UsageError(f"--hidden expects comma-separated integers, got {args.hidden!r}") from exc
+    hidden = check_hidden(hidden)
     if args.data:
         inputs: dict = {}
         data = load_dataset_csv(args.data, inputs)
         # the trainer makes a class of each label up to the largest
         classes = int(data.labels.max()) + 1
         check_labels(data, classes, args.data)
-        # and holds its one-hot targets as rows x classes floats
-        if data.size * classes > ENUMERATION_BUDGET:
+        # and holds rows x classes one-hot targets, and classes x (width
+        # feeding the head) head weights and their gradient
+        head_inputs = hidden[-1] if hidden else data.inputs.shape[1]
+        if classes * max(data.size, head_inputs) > ENUMERATION_BUDGET:
             row = int(data.labels.argmax())
             raise BudgetError(f"{args.data}:{row + 2}: label {data.labels[row]} asks for {classes} "
-                              f"classes; {data.size} rows x {classes} one-hot targets are over "
-                              f"the {ENUMERATION_BUDGET} budget")
+                              f"classes; {classes} classes x max({data.size} rows, {head_inputs} "
+                              f"head inputs) are over the {ENUMERATION_BUDGET} budget")
     else:
         data = make_blobs_dataset(seed=args.data_seed)
         inputs = {"data": f"blobs(seed={args.data_seed})"}
@@ -390,10 +412,6 @@ def cmd_train_toy(args) -> int:
     train_part = parts["train"]
     if train_part is None:
         raise UsageError(f"--split {args.split} leaves the training part empty")
-    try:
-        hidden = [int(h) for h in args.hidden.split(",") if h]
-    except ValueError as exc:
-        raise UsageError(f"--hidden expects comma-separated integers, got {args.hidden!r}") from exc
     started = time.perf_counter()
     spec = train_toy_model(
         hidden, train_part, epochs=args.epochs, lr=args.lr, seed=args.seed
@@ -434,7 +452,7 @@ def _add_game_source(p: _Parser) -> None:
     p.add_argument("--data", help="labeled dataset (CSV)")
     p.add_argument("--layer", type=int, default=None, help="prunable layer override")
     p.add_argument("--split", default="0:1:0", help="train:val:test fractions")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--cache", help="coalition-value cache file (JSON lines)")
     p.add_argument(
         "--workers", type=int, default=1,
@@ -502,13 +520,13 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train-toy", help="train a small dense fixture model")
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--data", help="CSV dataset; omit for bundled blobs")
-    p_train.add_argument("--data-seed", type=int, default=0)
+    p_train.add_argument("--data-seed", type=_seed, default=0)
     p_train.add_argument("--hidden", default="16")
     p_train.add_argument("--epochs", type=int, default=200)
     p_train.add_argument("--lr", type=_finite_float, default=0.1)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.add_argument("--split", default="1:0:0")
-    p_train.add_argument("--split-seed", type=int, default=0)
+    p_train.add_argument("--split-seed", type=_seed, default=0)
     p_train.add_argument("--write-data", default=None)
     p_train.set_defaults(handler=cmd_train_toy)
 

@@ -378,6 +378,16 @@ def make_blobs_dataset(
     return LabeledDataset(inputs=inputs, labels=labels)
 
 
+def check_hidden(hidden: Sequence[int]) -> tuple[int, ...]:
+    """The trainer's hidden widths: at most two layers of 1 to 32 units."""
+    hidden = tuple(int(h) for h in hidden)
+    if len(hidden) > 2:
+        raise ValueError("at most 2 hidden layers (3 layers total)")
+    if any(h < 1 or h > 32 for h in hidden):
+        raise ValueError("hidden layer widths must be in [1, 32]")
+    return hidden
+
+
 def train_toy_model(
     hidden: Sequence[int],
     data: LabeledDataset,
@@ -391,11 +401,7 @@ def train_toy_model(
     counting the head).  Gradients are hand written; softmax cross-entropy
     loss.  Raises :class:`TrainingDivergedError` if the loss goes non-finite.
     """
-    hidden = tuple(int(h) for h in hidden)
-    if len(hidden) > 2:
-        raise ValueError("at most 2 hidden layers (3 layers total)")
-    if any(h < 1 or h > 32 for h in hidden):
-        raise ValueError("hidden layer widths must be in [1, 32]")
+    hidden = check_hidden(hidden)
     x = np.asarray(data.inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("trainer expects flat feature vectors")

@@ -3,9 +3,9 @@
 ``reference_char_fn`` is a local copy of the old path: zero the absent units'
 outputs of the prunable layer, run every later layer for that one mask, take
 the argmax and the mean.  The batched payoff must return the same bits for
-every coalition, however the masks are split into calls, and whether it
-runs the net on every row for each mask or reads per-group tables of hit
-counts.
+every coalition, however the masks are split into calls, whatever the
+order of the rows, and whether it runs the net on every row for each mask or
+reads per-group tables of hit counts.
 """
 
 import sys
@@ -363,3 +363,50 @@ def test_concurrent_calls_on_one_payoff(rows_per_pass):
         for order, got in per_thread:
             assert np.array_equal(got, expected[order])
     assert max(rows_per_pass) < data.size
+
+
+# -- row order --------------------------------------------------------------
+
+
+def _dense_suffix():
+    masks = np.random.default_rng(11).integers(0, 1 << 32, size=300, dtype=np.uint64)
+    return net_32(), _blobs(), masks
+
+
+def _conv_suffix():
+    rng = np.random.default_rng(7)
+    spec = ModelSpec([_conv(rng, 5, 2), _conv(rng, 4, 5), _dense(rng, 3, 4, "softmax-logits")])
+    # half the coalitions: too few to pay for a table of all 32
+    return spec, _images(rng), np.arange(1, 1 << 5, 2)
+
+
+def _non_finite_prefix():
+    data = _blobs(n_per_class=5)
+    inputs = data.inputs.copy()
+    inputs[0, 0] = np.nan
+    inputs[3, 1] = np.inf
+    masks = np.random.default_rng(12).integers(0, 1 << 14, size=300, dtype=np.uint64)
+    return net_14(), LabeledDataset(inputs, data.labels), masks
+
+
+def _group_tables():
+    return sparse_net(), _blobs(), np.arange(1 << 12)
+
+
+@pytest.mark.parametrize(
+    "case, tables",
+    [(_dense_suffix, False), (_conv_suffix, False), (_non_finite_prefix, False),
+     (_group_tables, True)],
+)
+def test_payoffs_do_not_depend_on_the_row_order(rows_per_pass, case, tables):
+    # a payoff is a hit count over the rows, so the CLI may validate on the
+    # rows of a file in its order rather than shuffled
+    spec, data, masks = case()
+    masks = np.asarray(masks, dtype=np.uint64)
+    order = np.random.default_rng(13).permutation(data.size)
+    shuffled = LabeledDataset(data.inputs[order], data.labels[order])
+    with np.errstate(invalid="ignore"):
+        expected = accuracy_char_fn(spec, data)(masks)
+        assert np.array_equal(accuracy_char_fn(spec, shuffled)(masks), expected)
+    # the route: per-group tables, or every row of the direct path
+    assert (max(rows_per_pass) < data.size) if tables else set(rows_per_pass) == {data.size}

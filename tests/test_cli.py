@@ -15,7 +15,9 @@ import pytest
 from shaprank import cli, formats
 from shaprank.cli import main
 from shaprank.errors import FormatError
+from shaprank.exact import shapley_exact_subsets
 from shaprank.formats import (
+    load_dataset_csv,
     load_game_json,
     load_model,
     save_dataset_csv,
@@ -26,7 +28,9 @@ from shaprank.games import Game
 from shaprank.toynet import (
     Layer,
     ModelSpec,
+    make_accuracy_game,
     make_blobs_dataset,
+    split_dataset,
 )
 
 from conftest import MALFORMED_GAME_SPECS, random_table_game
@@ -1295,6 +1299,34 @@ class TestErrors:
         assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
         assert flag in err["message"] and value in err["message"]
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("rank", "--split-seed"), ("oracle", "--split-seed"), ("prune", "--split-seed"),
+         ("train-toy", "--split-seed"), ("train-toy", "--data-seed"), ("train-toy", "--seed")],
+    )
+    def test_a_negative_seed_is_a_usage_error_naming_the_flag(
+        self, toy_files, tmp_path, capsys, command, flag
+    ):
+        # numpy's generators refuse a negative seed, but the default split of
+        # a model game reaches none of them
+        model_path, data_path = toy_files
+        out = tmp_path / "r.json"
+        required = {
+            "rank": ["--method", "exact"],
+            "oracle": ["--mode", "remove", "--k-range", "1:2"],
+            "prune": ["--method", "exact", "--count", "2"],
+        }
+        if command == "train-toy":
+            argv = ["train-toy", "--hidden", "4", "--epochs", "5"]
+        else:
+            argv = [command, "--model", str(model_path), "--data", str(data_path),
+                    *required[command]]
+        rc = main([*argv, flag, "-1", "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert flag in err["message"] and "'-1'" in err["message"]
+        assert not out.exists()
+
     def test_early_stop_window_beyond_a_deque_is_a_usage_error(self, fig2_path, tmp_path, capsys):
         window = "100000000000000000000"
         rc = main(["rank", "--game", str(fig2_path), "--method", "perm", "--perms", "10",
@@ -1461,6 +1493,52 @@ class TestInputsTheStandardParseRefuses:
         assert err["message"].startswith(message.format(path=path)), err["message"]
 
 
+class TestValidationSplit:
+    def test_the_default_split_imports_no_numpy_random(self, toy_files, tmp_path):
+        # a split that sets no rows aside validates on the file's rows in
+        # order, so model invocations reach no numpy generator
+        model_path, data_path = toy_files
+        source = ["--model", str(model_path), "--data", str(data_path)]
+        runs = [
+            ["rank", *source, "--method", "exact", "--out", str(tmp_path / "rank.json")],
+            ["oracle", *source, "--mode", "remove", "--k-range", "1:3",
+             "--out", str(tmp_path / "oracle.json")],
+            ["prune", *source, "--method", "exact", "--count", "2",
+             "--out", str(tmp_path / "pruned.json")],
+        ]
+        script = ("import sys\n"
+                  "from shaprank.cli import main\n"
+                  f"print([main(argv) for argv in {runs!r}], 'numpy.random' in sys.modules)\n")
+        one_thread = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **one_thread},
+            # run from the directory holding the package this module imported
+            cwd=os.path.dirname(os.path.dirname(cli.__file__)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] False"
+
+    @pytest.mark.parametrize("split, seed", [("1:1:0", 3), ("1:2:1", 0), ("0:1:0", 0), ("0:2:0", 5)])
+    def test_rank_values_are_those_of_the_split_datasets_validation_part(
+        self, toy_files, tmp_path, split, seed
+    ):
+        model_path, data_path = toy_files
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--model", str(model_path), "--data", str(data_path),
+                     "--split", split, "--split-seed", str(seed), "--method", "exact",
+                     "--out", str(out)]) == 0
+        fractions = tuple(float(f) for f in split.split(":"))
+        val = split_dataset(load_dataset_csv(data_path), fractions, seed=seed)["val"]
+        game = make_accuracy_game(load_model(model_path), val)
+        report = read_json(out)
+        assert report["values"] == shapley_exact_subsets(game).values.tolist()
+        assert (report["inputs"]["split"], report["inputs"]["split_seed"]) == (split, seed)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "fig2.json"
@@ -1522,4 +1600,35 @@ class TestTrainToy:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "BudgetError"
         assert err["message"].startswith(f"{data_path}:5: label 1000000000 ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hidden, head_inputs", [("32", 32), ("", 2)])
+    def test_a_label_that_makes_the_head_too_large_is_a_budget_error(
+        self, tmp_path, capsys, hidden, head_inputs
+    ):
+        # one row's 10^7 one-hot targets fit the budget, but the head would
+        # hold (10^7, width feeding it) weights and as large a gradient: the
+        # last hidden width, or the 2 features without a hidden layer
+        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
+        data_path.write_text("x0,x1,label\n0.5,1.0,9999999\n")
+        rc = main(["train-toy", "--data", str(data_path), "--out", str(out), "--hidden", hidden])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "BudgetError"
+        assert err["message"].startswith(f"{data_path}:2: label 9999999 ")
+        assert f"{head_inputs} head inputs" in err["message"]
+        assert not out.exists()
+
+    def test_a_hidden_width_over_the_trainers_limit_is_refused_before_the_budget(
+        self, tmp_path, capsys
+    ):
+        # 100 classes x 200 000 head inputs would be over the budget, but the
+        # width is not one the trainer takes
+        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
+        data_path.write_text("x0,x1,label\n0.5,1.0,0\n1.5,-1.0,99\n")
+        rc = main(["train-toy", "--data", str(data_path), "--out", str(out),
+                   "--hidden", "200000"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["message"]) == (
+            2, "ValueError", "hidden layer widths must be in [1, 32]")
         assert not out.exists()
