@@ -94,9 +94,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse ``type`` of the seed flags that seed numpy's generators,
-    which take no negative seed."""
+def _non_negative(text: str) -> int:
+    """argparse ``type`` of ``--epochs`` and of the seed flags that seed
+    numpy's generators, which take no negative seed."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
@@ -232,7 +232,11 @@ def _estimate(game: Game, args):
             n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
             early_stop=early_stop and EarlyStop(**early_stop))
         return shapley_sample_permutations(game, cfg), params
-    # kernel
+    # kernel: every sampler but the exhaustive one draws from numpy's
+    # generator, which takes no negative seed
+    if args.sampler != "exhaustive" and args.seed < 0:
+        raise UsageError(f"argument --seed: must be a non-negative integer for the "
+                         f"{args.sampler} sampler, got '{args.seed}'")
     params = {"samples": args.samples, "sampler": args.sampler, "ridge": args.ridge,
               "enforce_efficiency": not args.no_efficiency, "fit_intercept": args.fit_intercept}
     cfg = RegressionConfig(
@@ -452,7 +456,7 @@ def _add_game_source(p: _Parser) -> None:
     p.add_argument("--data", help="labeled dataset (CSV)")
     p.add_argument("--layer", type=int, default=None, help="prunable layer override")
     p.add_argument("--split", default="0:1:0", help="train:val:test fractions")
-    p.add_argument("--split-seed", type=_seed, default=0)
+    p.add_argument("--split-seed", type=_non_negative, default=0)
     p.add_argument("--cache", help="coalition-value cache file (JSON lines)")
     p.add_argument(
         "--workers", type=int, default=1,
@@ -520,13 +524,13 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train-toy", help="train a small dense fixture model")
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--data", help="CSV dataset; omit for bundled blobs")
-    p_train.add_argument("--data-seed", type=_seed, default=0)
+    p_train.add_argument("--data-seed", type=_non_negative, default=0)
     p_train.add_argument("--hidden", default="16")
-    p_train.add_argument("--epochs", type=int, default=200)
+    p_train.add_argument("--epochs", type=_non_negative, default=200)
     p_train.add_argument("--lr", type=_finite_float, default=0.1)
-    p_train.add_argument("--seed", type=_seed, default=0)
+    p_train.add_argument("--seed", type=_non_negative, default=0)
     p_train.add_argument("--split", default="1:0:0")
-    p_train.add_argument("--split-seed", type=_seed, default=0)
+    p_train.add_argument("--split-seed", type=_non_negative, default=0)
     p_train.add_argument("--write-data", default=None)
     p_train.set_defaults(handler=cmd_train_toy)
 

@@ -98,8 +98,11 @@ _NUMBER = r"-?[0-9][0-9.eE+-]*+"
 # possessive, so the match keeps no state per entry (re, Python 3.11)
 _ENTRY = rf'[ \t\n\r]*+"[0-9]++"[ \t\n\r]*+:[ \t\n\r]*+{_NUMBER}[ \t\n\r]*+'
 _VALUES_BODY = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*+")
-# with the quotes deleted, the "values" object as one flat list
-_AS_FLAT_LIST = str.maketrans({'"': None, ":": ",", "{": "[", "}": "]"})
+# with the quotes deleted, entries of the "values" object as flat list items
+_AS_FLAT_LIST = str.maketrans({'"': None, ":": ","})
+# the flat parses read their text in chunks of whole entries or rows of about
+# this many characters, which bounds the Python objects a parse holds at once
+_PARSE_CHUNK = 1 << 16
 
 
 def game_to_json_dict(game: TableGame) -> dict:
@@ -213,9 +216,9 @@ def load_game_json(path, hashes: Optional[dict] = None) -> TableGame:
 
 
 def _bulk_table(text: str) -> Optional[np.ndarray]:
-    """The payoff table of the game spec ``text``, parsed in one flat
-    ``json.loads``, or None unless ``text`` is laid out as
-    ``{"n_players": n, "values": {...}}`` (as ``write_json`` and
+    """The payoff table of the game spec ``text``, parsed by flat
+    ``json.loads`` calls over chunks of its entries, or None unless ``text``
+    is laid out as ``{"n_players": n, "values": {...}}`` (as ``write_json`` and
     ``json.dump(sort_keys=True)`` write it), in ASCII, and holds exactly the
     canonical keys with finite number payoffs.  Whatever it refuses, the
     dict parse reads to the same table or refuses with its own message."""
@@ -230,7 +233,7 @@ def _bulk_table(text: str) -> Optional[np.ndarray]:
     if (end < 0 or text[end + 1:].strip(_JSON_SPACE) != "}"
             or _VALUES_BODY.fullmatch(text, start, end) is None):
         return None
-    pairs = _flat_pairs(text[start - 1:end + 1].translate(_AS_FLAT_LIST))
+    pairs = _flat_pairs(text, start, end, ",", _AS_FLAT_LIST)
     if pairs is None or pairs[0].size != size or pairs[0].max() >= size:
         return None
     masks, values = pairs
@@ -240,26 +243,30 @@ def _bulk_table(text: str) -> Optional[np.ndarray]:
     return table if np.all(np.isfinite(table)) else None
 
 
-def _flat_pairs(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The flat JSON list ``text`` of alternating integer keys and number
-    payoffs, parsed in one ``json.loads``, as ``uint64`` keys and float64
-    payoffs; None when json refuses a number (a leading zero, ``1.``), a key
-    is outside ``uint64`` or an integer payoff is beyond float range.  The
-    caller's regular expression lets no other token through."""
-    try:
-        flat = json.loads(text)
-    except ValueError:
-        return None
-    # each of these is about as large as the rows' text: drop it once used
-    del text
-    keys, payoffs = flat[0::2], flat[1::2]
-    del flat
-    try:
-        masks = np.fromiter(keys, dtype=np.uint64, count=len(keys))
-        del keys
-        return masks, np.fromiter(payoffs, dtype=np.float64, count=len(payoffs))
-    except OverflowError:
-        return None
+def _flat_pairs(text: str, start: int, end: int, sep: str,
+                table: dict) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The records of ``text[start:end]``, joined by ``sep``, that ``table``
+    translates into flat JSON list items, an integer key then a number
+    payoff, as ``uint64`` keys and float64 payoffs; None when json refuses a
+    number (a leading zero, ``1.``), a key is outside ``uint64`` or an
+    integer payoff is beyond float range.  One ``json.loads`` reads each
+    chunk of about ``_PARSE_CHUNK`` characters of whole records, so a parse
+    holds the Python objects of one chunk at a time.  The caller's regular
+    expression has accepted the text: every ``sep`` in it ends a record, and
+    it lets no other token through."""
+    keys, payoffs = [], []
+    while True:
+        cut = text.find(sep, min(start + _PARSE_CHUNK, end), end)
+        cut = end if cut < 0 else cut
+        try:
+            flat = json.loads("[" + text[start:cut].translate(table) + "]")
+            keys.append(np.fromiter(flat[0::2], dtype=np.uint64))
+            payoffs.append(np.fromiter(flat[1::2], dtype=np.float64))
+        except (ValueError, OverflowError):
+            return None
+        if cut >= end:
+            return np.concatenate(keys), np.concatenate(payoffs)
+        start = cut + 1
 
 
 CACHE_FORMAT = "shaprank-cache-v1"
@@ -267,8 +274,10 @@ CACHE_FORMAT = "shaprank-cache-v1"
 # around the tokens, joined by "\n"; possessive, as _VALUES_BODY
 _CACHE_ROW = rf"[ \t]*+\[[ \t]*+-?[0-9]++[ \t]*+,[ \t]*+{_NUMBER}[ \t]*+\][ \t]*+"
 _CACHE_ROWS = re.compile(rf"(?:{_CACHE_ROW}(?:\n|\Z))*+")
-# with the brackets deleted and each "\n" a comma, the rows as one flat list
+# with the brackets deleted and each "\n" a comma, rows as flat list items
 _ROWS_AS_FLAT_LIST = str.maketrans({"[": None, "]": None, "\n": ","})
+# save_cache formats and writes this many rows at a time
+_WRITE_ROWS = 1 << 12
 
 
 def load_cache(path, source: str, n_players: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +298,10 @@ def load_cache(path, source: str, n_players: int) -> tuple[np.ndarray, np.ndarra
             f"(source {header['source']!r}, {header.get('n_players')} players)"
         )
     # rows after a header that ends at the first "\n", each one line as
-    # save_cache writes it up to spaces and tabs, are parsed in one call
+    # save_cache writes it up to spaces and tabs, are parsed in bulk
     if len(head) == 1 and _CACHE_ROWS.fullmatch(text, start):
         end = len(text) - text.endswith("\n")
-        rows = _flat_pairs("[" + text[start:end].translate(_ROWS_AS_FLAT_LIST) + "]")
+        rows = _flat_pairs(text, start, end, "\n", _ROWS_AS_FLAT_LIST)
         if (rows is not None and int(rows[0].max(initial=0)) >> n_players == 0
                 and np.all(np.isfinite(rows[1]))):
             return rows
@@ -334,13 +343,18 @@ def save_cache(path, source: str, game: Game) -> None:
         {"format": CACHE_FORMAT, "source": source, "n_players": game.n_players},
         sort_keys=True,
     )
-    # the repr of Python ints and floats is what json.dumps writes for them
-    body = "\n".join(f"[{m}, {v!r}]" for m, v in zip(masks.tolist(), values.tolist()))
     # write beside the target, then rename over it: an interrupted write
     # leaves the previous cache intact
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        write_lines(tmp, [header, body])
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            # the repr of Python ints and floats is what json.dumps writes
+            # for them; _WRITE_ROWS rows at a time, each ended by "\n"
+            for at in range(0, masks.size, _WRITE_ROWS):
+                block = zip(masks[at:at + _WRITE_ROWS].tolist(),
+                            values[at:at + _WRITE_ROWS].tolist())
+                fh.write("".join(f"[{m}, {v!r}]\n" for m, v in block))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

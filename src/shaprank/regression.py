@@ -89,6 +89,8 @@ class RegressionConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0 <= self.ridge < math.inf:
             raise ValueError("ridge must be finite and >= 0")
+        if self.sampler != "exhaustive" and self.seed < 0:
+            raise ValueError(f"seed must be >= 0 for the {self.sampler} sampler, got {self.seed}")
 
 
 def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:

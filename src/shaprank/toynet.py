@@ -402,6 +402,8 @@ def train_toy_model(
     loss.  Raises :class:`TrainingDivergedError` if the loss goes non-finite.
     """
     hidden = check_hidden(hidden)
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     x = np.asarray(data.inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("trainer expects flat feature vectors")

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -755,16 +756,19 @@ class TestCache:
             (["[-1, 1.0]"], 2, "mask -1 out of range for 3 players"),
         ],
     )
-    def test_bad_cache_rows_name_their_line(self, tmp_path, rows, line, complaint):
+    def test_bad_cache_rows_name_their_line(self, tmp_path, monkeypatch, rows, line, complaint):
         path = tmp_path / "cache.jsonl"
         header = {"format": formats.CACHE_FORMAT, "n_players": 3, "source": "src"}
         path.write_text("\n".join([json.dumps(header)] + rows) + "\n")
-        with pytest.raises(FormatError) as info:
-            formats.load_cache(path, "src", 3)
-        assert str(info.value) == f"{path}:{line}: {complaint}"
+        # the reader's chunk size, a chunk per row, and chunks cut unevenly
+        for chunk in (formats._PARSE_CHUNK, 1, 17):
+            monkeypatch.setattr(formats, "_PARSE_CHUNK", chunk)
+            with pytest.raises(FormatError) as info:
+                formats.load_cache(path, "src", 3)
+            assert str(info.value) == f"{path}:{line}: {complaint}"
 
     def test_failed_cache_write_keeps_the_previous_file(
-        self, fig2_path, tmp_path, monkeypatch
+        self, fig2_path, tmp_path, monkeypatch, capsys
     ):
         cache = tmp_path / "cache.jsonl"
         source = ["rank", "--game", str(fig2_path), "--cache", str(cache)]
@@ -774,12 +778,39 @@ class TestCache:
         def interrupted(src, dst):
             raise OSError("interrupted")
 
-        monkeypatch.setattr(os, "replace", interrupted)
-        rc = main(source + ["--method", "exact", "--out", str(tmp_path / "b.json")])
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", interrupted)
+            rc = main(source + ["--method", "exact", "--out", str(tmp_path / "b.json")])
         assert rc == 5
         assert cache.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "a.json", "b.json", "cache.jsonl", "fig2.json"
+        ]
+
+        # the 8 rows go out 3 at a time; the write of the second block
+        # stops half way through
+        def open_failing_in_the_second_block(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            writes, write = itertools.count(), fh.write
+
+            def failing(text):
+                if next(writes) == 2:  # the header, the first block, then this
+                    write(text[:len(text) // 2])
+                    raise OSError("no space left on device")
+                return write(text)
+
+            fh.write = failing
+            return fh
+
+        monkeypatch.setattr(formats, "_WRITE_ROWS", 3)
+        monkeypatch.setattr(formats, "open", open_failing_in_the_second_block, raising=False)
+        capsys.readouterr()
+        rc = main(source + ["--method", "exact", "--out", str(tmp_path / "c.json")])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["message"]) == (5, "no space left on device")
+        assert cache.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.json", "b.json", "c.json", "cache.jsonl", "fig2.json"
         ]
 
 
@@ -1302,13 +1333,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "command, flag",
         [("rank", "--split-seed"), ("oracle", "--split-seed"), ("prune", "--split-seed"),
-         ("train-toy", "--split-seed"), ("train-toy", "--data-seed"), ("train-toy", "--seed")],
+         ("train-toy", "--split-seed"), ("train-toy", "--data-seed"), ("train-toy", "--seed"),
+         ("rank", "--seed"), ("prune", "--seed")],
     )
     def test_a_negative_seed_is_a_usage_error_naming_the_flag(
         self, toy_files, tmp_path, capsys, command, flag
     ):
         # numpy's generators refuse a negative seed, but the default split of
-        # a model game reaches none of them
+        # a model game reaches none of them; rank's and prune's --seed seeds
+        # a generator only for a kernel sampler that draws
         model_path, data_path = toy_files
         out = tmp_path / "r.json"
         required = {
@@ -1316,6 +1349,8 @@ class TestErrors:
             "oracle": ["--mode", "remove", "--k-range", "1:2"],
             "prune": ["--method", "exact", "--count", "2"],
         }
+        if flag == "--seed" and command != "train-toy":
+            required[command][1:2] = ["kernel", "--samples", "50"]
         if command == "train-toy":
             argv = ["train-toy", "--hidden", "4", "--epochs", "5"]
         else:
@@ -1326,6 +1361,14 @@ class TestErrors:
         assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
         assert flag in err["message"] and "'-1'" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method", [["perm", "--perms", "5"], ["kernel", "--sampler", "exhaustive"]])
+    def test_a_negative_seed_is_taken_where_no_generator_draws(self, fig2_path, tmp_path, method):
+        out = tmp_path / "r.json"
+        assert main(["rank", "--game", str(fig2_path), "--method", *method,
+                     "--seed", "-1", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_early_stop_window_beyond_a_deque_is_a_usage_error(self, fig2_path, tmp_path, capsys):
         window = "100000000000000000000"
@@ -1574,6 +1617,16 @@ class TestTrainToy:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_epochs_are_a_usage_error(self, tmp_path, capsys):
+        # range(-5) is empty: the model would be written untrained
+        out = tmp_path / "model.json"
+        rc = main(["train-toy", "--out", str(out), "--hidden", "4", "--epochs", "-5"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert "--epochs" in err["message"] and "'-5'" in err["message"]
+        assert not out.exists()
+        assert main(["train-toy", "--out", str(out), "--hidden", "4", "--epochs", "0"]) == 0
 
     def test_a_negative_label_is_a_format_error(self, tmp_path, capsys):
         # numpy's negative indexing would train label -1 as the last class

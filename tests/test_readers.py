@@ -156,6 +156,33 @@ def outcome(read, *args):
         return type(exc), str(exc)
 
 
+# the readers' chunk size, then one that puts a chunk boundary at every row or
+# entry and one that cuts the text at uneven places
+CHUNK_SIZES = (formats._PARSE_CHUNK, 1, 17)
+
+
+def as_bytes(result):
+    """An outcome with its arrays as their dtype and bytes, so that ``==``
+    compares them bit for bit."""
+    status, value = result
+    if status != "ok":
+        return result
+    values = value if isinstance(value, tuple) else (value,)
+    return status, [(v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else v
+                    for v in values]
+
+
+def chunked_outcome(read, *args):
+    """``outcome(read, *args)`` with ``formats._PARSE_CHUNK`` at each of
+    ``CHUNK_SIZES``: checked to be the same bit for bit at every size, and
+    returned."""
+    first = outcome(read, *args)
+    for size in CHUNK_SIZES[1:]:
+        with mock.patch.object(formats, "_PARSE_CHUNK", size):
+            assert as_bytes(outcome(read, *args)) == as_bytes(first), size
+    return first
+
+
 def cache_dict(rows):
     """Cache rows ``(masks, payoffs)`` as the reference reader returns
     them: a dict in first-seen order, a repeated mask keeping its last
@@ -238,7 +265,7 @@ class TestCacheReader:
     def test_same_as_the_line_by_line_reader(self, tmp_path_factory, lines, newline):
         path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
         write_cache(path, lines, newline)
-        assert_same_outcome(outcome(formats.load_cache, path, "s", CACHE_PLAYERS),
+        assert_same_outcome(chunked_outcome(formats.load_cache, path, "s", CACHE_PLAYERS),
                             outcome(reference_load_cache, path, "s", CACHE_PLAYERS))
 
     @pytest.mark.parametrize(
@@ -279,12 +306,31 @@ class TestCacheReader:
     def test_rows_the_bulk_parse_could_misread(self, tmp_path, lines, newline, expected):
         path = tmp_path / "cache.jsonl"
         write_cache(path, lines, newline)
-        new = outcome(formats.load_cache, path, "s", CACHE_PLAYERS)
+        new = chunked_outcome(formats.load_cache, path, "s", CACHE_PLAYERS)
         assert_same_outcome(new, outcome(reference_load_cache, path, "s", CACHE_PLAYERS))
         if isinstance(expected, str):
             assert new == (FormatError, f"{path}:{expected}")
         else:
             assert new[0] == "ok" and cache_dict(new[1]) == expected
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [("[4095, 01]", "corrupt cache entry"),
+         ("[4095, 1e400]", "non-finite payoff inf for mask 4095"),
+         ("[4096, 1.0]", "mask 4096 out of range for 12 players")],
+        ids=["refused-by-json", "not-finite", "out-of-range"],
+    )
+    def test_a_bad_row_in_the_last_chunk(self, tmp_path, row, expected):
+        # every row but the last is good, and the rows are longer than a chunk
+        rng = np.random.default_rng(3)
+        lines = [f"[{m}, {v!r}]" for m, v in enumerate(rng.standard_normal(4095).tolist())]
+        path = tmp_path / "cache.jsonl"
+        header = {"format": formats.CACHE_FORMAT, "n_players": 12, "source": "s"}
+        path.write_text("\n".join([json.dumps(header), *lines, row]) + "\n")
+        assert len("\n".join(lines)) > formats._PARSE_CHUNK
+        new = chunked_outcome(formats.load_cache, path, "s", 12)
+        assert_same_outcome(new, outcome(reference_load_cache, path, "s", 12))
+        assert new == (FormatError, f"{path}:4097: {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +515,9 @@ class TestGameSpecReader:
         text, in_bulk = case
         path = tmp_path_factory.mktemp("game") / "game.json"
         path.write_bytes(text.encode("utf-8"))
-        assert_same_outcome(outcome(game_table, path), outcome(reference_game_table, path))
+        assert_same_outcome(chunked_outcome(game_table, path), outcome(reference_game_table, path))
         if in_bulk:
-            assert _bulk_table(text) is not None
+            assert chunked_outcome(_bulk_table, text)[1] is not None
 
     @pytest.mark.parametrize(
         "values",
@@ -499,8 +545,23 @@ class TestGameSpecReader:
         text = '{"n_players": 2, "values": {' + values + "}}"
         path = tmp_path / "game.json"
         path.write_bytes(text.encode("utf-8"))
-        assert_same_outcome(outcome(game_table, path), outcome(reference_game_table, path))
-        assert _bulk_table(text) is None
+        assert_same_outcome(chunked_outcome(game_table, path), outcome(reference_game_table, path))
+        assert chunked_outcome(_bulk_table, text) == ("ok", None)
+
+    @pytest.mark.parametrize("payoff", ["01", "1e400", HUGE, '"2.0"'],
+                             ids=["refused-by-json", "not-finite", "beyond-float", "a-string"])
+    def test_a_bad_entry_in_the_last_chunk(self, tmp_path, payoff):
+        # every entry but the last is good, and the entries are longer than a chunk
+        payoffs = [json.dumps(v) for v in np.random.default_rng(4).standard_normal(4095).tolist()]
+        entries = [f'"{m}": {v}' for m, v in enumerate([*payoffs, payoff])]
+        text = '{"n_players": 12, "values": {' + ", ".join(entries) + "}}"
+        path = tmp_path / "game.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert len(text) > formats._PARSE_CHUNK
+        new = chunked_outcome(game_table, path)
+        assert_same_outcome(new, outcome(reference_game_table, path))
+        assert new[0] is FormatError
+        assert chunked_outcome(_bulk_table, text) == ("ok", None)
 
     @pytest.mark.parametrize(
         "text, in_bulk",

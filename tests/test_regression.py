@@ -258,6 +258,16 @@ class TestSolver:
         with pytest.raises(ValueError, match="ridge"):
             RegressionConfig(n_samples=4, ridge=ridge)
 
+    @pytest.mark.parametrize("sampler", [s for s in SAMPLERS if s != "exhaustive"])
+    def test_config_refuses_a_negative_seed_for_a_sampler_that_draws(self, sampler):
+        with pytest.raises(ValueError, match="seed"):
+            RegressionConfig(n_samples=4, sampler=sampler, seed=-1)
+
+    def test_the_exhaustive_sampler_takes_any_seed(self):
+        game = TableGame(np.arange(8, dtype=np.float64))
+        est = shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive", seed=-1))
+        assert est.seed is None
+
     def test_ridge_shrinks_the_solution_monotonically(self):
         rng = np.random.default_rng(0)
         base = rng.standard_normal((6, 4))

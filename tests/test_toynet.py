@@ -88,6 +88,10 @@ class TestTraining:
         b = train_toy_model([4], blobs, epochs=0, lr=0.1, seed=9)
         assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
 
+    def test_negative_epochs_are_refused(self, blobs):
+        with pytest.raises(ValueError, match="epochs"):
+            train_toy_model([4], blobs, epochs=-5, lr=0.1, seed=9)
+
     def test_divergence_reports_epoch(self, blobs):
         with pytest.raises(TrainingDivergedError) as info:
             train_toy_model([8], blobs, epochs=100, lr=1e9, seed=0)
