@@ -150,6 +150,9 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     inputs: dict = {}
     spec = None
     if args.game:
+        for flag in ("data", "layer", "split", "split_seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag.replace('_', '-')} applies to --model, not --game")
         table = load_game_json(args.game, inputs)
         n_players, char_fn, source = table.n_players, table.values.__getitem__, inputs["game"]
     else:
@@ -165,27 +168,29 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
                                 f"units, over the {MAX_PLAYERS}-player limit")
         data = load_dataset_csv(args.data, inputs)
         check_model_data(spec, data, args.data)
-        fractions = _parse_fractions(args.split)
+        split = "0:1:0" if args.split is None else args.split
+        split_seed = args.split_seed or 0
+        fractions = _parse_fractions(split)
         if fractions[0] == fractions[2] == 0 < fractions[1]:
             # every payoff is a hit count over the rows, which their order
             # does not change, so a split that sets no rows aside keeps the
             # file's order and skips the shuffle
             val = data
         else:
-            val = split_dataset(data, fractions, seed=args.split_seed)["val"]
+            val = split_dataset(data, fractions, seed=split_seed)["val"]
         if val is None:
-            raise UsageError(f"--split {args.split} leaves the validation part empty")
+            raise UsageError(f"--split {split} leaves the validation part empty")
         source = _sha256_text(
             "|".join(
                 [
                     *inputs.values(),
                     f"layer={spec.prunable_layer}",
-                    f"split={args.split}",
-                    f"split_seed={args.split_seed}",
+                    f"split={split}",
+                    f"split_seed={split_seed}",
                 ]
             )
         )
-        inputs.update(layer=spec.prunable_layer, split=args.split, split_seed=args.split_seed)
+        inputs.update(layer=spec.prunable_layer, split=split, split_seed=split_seed)
         n_players, char_fn = spec.n_players, accuracy_char_fn(spec, val)
     preloaded = None
     if args.cache and Path(args.cache).exists():
@@ -455,8 +460,8 @@ def _add_game_source(p: _Parser) -> None:
     p.add_argument("--model", help="toy model file (JSON)")
     p.add_argument("--data", help="labeled dataset (CSV)")
     p.add_argument("--layer", type=int, default=None, help="prunable layer override")
-    p.add_argument("--split", default="0:1:0", help="train:val:test fractions")
-    p.add_argument("--split-seed", type=_non_negative, default=0)
+    p.add_argument("--split", help="train:val:test fractions (default 0:1:0)")
+    p.add_argument("--split-seed", type=_non_negative)
     p.add_argument("--cache", help="coalition-value cache file (JSON lines)")
     p.add_argument(
         "--workers", type=int, default=1,

@@ -21,7 +21,9 @@ import numpy as np
 from .errors import CharacteristicFunctionError
 
 MAX_PLAYERS = 64
-# the most coalitions one enumeration may materialise, whatever the estimator
+# the most items one enumeration or draw may hold: the coalitions of a band, an
+# oracle size, the rank's prefixes or the exhaustive kernel, sampled kernel rows,
+# permutation marginals, toy-model training cells (exact.py caps N instead)
 ENUMERATION_BUDGET = 10**7
 
 

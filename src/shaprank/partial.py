@@ -49,10 +49,7 @@ class SizeBand:
                 f"band ends overlap: low_d={low} reaches size {low - 1}, "
                 f"high_d={self.high_d} starts at size {n_players - self.high_d}"
             )
-        included = sorted(set(range(low)) | set(range(n_players - self.high_d, n_players)))
-        if not included:
-            raise InvalidBandError("band selects no coalition sizes")
-        return included
+        return sorted(set(range(low)) | set(range(n_players - self.high_d, n_players)))
 
     @classmethod
     def full(cls, n_players: int) -> "SizeBand":

@@ -28,12 +28,12 @@ import numpy as np
 
 from .errors import BudgetError, SingularSystemError
 from .exact import REDUCE_BLOCK, ordered_sum
-from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members, prefix_masks
+from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members
 
 LARGE_KERNEL_WEIGHT = 1e10
 _COND_LIMIT = 1e12
 
-SAMPLERS = ("exhaustive", "size-stratified", "bernoulli-half", "permutation-prefix")
+SAMPLERS = ("exhaustive", "size-stratified")
 
 
 def shapley_kernel_weight(n: int, k: int) -> float:
@@ -67,8 +67,8 @@ class RegressionConfig:
 
     ``n_samples`` is ignored by the exhaustive sampler, which always uses all
     ``2**N - 2`` proper nonempty coalitions (so at most N = 23 players fit
-    the enumeration budget); every other sampler draws ``n_samples`` rows,
-    held to the same budget.  ``ridge`` is the fallback
+    the enumeration budget); the size-stratified sampler draws ``n_samples``
+    rows, held to the same budget.  ``ridge`` is the fallback
     regularizer applied only if the plain normal equations are singular; set
     it to 0 to make singularity a hard error.  By default the intercept is
     pinned to the empty coalition's payoff; ``fit_intercept`` estimates it
@@ -93,41 +93,15 @@ class RegressionConfig:
             raise ValueError(f"seed must be >= 0 for the {self.sampler} sampler, got {self.seed}")
 
 
-def _sample_masks(n: int, cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Coalition bitmasks plus their regression weights for a sampling
-    ``cfg.sampler``.
-
-    Weights are importance-corrected so every sampler targets the same
-    kernel-weighted objective: rows drawn proportionally to kernel mass get
-    unit weight, uniformly drawn rows get the kernel itself, and ordering
-    prefixes (uniform over sizes) get the kernel scaled by the size count.
-    """
-    full = (1 << n) - 1
+def _sample_masks(n: int, cfg: RegressionConfig) -> np.ndarray:
+    """``cfg.n_samples`` coalition bitmasks, sizes drawn by kernel mass and
+    members uniformly within a size, so every row has unit weight."""
     rng = np.random.default_rng(cfg.seed)
-    masks: list[int] = []
-    weights: list[float] = []
-    if cfg.sampler == "size-stratified":
-        probs = stratified_size_probabilities(n)
-        drawn = rng.choice(np.arange(1, n), size=cfg.n_samples, p=probs)
-        for k in drawn:
-            members = rng.choice(n, size=int(k), replace=False)
-            masks.append(mask_from_members(members.tolist(), n))
-            weights.append(1.0)
-    elif cfg.sampler == "bernoulli-half":
-        while len(masks) < cfg.n_samples:
-            bits = rng.integers(0, 2, size=n)
-            mask = mask_from_members(np.flatnonzero(bits).tolist(), n)
-            if mask == 0 or mask == full:
-                continue
-            masks.append(mask)
-            weights.append(shapley_kernel_weight(n, int(bits.sum())))
-    else:  # permutation-prefix
-        # an ordering's n - 1 prefixes have sizes 1..n-1, in that order
-        orderings = -(-cfg.n_samples // (n - 1))
-        prefixes = np.concatenate([prefix_masks(rng.permutation(n)) for _ in range(orderings)])
-        per_size = [shapley_kernel_weight(n, k) * math.comb(n, k) for k in range(1, n)]
-        return prefixes[:cfg.n_samples], np.tile(per_size, orderings)[:cfg.n_samples]
-    return np.array(masks, dtype=np.uint64), np.array(weights)
+    probs = stratified_size_probabilities(n)
+    drawn = rng.choice(np.arange(1, n), size=cfg.n_samples, p=probs)
+    masks = [mask_from_members(rng.choice(n, size=int(k), replace=False).tolist(), n)
+             for k in drawn]
+    return np.array(masks, dtype=np.uint64)
 
 
 def _indicators(masks: np.ndarray, n: int) -> np.ndarray:
@@ -136,13 +110,13 @@ def _indicators(masks: np.ndarray, n: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.float64)
 
 
-def _sampled_moments(masks: np.ndarray, weights: np.ndarray, values: np.ndarray,
-                     n: int) -> np.ndarray:
-    """``G = sum over rows of w * z z^T`` with ``z = [1, x_0..x_{n-1}, v]``.
+def _sampled_moments(masks: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``G = sum over rows of z z^T`` with ``z = [1, x_0..x_{n-1}, v]``.
 
-    Rows are folded in consecutive blocks of about ``REDUCE_BLOCK`` products,
-    each summed by ``np.add.reduce`` and added in order, so no more than one
-    block of membership rows exists at a time and the sum's order is fixed.
+    Rows are folded in consecutive blocks of about ``REDUCE_BLOCK`` products.
+    The membership moments are BLAS products whose sums of 0s and 1s are
+    exact in any order; the payoff column is summed by ``np.add.reduce`` and
+    added block by block, so its order is fixed.
     """
     width = n + 2
     rows = max(1, REDUCE_BLOCK // (width * width))
@@ -153,8 +127,9 @@ def _sampled_moments(masks: np.ndarray, weights: np.ndarray, values: np.ndarray,
         z[:, 0] = 1.0
         z[:, 1:-1] = _indicators(masks[block], n)
         z[:, -1] = values[block]
-        weighted = weights[block, None] * z
-        moments += np.add.reduce(weighted[:, :, None] * z[:, None, :], axis=0)
+        moments[:-1, :-1] += z[:, :-1].T @ z[:, :-1]
+        moments[:, -1] += np.add.reduce(z * z[:, -1:], axis=0)
+    moments[-1, :-1] = moments[:-1, -1]
     return moments
 
 
@@ -277,8 +252,8 @@ def shapley_regression(
         if cfg.n_samples > ENUMERATION_BUDGET:
             raise BudgetError(f"the {cfg.sampler} sampler draws {cfg.n_samples} coalitions, "
                               f"over the {ENUMERATION_BUDGET} budget")
-        masks, weights = _sample_masks(n, cfg)
-        moments = _sampled_moments(masks, weights, game.evaluate_masks(masks), n)
+        masks = _sample_masks(n, cfg)
+        moments = _sampled_moments(masks, game.evaluate_masks(masks), n)
     base = game.evaluate_mask(0)
     target_total = game.target_quantity()
     solved, ridge_applied, condition = _solve_symmetric(

@@ -4,9 +4,10 @@ OpenBLAS splits a long dot product between its threads, so a sum left to it
 changes its last digits with ``OPENBLAS_NUM_THREADS``.  The thread count is
 read when numpy loads, so each side runs in a fresh process: one with
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` at 1, one at 2.  Both write
-the ``rank`` reports of ``exact``, ``partial`` and exhaustive ``kernel`` on a
-16-player table and of ``exact`` and exhaustive ``kernel`` on an 8-unit toy
-net (whose payoffs go through BLAS matrix products), and the values of
+the ``rank`` reports of ``exact``, ``partial``, exhaustive and sampled
+``kernel`` on a 16-player table and of ``exact``, exhaustive and sampled
+``kernel`` on an 8-unit toy net (whose payoffs go through BLAS matrix
+products; the sampled kernel's membership moments do too), and the values of
 exact, partial and exhaustive kernel on a 20-player table.  Every file must
 have the same bytes on both sides.
 
@@ -35,8 +36,11 @@ RANK_RUNS = {
     "table-partial.json": ["--game", TABLE, "--method", "partial", "--high-d", "6",
                            "--low-d", "2"],
     "table-kernel.json": ["--game", TABLE, "--method", "kernel", "--sampler", "exhaustive"],
+    "table-sampled-kernel.json": ["--game", TABLE, "--method", "kernel", "--samples", "2000",
+                                  "--seed", "1"],
     "net-exact.json": [*NET, "--method", "exact"],
     "net-kernel.json": [*NET, "--method", "kernel", "--sampler", "exhaustive"],
+    "net-sampled-kernel.json": [*NET, "--method", "kernel", "--samples", "2000", "--seed", "1"],
 }
 
 

@@ -184,13 +184,13 @@ class TestRank:
         assert 1.0 <= report["condition"] < 1e3
 
     def test_kernel_report_says_when_the_ridge_fired(self, fig2_path, tmp_path):
-        # the rows of seed 4 leave the plain normal equations rank deficient
+        # the rows of seed 31 leave the plain normal equations rank deficient
         out = tmp_path / "rank.json"
         rc = main(
             [
                 "rank", "--game", str(fig2_path),
-                "--method", "kernel", "--sampler", "bernoulli-half",
-                "--samples", "3", "--seed", "4", "--out", str(out),
+                "--method", "kernel", "--sampler", "size-stratified",
+                "--samples", "3", "--seed", "31", "--out", str(out),
             ]
         )
         assert rc == 0
@@ -222,9 +222,9 @@ class TestReportParams:
                  "enforce_efficiency": True, "fit_intercept": False},
             ),
             (
-                ["--method", "kernel", "--samples", "50", "--sampler", "bernoulli-half",
+                ["--method", "kernel", "--samples", "50", "--sampler", "exhaustive",
                  "--ridge", "0.001", "--no-efficiency", "--fit-intercept"],
-                {"samples": 50, "sampler": "bernoulli-half", "ridge": 0.001,
+                {"samples": 50, "sampler": "exhaustive", "ridge": 0.001,
                  "enforce_efficiency": False, "fit_intercept": True},
             ),
         ],
@@ -836,13 +836,13 @@ class TestErrors:
         assert err["error"] == "CapacityError"
 
     def test_numerical_error_exit_code(self, fig2_path, tmp_path, capsys):
-        # seed 4 draws rows that leave the normal equations rank deficient;
+        # seed 31 draws rows that leave the normal equations rank deficient;
         # with the ridge fallback disabled that is a numerical failure
         rc = main(
             [
                 "rank", "--game", str(fig2_path),
-                "--method", "kernel", "--sampler", "bernoulli-half",
-                "--samples", "3", "--seed", "4", "--ridge", "0",
+                "--method", "kernel", "--sampler", "size-stratified",
+                "--samples", "3", "--seed", "31", "--ridge", "0",
                 "--out", str(tmp_path / "r.json"),
             ]
         )
@@ -891,6 +891,39 @@ class TestErrors:
         assert rc == 4
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CharacteristicFunctionError"
+
+    @pytest.mark.parametrize("command", ["rank", "prune"])
+    @pytest.mark.parametrize("sampler", ["bernoulli-half", "permutation-prefix"])
+    def test_a_sampler_outside_the_choices_is_a_usage_error(
+        self, toy_files, tmp_path, capsys, command, sampler
+    ):
+        model_path, data_path = toy_files
+        out = tmp_path / "r.json"
+        extra = ["--count", "2"] if command == "prune" else []
+        rc = main([command, "--model", str(model_path), "--data", str(data_path),
+                   "--method", "kernel", "--sampler", sampler, *extra, "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert "--sampler" in err["message"] and sampler in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rank", "oracle"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--data", "nosuch.csv"), ("--layer", "0"), ("--split", "1:1:1"), ("--split-seed", "5")],
+    )
+    def test_model_flags_with_a_game_are_usage_errors_naming_the_flag(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # refused before any file is read: the game file does not exist either
+        out = tmp_path / "r.json"
+        required = {"rank": ["--method", "exact"], "oracle": ["--mode", "keep", "--k-range", "1:2"]}
+        rc = main([command, "--game", str(tmp_path / "nosuch.json"), *required[command],
+                   flag, value, "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert flag in err["message"]
+        assert not out.exists()
 
     def test_usage_error_for_conflicting_sources(self, fig2_path, tmp_path, capsys):
         rc = main(
@@ -1320,7 +1353,7 @@ class TestErrors:
         argv = [flag, value, "--out", str(tmp_path / "r.json")]
         if command != "train-toy":
             argv = ["--game", str(fig2_path), "--method", command, "--sampler",
-                    "bernoulli-half", "--samples", "3", "--seed", "4", *argv]
+                    "size-stratified", "--samples", "3", "--seed", "4", *argv]
         argv = ["train-toy" if command == "train-toy" else "rank", *argv]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1380,10 +1413,9 @@ class TestErrors:
         assert "--early-stop-window" in err["message"] and window in err["message"]
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"])
-    def test_samples_beyond_the_budget_exit_3(self, fig2_path, tmp_path, capsys, sampler):
+    def test_samples_beyond_the_budget_exit_3(self, fig2_path, tmp_path, capsys):
         samples = "100000000000000000000"
-        rc = main(["rank", "--game", str(fig2_path), "--method", "kernel", "--sampler", sampler,
+        rc = main(["rank", "--game", str(fig2_path), "--method", "kernel",
                    "--samples", samples, "--out", str(tmp_path / "r.json")])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (rc, err["error"], err["exit_code"]) == (3, "BudgetError", 3)

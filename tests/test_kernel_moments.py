@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from shaprank.errors import SingularSystemError
-from shaprank.exact import shapley_exact_subsets
+from shaprank.exact import REDUCE_BLOCK, shapley_exact_subsets
 from shaprank.games import TableGame, make_fig2_game
 from shaprank.regression import (
     SAMPLERS,
@@ -37,7 +37,8 @@ from test_exact_routes import batched_game
 
 def reference_rows(n, cfg):
     if cfg.sampler != "exhaustive":
-        return _sample_masks(n, cfg)
+        masks = _sample_masks(n, cfg)
+        return masks, np.ones(masks.size)
     masks = np.arange(1, (1 << n) - 1, dtype=np.uint64)
     kernel = np.array([shapley_kernel_weight(n, k) for k in range(n + 1)])
     return masks, kernel[np.bitwise_count(masks)]
@@ -119,8 +120,36 @@ def test_exhaustive_moments_equal_the_row_sums(n):
     z = np.hstack([np.ones((masks.size, 1)), _indicators(masks, n), values[:, None]])
     np.testing.assert_allclose(_exhaustive_moments(masks, values, n),
                                z.T @ (weights[:, None] * z), rtol=1e-13)
-    np.testing.assert_allclose(_sampled_moments(masks, weights, values, n),
-                               z.T @ (weights[:, None] * z), rtol=1e-13)
+
+
+def reference_sampled_moments(masks, values, n):
+    """The earlier ``_sampled_moments`` at unit weights: one 3-D outer
+    product per row block, every entry summed by ``np.add.reduce``."""
+    width = n + 2
+    rows = max(1, REDUCE_BLOCK // (width * width))
+    moments = np.zeros((width, width))
+    for start in range(0, masks.size, rows):
+        block = slice(start, start + rows)
+        z = np.hstack([np.ones((masks[block].size, 1)), _indicators(masks[block], n),
+                       values[block, None]])
+        moments += np.add.reduce(z[:, :, None] * z[:, None, :], axis=0)
+    return moments
+
+
+def block_rows(n):
+    return REDUCE_BLOCK // (n + 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [(3, 100), (12, 4000), (32, 4000), (64, 20_000),
+     *((n, block_rows(n) + d) for n in (3, 12) for d in (-1, 0, 1))],
+)
+def test_sampled_moments_equal_the_outer_product_sums(n, rows):
+    masks = _sample_masks(n, RegressionConfig(n_samples=rows, seed=n + rows))
+    values = np.random.default_rng(rows).standard_normal(rows) * 1e3
+    assert np.array_equal(_sampled_moments(masks, values, n),
+                          reference_sampled_moments(masks, values, n))
 
 
 @pytest.mark.parametrize("n", range(2, 13))

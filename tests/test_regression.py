@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -98,28 +96,16 @@ class TestExhaustiveRegression:
 
 
 class TestSampledRegression:
-    def test_fig2_bernoulli_sampling_stays_close(self, fig2):
-        cfg = RegressionConfig(n_samples=500, sampler="bernoulli-half", seed=3)
-        est = shapley_regression(fig2, cfg)
-        exact = np.array([25.0, 25.0, 30.0])
-        assert np.max(np.abs(est.values - exact)) <= 1.0
-
-    @pytest.mark.parametrize(
-        "sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"]
-    )
-    def test_every_sampler_converges(self, sampler):
+    def test_sampling_converges(self):
         game = random_table_game(6, seed=33)
         exact = shapley_exact_subsets(game).values
-        cfg = RegressionConfig(n_samples=4000, sampler=sampler, seed=5)
+        cfg = RegressionConfig(n_samples=4000, seed=5)
         est = shapley_regression(game, cfg)
         assert np.max(np.abs(est.values - exact)) < 2.0
 
-    @pytest.mark.parametrize(
-        "sampler", ["size-stratified", "bernoulli-half", "permutation-prefix"]
-    )
-    def test_efficiency_holds_at_any_budget(self, sampler):
+    def test_efficiency_holds_at_any_budget(self):
         game = random_table_game(7, seed=8)
-        cfg = RegressionConfig(n_samples=20, sampler=sampler, seed=1)
+        cfg = RegressionConfig(n_samples=20, seed=1)
         est = shapley_regression(game, cfg)
         assert abs(est.values.sum() - game.target_quantity()) < 1e-9
 
@@ -154,23 +140,18 @@ class TestSampledRegression:
     def test_underdetermined_budget_rejected(self):
         game = random_table_game(6, seed=2)
         with pytest.raises(ValueError, match="underdetermine"):
-            shapley_regression(game, RegressionConfig(n_samples=4, sampler="bernoulli-half"))
+            shapley_regression(game, RegressionConfig(n_samples=4))
 
-    def test_rows_are_proper_and_nonempty_with_positive_weights(self):
-        for sampler in ("size-stratified", "bernoulli-half", "permutation-prefix"):
-            cfg = RegressionConfig(n_samples=64, sampler=sampler, seed=0)
-            masks, weights = _sample_masks(5, cfg)
-            assert masks.size == weights.size == 64
-            assert np.all((masks > 0) & (masks < 0b11111))
-            assert np.all(weights > 0)
+    def test_rows_are_proper_and_nonempty(self):
+        masks = _sample_masks(5, RegressionConfig(n_samples=64, seed=0))
+        assert masks.size == 64
+        assert np.all((masks > 0) & (masks < 0b11111))
 
 
 class TestSizeStratifiedSampler:
     def test_size_distribution_matches_kernel_mass(self):
         n = 8
-        masks, _ = _sample_masks(
-            n, RegressionConfig(n_samples=100_000, sampler="size-stratified", seed=12)
-        )
+        masks = _sample_masks(n, RegressionConfig(n_samples=100_000, seed=12))
         sizes = np.array([int(m).bit_count() for m in masks])
         observed = np.bincount(sizes, minlength=n)[1:n]
         expected = stratified_size_probabilities(n) * masks.size
@@ -179,45 +160,12 @@ class TestSizeStratifiedSampler:
 
     def test_subsets_uniform_within_a_size(self):
         n = 6
-        masks, _ = _sample_masks(
-            n, RegressionConfig(n_samples=60_000, sampler="size-stratified", seed=7)
-        )
+        masks = _sample_masks(n, RegressionConfig(n_samples=60_000, seed=7))
         chosen = np.array([m for m in masks if int(m).bit_count() == 2])
         values, counts = np.unique(chosen, return_counts=True)
         assert values.size == 15  # all C(6,2) patterns appear
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
-
-
-def reference_permutation_prefix(n, cfg):
-    """The permutation-prefix sampler as a per-bit loop over each ordering."""
-    rng = np.random.default_rng(cfg.seed)
-    masks: list[int] = []
-    weights: list[float] = []
-    while len(masks) < cfg.n_samples:
-        perm = rng.permutation(n)
-        mask = 0
-        for p in perm[:-1]:
-            mask |= 1 << int(p)
-            k = int(mask).bit_count()
-            masks.append(mask)
-            weights.append(shapley_kernel_weight(n, k) * math.comb(n, k))
-    del masks[cfg.n_samples:]
-    del weights[cfg.n_samples:]
-    return np.array(masks, dtype=np.uint64), np.array(weights)
-
-
-class TestPermutationPrefixSampler:
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 32, 64])
-    @pytest.mark.parametrize("seed", [0, 1, 29])
-    def test_matches_the_per_bit_loop(self, n, seed):
-        for rows in (1, 10, 999, 5000):
-            cfg = RegressionConfig(n_samples=rows, sampler="permutation-prefix", seed=seed)
-            masks, weights = _sample_masks(n, cfg)
-            ref_masks, ref_weights = reference_permutation_prefix(n, cfg)
-            assert masks.dtype == ref_masks.dtype and weights.dtype == ref_weights.dtype
-            assert masks.tobytes() == ref_masks.tobytes()
-            assert weights.tobytes() == ref_weights.tobytes()
 
 
 class TestSolver:
