@@ -67,6 +67,10 @@ def reference_regression(game, cfg):
     return phi, ridge_applied, condition, game.eval_count - before
 
 
+def block_rows(n):
+    return REDUCE_BLOCK // (n + 2) ** 2
+
+
 GAMES = {
     **{f"table{n}": (lambda n=n: random_table_game(n, seed=400 + n)) for n in range(2, 13)},
     "fig2": make_fig2_game,
@@ -96,6 +100,29 @@ def assert_matches_reference(make_game, cfg):
 def test_moments_match_the_row_matrix(name, sampler, enforce_efficiency, fit_intercept):
     n = GAMES[name]().n_players
     cfg = RegressionConfig(n_samples=6 * n, sampler=sampler, seed=len(name),
+                           enforce_efficiency=enforce_efficiency, fit_intercept=fit_intercept)
+    assert_matches_reference(GAMES[name], cfg)
+
+
+# At N = 2 every sampled coalition has one member, so a free intercept with
+# no efficiency constraint leaves the design singular at any row count.  The
+# ridge ``lambda I`` then sets the null direction from rounding in moments
+# that grow with the rows: at one block (4 096 rows) that is far above the
+# ``100 eps / ridge`` the few-row cases agree to, and says nothing about the
+# fold, so that case is left out; the other three N = 2 cases stay.
+@pytest.mark.parametrize(
+    "name, enforce_efficiency, fit_intercept",
+    [(name, efficiency, intercept) for name in sorted(GAMES)
+     for efficiency in (True, False) for intercept in (True, False)
+     if (name, efficiency, intercept) != ("table2", False, True)],
+)
+def test_sampled_moments_past_one_row_block_match_the_row_matrix(
+    name, enforce_efficiency, fit_intercept
+):
+    # one row more than a block of ``_sampled_moments``, so the moments fold
+    # two blocks: a full one and a single row
+    n = GAMES[name]().n_players
+    cfg = RegressionConfig(n_samples=block_rows(n) + 1, seed=len(name),
                            enforce_efficiency=enforce_efficiency, fit_intercept=fit_intercept)
     assert_matches_reference(GAMES[name], cfg)
 
@@ -136,14 +163,10 @@ def reference_sampled_moments(masks, values, n):
     return moments
 
 
-def block_rows(n):
-    return REDUCE_BLOCK // (n + 2) ** 2
-
-
 @pytest.mark.parametrize(
     "n, rows",
     [(3, 100), (12, 4000), (32, 4000), (64, 20_000),
-     *((n, block_rows(n) + d) for n in (3, 12) for d in (-1, 0, 1))],
+     *((n, block_rows(n) + d) for n in (*range(2, 34), 64) for d in (-1, 0, 1))],
 )
 def test_sampled_moments_equal_the_outer_product_sums(n, rows):
     masks = _sample_masks(n, RegressionConfig(n_samples=rows, seed=n + rows))

@@ -211,6 +211,11 @@ class TestSolver:
         with pytest.raises(ValueError, match="seed"):
             RegressionConfig(n_samples=4, sampler=sampler, seed=-1)
 
+    @pytest.mark.parametrize("sampler", ["bernoulli-half", "permutation-prefix", "Exhaustive", ""])
+    def test_config_refuses_a_sampler_outside_the_samplers(self, sampler):
+        with pytest.raises(ValueError, match="unknown sampler"):
+            RegressionConfig(n_samples=4, sampler=sampler)
+
     def test_the_exhaustive_sampler_takes_any_seed(self):
         game = TableGame(np.arange(8, dtype=np.float64))
         est = shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive", seed=-1))
