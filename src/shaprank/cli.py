@@ -568,10 +568,22 @@ def _exit_code_for(exc: BaseException) -> int:
     return 1
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any input is read if a file the command would write has
+    no directory to go in (``--csv`` and the default ``--summary`` go
+    beside ``--out``), rather than after the estimate it would hold."""
+    for flag in ("out", "summary", "cache", "write_data"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"--{flag.replace('_', '-')} {path}: "
+                                    f"directory {Path(path).parent} does not exist")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_dirs(args)
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - single funnel to structured stderr
         code = _exit_code_for(exc)

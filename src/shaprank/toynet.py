@@ -25,8 +25,9 @@ from .errors import TrainingDivergedError
 from .games import Game
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
-# about this many float64 per intermediate array of a block of coalitions
-# in the accuracy payoff (1 MiB)
+# about this many float64 (1 MiB) per block of coalitions in the accuracy
+# payoff: in each intermediate array of a full-width block, in all the
+# arrays of a cover-set pass's block together
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -209,9 +210,30 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     and are kept for every later call; until then each call takes the
     direct path.
 
+    On the GEMM route the direct path multiplies only the columns that are
+    active on its rows.  The groups, largest active set first and then by
+    code, each join the first "cover set" that holds their active set, or
+    start one; a pass runs a cover set's rows against its units' columns
+    only.  The terms it drops are exact zeros, so under the BLAS condition
+    above no partial sum changes.  OpenBLAS 0.3.31 does not meet it at
+    these shapes: the restricted products can differ in the last bits
+    from a full-width pass.  The payoffs agree because no row's top two
+    logits lie within that rounding of each other; nothing here certifies
+    it.  Cover sets of fewer than ``rows / units`` rows share one pass over
+    the union of their units, so there are at most ``units + 1`` passes.
+    Where the passes would read no fewer products than one full-width pass
+    (a dense net), or no column at all (every row inactive), the direct
+    path is one pass over every row and unit.  The passes' prefix blocks
+    are built on the first direct call, never for a payoff that a warm
+    cache serves.
+
     The block size follows from the shape of the rows evaluated alone,
     never from the number of masks requested, so no payoff depends on how
-    masks are batched.
+    masks are batched.  A cover-set pass's block of coalitions holds at
+    most ``_BLOCK_ELEMENTS`` values in all its arrays together: the weight
+    stack, the products, every later layer's output and the hit counts'
+    arrays.  A full-width pass, and a table's, bounds each intermediate
+    array by it instead.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
@@ -229,10 +251,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
         and bool(np.isfinite(suffix[0].weights).all())
     )
     labels = data.labels
-    n_classes = spec.layers[-1].out_units
     n_rows, n_units = prefix.shape[:2]
-    spatial = int(np.prod(prefix.shape[2:]))
-    widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
     bits = np.arange(n_units, dtype=np.uint64)
 
     # one uint64 code per row: its active units (NaN != 0, so NaN counts)
@@ -243,41 +262,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     group_units = [int(code).bit_count() for code in codes.tolist()]
     table_entries = sum(1 << a for a in group_units)
     table_cost = sum(int(rows) << a for rows, a in zip(group_rows.tolist(), group_units))
-    tables = None
-
-    def block_logits(x: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Logits of rows ``x`` under a ``(B, units)`` block of coalitions,
-        class-major: ``(classes, B * rows)``, coalition by coalition."""
-        if gemm:
-            first = suffix[0]
-            weights = np.where(members, first.weights[:, None, :], 0.0)
-            z = weights.reshape(-1, n_units) @ x.T
-            y = _finish_unit_major(first, z.reshape(first.out_units, -1))
-            for layer in suffix[1:]:
-                y = _finish_unit_major(layer, layer.weights @ y)
-            return y
-        keep = members.reshape(members.shape + (1,) * (x.ndim - 2))
-        logits = []
-        for k in keep:
-            y = np.where(k, x, 0.0)
-            for layer in suffix:
-                y = _apply_layer(layer, y)
-            logits.append(_global_average_pool(y).T)
-        return np.stack(logits, axis=1).reshape(n_classes, -1)
-
-    def evaluate_hits(x: np.ndarray, row_labels: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Hits among rows ``x`` under each of ``masks``."""
-        # coalitions per block: every (width, block, rows) intermediate and
-        # the (out, block, units) weight stack hold at most _BLOCK_ELEMENTS
-        # values, unless one coalition alone needs more
-        block = max(1, _BLOCK_ELEMENTS // (max(len(x), n_units) * max(widths or [n_units])))
-        out = np.empty(masks.size, dtype=np.int64)
-        for start in range(0, masks.size, block):
-            members = ((masks[start:start + block, None] >> bits) & 1).astype(bool)
-            out[start:start + members.shape[0]] = _hit_counts(
-                block_logits(x, members), row_labels, members.shape[0]
-            )
-        return out
+    tables = passes = None
 
     def build_tables() -> list:
         built = []
@@ -289,11 +274,48 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             subsets = np.zeros_like(j)
             for k, u in enumerate(units):
                 subsets |= (j >> k & 1) << u
-            built.append((units, evaluate_hits(prefix[rows], labels[rows], subsets)))
+            built.append((units, _pass_hits(suffix, gemm, prefix[rows], labels[rows], subsets)))
         return built
 
+    def build_passes() -> list:
+        """The direct path's ``(prefix block, labels, columns)`` passes: one
+        per cover set, or one of every row and unit (columns ``None``)."""
+        whole = [(prefix, labels, None)]
+        if not gemm:
+            return whole
+        # largest active sets first, then by code: each group joins the
+        # first cover set that holds its active set, or starts one
+        covers = []
+        cover_of_group = np.empty(codes.size, dtype=np.intp)
+        for g in sorted(range(codes.size), key=lambda g: -group_units[g]):
+            code = int(codes[g])
+            cover_of_group[g] = next(
+                (i for i, cover in enumerate(covers) if code & ~cover == 0), len(covers)
+            )
+            if cover_of_group[g] == len(covers):
+                covers.append(code)
+        cover_of_row = cover_of_group[group_of_row]
+        # a set of fewer than rows / units rows saves less than its own pass
+        # costs: such sets share one pass, over the union of their units, so
+        # there are at most units + 1 passes
+        small = np.flatnonzero(np.bincount(cover_of_row) * n_units < n_rows)
+        for i in small[1:].tolist():
+            covers[small[0]] |= covers[i]
+        merged = np.arange(len(covers))
+        merged[small] = small[:1]
+        cover_of_row = merged[cover_of_row]
+        blocks = [
+            (np.flatnonzero(cover_of_row == i), bits[np.uint64(covers[i]) >> bits & 1 == 1])
+            for i in np.flatnonzero(np.bincount(cover_of_row)).tolist()
+        ]
+        # no saving (a dense net), or no column at all (every row inactive:
+        # no K = 0 product)
+        if not 0 < sum(rows.size * cols.size for rows, cols in blocks) < n_rows * n_units:
+            return whole
+        return [(prefix[np.ix_(rows, cols)], labels[rows], cols) for rows, cols in blocks]
+
     def char_fn(masks):
-        nonlocal tables
+        nonlocal tables, passes
         masks = np.asarray(masks, dtype=np.uint64)
         if masks.size and int(masks.max()) >> n_units:
             raise ValueError(f"mask {int(masks.max()):#x} has bits above unit {n_units - 1}")
@@ -302,7 +324,13 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             # published whole: a concurrent call sees every table or none
             current = tables = build_tables()
         if current is None:
-            hits = evaluate_hits(prefix, labels, masks)
+            # built on the first direct call, never for a payoff that a
+            # warm cache serves; published whole, as the tables are
+            direct = passes = passes or build_passes()
+            hits = sum(
+                _pass_hits(suffix, gemm, x, row_labels, masks, cols)
+                for x, row_labels, cols in direct
+            )
         else:
             hits = np.zeros(masks.size, dtype=np.int64)
             for units, table in current:
@@ -315,6 +343,65 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
         return hits / labels.size
 
     return char_fn
+
+
+def _pass_hits(suffix: list[Layer], gemm: bool, x: np.ndarray, labels: np.ndarray,
+               masks: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hits among rows ``x`` of the prefix outputs, against ``labels``,
+    under each of ``masks``, running the ``suffix`` layers a block of
+    coalitions at a time (as one GEMM per block where ``gemm``).
+
+    ``x`` holds every unit's outputs, or those of units ``cols`` only (a
+    cover-set pass, GEMM route only).
+    """
+    n_cols = x.shape[1]
+    spatial = int(np.prod(x.shape[2:]))
+    widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
+    if cols is None:
+        cols = np.arange(n_cols, dtype=np.uint64)
+        # every (width, block, rows) intermediate and the (out, block,
+        # units) weight stack hold at most _BLOCK_ELEMENTS values each
+        per_coalition = max(len(x), n_cols) * max(widths or [n_cols])
+    else:
+        # the weight stack, the products, every later layer's output and
+        # the hit counts' arrays hold at most _BLOCK_ELEMENTS values together
+        per_coalition = widths[0] * n_cols + len(x) * (sum(widths) + 2)
+    # unless one coalition alone needs more
+    block = max(1, _BLOCK_ELEMENTS // per_coalition)
+    # C order, as the (out, block, units) stack must be for its GEMM view
+    weights = np.ascontiguousarray(suffix[0].weights[:, cols])[:, None, :] if gemm else None
+    out = np.empty(masks.size, dtype=np.int64)
+    for start in range(0, masks.size, block):
+        members = ((masks[start:start + block, None] >> cols) & 1).astype(bool)
+        out[start:start + members.shape[0]] = _hit_counts(
+            _block_logits(suffix, x, members, weights), labels, members.shape[0]
+        )
+    return out
+
+
+def _block_logits(suffix: list[Layer], x: np.ndarray, members: np.ndarray,
+                  weights: Optional[np.ndarray]) -> np.ndarray:
+    """Logits of rows ``x`` under a ``(B, units)`` block of coalitions,
+    class-major: ``(classes, B * rows)``, coalition by coalition.
+
+    ``weights`` is the first suffix layer's ``(out, 1, units)`` weights for
+    the GEMM route, ``None`` to run every coalition on its own.
+    """
+    if weights is not None:
+        stack = np.where(members, weights, 0.0)
+        z = stack.reshape(-1, members.shape[1]) @ x.T
+        y = _finish_unit_major(suffix[0], z.reshape(suffix[0].out_units, -1))
+        for layer in suffix[1:]:
+            y = _finish_unit_major(layer, layer.weights @ y)
+        return y
+    keep = members.reshape(members.shape + (1,) * (x.ndim - 2))
+    logits = []
+    for k in keep:
+        y = np.where(k, x, 0.0)
+        for layer in suffix:
+            y = _apply_layer(layer, y)
+        logits.append(_global_average_pool(y).T)
+    return np.stack(logits, axis=1).reshape(len(logits[0]), -1)
 
 
 def _finish_unit_major(layer: Layer, z: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@
 outputs of the prunable layer, run every later layer for that one mask, take
 the argmax and the mean.  The batched payoff must return the same bits for
 every coalition, however the masks are split into calls, whatever the
-order of the rows, and whether it runs the net on every row for each mask or
-reads per-group tables of hit counts.
+order of the rows, and whether it runs the net for each mask, once per cover
+set of rows over those rows' active columns or once over every row and unit,
+or reads per-group tables of hit counts.
 """
 
 import sys
 import threading
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -83,19 +85,34 @@ def assert_bit_identical(spec, data, masks):
     assert np.array_equal(got, expected)
 
 
+Pass = namedtuple("Pass", "rows cols masks")
+
+
 @pytest.fixture
 def rows_per_pass(monkeypatch):
-    """The row count of every hit-count pass: ``n_rows`` on the direct path,
-    a group's row count while its table is built."""
-    rows = []
-    hit_counts = toynet._hit_counts
+    """Every hit-count pass as a ``Pass``: its row count, the prunable
+    units whose columns it reads and its mask count.  A direct call makes
+    one pass per cover set (or one over every row and unit); building the
+    tables makes one per group, over every unit."""
+    passes = []
+    pass_hits = toynet._pass_hits
 
-    def recording(by_class, labels, n_coalitions):
-        rows.append(labels.size)
-        return hit_counts(by_class, labels, n_coalitions)
+    def recording(suffix, gemm, x, labels, masks, cols=None):
+        units = range(x.shape[1]) if cols is None else cols.tolist()
+        passes.append(Pass(labels.size, tuple(units), masks.size))
+        return pass_hits(suffix, gemm, x, labels, masks, cols)
 
-    monkeypatch.setattr(toynet, "_hit_counts", recording)
-    return rows
+    monkeypatch.setattr(toynet, "_pass_hits", recording)
+    return passes
+
+
+def assert_direct(passes, n_rows, n_masks):
+    """``passes`` are those of direct calls of ``n_masks`` masks over
+    ``n_rows`` rows in all: each runs every mask, so none built a table,
+    and their rows add up to the calls' (a pass's rows are one cover set's)."""
+    assert passes and all(p.masks == n_masks for p in passes)
+    assert sum(p.rows for p in passes) == n_rows
+    assert all(list(p.cols) == sorted(set(p.cols)) for p in passes)
 
 
 def _dense(rng, n_out, n_in, activation="relu", norm=None, scale=1.0):
@@ -146,8 +163,10 @@ def test_random_coalitions_of_a_two_layer_suffix(rows_per_pass):
     assert_bit_identical(net_32(), _blobs(), masks)
     # up to 19 of the 32 units are active on a row: the tables would cost
     # more row evaluations than the call and hold more entries than its
-    # masks, so every pass runs all rows
-    assert rows_per_pass and set(rows_per_pass) == {_blobs().size}
+    # masks, so the call takes the direct path, whose cover sets read fewer
+    # than the 32 columns
+    assert_direct(rows_per_pass, _blobs().size, masks.size)
+    assert len(rows_per_pass) > 1 and min(len(p.cols) for p in rows_per_pass) < 32
 
 
 def test_dense_suffix_layer_with_normalization():
@@ -277,8 +296,9 @@ def test_tables_on_a_normalized_net_with_many_zero_outputs(rows_per_pass):
     spec, data = sparse_net(), _blobs()
     assert_bit_identical(spec, data, np.arange(1 << 12))
     # every pass built a group's table: none ran all rows
-    assert rows_per_pass and max(rows_per_pass) < data.size
-    assert sum(rows_per_pass) == data.size
+    rows = [p.rows for p in rows_per_pass]
+    assert rows and max(rows) < data.size
+    assert sum(rows) == data.size
 
 
 def test_tables_on_a_conv_suffix(rows_per_pass):
@@ -293,7 +313,7 @@ def test_tables_on_a_conv_suffix(rows_per_pass):
     inputs[np.arange(12, 48), at[:, 0], at[:, 1], at[:, 2]] = rng.standard_normal(36) * 2
     data = LabeledDataset(inputs=inputs, labels=rng.integers(0, 3, size=48))
     assert_bit_identical(spec, data, np.arange(1 << 8))
-    assert len(rows_per_pass) > 1 and max(rows_per_pass) < data.size
+    assert len(rows_per_pass) > 1 and max(p.rows for p in rows_per_pass) < data.size
 
 
 def test_a_row_whose_prefix_is_all_zero(rows_per_pass):
@@ -306,27 +326,28 @@ def test_a_row_whose_prefix_is_all_zero(rows_per_pass):
     assert_bit_identical(spec, zero_row, np.arange(1 << 12))
     # the origin's group has no active units: its table is one entry,
     # possibly shared with other rows that switch every unit off
-    assert min(rows_per_pass) < data.size
+    assert min(p.rows for p in rows_per_pass) < data.size
     alone = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 3]))
     rows_per_pass.clear()
     assert_bit_identical(spec, alone, np.arange(1 << 12))
     assert_bit_identical(spec, alone, [0b101])
-    # one pass each builds the one-entry table; the direct path would take
-    # four blocks of coalitions for the 4096 masks
-    assert rows_per_pass == [3, 3]
+    # one pass each builds the one-entry table from its one coalition
+    assert rows_per_pass == [Pass(3, tuple(range(12)), 1)] * 2
 
 
 def test_tables_built_by_one_call_serve_later_calls(rows_per_pass):
     spec, data = sparse_net(), _blobs()
     char_fn = accuracy_char_fn(spec, data)
     reference = reference_char_fn(spec, data)
-    # three masks cannot pay for the tables: the direct path runs every row
+    # three masks cannot pay for the tables: the direct path's cover sets
+    # run every row once
     few = np.array([5, 3, 4095], dtype=np.uint64)
     assert np.array_equal(char_fn(few), [reference(m) for m in few.tolist()])
-    assert rows_per_pass == [data.size]
+    assert_direct(rows_per_pass, data.size, few.size)
+    direct = len(rows_per_pass)
     every = char_fn(np.arange(1 << 12, dtype=np.uint64))
     built = len(rows_per_pass)
-    assert built > 2 and max(rows_per_pass[1:]) < data.size
+    assert built > direct + 1 and max(p.rows for p in rows_per_pass[direct:]) < data.size
     shuffled = np.random.default_rng(4).permutation(1 << 12).astype(np.uint64)
     assert np.array_equal(char_fn(shuffled), every[shuffled])
     assert len(rows_per_pass) == built  # no pass ran after the tables
@@ -362,7 +383,7 @@ def test_concurrent_calls_on_one_payoff(rows_per_pass):
         assert len(per_thread) == 3
         for order, got in per_thread:
             assert np.array_equal(got, expected[order])
-    assert max(rows_per_pass) < data.size
+    assert max(p.rows for p in rows_per_pass) < data.size
 
 
 # -- row order --------------------------------------------------------------
@@ -408,5 +429,153 @@ def test_payoffs_do_not_depend_on_the_row_order(rows_per_pass, case, tables):
     with np.errstate(invalid="ignore"):
         expected = accuracy_char_fn(spec, data)(masks)
         assert np.array_equal(accuracy_char_fn(spec, shuffled)(masks), expected)
-    # the route: per-group tables, or every row of the direct path
-    assert (max(rows_per_pass) < data.size) if tables else set(rows_per_pass) == {data.size}
+    # the route: per-group tables, or the direct path's passes, which run
+    # every row of each of the two calls once
+    if tables:
+        assert max(p.rows for p in rows_per_pass) < data.size
+    else:
+        assert_direct(rows_per_pass, 2 * data.size, masks.size)
+
+
+# -- cover-set passes -------------------------------------------------------
+
+
+def detector_net_32(seed=32):
+    """2-32-16-4: eight jittered ReLU detectors per blob class (a class
+    direction and a negative threshold) feed four second-layer units per
+    class, which feed the head."""
+    rng = np.random.default_rng(seed)
+    cls1 = np.repeat(np.arange(4), 8)
+    angles = np.pi / 2 * cls1 + rng.normal(0.0, 0.15, 32)
+    w1 = np.stack([np.cos(angles), np.sin(angles)], axis=1) * rng.uniform(0.8, 1.2, (32, 1))
+    cls2 = np.repeat(np.arange(4), 4)
+    w2 = rng.uniform(0.0, 0.5, (16, 32)) * (cls2[:, None] == cls1[None, :])
+    w2 += 0.05 * rng.standard_normal((16, 32))
+    w3 = (np.arange(4)[:, None] == cls2[None, :]) + 0.1 * rng.standard_normal((4, 16))
+    return ModelSpec([
+        Layer("dense", w1, -rng.uniform(0.0, 1.0, 32)),
+        Layer("dense", w2, rng.normal(0.0, 0.1, 16)),
+        Layer("dense", w3, np.zeros(4), "softmax-logits"),
+    ])
+
+
+def _chains_and_random(n_units, seed, chains=20, random=300):
+    """The prefixes of ``chains`` random orderings of the units, then
+    ``random`` uniform masks."""
+    rng = np.random.default_rng(seed)
+    units = np.uint64(1) << np.arange(n_units, dtype=np.uint64)
+    prefixes = [np.bitwise_or.accumulate(units[rng.permutation(n_units)]) for _ in range(chains)]
+    uniform = rng.integers(0, 1 << n_units, size=random, dtype=np.uint64)
+    return np.concatenate([*prefixes, uniform]).astype(np.uint64)
+
+
+def test_detector_net_reads_about_half_the_columns(rows_per_pass):
+    spec, data = detector_net_32(), _blobs(n_per_class=200)
+    masks = _chains_and_random(32, seed=21)
+    assert_bit_identical(spec, data, masks)
+    assert_direct(rows_per_pass, data.size, masks.size)
+    products = sum(p.rows * len(p.cols) for p in rows_per_pass)
+    assert products < 0.75 * data.size * 32
+
+
+def test_cover_sets_with_a_normalized_suffix(rows_per_pass):
+    spec, data = sparse_net(), _blobs()
+    # too few masks to pay for the tables
+    masks = _chains_and_random(12, seed=22, chains=2, random=20)
+    assert_bit_identical(spec, data, masks)
+    assert_direct(rows_per_pass, data.size, masks.size)
+    assert min(len(p.cols) for p in rows_per_pass) < 12
+
+
+def _pass_through(rng, units=8):
+    """A ReLU prunable layer that passes its inputs through, so a row's
+    active units are its positive inputs, then a normalized ReLU layer."""
+    norm = Normalization(
+        mean=rng.standard_normal(6),
+        var=rng.uniform(0.5, 2.0, 6),
+        gamma=rng.standard_normal(6),
+        beta=rng.standard_normal(6),
+    )
+    return ModelSpec([
+        Layer("dense", np.eye(units), np.zeros(units)),
+        _dense(rng, 6, units, norm=norm),
+        _dense(rng, 3, 6, "softmax-logits"),
+    ])
+
+
+def _rows_active_on(rng, unit_sets, units=8):
+    """One row per entry of ``unit_sets``, positive exactly on its units."""
+    inputs = -rng.uniform(0.1, 2.0, (len(unit_sets), units))
+    for row, active in enumerate(unit_sets):
+        inputs[row, list(active)] *= -1.0
+    return LabeledDataset(inputs, rng.integers(0, 3, size=len(unit_sets)))
+
+
+def _in_calls_of(spec, data, masks, size):
+    for start in range(0, len(masks), size):
+        assert_bit_identical(spec, data, masks[start:start + size])
+
+
+def test_a_cover_set_of_one_row(rows_per_pass):
+    rng = np.random.default_rng(23)
+    spec = _pass_through(rng)
+    # two sets of 100 rows, and one row whose active set neither holds
+    data = _rows_active_on(rng, [range(4)] * 100 + [range(4, 8)] * 100 + [(0, 4)])
+    # 32 masks a call: fewer than the 36 table entries
+    _in_calls_of(spec, data, np.arange(1 << 8), 32)
+    assert_direct(rows_per_pass[:3], data.size, 32)
+    assert rows_per_pass[:3] == [Pass(100, (0, 1, 2, 3), 32), Pass(100, (4, 5, 6, 7), 32),
+                                 Pass(1, (0, 4), 32)]
+
+
+def test_small_cover_sets_share_one_pass_over_their_union(rows_per_pass):
+    rng = np.random.default_rng(27)
+    spec = _pass_through(rng)
+    # two one-row sets, each under 202 / 8 rows
+    data = _rows_active_on(rng, [range(4)] * 100 + [range(4, 8)] * 100 + [(0, 4), (1, 5)])
+    _in_calls_of(spec, data, np.arange(1 << 8), 32)
+    assert rows_per_pass[:3] == [Pass(100, (0, 1, 2, 3), 32), Pass(100, (4, 5, 6, 7), 32),
+                                 Pass(2, (0, 1, 4, 5), 32)]
+
+
+def test_a_dense_layer_takes_one_full_width_pass(rows_per_pass):
+    rng = np.random.default_rng(28)
+    spec = _pass_through(rng)
+    # every unit active on most rows: cover sets would save nothing
+    data = _rows_active_on(rng, [range(8)] * 60 + [range(7)] * 3)
+    _in_calls_of(spec, data, np.arange(1 << 8), 32)
+    assert rows_per_pass[:1] == [Pass(63, tuple(range(8)), 32)]
+
+
+def test_inactive_rows_share_the_first_cover_set(rows_per_pass):
+    rng = np.random.default_rng(24)
+    spec = _pass_through(rng)
+    data = _rows_active_on(rng, [()] * 20 + [range(3)] * 90 + [range(3, 8)] * 90)
+    _in_calls_of(spec, data, np.arange(1 << 8), 32)
+    # the largest active set comes first and takes the inactive rows
+    assert rows_per_pass[:2] == [Pass(110, (3, 4, 5, 6, 7), 32), Pass(90, (0, 1, 2), 32)]
+
+
+def test_every_row_inactive(rows_per_pass):
+    rng = np.random.default_rng(25)
+    spec = _pass_through(rng)
+    data = _rows_active_on(rng, [()] * 30)
+    char_fn = accuracy_char_fn(spec, data)
+    # only a call without masks takes the direct path here (one mask pays
+    # for the one-entry table): no column is active, so it is one pass over
+    # every unit rather than a product over none
+    assert char_fn(np.array([], dtype=np.uint64)).shape == (0,)
+    assert rows_per_pass == [Pass(30, tuple(range(8)), 0)]
+    masks = np.arange(1 << 8, dtype=np.uint64)
+    reference = reference_char_fn(spec, data)
+    assert np.array_equal(char_fn(masks), [reference(m) for m in masks.tolist()])
+
+
+@pytest.mark.parametrize("elements", [1, 977, toynet._BLOCK_ELEMENTS])
+def test_payoffs_do_not_depend_on_the_block_budget(monkeypatch, elements):
+    spec, data = detector_net_32(), _blobs(n_per_class=100)
+    masks = _chains_and_random(32, seed=26, chains=4, random=100)
+    expected = accuracy_char_fn(spec, data)(masks)
+    monkeypatch.setattr(toynet, "_BLOCK_ELEMENTS", elements)
+    assert np.array_equal(accuracy_char_fn(spec, data)(masks), expected)
+    assert_bit_identical(spec, data, masks)

@@ -824,6 +824,36 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["exit_code"] == 5
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["rank", "--game", "{missing}", "--method", "exact", "--out", "{gone}"], "--out"),
+            (["rank", "--game", "{missing}", "--method", "exact", "--out", "{ok}",
+              "--csv", "--cache", "{gone}"], "--cache"),
+            (["oracle", "--game", "{missing}", "--mode", "remove", "--k-range", "1:2",
+              "--out", "{gone}", "--csv"], "--out"),
+            (["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
+              "--count", "1", "--out", "{gone}"], "--out"),
+            (["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
+              "--count", "1", "--out", "{ok}", "--summary", "{gone}"], "--summary"),
+            (["train-toy", "--data", "{missing}", "--out", "{gone}"], "--out"),
+            (["train-toy", "--out", "{ok}", "--write-data", "{gone}"], "--write-data"),
+        ],
+    )
+    def test_output_in_a_missing_directory_fails_before_any_input_is_read(
+        self, tmp_path, capsys, argv, flag
+    ):
+        paths = {
+            "missing": str(tmp_path / "nope.json"),
+            "gone": str(tmp_path / "no-such-dir" / "x.json"),
+            "ok": str(tmp_path / "x.json"),
+        }
+        rc = main([arg.format(**paths) for arg in argv])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["exit_code"]) == (5, 5)
+        assert err["message"].startswith(f"{flag} {paths['gone']}:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_capacity_error_exit_code(self, tmp_path, capsys):
         game_path = tmp_path / "n12.json"
         save_game_json(random_table_game(12, seed=0), game_path)

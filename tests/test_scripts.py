@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts with small budgets."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +42,14 @@ def test_script_exits_cleanly(script, args):
 def test_ablation_table_is_identical_across_reruns():
     args = ["--seed", "0", "--pairs", "1", "--perms", "50", "--samples", "200"]
     assert run_script("run_ablation.py", args) == run_script("run_ablation.py", args)
+
+
+def test_scale_probe_smallest_setting_is_deterministic():
+    args = ["--chains", "1", "--masks", "1", "--repeats", "1"]
+    first, second = (
+        [json.loads(line) for line in run_script("scale_probe.py", args).splitlines()]
+        for _ in range(2)
+    )
+    assert [case["case"] for case in first] == ["toynet-payoff"]
+    assert first[0]["median_s"] > 0 and first[0]["vmhwm_added_mib"] >= 0
+    assert [case["sha256"] for case in first] == [case["sha256"] for case in second]
