@@ -139,25 +139,39 @@ def _parse_k_range(text: str, n_players: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any input is read if a file the command would write has
+    no directory to go in (``--csv`` and the default ``--summary`` go
+    beside ``--out``), rather than after the estimate it would hold.  The
+    handlers call it after the usage errors the command line alone shows."""
+    for flag in ("out", "summary", "cache", "write_data"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"--{flag.replace('_', '-')} {path}: "
+                                    f"directory {Path(path).parent} does not exist")
+
+
 def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     """Resolve --game or --model/--data into (game holding the --cache
     file's payoffs, input provenance dict, cache source fingerprint, model
     spec or None)."""
     if args.game and args.model:
         raise UsageError("give either --game or --model, not both")
+    if args.game:
+        for flag in ("data", "layer", "split", "split_seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag.replace('_', '-')} applies to --model, not --game")
+    elif not args.model or not args.data:
+        raise UsageError("need --game, or --model together with --data")
+    _check_output_dirs(args)
     # the loaders record the sha256 of each file they read: the game; or, in
     # this order, the model, its binary sidecar if it has one, and the dataset
     inputs: dict = {}
     spec = None
     if args.game:
-        for flag in ("data", "layer", "split", "split_seed"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag.replace('_', '-')} applies to --model, not --game")
         table = load_game_json(args.game, inputs)
         n_players, char_fn, source = table.n_players, table.values.__getitem__, inputs["game"]
     else:
-        if not args.model or not args.data:
-            raise UsageError("need --game, or --model together with --data")
         spec = load_model(args.model, inputs)
         if args.layer is not None:
             if not 0 <= args.layer < len(spec.layers):
@@ -399,6 +413,7 @@ def cmd_train_toy(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--hidden expects comma-separated integers, got {args.hidden!r}") from exc
     hidden = check_hidden(hidden)
+    _check_output_dirs(args)
     if args.data:
         inputs: dict = {}
         data = load_dataset_csv(args.data, inputs)
@@ -445,6 +460,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_make_fig2(args) -> int:
+    _check_output_dirs(args)
     save_game_json(make_fig2_game(), args.out)
     _stderr_note({"command": "make-fig2", "out": str(args.out)})
     return 0
@@ -568,22 +584,10 @@ def _exit_code_for(exc: BaseException) -> int:
     return 1
 
 
-def _check_output_dirs(args) -> None:
-    """Fail before any input is read if a file the command would write has
-    no directory to go in (``--csv`` and the default ``--summary`` go
-    beside ``--out``), rather than after the estimate it would hold."""
-    for flag in ("out", "summary", "cache", "write_data"):
-        path = getattr(args, flag, None)
-        if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"--{flag.replace('_', '-')} {path}: "
-                                    f"directory {Path(path).parent} does not exist")
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_output_dirs(args)
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - single funnel to structured stderr
         code = _exit_code_for(exc)

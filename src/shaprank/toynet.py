@@ -16,6 +16,7 @@ datasets are read and written by :mod:`shaprank.formats`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,8 +27,8 @@ from .games import Game
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 # about this many float64 (1 MiB) per block of coalitions in the accuracy
-# payoff: in each intermediate array of a full-width block, in all the
-# arrays of a cover-set pass's block together
+# payoff: in all the arrays of a GEMM block together, in each array of a
+# per-coalition block
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -210,30 +211,34 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     and are kept for every later call; until then each call takes the
     direct path.
 
-    On the GEMM route the direct path multiplies only the columns that are
-    active on its rows.  The groups, largest active set first and then by
-    code, each join the first "cover set" that holds their active set, or
-    start one; a pass runs a cover set's rows against its units' columns
-    only.  The terms it drops are exact zeros, so under the BLAS condition
-    above no partial sum changes.  OpenBLAS 0.3.31 does not meet it at
-    these shapes: the restricted products can differ in the last bits
-    from a full-width pass.  The payoffs agree because no row's top two
-    logits lie within that rounding of each other; nothing here certifies
-    it.  Cover sets of fewer than ``rows / units`` rows share one pass over
-    the union of their units, so there are at most ``units + 1`` passes.
-    Where the passes would read no fewer products than one full-width pass
-    (a dense net), or no column at all (every row inactive), the direct
-    path is one pass over every row and unit.  The passes' prefix blocks
-    are built on the first direct call, never for a payoff that a warm
-    cache serves.
+    On the GEMM route a direct call of several masks multiplies only the
+    columns that are active on its rows.  The groups, largest active set
+    first and then by code, each join the first "cover set" that holds
+    their active set, or start one; a pass runs a cover set's rows against
+    its units' columns only.  Cover sets of fewer than ``rows / units``
+    rows share one pass over the union of their units, so there are at
+    most ``units + 1`` passes.  Where the passes would read no fewer
+    products than one full-width pass (a dense net), or no column at all
+    (every row inactive), the call is one pass over every row and unit, as
+    is a call of one mask, which cannot repay building the passes.  The
+    passes' prefix blocks are built on the first direct call of several
+    masks, never for a payoff that a warm cache serves.
 
-    The block size follows from the shape of the rows evaluated alone,
-    never from the number of masks requested, so no payoff depends on how
-    masks are batched.  A cover-set pass's block of coalitions holds at
-    most ``_BLOCK_ELEMENTS`` values in all its arrays together: the weight
-    stack, the products, every later layer's output and the hit counts'
-    arrays.  A full-width pass, and a table's, bounds each intermediate
-    array by it instead.
+    The block size follows from the shape of the rows a pass evaluates,
+    never from the number of masks requested: on the GEMM route a block
+    holds at most ``_BLOCK_ELEMENTS`` values in all its arrays together
+    (the weight stack, the products, every later layer's output and the
+    hit counts' arrays); the per-coalition route bounds each array by it.
+
+    Which route, and which block, a mask meets depends on the call it
+    arrives in: one mask, several, or the tables.  The terms a
+    cover-set pass drops are exact zeros, so under the BLAS condition
+    above every route gives the same bits.  OpenBLAS 0.3.31 does not meet
+    it at these shapes: the restricted products can differ in the last
+    bits from a full-width pass.  A mask's payoff is then the same on
+    every route only while no row's top two logits lie within that
+    rounding of each other (``tests/test_batched_payoff.py`` checks near
+    ties far above it); nothing here certifies the margin.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
@@ -263,6 +268,8 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     table_entries = sum(1 << a for a in group_units)
     table_cost = sum(int(rows) << a for rows, a in zip(group_rows.tolist(), group_units))
     tables = passes = None
+    # the direct path's one pass of every row and unit (columns None)
+    whole = [(prefix, labels, None)]
 
     def build_tables() -> list:
         built = []
@@ -279,8 +286,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
 
     def build_passes() -> list:
         """The direct path's ``(prefix block, labels, columns)`` passes: one
-        per cover set, or one of every row and unit (columns ``None``)."""
-        whole = [(prefix, labels, None)]
+        per cover set, or ``whole``."""
         if not gemm:
             return whole
         # largest active sets first, then by code: each group joins the
@@ -324,9 +330,15 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             # published whole: a concurrent call sees every table or none
             current = tables = build_tables()
         if current is None:
-            # built on the first direct call, never for a payoff that a
-            # warm cache serves; published whole, as the tables are
-            direct = passes = passes or build_passes()
+            if masks.size > 1:
+                # built on the first direct call of several masks, never
+                # for a payoff that a warm cache serves; published whole,
+                # as the tables are
+                direct = passes = passes or build_passes()
+            else:
+                # one mask cannot repay building them (Game's start-up
+                # calls, for the empty and the grand coalition)
+                direct = whole
             hits = sum(
                 _pass_hits(suffix, gemm, x, row_labels, masks, cols)
                 for x, row_labels, cols in direct
@@ -355,21 +367,24 @@ def _pass_hits(suffix: list[Layer], gemm: bool, x: np.ndarray, labels: np.ndarra
     cover-set pass, GEMM route only).
     """
     n_cols = x.shape[1]
-    spatial = int(np.prod(x.shape[2:]))
+    spatial = math.prod(x.shape[2:])
     widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
-    if cols is None:
-        cols = np.arange(n_cols, dtype=np.uint64)
-        # every (width, block, rows) intermediate and the (out, block,
-        # units) weight stack hold at most _BLOCK_ELEMENTS values each
-        per_coalition = max(len(x), n_cols) * max(widths or [n_cols])
-    else:
+    if gemm:
+        first = suffix[0].weights if cols is None else suffix[0].weights[:, cols]
+        # C order, as the (out, block, units) stack must be for its GEMM view
+        weights = np.ascontiguousarray(first)[:, None, :]
         # the weight stack, the products, every later layer's output and
         # the hit counts' arrays hold at most _BLOCK_ELEMENTS values together
         per_coalition = widths[0] * n_cols + len(x) * (sum(widths) + 2)
+    else:
+        weights = None
+        # one coalition at a time: every (width, block, rows) array holds
+        # at most _BLOCK_ELEMENTS values
+        per_coalition = max(len(x), n_cols) * max(widths or [n_cols])
     # unless one coalition alone needs more
     block = max(1, _BLOCK_ELEMENTS // per_coalition)
-    # C order, as the (out, block, units) stack must be for its GEMM view
-    weights = np.ascontiguousarray(suffix[0].weights[:, cols])[:, None, :] if gemm else None
+    if cols is None:
+        cols = np.arange(n_cols, dtype=np.uint64)
     out = np.empty(masks.size, dtype=np.int64)
     for start in range(0, masks.size, block):
         members = ((masks[start:start + block, None] >> cols) & 1).astype(bool)

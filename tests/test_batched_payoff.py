@@ -30,6 +30,7 @@ from shaprank.toynet import (
 )
 
 from conftest import per_mask
+from scale_probe import detector_net
 
 
 def _reference_layer(layer, x):
@@ -54,15 +55,14 @@ def _reference_layer(layer, x):
     return z
 
 
-def reference_char_fn(spec, data):
-    """The per-mask accuracy payoff before batching, kept verbatim in
-    arithmetic."""
+def reference_logits(spec, data):
+    """The per-mask logits before batching, one row per data row."""
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
         prefix = _reference_layer(layer, prefix)
     suffix = spec.layers[spec.prunable_layer + 1:]
 
-    def char_fn(mask):
+    def logits(mask):
         coalition = Coalition(int(mask), spec.n_players)
         off = [i for i in range(spec.n_players) if not coalition.contains(i)]
         x = prefix.copy()
@@ -71,7 +71,18 @@ def reference_char_fn(spec, data):
             x = _reference_layer(layer, x)
         if x.ndim == 4:
             x = x.mean(axis=(2, 3))
-        return float(np.mean(np.argmax(x, axis=1) == data.labels))
+        return x
+
+    return logits
+
+
+def reference_char_fn(spec, data):
+    """The per-mask accuracy payoff before batching, kept verbatim in
+    arithmetic."""
+    logits = reference_logits(spec, data)
+
+    def char_fn(mask):
+        return float(np.mean(np.argmax(logits(mask), axis=1) == data.labels))
 
     return char_fn
 
@@ -440,25 +451,6 @@ def test_payoffs_do_not_depend_on_the_row_order(rows_per_pass, case, tables):
 # -- cover-set passes -------------------------------------------------------
 
 
-def detector_net_32(seed=32):
-    """2-32-16-4: eight jittered ReLU detectors per blob class (a class
-    direction and a negative threshold) feed four second-layer units per
-    class, which feed the head."""
-    rng = np.random.default_rng(seed)
-    cls1 = np.repeat(np.arange(4), 8)
-    angles = np.pi / 2 * cls1 + rng.normal(0.0, 0.15, 32)
-    w1 = np.stack([np.cos(angles), np.sin(angles)], axis=1) * rng.uniform(0.8, 1.2, (32, 1))
-    cls2 = np.repeat(np.arange(4), 4)
-    w2 = rng.uniform(0.0, 0.5, (16, 32)) * (cls2[:, None] == cls1[None, :])
-    w2 += 0.05 * rng.standard_normal((16, 32))
-    w3 = (np.arange(4)[:, None] == cls2[None, :]) + 0.1 * rng.standard_normal((4, 16))
-    return ModelSpec([
-        Layer("dense", w1, -rng.uniform(0.0, 1.0, 32)),
-        Layer("dense", w2, rng.normal(0.0, 0.1, 16)),
-        Layer("dense", w3, np.zeros(4), "softmax-logits"),
-    ])
-
-
 def _chains_and_random(n_units, seed, chains=20, random=300):
     """The prefixes of ``chains`` random orderings of the units, then
     ``random`` uniform masks."""
@@ -470,7 +462,7 @@ def _chains_and_random(n_units, seed, chains=20, random=300):
 
 
 def test_detector_net_reads_about_half_the_columns(rows_per_pass):
-    spec, data = detector_net_32(), _blobs(n_per_class=200)
+    spec, data = detector_net(np.random.default_rng(32)), _blobs(n_per_class=200)
     masks = _chains_and_random(32, seed=21)
     assert_bit_identical(spec, data, masks)
     assert_direct(rows_per_pass, data.size, masks.size)
@@ -485,6 +477,35 @@ def test_cover_sets_with_a_normalized_suffix(rows_per_pass):
     assert_bit_identical(spec, data, masks)
     assert_direct(rows_per_pass, data.size, masks.size)
     assert min(len(p.cols) for p in rows_per_pass) < 12
+
+
+def test_near_tied_logits_agree_on_every_route(rows_per_pass):
+    # classes 1 and 2 share the head's weights but for a 1e-12 nudge, so
+    # where they lead a row their logits differ by about that: far below
+    # any wide margin, far above the products' last bits
+    spec = sparse_net()
+    head = spec.layers[-1]
+    weights, bias = head.weights.copy(), head.bias.copy()
+    weights[2] = weights[1] + 1e-12 * np.random.default_rng(30).standard_normal(weights.shape[1])
+    bias[2] = bias[1]
+    spec = ModelSpec([*spec.layers[:-1], Layer("dense", weights, bias, head.activation)])
+    data = _blobs()
+    masks = _chains_and_random(12, seed=31, chains=2, random=20)
+    logits = reference_logits(spec, data)
+    gaps = np.concatenate([np.diff(np.sort(logits(m), axis=1)[:, -2:]).ravel() for m in masks])
+    assert 0 < gaps[gaps > 0].min() < 1e-11
+    reference = [reference_char_fn(spec, data)(m) for m in masks.tolist()]
+    char_fn = accuracy_char_fn(spec, data)
+    # one full-width pass per mask, then cover-set passes, then the tables
+    alone = np.concatenate([char_fn(masks[i:i + 1]) for i in range(masks.size)])
+    assert rows_per_pass == [Pass(data.size, tuple(range(12)), 1)] * masks.size
+    rows_per_pass.clear()
+    direct = char_fn(masks)
+    assert_direct(rows_per_pass, data.size, masks.size)
+    assert min(len(p.cols) for p in rows_per_pass) < 12
+    tables = char_fn(np.arange(1 << 12, dtype=np.uint64))[masks]
+    for got in (direct, alone, tables):
+        assert np.array_equal(got, reference)
 
 
 def _pass_through(rng, units=8):
@@ -573,7 +594,7 @@ def test_every_row_inactive(rows_per_pass):
 
 @pytest.mark.parametrize("elements", [1, 977, toynet._BLOCK_ELEMENTS])
 def test_payoffs_do_not_depend_on_the_block_budget(monkeypatch, elements):
-    spec, data = detector_net_32(), _blobs(n_per_class=100)
+    spec, data = detector_net(np.random.default_rng(32)), _blobs(n_per_class=100)
     masks = _chains_and_random(32, seed=26, chains=4, random=100)
     expected = accuracy_char_fn(spec, data)(masks)
     monkeypatch.setattr(toynet, "_BLOCK_ELEMENTS", elements)

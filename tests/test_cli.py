@@ -854,6 +854,27 @@ class TestErrors:
         assert err["message"].startswith(f"{flag} {paths['gone']}:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prune", "--game", "{missing}", "--method", "exact", "--count", "1",
+             "--out", "{gone}"],
+            ["rank", "--game", "{missing}", "--data", "{missing}", "--method", "exact",
+             "--out", "{gone}"],
+            ["rank", "--model", "{missing}", "--method", "exact", "--out", "{gone}"],
+            ["train-toy", "--hidden", "4,x", "--out", "{gone}"],
+        ],
+    )
+    def test_a_usage_error_comes_before_a_missing_output_directory(
+        self, tmp_path, capsys, argv
+    ):
+        # an invalid command line exits 2 whatever its paths
+        paths = {"missing": str(tmp_path / "nope.json"),
+                 "gone": str(tmp_path / "no-such-dir" / "x.json")}
+        rc = main([arg.format(**paths) for arg in argv])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["exit_code"], err["error"]) == (2, 2, "UsageError")
+
     def test_capacity_error_exit_code(self, tmp_path, capsys):
         game_path = tmp_path / "n12.json"
         save_game_json(random_table_game(12, seed=0), game_path)
