@@ -19,6 +19,11 @@ Cases:
   ``--chains`` calls of one random permutation chain each (the 33 prefixes
   of an ordering of the 32 units) and one call of ``--masks`` random masks.
   A fresh payoff is built, untimed, for every repeat.
+- ``toynet-tables``: the accuracy payoff of a 2-14-4 detector net (one ReLU
+  detector per class, two of them split into half-amplitude twins, and
+  eight weak random units; 2 800 rows) under the two single-mask calls a
+  ``Game`` starts with, then one call of all 2**14 masks, which builds the
+  per-group tables.  A fresh payoff is built, untimed, for every repeat.
 """
 
 from __future__ import annotations
@@ -72,20 +77,35 @@ def detector_net(rng):
     ])
 
 
-def toynet_payoff(args) -> dict:
+def detector_net_14(rng):
+    """2 -> 14 -> 4: one jittered ReLU detector per blob class, two of them
+    split into half-amplitude twins, and eight weak random units."""
     import numpy as np
 
-    from shaprank.toynet import accuracy_char_fn, make_blobs_dataset
+    from shaprank.toynet import Layer, ModelSpec
 
-    rng = np.random.default_rng(SEED)
-    spec = detector_net(rng)
-    data = make_blobs_dataset(seed=SEED, n_per_class=700, n_classes=4, spread=1.2)
-    units = np.uint64(1) << np.arange(32, dtype=np.uint64)
-    chains = [
-        np.concatenate([[0], np.bitwise_or.accumulate(units[rng.permutation(32)])]).astype(np.uint64)
-        for _ in range(args.chains)
-    ]
-    calls = chains + [rng.integers(0, 1 << 32, size=args.masks, dtype=np.uint64)]
+    classes = 4
+    angles = 2.0 * np.pi * np.arange(classes) / classes + rng.normal(0.0, 0.15, classes)
+    w1 = np.stack([np.cos(angles), np.sin(angles)], axis=1) * rng.uniform(0.8, 1.2, (classes, 1))
+    b1 = -rng.uniform(0.0, 1.0, classes)
+    w2 = np.eye(classes)
+    twins = rng.permutation(classes)[:2]
+    w2[:, twins] /= 2.0
+    weak = rng.standard_normal((8, 2))
+    return ModelSpec([
+        Layer("dense", np.vstack([w1, w1[twins], weak]),
+              np.concatenate([b1, b1[twins], rng.normal(0.0, 0.5, 8)])),
+        Layer("dense", np.hstack([w2, w2[:, twins], 0.05 * rng.standard_normal((classes, 8))]),
+              np.zeros(classes), "softmax-logits"),
+    ])
+
+
+def _timed_calls(args, spec, data, calls) -> dict:
+    """The median time and the ``VmHWM`` added over ``--repeats`` runs of
+    ``calls`` on fresh payoffs of ``spec``, with a sha256 of the results."""
+    import numpy as np
+
+    from shaprank.toynet import accuracy_char_fn
 
     before = vmhwm_mib()
     times, digests = [], set()
@@ -99,9 +119,6 @@ def toynet_payoff(args) -> dict:
     if len(digests) != 1:
         raise RuntimeError("payoffs differ between repeats")
     return {
-        "case": "toynet-payoff",
-        "chains": args.chains,
-        "masks": args.masks,
         "repeats": args.repeats,
         "median_s": statistics.median(times),
         "vmhwm_added_mib": round(vmhwm_mib() - before, 3),
@@ -109,7 +126,38 @@ def toynet_payoff(args) -> dict:
     }
 
 
-CASES = {"toynet-payoff": toynet_payoff}
+def toynet_payoff(args) -> dict:
+    import numpy as np
+
+    from shaprank.toynet import make_blobs_dataset
+
+    rng = np.random.default_rng(SEED)
+    spec = detector_net(rng)
+    data = make_blobs_dataset(seed=SEED, n_per_class=700, n_classes=4, spread=1.2)
+    units = np.uint64(1) << np.arange(32, dtype=np.uint64)
+    chains = [
+        np.concatenate([[0], np.bitwise_or.accumulate(units[rng.permutation(32)])]).astype(np.uint64)
+        for _ in range(args.chains)
+    ]
+    calls = chains + [rng.integers(0, 1 << 32, size=args.masks, dtype=np.uint64)]
+    return {"case": "toynet-payoff", "chains": args.chains, "masks": args.masks,
+            **_timed_calls(args, spec, data, calls)}
+
+
+def toynet_tables(args) -> dict:
+    import numpy as np
+
+    from shaprank.toynet import make_blobs_dataset
+
+    spec = detector_net_14(np.random.default_rng(SEED))
+    data = make_blobs_dataset(seed=SEED, n_per_class=700, n_classes=4, spread=1.2)
+    # the empty and the grand coalition, then every mask
+    calls = [np.array([0], dtype=np.uint64), np.array([(1 << 14) - 1], dtype=np.uint64),
+             np.arange(1 << 14, dtype=np.uint64)]
+    return {"case": "toynet-tables", **_timed_calls(args, spec, data, calls)}
+
+
+CASES = {"toynet-payoff": toynet_payoff, "toynet-tables": toynet_tables}
 
 
 def run_case(case: str, src: Path, args) -> dict:

@@ -163,6 +163,9 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
                 raise UsageError(f"--{flag.replace('_', '-')} applies to --model, not --game")
     elif not args.model or not args.data:
         raise UsageError("need --game, or --model together with --data")
+    split = "0:1:0" if args.split is None else args.split
+    fractions = _parse_fractions(split)
+    _check_method_args(args)
     _check_output_dirs(args)
     # the loaders record the sha256 of each file they read: the game; or, in
     # this order, the model, its binary sidecar if it has one, and the dataset
@@ -182,9 +185,7 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
                                 f"units, over the {MAX_PLAYERS}-player limit")
         data = load_dataset_csv(args.data, inputs)
         check_model_data(spec, data, args.data)
-        split = "0:1:0" if args.split is None else args.split
         split_seed = args.split_seed or 0
-        fractions = _parse_fractions(split)
         if fractions[0] == fractions[2] == 0 < fractions[1]:
             # every payoff is a hit count over the rows, which their order
             # does not change, so a split that sets no rows aside keeps the
@@ -228,6 +229,19 @@ def _early_stop(args) -> Optional[dict]:
     return pair if all(given) else None
 
 
+def _check_method_args(args) -> None:
+    """The usage errors of ``--method``'s flags that the command line alone
+    shows (``oracle`` has none)."""
+    method = getattr(args, "method", None)
+    if method == "perm":
+        _early_stop(args)
+    # every kernel sampler but the exhaustive one draws from numpy's
+    # generator, which takes no negative seed
+    if method == "kernel" and args.sampler != "exhaustive" and args.seed < 0:
+        raise UsageError(f"argument --seed: must be a non-negative integer for the "
+                         f"{args.sampler} sampler, got '{args.seed}'")
+
+
 METHODS = ("exact", "exact-perm", "partial", "perm", "kernel")
 
 
@@ -251,11 +265,6 @@ def _estimate(game: Game, args):
             n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
             early_stop=early_stop and EarlyStop(**early_stop))
         return shapley_sample_permutations(game, cfg), params
-    # kernel: every sampler but the exhaustive one draws from numpy's
-    # generator, which takes no negative seed
-    if args.sampler != "exhaustive" and args.seed < 0:
-        raise UsageError(f"argument --seed: must be a non-negative integer for the "
-                         f"{args.sampler} sampler, got '{args.seed}'")
     params = {"samples": args.samples, "sampler": args.sampler, "ridge": args.ridge,
               "enforce_efficiency": not args.no_efficiency, "fit_intercept": args.fit_intercept}
     cfg = RegressionConfig(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +26,18 @@ from .errors import TrainingDivergedError
 from .games import Game
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
-# about this many float64 (1 MiB) per block of coalitions in the accuracy
-# payoff: in all the arrays of a GEMM block together, in each array of a
-# per-coalition block
+# about this many values per block of coalitions in the accuracy payoff: in
+# all the float32 arrays of a screened block together (512 KiB), in each
+# float64 array of a per-coalition block or of a recomputation (1 MiB)
 _BLOCK_ELEMENTS = 1 << 17
+# float32's unit roundoff, and a bound on the absolute error of a float32
+# conversion or product in the subnormal range
+_U32 = 2.0 ** -24
+_ETA32 = 2.0 ** -149
+# the screened route takes nets whose parameters and value bounds lie within
+# these magnitudes (or are zero): far from float32's overflow, and its
+# parameters clear of the subnormal range
+_TINY32, _HUGE32 = 2.0 ** -100, 2.0 ** 64
 
 
 @dataclass
@@ -43,11 +51,15 @@ class Normalization:
     beta: np.ndarray
     eps: float = 1e-5
 
+    @property
+    def scale(self) -> np.ndarray:
+        return self.gamma / np.sqrt(self.var + self.eps)
+
     def apply(self, z: np.ndarray, channel_axis: int) -> np.ndarray:
         shape = [1] * z.ndim
         shape[channel_axis] = -1
-        scale = self.gamma / np.sqrt(self.var + self.eps)
-        return (z - self.mean.reshape(shape)) * scale.reshape(shape) + self.beta.reshape(shape)
+        scale = self.scale.reshape(shape)
+        return (z - self.mean.reshape(shape)) * scale + self.beta.reshape(shape)
 
 
 @dataclass
@@ -182,19 +194,28 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     evaluated once and reused for every coalition; only the downstream
     layers run, for a block of coalitions at a time.
 
-    When the downstream layers are dense (and the prunable layer's outputs
-    and the first downstream layer's weights are finite), the first of them
-    is one GEMM per block against a stack of copies of its weights, each
-    with the absent units' columns zeroed.  Every term of each dot product
-    is then the same ``output * weight`` or a zero as with the absent
-    outputs zeroed instead, in the same order, so the payoffs are
-    bit-identical to evaluating one mask at a time, given a BLAS that sums
-    each dot product in one order whatever the matrix shapes
-    (``tests/test_batched_payoff.py`` checks this).  Later layers run on
-    every row of the block at once.  Otherwise (no downstream layer, a conv
-    one, or non-finite outputs or weights, where ``inf * 0`` would give NaN)
-    the absent outputs are zeroed and the downstream layers run once per
-    coalition of the block.
+    When the downstream layers are dense and stay within float32's range
+    (``_screenable``), they run in float32, the screened route.  The first
+    of them is one GEMM per block against a stack of copies of its weights,
+    each with the absent units' columns zeroed and the bias as one more
+    column; later layers run on every row of the block at once.  A
+    forward-error bound per row (``_thresholds``) holds for each of its
+    float32 logits against exact arithmetic on the model's float64
+    parameters, under every coalition.  Where the row's own logit leads
+    every other by more than twice that bound, the exact prediction is
+    certified a hit; where it trails one by more, a miss.  An uncertain
+    pair whose coalition holds none of the row's active units takes the
+    prediction of an all-zero input (the bias path), computed once per
+    payoff.  Any other is recomputed in float64 with every dot product
+    summed by ``np.add.reduce`` over every unit, in one fixed order, never
+    by BLAS.  So a payoff is that of exact arithmetic wherever certified and
+    the fixed-order float64 one elsewhere, whatever the BLAS, its threads,
+    the block shape or the route: a pair that one route certifies and
+    another recomputes can differ only if its exact margin lies within
+    float64's rounding of zero.  Otherwise (no downstream layer, a conv one,
+    non-finite outputs of the prunable layer, or parameters or values out of
+    the screen's range) the absent outputs are zeroed and the downstream
+    layers run in float64 once per coalition of the block.
 
     A row's active units are those whose output on it is not zero (at any
     spatial position of a channel; NaN and inf count).  Masking an inactive
@@ -209,10 +230,11 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     evaluations than the call itself (``sum |G| * 2**a_G <= rows * masks``)
     and hold no more entries than it has masks (``sum 2**a_G <= masks``),
     and are kept for every later call; until then each call takes the
-    direct path.
+    direct path.  On the screened route a group's table multiplies its
+    active units' columns only.
 
-    On the GEMM route a direct call of several masks multiplies only the
-    columns that are active on its rows.  The groups, largest active set
+    On the screened route a direct call of several masks multiplies only
+    the columns that are active on its rows.  The groups, largest active set
     first and then by code, each join the first "cover set" that holds
     their active set, or start one; a pass runs a cover set's rows against
     its units' columns only.  Cover sets of fewer than ``rows / units``
@@ -221,24 +243,15 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     products than one full-width pass (a dense net), or no column at all
     (every row inactive), the call is one pass over every row and unit, as
     is a call of one mask, which cannot repay building the passes.  The
-    passes' prefix blocks are built on the first direct call of several
-    masks, never for a payoff that a warm cache serves.
+    passes' float32 blocks are built on the first direct call of several
+    masks, never for a payoff that a warm cache serves, and the bounds on
+    the first call that runs the screened route.
 
     The block size follows from the shape of the rows a pass evaluates,
-    never from the number of masks requested: on the GEMM route a block
+    never from the number of masks requested: on the screened route a block
     holds at most ``_BLOCK_ELEMENTS`` values in all its arrays together
     (the weight stack, the products, every later layer's output and the
-    hit counts' arrays); the per-coalition route bounds each array by it.
-
-    Which route, and which block, a mask meets depends on the call it
-    arrives in: one mask, several, or the tables.  The terms a
-    cover-set pass drops are exact zeros, so under the BLAS condition
-    above every route gives the same bits.  OpenBLAS 0.3.31 does not meet
-    it at these shapes: the restricted products can differ in the last
-    bits from a full-width pass.  A mask's payoff is then the same on
-    every route only while no row's top two logits lie within that
-    rounding of each other (``tests/test_batched_payoff.py`` checks near
-    ties far above it); nothing here certifies the margin.
+    margins' arrays); the per-coalition route bounds each array by it.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
@@ -247,14 +260,6 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     if not suffix or suffix[0].kind == "dense":
         # zeroing a channel commutes with pooling it
         prefix = _global_average_pool(prefix)
-    # inf * 0 is NaN: a non-finite output or weight must meet the zero as
-    # in the per-coalition path
-    gemm = (
-        bool(suffix)
-        and suffix[0].kind == "dense"
-        and bool(np.isfinite(prefix).all())
-        and bool(np.isfinite(suffix[0].weights).all())
-    )
     labels = data.labels
     n_rows, n_units = prefix.shape[:2]
     bits = np.arange(n_units, dtype=np.uint64)
@@ -267,9 +272,8 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     group_units = [int(code).bit_count() for code in codes.tolist()]
     table_entries = sum(1 << a for a in group_units)
     table_cost = sum(int(rows) << a for rows, a in zip(group_rows.tolist(), group_units))
-    tables = passes = None
-    # the direct path's one pass of every row and unit (columns None)
-    whole = [(prefix, labels, None)]
+    net = _Suffix(suffix, prefix, labels, codes[group_of_row])
+    tables = passes = whole = None
 
     def build_tables() -> list:
         built = []
@@ -281,14 +285,19 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             subsets = np.zeros_like(j)
             for k, u in enumerate(units):
                 subsets |= (j >> k & 1) << u
-            built.append((units, _pass_hits(suffix, gemm, prefix[rows], labels[rows], subsets)))
+            built.append((units, _pass_hits(net, net.make_pass(rows, bits[units]), subsets)))
         return built
 
+    def full_width() -> list:
+        """The direct path's one pass of every row and unit."""
+        nonlocal whole
+        whole = whole or [net.make_pass(None, bits)]
+        return whole
+
     def build_passes() -> list:
-        """The direct path's ``(prefix block, labels, columns)`` passes: one
-        per cover set, or ``whole``."""
-        if not gemm:
-            return whole
+        """The direct path's passes: one per cover set, or ``full_width``."""
+        if not net.screened:
+            return full_width()
         # largest active sets first, then by code: each group joins the
         # first cover set that holds its active set, or starts one
         covers = []
@@ -314,11 +323,10 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             (np.flatnonzero(cover_of_row == i), bits[np.uint64(covers[i]) >> bits & 1 == 1])
             for i in np.flatnonzero(np.bincount(cover_of_row)).tolist()
         ]
-        # no saving (a dense net), or no column at all (every row inactive:
-        # no K = 0 product)
+        # no saving (a dense net), or no column at all (every row inactive)
         if not 0 < sum(rows.size * cols.size for rows, cols in blocks) < n_rows * n_units:
-            return whole
-        return [(prefix[np.ix_(rows, cols)], labels[rows], cols) for rows, cols in blocks]
+            return full_width()
+        return [net.make_pass(rows, cols) for rows, cols in blocks]
 
     def char_fn(masks):
         nonlocal tables, passes
@@ -338,11 +346,8 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             else:
                 # one mask cannot repay building them (Game's start-up
                 # calls, for the empty and the grand coalition)
-                direct = whole
-            hits = sum(
-                _pass_hits(suffix, gemm, x, row_labels, masks, cols)
-                for x, row_labels, cols in direct
-            )
+                direct = full_width()
+            hits = sum(_pass_hits(net, p, masks) for p in direct)
         else:
             hits = np.zeros(masks.size, dtype=np.int64)
             for units, table in current:
@@ -357,58 +362,295 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     return char_fn
 
 
-def _pass_hits(suffix: list[Layer], gemm: bool, x: np.ndarray, labels: np.ndarray,
-               masks: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Hits among rows ``x`` of the prefix outputs, against ``labels``,
-    under each of ``masks``, running the ``suffix`` layers a block of
-    coalitions at a time (as one GEMM per block where ``gemm``).
+class _Pass(NamedTuple):
+    """The rows that one hit-count pass evaluates, and the prunable units
+    whose columns it reads.
 
-    ``x`` holds every unit's outputs, or those of units ``cols`` only (a
-    cover-set pass, GEMM route only).
+    On the per-coalition route ``x`` holds the rows' float64 prefix outputs
+    over every unit.  On the screened route ``rows`` are the rows' indices,
+    sorted by label (stable) and without those of a label that no class
+    takes, which never hit; ``slices`` holds each label's
+    ``(label, other classes, start, stop)`` among them.  ``x`` is their float32
+    ``(cols + 1, rows)`` block, whose last row of ones meets the first
+    suffix layer's bias as the last column of ``first``, its float32
+    ``(out, cols + 1)`` weights; ``bounds`` holds the rows' thresholds.
     """
+
+    labels: np.ndarray
+    cols: np.ndarray
+    x: np.ndarray
+    rows: Optional[np.ndarray] = None
+    first: Optional[np.ndarray] = None
+    bounds: Optional[np.ndarray] = None
+    slices: tuple = ()
+
+
+class _Suffix:
+    """The layers after the prunable one, as one payoff runs them on the
+    prefix outputs ``prefix``: on the screened float32 route where
+    ``screened``, else in float64 once per coalition.  ``row_codes`` holds
+    each row's active units as a bitmask.  Everything here is freed with
+    the payoff."""
+
+    def __init__(self, layers: list[Layer], prefix: np.ndarray, labels: np.ndarray,
+                 row_codes: np.ndarray):
+        self.layers, self.prefix, self.labels, self.row_codes = layers, prefix, labels, row_codes
+        self.screened = _screenable(layers, prefix)
+        self._bounds = None
+        # bounds and float32 blocks are built this many rows at a time, so
+        # that each float64 array they need holds an eighth of
+        # _BLOCK_ELEMENTS values
+        widths = [prefix.shape[1]] + [layer.out_units for layer in layers]
+        self._step = max(1, _BLOCK_ELEMENTS // (8 * max(widths)))
+        if self.screened:
+            # each layer's float32 weights, bias column (none for the
+            # first, whose bias is a GEMM term, or for a zero one: adding
+            # zero changes nothing), normalization columns and ReLU flag
+            self.params32 = [
+                (layer.weights.astype(np.float32),
+                 layer.bias.astype(np.float32)[:, None] if i and layer.bias.any() else None,
+                 layer.norm and tuple(v.astype(np.float32)[:, None] for v in
+                                      (layer.norm.mean, layer.norm.scale, layer.norm.beta)),
+                 layer.activation == "relu")
+                for i, layer in enumerate(layers)
+            ]
+            # the prediction of a row whose present units are all inactive
+            zeros = np.zeros((1, prefix.shape[1]))
+            self.bias_class = int(np.argmax(_fixed_order_logits(layers, zeros)))
+
+    def bounds(self) -> np.ndarray:
+        """Every row's threshold, computed on the first call."""
+        if self._bounds is None:
+            self._bounds = np.concatenate([
+                _thresholds(self.layers, self.prefix[start:start + self._step])
+                for start in range(0, len(self.prefix), self._step)
+            ])
+        return self._bounds
+
+    def make_pass(self, rows: Optional[np.ndarray], cols: np.ndarray) -> _Pass:
+        """The pass of the prefix rows ``rows`` (every row where None) over
+        the columns of units ``cols``."""
+        if not self.screened:
+            if rows is None:
+                return _Pass(self.labels, cols, self.prefix)
+            return _Pass(self.labels[rows], cols, self.prefix[rows])
+        if rows is None:
+            rows = np.arange(self.labels.size)
+        rows = rows[np.argsort(self.labels[rows], kind="stable")]
+        n_classes = self.layers[-1].out_units
+        edges = np.searchsorted(self.labels[rows], np.arange(n_classes + 1))
+        rows = rows[edges[0]:edges[-1]]
+        slices = tuple((label, [c for c in range(n_classes) if c != label],
+                        int(start - edges[0]), int(stop - edges[0]))
+                       for label, (start, stop) in enumerate(zip(edges[:-1], edges[1:]))
+                       if stop > start)
+        k = cols.size
+        x = np.empty((k + 1, rows.size), dtype=np.float32)
+        for start in range(0, rows.size, self._step):
+            x[:k, start:start + self._step] = self.prefix[np.ix_(rows[start:start + self._step],
+                                                                 cols)].T
+        x[k] = 1.0
+        first = np.empty((self.layers[0].out_units, k + 1), dtype=np.float32)
+        first[:, :k] = self.layers[0].weights[:, cols]
+        first[:, k] = self.layers[0].bias
+        return _Pass(self.labels[rows], cols, x, rows, first, self.bounds()[rows], slices)
+
+    def finish32(self, y: np.ndarray) -> np.ndarray:
+        """The screened route from the first layer's products ``y``,
+        ``(units, coalitions * rows)``, which are overwritten, to its
+        logits."""
+        for i, (weights, bias, norm, relu) in enumerate(self.params32):
+            if i:
+                y = weights @ y
+            if bias is not None:
+                y += bias
+            if norm is not None:
+                mean, scale, beta = norm
+                y -= mean
+                y *= scale
+                y += beta
+            if relu:
+                np.maximum(y, 0.0, out=y)
+        return y
+
+    def uncertain_hits(self, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Whether row ``rows[i]`` hits under ``masks[i]``, for pairs the
+        screen leaves uncertain: the bias path's prediction where the mask
+        holds none of the row's active units, else a fixed-order float64
+        one."""
+        labels = self.labels[rows]
+        hits = labels == self.bias_class
+        redo = np.flatnonzero(masks & self.row_codes[rows])
+        bits = np.arange(self.prefix.shape[1], dtype=np.uint64)
+        # one (pairs, out, in) product array at a time holds at most
+        # _BLOCK_ELEMENTS values
+        step = max(1, _BLOCK_ELEMENTS // max(layer.weights.size for layer in self.layers))
+        for start in range(0, redo.size, step):
+            at = redo[start:start + step]
+            present = (masks[at, None] >> bits & 1).astype(bool)
+            x = np.where(present, self.prefix[rows[at]], 0.0)
+            hits[at] = np.argmax(_fixed_order_logits(self.layers, x), axis=1) == labels[at]
+        return hits
+
+
+def _screenable(layers: list[Layer], prefix: np.ndarray) -> bool:
+    """Whether the screened route's bounds hold for ``layers`` on
+    ``prefix``: dense layers whose every weight, bias and normalization
+    mean, scale and beta is zero or of magnitude in ``[_TINY32,
+    _HUGE32]``, and finite prefix outputs whose values stay within
+    ``_HUGE32`` through every layer (bounded by the largest row sum of
+    ``|weights|`` times the largest input, plus the largest ``|bias|``)."""
+    if not layers or layers[0].kind != "dense" or not np.isfinite(prefix).all():
+        return False
+    bound = float(np.abs(prefix).max(initial=0.0))
+    for layer in layers:
+        norm = layer.norm
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = [layer.weights, layer.bias] + ([] if norm is None else
+                                                   [norm.mean, norm.scale, norm.beta])
+        for term in terms:
+            size = np.abs(term)
+            if not ((size == 0) | ((size >= _TINY32) & (size <= _HUGE32))).all():
+                return False
+        top = [float(np.abs(term).max(initial=0.0)) for term in terms[1:]]
+        bound = float(np.abs(layer.weights).sum(axis=1).max(initial=0.0)) * bound + top[0]
+        if norm is not None:
+            bound = top[2] * (bound + top[1]) + top[3]
+        if not bound <= _HUGE32:
+            return False
+    return True
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n`` for float32: ``n u / (1 - n u)``."""
+    return n * _U32 / (1.0 - n * _U32)
+
+
+def _thresholds(layers: list[Layer], prefix: np.ndarray) -> np.ndarray:
+    """Each row's threshold ``T``, as float32: twice the largest bound, over
+    its logits, on a float32 logit's distance from exact arithmetic under
+    any coalition.
+
+    ``a`` bounds the exact values' magnitudes and ``e`` their float32
+    errors, layer by layer (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1, propagated as in interval bound propagation).
+    A dense layer of ``K`` inputs sums ``K`` products and its bias with its
+    parameters rounded to float32, within ``gamma_{K+3}``; a normalization
+    is one more affine map, within ``gamma_5``; ``_ETA32`` per product or
+    conversion covers float32's subnormal range; ReLU leaves both bounds as
+    they are.  Masking only removes terms from these sums of non-negative
+    terms, so they hold for every coalition and every subset of columns.
+    The float64 arithmetic here is rounded up by the factor ``1 + 2**-20``,
+    which also covers the rounding of the float32 margin itself.
+    """
+    a = np.abs(prefix.T)
+    e = _U32 * a + _ETA32
+    for layer in layers:
+        weights, bias, k = np.abs(layer.weights), np.abs(layer.bias)[:, None], layer.in_units
+        wa, we = weights @ a, weights @ e
+        e = we + _gamma(k + 3) * (wa + we + bias) + (k + 3) * _ETA32
+        a = wa + bias
+        if layer.norm is not None:
+            mean, scale, beta = (np.abs(v)[:, None] for v in
+                                 (layer.norm.mean, layer.norm.scale, layer.norm.beta))
+            e = scale * e + _gamma(5) * (scale * (a + e + mean) + beta) + 2 * _ETA32
+            a = scale * (a + mean) + beta
+    t = (2.0 * (1.0 + 2.0 ** -20)) * e.max(axis=0)
+    t32 = t.astype(np.float32)
+    return np.where(t32 < t, np.nextafter(t32, np.float32(np.inf)), t32)
+
+
+def _fixed_order_logits(layers: list[Layer], y: np.ndarray) -> np.ndarray:
+    """Float64 logits ``(rows, classes)`` of dense ``layers`` on the
+    ``(rows, units)`` inputs ``y``, each dot product summed by
+    ``np.add.reduce`` over every input in one fixed order, never by BLAS."""
+    for layer in layers:
+        z = np.add.reduce(y[:, None, :] * layer.weights, axis=2)
+        z += layer.bias
+        y = _activate(layer, z, 1)
+    return y
+
+
+def _pass_hits(net: _Suffix, p: _Pass, masks: np.ndarray) -> np.ndarray:
+    """Hits among the rows of pass ``p`` under each of ``masks``, running
+    ``net`` a block of coalitions at a time."""
+    if not net.screened:
+        return _per_coalition_hits(net.layers, p.x, p.labels, masks)
+    n_rows = p.labels.size
+    out = np.zeros(masks.size, dtype=np.int64)
+    if not n_rows:
+        return out
+    first = p.first
+    width, k1 = first.shape
+    n_classes = net.layers[-1].out_units
+    # the weight stack, the products, every later layer's output and the
+    # margins' arrays hold at most _BLOCK_ELEMENTS values together, unless
+    # one coalition alone needs more
+    per_coalition = width * k1 + n_rows * (sum(layer.out_units for layer in net.layers) + 2)
+    block = max(1, _BLOCK_ELEMENTS // per_coalition)
+    col_bits = np.uint64(1) << p.cols
+    # the bias column is present in every coalition
+    present = np.ones((min(block, masks.size), k1), dtype=bool)
+    for start in range(0, masks.size, block):
+        chunk = masks[start:start + block]
+        b = chunk.size
+        np.not_equal(chunk[:, None] & col_bits, 0, out=present[:b, :-1])
+        stack = first[:, None, :] * present[:b]
+        y = net.finish32((stack.reshape(-1, k1) @ p.x).reshape(width, -1))
+        margins = _margins(y.reshape(n_classes, b, n_rows), p.slices)
+        out[start:start + b] = np.add.reduce(margins > p.bounds, axis=1)
+        unsure = np.abs(margins, out=margins) <= p.bounds
+        if unsure.any():
+            coalition, at = np.nonzero(unsure)
+            hits = net.uncertain_hits(p.rows[at], chunk[coalition])
+            out[start:start + b] += np.bincount(coalition[hits], minlength=b)
+    return out
+
+
+def _margins(logits: np.ndarray, slices: tuple) -> np.ndarray:
+    """Each row's own logit minus its largest other one, ``(B, rows)``,
+    from class-major ``(classes, B, rows)`` logits of rows sorted by label
+    into ``slices``: ``(label, other classes, start, stop)``."""
+    margins = np.empty(logits.shape[1:], dtype=logits.dtype)
+    for label, others, start, stop in slices:
+        block = logits[:, :, start:stop]
+        best = margins[:, start:stop]
+        if not others:
+            # a one-class head predicts its class on every row
+            best.fill(np.inf)
+            continue
+        np.maximum(block[others[0]], block[others[-1]], out=best)
+        for c in others[1:-1]:
+            np.maximum(best, block[c], out=best)
+        np.subtract(block[label], best, out=best)
+    return margins
+
+
+def _per_coalition_hits(suffix: list[Layer], x: np.ndarray, labels: np.ndarray,
+                        masks: np.ndarray) -> np.ndarray:
+    """Hits among rows ``x`` of the prefix outputs, against ``labels``,
+    under each of ``masks``, running the ``suffix`` layers in float64 once
+    per coalition of a block."""
     n_cols = x.shape[1]
     spatial = math.prod(x.shape[2:])
     widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
-    if gemm:
-        first = suffix[0].weights if cols is None else suffix[0].weights[:, cols]
-        # C order, as the (out, block, units) stack must be for its GEMM view
-        weights = np.ascontiguousarray(first)[:, None, :]
-        # the weight stack, the products, every later layer's output and
-        # the hit counts' arrays hold at most _BLOCK_ELEMENTS values together
-        per_coalition = widths[0] * n_cols + len(x) * (sum(widths) + 2)
-    else:
-        weights = None
-        # one coalition at a time: every (width, block, rows) array holds
-        # at most _BLOCK_ELEMENTS values
-        per_coalition = max(len(x), n_cols) * max(widths or [n_cols])
+    # every (width, block, rows) array holds at most _BLOCK_ELEMENTS values,
     # unless one coalition alone needs more
-    block = max(1, _BLOCK_ELEMENTS // per_coalition)
-    if cols is None:
-        cols = np.arange(n_cols, dtype=np.uint64)
+    block = max(1, _BLOCK_ELEMENTS // (max(len(x), n_cols) * max(widths or [n_cols])))
+    cols = np.arange(n_cols, dtype=np.uint64)
     out = np.empty(masks.size, dtype=np.int64)
     for start in range(0, masks.size, block):
         members = ((masks[start:start + block, None] >> cols) & 1).astype(bool)
         out[start:start + members.shape[0]] = _hit_counts(
-            _block_logits(suffix, x, members, weights), labels, members.shape[0]
+            _block_logits(suffix, x, members), labels, members.shape[0]
         )
     return out
 
 
-def _block_logits(suffix: list[Layer], x: np.ndarray, members: np.ndarray,
-                  weights: Optional[np.ndarray]) -> np.ndarray:
-    """Logits of rows ``x`` under a ``(B, units)`` block of coalitions,
-    class-major: ``(classes, B * rows)``, coalition by coalition.
-
-    ``weights`` is the first suffix layer's ``(out, 1, units)`` weights for
-    the GEMM route, ``None`` to run every coalition on its own.
-    """
-    if weights is not None:
-        stack = np.where(members, weights, 0.0)
-        z = stack.reshape(-1, members.shape[1]) @ x.T
-        y = _finish_unit_major(suffix[0], z.reshape(suffix[0].out_units, -1))
-        for layer in suffix[1:]:
-            y = _finish_unit_major(layer, layer.weights @ y)
-        return y
+def _block_logits(suffix: list[Layer], x: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Logits of rows ``x`` under a ``(B, units)`` block of coalitions, each
+    run on its own, class-major: ``(classes, B * rows)``, coalition by
+    coalition."""
     keep = members.reshape(members.shape + (1,) * (x.ndim - 2))
     logits = []
     for k in keep:
@@ -417,13 +659,6 @@ def _block_logits(suffix: list[Layer], x: np.ndarray, members: np.ndarray,
             y = _apply_layer(layer, y)
         logits.append(_global_average_pool(y).T)
     return np.stack(logits, axis=1).reshape(len(logits[0]), -1)
-
-
-def _finish_unit_major(layer: Layer, z: np.ndarray) -> np.ndarray:
-    """Bias, normalization and activation of a dense layer's products
-    ``z``, one row per unit, which are overwritten."""
-    z += layer.bias[:, None]
-    return _activate(layer, z, 0)
 
 
 def _hit_counts(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> np.ndarray:

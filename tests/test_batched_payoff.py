@@ -104,14 +104,13 @@ def rows_per_pass(monkeypatch):
     """Every hit-count pass as a ``Pass``: its row count, the prunable
     units whose columns it reads and its mask count.  A direct call makes
     one pass per cover set (or one over every row and unit); building the
-    tables makes one per group, over every unit."""
+    tables makes one per group, over its active units."""
     passes = []
     pass_hits = toynet._pass_hits
 
-    def recording(suffix, gemm, x, labels, masks, cols=None):
-        units = range(x.shape[1]) if cols is None else cols.tolist()
-        passes.append(Pass(labels.size, tuple(units), masks.size))
-        return pass_hits(suffix, gemm, x, labels, masks, cols)
+    def recording(net, p, masks):
+        passes.append(Pass(p.labels.size, tuple(p.cols.tolist()), masks.size))
+        return pass_hits(net, p, masks)
 
     monkeypatch.setattr(toynet, "_pass_hits", recording)
     return passes
@@ -342,8 +341,9 @@ def test_a_row_whose_prefix_is_all_zero(rows_per_pass):
     rows_per_pass.clear()
     assert_bit_identical(spec, alone, np.arange(1 << 12))
     assert_bit_identical(spec, alone, [0b101])
-    # one pass each builds the one-entry table from its one coalition
-    assert rows_per_pass == [Pass(3, tuple(range(12)), 1)] * 2
+    # one pass each builds the one-entry table from its one coalition,
+    # over no column
+    assert rows_per_pass == [Pass(3, (), 1)] * 2
 
 
 def test_tables_built_by_one_call_serve_later_calls(rows_per_pass):
@@ -600,3 +600,130 @@ def test_payoffs_do_not_depend_on_the_block_budget(monkeypatch, elements):
     monkeypatch.setattr(toynet, "_BLOCK_ELEMENTS", elements)
     assert np.array_equal(accuracy_char_fn(spec, data)(masks), expected)
     assert_bit_identical(spec, data, masks)
+
+
+# -- the float32 screen -----------------------------------------------------
+
+
+@pytest.fixture
+def screen_log(monkeypatch):
+    """Counts of what the screened route did: ``routes`` holds whether each
+    pass ran screened; ``bias_path`` and ``recomputed`` count the uncertain
+    pairs that took the bias path's prediction or a float64 one."""
+    log = {"routes": [], "bias_path": 0, "recomputed": 0}
+    pass_hits = toynet._pass_hits
+    uncertain_hits = toynet._Suffix.uncertain_hits
+
+    def recording_pass(net, p, masks):
+        log["routes"].append(net.screened)
+        return pass_hits(net, p, masks)
+
+    def recording_pairs(net, rows, masks):
+        redo = np.count_nonzero(masks & net.row_codes[rows])
+        log["recomputed"] += redo
+        log["bias_path"] += rows.size - redo
+        return uncertain_hits(net, rows, masks)
+
+    monkeypatch.setattr(toynet, "_pass_hits", recording_pass)
+    monkeypatch.setattr(toynet._Suffix, "uncertain_hits", recording_pairs)
+    return log
+
+
+def _nudged(spec, size, seed, lead=0.0):
+    """``spec`` with the head's class 2 a copy of class 1 but for a nudge of
+    about ``size`` to its weights, so the two near-tie where they lead, and
+    ``lead`` added to both biases."""
+    head = spec.layers[-1]
+    weights, bias = head.weights.copy(), head.bias.copy()
+    weights[2] = weights[1] + size * np.random.default_rng(seed).standard_normal(weights.shape[1])
+    bias[2] = bias[1]
+    bias[1:3] += lead
+    return ModelSpec([*spec.layers[:-1], Layer("dense", weights, bias, head.activation)])
+
+
+@pytest.mark.parametrize("nudge", [None, 3e-4])
+def test_screened_logits_moved_by_half_their_bound_change_no_payoff(monkeypatch, screen_log,
+                                                                       nudge):
+    # each row's threshold T is twice the bound on any of its logits'
+    # errors: a payoff must not move when every logit moves by up to half
+    # that bound (T / 4) on top of its rounding.  With classes 1 and 2
+    # leading every row, a nudge of about T puts a few hundred margins
+    # within a quarter of it, so some cross the threshold
+    spec = sparse_net() if nudge is None else _nudged(sparse_net(), nudge, seed=40, lead=3.0)
+    data = _blobs()
+    masks = _chains_and_random(12, seed=41, chains=2, random=30)
+    assert_bit_identical(spec, data, masks)
+    steady = dict(screen_log)
+    assert all(screen_log["routes"])
+    rng = np.random.default_rng(42)
+    pass_hits, margins = toynet._pass_hits, toynet._margins
+    bounds = []
+
+    def with_bounds(net, p, masks):
+        bounds.append(p.bounds)
+        return pass_hits(net, p, masks)
+
+    def moved(logits, slices):
+        shift = rng.uniform(-0.25, 0.25, logits.shape).astype(np.float32) * bounds[-1]
+        return margins(logits + shift, slices)
+
+    monkeypatch.setattr(toynet, "_pass_hits", with_bounds)
+    monkeypatch.setattr(toynet, "_margins", moved)
+    assert_bit_identical(spec, data, masks)
+    if nudge is not None:
+        assert screen_log["recomputed"] != 2 * steady["recomputed"]
+
+
+@pytest.mark.parametrize("nudge, lead", [(1e-12, 0.0), (1e-7, 3.0)])
+def test_a_near_tie_head_is_recomputed_in_float64(screen_log, nudge, lead):
+    # a nudge of 1e-12 is far below float32's rounding of these logits and
+    # far above float64's; one of 1e-7, with classes 1 and 2 leading every
+    # row, is about that rounding, so a float32 argmax taken without the
+    # screen would get some rows wrong
+    spec, data = _nudged(sparse_net(), nudge, seed=30, lead=lead), _blobs()
+    masks = _chains_and_random(12, seed=31, chains=2, random=20)
+    assert_bit_identical(spec, data, masks)
+    assert screen_log["recomputed"] > 0 and all(screen_log["routes"])
+
+
+def _zero_biases(spec):
+    return ModelSpec([spec.layers[0]] + [
+        Layer("dense", layer.weights, np.zeros(layer.out_units), layer.activation, layer.norm)
+        for layer in spec.layers[1:]
+    ])
+
+
+@pytest.mark.parametrize("suffix_layers", [1, 2])
+def test_exact_ties_of_the_bias_path(screen_log, suffix_layers):
+    # with every suffix bias zero, a coalition that holds none of a row's
+    # active units gives it four zero logits, an exact tie that only the
+    # bias path's prediction (class 0) resolves without a recomputation
+    rng = np.random.default_rng(43)
+    prefix = Layer("dense", rng.standard_normal((10, 2)), -0.4 - rng.uniform(0, 2, 10))
+    hidden = [_dense(rng, 6, 10)] if suffix_layers == 2 else []
+    spec = _zero_biases(ModelSpec([prefix, *hidden, _dense(rng, 4, hidden[0].out_units if hidden
+                                                            else 10, "softmax-logits")]))
+    data = _blobs()
+    masks = _chains_and_random(10, seed=44, chains=2, random=30)
+    assert_bit_identical(spec, data, masks)
+    assert screen_log["bias_path"] > 0 and all(screen_log["routes"])
+    # the tables' every coalition of a group over its units, the empty one too
+    screen_log["bias_path"] = 0
+    assert_bit_identical(spec, data, np.arange(1 << 10))
+    assert screen_log["bias_path"] >= data.size
+
+
+@pytest.mark.parametrize("scale", [1e30, 1e-35])
+def test_parameters_out_of_float32_range_take_the_per_coalition_route(screen_log, scale):
+    # 1e30 weights would overflow float32 two layers on; 1e-35 weights lie
+    # in its subnormal range, where the bound's relative terms do not hold
+    spec = net_32()
+    layers = [spec.layers[0], _scaled(spec.layers[1], scale), spec.layers[2]]
+    masks = np.random.default_rng(45).integers(0, 1 << 32, size=60, dtype=np.uint64)
+    assert_bit_identical(ModelSpec(layers), _blobs(n_per_class=30), masks)
+    assert screen_log["routes"] and not any(screen_log["routes"])
+    assert screen_log["bias_path"] == screen_log["recomputed"] == 0
+
+
+def _scaled(layer, scale):
+    return Layer(layer.kind, layer.weights * scale, layer.bias, layer.activation, layer.norm)

@@ -7,7 +7,9 @@ read when numpy loads, so each side runs in a fresh process: one with
 the ``rank`` reports of ``exact``, ``partial``, exhaustive and sampled
 ``kernel`` on a 16-player table and of ``exact``, exhaustive and sampled
 ``kernel`` on an 8-unit toy net (whose payoffs go through BLAS matrix
-products; the sampled kernel's membership moments do too), and the values of
+products; the sampled kernel's membership moments do too), of sampled
+``kernel`` on the 32-unit detector net of ``scripts/scale_probe.py`` (whose
+several-mask calls run one pass per cover set of rows), and the values of
 exact, partial and exhaustive kernel on a 20-player table.  Every file must
 have the same bytes on both sides.
 
@@ -24,11 +26,13 @@ import pytest
 
 import shaprank
 from shaprank import cli
-from shaprank.formats import save_game_json
+from shaprank.formats import save_dataset_csv, save_game_json, save_model
+from shaprank.toynet import make_blobs_dataset
 
 SRC = Path(shaprank.__file__).resolve().parents[1]
 TABLE = "table16.json"
 NET = ["--model", "net.json", "--data", "net-data.csv"]
+DETECTOR = ["--model", "detector.json", "--data", "detector-data.csv"]
 
 # output file -> rank arguments, relative to the inputs directory
 RANK_RUNS = {
@@ -41,6 +45,8 @@ RANK_RUNS = {
     "net-exact.json": [*NET, "--method", "exact"],
     "net-kernel.json": [*NET, "--method", "kernel", "--sampler", "exhaustive"],
     "net-sampled-kernel.json": [*NET, "--method", "kernel", "--samples", "2000", "--seed", "1"],
+    "detector-sampled-kernel.json": [*DETECTOR, "--method", "kernel", "--samples", "300",
+                                     "--seed", "1"],
 }
 
 
@@ -67,7 +73,10 @@ def write_reports(inputs: Path, out: Path) -> None:
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="one CPU: OpenBLAS runs one thread whatever the setting")
 def test_reports_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    import numpy as np
+
     from conftest import random_table_game
+    from scale_probe import detector_net
 
     inputs = tmp_path / "inputs"
     inputs.mkdir()
@@ -75,6 +84,9 @@ def test_reports_are_the_same_at_one_and_two_blas_threads(tmp_path):
     assert cli.main(["train-toy", "--out", str(inputs / "net.json"), "--hidden", "8",
                      "--epochs", "60", "--seed", "5", "--data-seed", "5",
                      "--write-data", str(inputs / "net-data.csv")]) == 0
+    save_model(detector_net(np.random.default_rng(1)), inputs / "detector.json")
+    save_dataset_csv(make_blobs_dataset(seed=1, n_per_class=700, n_classes=4, spread=1.2),
+                     inputs / "detector-data.csv")
     children = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

@@ -1464,6 +1464,25 @@ class TestErrors:
         assert "--early-stop-window" in err["message"] and window in err["message"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["rank", "--game", "nope.json", "--method", "perm", "--early-stop-window", "5"],
+         "--early-stop-eps"),
+        (["rank", "--game", "nope.json", "--method", "kernel", "--seed", "-1"], "--seed"),
+        (["rank", "--model", "nope.json", "--data", "nope.csv", "--split", "a:b:c",
+          "--method", "exact"], "--split"),
+        (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "perm",
+          "--early-stop-window", "5", "--count", "1"], "--early-stop-eps"),
+    ])
+    def test_usage_errors_come_before_any_input_is_read(self, tmp_path, monkeypatch, capsys,
+                                                         argv, named):
+        # every input is missing, so an error raised after reading one exits 5
+        monkeypatch.chdir(tmp_path)
+        rc = main([*argv, "--out", "x.json"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert named in err["message"]
+        assert not (tmp_path / "x.json").exists()
+
     def test_samples_beyond_the_budget_exit_3(self, fig2_path, tmp_path, capsys):
         samples = "100000000000000000000"
         rc = main(["rank", "--game", str(fig2_path), "--method", "kernel",

@@ -50,6 +50,6 @@ def test_scale_probe_smallest_setting_is_deterministic():
         [json.loads(line) for line in run_script("scale_probe.py", args).splitlines()]
         for _ in range(2)
     )
-    assert [case["case"] for case in first] == ["toynet-payoff"]
-    assert first[0]["median_s"] > 0 and first[0]["vmhwm_added_mib"] >= 0
+    assert [case["case"] for case in first] == ["toynet-payoff", "toynet-tables"]
+    assert all(case["median_s"] > 0 and case["vmhwm_added_mib"] >= 0 for case in first)
     assert [case["sha256"] for case in first] == [case["sha256"] for case in second]
