@@ -24,6 +24,9 @@ Cases:
   eight weak random units; 2 800 rows) under the two single-mask calls a
   ``Game`` starts with, then one call of all 2**14 masks, which builds the
   per-group tables.  A fresh payoff is built, untimed, for every repeat.
+- ``toynet-per-coalition``: ``toynet-payoff``'s net and data with one NaN
+  input, which sends every call down the float64 per-coalition route, under
+  the first 5 of its chains and the first 200 of its random masks.
 """
 
 from __future__ import annotations
@@ -126,7 +129,9 @@ def _timed_calls(args, spec, data, calls) -> dict:
     }
 
 
-def toynet_payoff(args) -> dict:
+def _detector_calls(args):
+    """``toynet-payoff``'s net, data and calls: ``--chains`` chains, then
+    one call of ``--masks`` masks."""
     import numpy as np
 
     from shaprank.toynet import make_blobs_dataset
@@ -139,8 +144,25 @@ def toynet_payoff(args) -> dict:
         np.concatenate([[0], np.bitwise_or.accumulate(units[rng.permutation(32)])]).astype(np.uint64)
         for _ in range(args.chains)
     ]
-    calls = chains + [rng.integers(0, 1 << 32, size=args.masks, dtype=np.uint64)]
+    return spec, data, chains + [rng.integers(0, 1 << 32, size=args.masks, dtype=np.uint64)]
+
+
+def toynet_payoff(args) -> dict:
+    spec, data, calls = _detector_calls(args)
     return {"case": "toynet-payoff", "chains": args.chains, "masks": args.masks,
+            **_timed_calls(args, spec, data, calls)}
+
+
+def toynet_per_coalition(args) -> dict:
+    import numpy as np
+
+    spec, data, calls = _detector_calls(args)
+    # a NaN input makes a NaN prefix row, which the float32 screen refuses;
+    # a coalition costs several times as much in float64, so the case runs
+    # the first 5 chains and 200 masks
+    data.inputs[0, 0] = np.nan
+    calls = calls[:min(5, args.chains)] + [calls[-1][:200]]
+    return {"case": "toynet-per-coalition", "chains": len(calls) - 1, "masks": calls[-1].size,
             **_timed_calls(args, spec, data, calls)}
 
 
@@ -157,7 +179,8 @@ def toynet_tables(args) -> dict:
     return {"case": "toynet-tables", **_timed_calls(args, spec, data, calls)}
 
 
-CASES = {"toynet-payoff": toynet_payoff, "toynet-tables": toynet_tables}
+CASES = {"toynet-payoff": toynet_payoff, "toynet-tables": toynet_tables,
+         "toynet-per-coalition": toynet_per_coalition}
 
 
 def run_case(case: str, src: Path, args) -> dict:

@@ -151,10 +151,10 @@ def _check_output_dirs(args) -> None:
                                     f"directory {Path(path).parent} does not exist")
 
 
-def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
+def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec], object]:
     """Resolve --game or --model/--data into (game holding the --cache
     file's payoffs, input provenance dict, cache source fingerprint, model
-    spec or None)."""
+    spec or None, ``--method``'s config)."""
     if args.game and args.model:
         raise UsageError("give either --game or --model, not both")
     if args.game:
@@ -165,7 +165,7 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
         raise UsageError("need --game, or --model together with --data")
     split = "0:1:0" if args.split is None else args.split
     fractions = _parse_fractions(split)
-    _check_method_args(args)
+    config = _method_config(args)
     _check_output_dirs(args)
     # the loaders record the sha256 of each file they read: the game; or, in
     # this order, the model, its binary sidecar if it has one, and the dataset
@@ -210,7 +210,7 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec]]:
     preloaded = None
     if args.cache and Path(args.cache).exists():
         preloaded = load_cache(args.cache, source, n_players)
-    return Game(n_players, char_fn, preloaded=preloaded), inputs, source, spec
+    return Game(n_players, char_fn, preloaded=preloaded), inputs, source, spec, config
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +229,36 @@ def _early_stop(args) -> Optional[dict]:
     return pair if all(given) else None
 
 
-def _check_method_args(args) -> None:
-    """The usage errors of ``--method``'s flags that the command line alone
-    shows (``oracle`` has none)."""
+def _method_config(args):
+    """``--method``'s config, or None (``exact``, ``exact-perm`` and
+    ``oracle`` take none), built before any input is read: the usage errors
+    of its flags that the command line alone shows come first."""
     method = getattr(args, "method", None)
+    if method == "partial":
+        return SizeBand(high_d=args.high_d, low_d=args.low_d)
     if method == "perm":
-        _early_stop(args)
+        early_stop = _early_stop(args)
+        return SamplingConfig(
+            n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
+            early_stop=early_stop and EarlyStop(**early_stop))
+    if method != "kernel":
+        return None
     # every kernel sampler but the exhaustive one draws from numpy's
     # generator, which takes no negative seed
-    if method == "kernel" and args.sampler != "exhaustive" and args.seed < 0:
+    if args.sampler != "exhaustive" and args.seed < 0:
         raise UsageError(f"argument --seed: must be a non-negative integer for the "
                          f"{args.sampler} sampler, got '{args.seed}'")
+    return RegressionConfig(
+        n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge,
+        enforce_efficiency=not args.no_efficiency, fit_intercept=args.fit_intercept)
 
 
 METHODS = ("exact", "exact-perm", "partial", "perm", "kernel")
 
 
-def _estimate(game: Game, args):
-    """Run --method on ``game``: (estimate, the report's params).  Each
+def _estimate(game: Game, args, config):
+    """Run --method on ``game`` with its ``config`` from
+    ``_method_config``: (estimate, the report's params).  Each
     estimator is called by its name in this module, which is looked up when
     the call runs, so wrappers set on this module after import (the
     benchmark's set-up marker, its tracer) see the call."""
@@ -256,21 +268,14 @@ def _estimate(game: Game, args):
         return shapley_exact_permutations(game), {"route": "permutations"}
     if args.method == "partial":
         params = {"high_d": args.high_d, "low_d": args.low_d, "renormalize": not args.raw_sum}
-        band = SizeBand(high_d=args.high_d, low_d=args.low_d)
-        return shapley_partial(game, band, params["renormalize"]), params
+        return shapley_partial(game, config, params["renormalize"]), params
     if args.method == "perm":
-        early_stop = _early_stop(args)
-        params = {"perms": args.perms, "antithetic": args.antithetic, "early_stop": early_stop}
-        cfg = SamplingConfig(
-            n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
-            early_stop=early_stop and EarlyStop(**early_stop))
-        return shapley_sample_permutations(game, cfg), params
+        params = {"perms": args.perms, "antithetic": args.antithetic,
+                  "early_stop": _early_stop(args)}
+        return shapley_sample_permutations(game, config), params
     params = {"samples": args.samples, "sampler": args.sampler, "ridge": args.ridge,
               "enforce_efficiency": not args.no_efficiency, "fit_intercept": args.fit_intercept}
-    cfg = RegressionConfig(
-        n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge,
-        enforce_efficiency=not args.no_efficiency, fit_intercept=args.fit_intercept)
-    return shapley_regression(game, cfg), params
+    return shapley_regression(game, config), params
 
 
 def _provenance(inputs: dict, game: Game, params: dict, est=None) -> dict:
@@ -298,9 +303,9 @@ def _provenance(inputs: dict, game: Game, params: dict, est=None) -> dict:
 
 
 def cmd_rank(args) -> int:
-    game, inputs, source, _ = _load_game(args)
+    game, inputs, source, _, config = _load_game(args)
     started = time.perf_counter()
-    est, params = _estimate(game, args)
+    est, params = _estimate(game, args, config)
     elapsed = time.perf_counter() - started
     ranking = est.ranking()
     report = {
@@ -337,7 +342,7 @@ def _rankings_to_score(args, oracle_rank: Ranking) -> Iterator[tuple[str, Rankin
 
 
 def cmd_oracle(args) -> int:
-    game, inputs, source, _ = _load_game(args)
+    game, inputs, source, _, _ = _load_game(args)
     k_range = _parse_k_range(args.k_range, game.n_players)
     started = time.perf_counter()
     oracle = compute_oracle_subsets(game, args.mode, k_range)
@@ -382,14 +387,14 @@ def cmd_prune(args) -> int:
         raise UsageError("need --count or --fraction")
     if args.fraction is not None and not 0 < args.fraction < 1:
         raise UsageError(f"--fraction must be in (0, 1), got {args.fraction}")
-    game, inputs, source, spec = _load_game(args)
+    game, inputs, source, spec, config = _load_game(args)
     n = game.n_players
     count = args.count if args.count is not None else int(round(args.fraction * n))
     if not 0 < count < n:
         raise UsageError(f"remove count must be in (0, {n}), got {count}")
 
     started = time.perf_counter()
-    est, params = _estimate(game, args)
+    est, params = _estimate(game, args, config)
     ranking = est.ranking()
     removed = sorted(int(p) for p in ranking.order[n - count:])
     kept = [i for i in range(n) if i not in removed]

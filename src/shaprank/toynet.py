@@ -16,7 +16,6 @@ datasets are read and written by :mod:`shaprank.formats`.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .games import Game
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 # about this many values per block of coalitions in the accuracy payoff: in
 # all the float32 arrays of a screened block together (512 KiB), in each
-# float64 array of a per-coalition block or of a recomputation (1 MiB)
+# float64 array of a recomputation (1 MiB)
 _BLOCK_ELEMENTS = 1 << 17
 # float32's unit roundoff, and a bound on the absolute error of a float32
 # conversion or product in the subnormal range
@@ -192,7 +191,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     Takes a 1-D ``uint64`` array of bitmasks and returns a float64 array of
     as many accuracies.  The layers up to and including the prunable one are
     evaluated once and reused for every coalition; only the downstream
-    layers run, for a block of coalitions at a time.
+    layers run for each.
 
     When the downstream layers are dense and stay within float32's range
     (``_screenable``), they run in float32, the screened route.  The first
@@ -215,7 +214,8 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     float64's rounding of zero.  Otherwise (no downstream layer, a conv one,
     non-finite outputs of the prunable layer, or parameters or values out of
     the screen's range) the absent outputs are zeroed and the downstream
-    layers run in float64 once per coalition of the block.
+    layers run in float64 once per coalition, each prediction being
+    ``np.argmax``'s.
 
     A row's active units are those whose output on it is not zero (at any
     spatial position of a channel; NaN and inf count).  Masking an inactive
@@ -233,25 +233,26 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     direct path.  On the screened route a group's table multiplies its
     active units' columns only.
 
-    On the screened route a direct call of several masks multiplies only
-    the columns that are active on its rows.  The groups, largest active set
-    first and then by code, each join the first "cover set" that holds
-    their active set, or start one; a pass runs a cover set's rows against
-    its units' columns only.  Cover sets of fewer than ``rows / units``
-    rows share one pass over the union of their units, so there are at
-    most ``units + 1`` passes.  Where the passes would read no fewer
-    products than one full-width pass (a dense net), or no column at all
-    (every row inactive), the call is one pass over every row and unit, as
-    is a call of one mask, which cannot repay building the passes.  The
-    passes' float32 blocks are built on the first direct call of several
-    masks, never for a payoff that a warm cache serves, and the bounds on
-    the first call that runs the screened route.
+    On the screened route a direct call multiplies only the columns that
+    are active on its rows.  The groups, largest active set first and then
+    by code, each join the first "cover set" that holds their active set,
+    or start one; a pass runs a cover set's rows against its units' columns
+    only.  Cover sets of fewer than ``rows / units`` rows share one pass
+    over the union of their units, so there are at most ``units + 1``
+    passes.  Where the passes would read no fewer products than one
+    full-width pass (a dense net), or no column at all (every row
+    inactive), the call is one pass over every row and unit, as every
+    direct call is on the per-coalition route.  The passes and their
+    float32 blocks are built on the first direct call, never for a payoff
+    that a warm cache serves, and the bounds on the first call that runs
+    the screened route.
 
-    The block size follows from the shape of the rows a pass evaluates,
-    never from the number of masks requested: on the screened route a block
+    On the screened route the block size follows from the shape of the rows
+    a pass evaluates, never from the number of masks requested: a block
     holds at most ``_BLOCK_ELEMENTS`` values in all its arrays together
     (the weight stack, the products, every later layer's output and the
-    margins' arrays); the per-coalition route bounds each array by it.
+    margins' arrays).  The per-coalition route holds one coalition's arrays
+    at a time.
     """
     prefix = np.asarray(data.inputs, dtype=np.float64)
     for layer in spec.layers[: spec.prunable_layer + 1]:
@@ -273,7 +274,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     table_entries = sum(1 << a for a in group_units)
     table_cost = sum(int(rows) << a for rows, a in zip(group_rows.tolist(), group_units))
     net = _Suffix(suffix, prefix, labels, codes[group_of_row])
-    tables = passes = whole = None
+    tables = passes = None
 
     def build_tables() -> list:
         built = []
@@ -288,16 +289,11 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             built.append((units, _pass_hits(net, net.make_pass(rows, bits[units]), subsets)))
         return built
 
-    def full_width() -> list:
-        """The direct path's one pass of every row and unit."""
-        nonlocal whole
-        whole = whole or [net.make_pass(None, bits)]
-        return whole
-
     def build_passes() -> list:
-        """The direct path's passes: one per cover set, or ``full_width``."""
+        """The direct path's passes: one per cover set, or one of every row
+        and unit."""
         if not net.screened:
-            return full_width()
+            return [net.make_pass(None, bits)]
         # largest active sets first, then by code: each group joins the
         # first cover set that holds its active set, or starts one
         covers = []
@@ -325,7 +321,7 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
         ]
         # no saving (a dense net), or no column at all (every row inactive)
         if not 0 < sum(rows.size * cols.size for rows, cols in blocks) < n_rows * n_units:
-            return full_width()
+            return [net.make_pass(None, bits)]
         return [net.make_pass(rows, cols) for rows, cols in blocks]
 
     def char_fn(masks):
@@ -338,15 +334,9 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
             # published whole: a concurrent call sees every table or none
             current = tables = build_tables()
         if current is None:
-            if masks.size > 1:
-                # built on the first direct call of several masks, never
-                # for a payoff that a warm cache serves; published whole,
-                # as the tables are
-                direct = passes = passes or build_passes()
-            else:
-                # one mask cannot repay building them (Game's start-up
-                # calls, for the empty and the grand coalition)
-                direct = full_width()
+            # built on the first direct call, never for a payoff that a warm
+            # cache serves; published whole, as the tables are
+            direct = passes = passes or build_passes()
             hits = sum(_pass_hits(net, p, masks) for p in direct)
         else:
             hits = np.zeros(masks.size, dtype=np.int64)
@@ -364,7 +354,9 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
 
 class _Pass(NamedTuple):
     """The rows that one hit-count pass evaluates, and the prunable units
-    whose columns it reads.
+    whose columns it reads: a cover set's rows and units, or every row and
+    unit, on a direct call; a group's rows and active units when the
+    tables are built.
 
     On the per-coalition route ``x`` holds the rows' float64 prefix outputs
     over every unit.  On the screened route ``rows`` are the rows' indices,
@@ -630,62 +622,17 @@ def _per_coalition_hits(suffix: list[Layer], x: np.ndarray, labels: np.ndarray,
                         masks: np.ndarray) -> np.ndarray:
     """Hits among rows ``x`` of the prefix outputs, against ``labels``,
     under each of ``masks``, running the ``suffix`` layers in float64 once
-    per coalition of a block."""
-    n_cols = x.shape[1]
-    spatial = math.prod(x.shape[2:])
-    widths = [layer.out_units * (spatial if layer.kind == "conv2d" else 1) for layer in suffix]
-    # every (width, block, rows) array holds at most _BLOCK_ELEMENTS values,
-    # unless one coalition alone needs more
-    block = max(1, _BLOCK_ELEMENTS // (max(len(x), n_cols) * max(widths or [n_cols])))
-    cols = np.arange(n_cols, dtype=np.uint64)
+    per coalition.  The prediction is ``np.argmax``'s: the first maximum,
+    or the first NaN."""
+    # bit u of a mask keeps unit (or channel) u, at every spatial position
+    bits = np.arange(x.shape[1], dtype=np.uint64).reshape((-1,) + (1,) * (x.ndim - 2))
     out = np.empty(masks.size, dtype=np.int64)
-    for start in range(0, masks.size, block):
-        members = ((masks[start:start + block, None] >> cols) & 1).astype(bool)
-        out[start:start + members.shape[0]] = _hit_counts(
-            _block_logits(suffix, x, members), labels, members.shape[0]
-        )
-    return out
-
-
-def _block_logits(suffix: list[Layer], x: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Logits of rows ``x`` under a ``(B, units)`` block of coalitions, each
-    run on its own, class-major: ``(classes, B * rows)``, coalition by
-    coalition."""
-    keep = members.reshape(members.shape + (1,) * (x.ndim - 2))
-    logits = []
-    for k in keep:
-        y = np.where(k, x, 0.0)
+    for i, mask in enumerate(masks):
+        y = np.where(mask >> bits & 1 == 1, x, 0.0)
         for layer in suffix:
             y = _apply_layer(layer, y)
-        logits.append(_global_average_pool(y).T)
-    return np.stack(logits, axis=1).reshape(len(logits[0]), -1)
-
-
-def _hit_counts(by_class: np.ndarray, labels: np.ndarray, n_coalitions: int) -> np.ndarray:
-    """Correct predictions per coalition of class-major
-    ``(classes, coalitions * rows)`` logits, against ``labels`` (one per
-    row).
-
-    The prediction is the first maximum, as ``np.argmax`` picks it, found
-    with a few contiguous passes per class.
-    """
-    best = by_class[0].copy()
-    # the narrowest type that holds the classes, as these passes run on
-    # every row of every coalition; it meets the int64 labels by value, so
-    # a label no class takes never matches
-    preds = np.zeros(best.size, dtype=np.min_scalar_type(by_class.shape[0] - 1))
-    above = np.empty_like(preds)
-    for c in range(1, by_class.shape[0]):
-        np.greater(by_class[c], best, out=above)
-        # c exceeds every earlier class: the max takes it where it beat best
-        np.maximum(preds, np.multiply(above, c, out=above), out=preds)
-        np.maximum(best, by_class[c], out=best)
-    # np.maximum propagates NaN, so a NaN in best marks a row whose logits
-    # hold one; np.argmax picks the first NaN there, the comparisons do not
-    if np.isnan(best).any():
-        preds = np.argmax(by_class, axis=0)
-    hits = preds.reshape(n_coalitions, -1) == labels
-    return np.count_nonzero(hits, axis=1)
+        out[i] = np.count_nonzero(np.argmax(_global_average_pool(y), axis=1) == labels)
+    return out
 
 
 def make_accuracy_game(spec: ModelSpec, data: LabeledDataset) -> Game:

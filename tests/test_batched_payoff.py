@@ -496,10 +496,14 @@ def test_near_tied_logits_agree_on_every_route(rows_per_pass):
     assert 0 < gaps[gaps > 0].min() < 1e-11
     reference = [reference_char_fn(spec, data)(m) for m in masks.tolist()]
     char_fn = accuracy_char_fn(spec, data)
-    # one full-width pass per mask, then cover-set passes, then the tables
-    alone = np.concatenate([char_fn(masks[i:i + 1]) for i in range(masks.size)])
-    assert rows_per_pass == [Pass(data.size, tuple(range(12)), 1)] * masks.size
-    rows_per_pass.clear()
+    # cover-set passes for each mask alone, then for every mask, then the
+    # tables
+    alone = []
+    for i in range(masks.size):
+        alone.append(char_fn(masks[i:i + 1]))
+        assert_direct(rows_per_pass, data.size, 1)
+        rows_per_pass.clear()
+    alone = np.concatenate(alone)
     direct = char_fn(masks)
     assert_direct(rows_per_pass, data.size, masks.size)
     assert min(len(p.cols) for p in rows_per_pass) < 12

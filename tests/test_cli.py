@@ -1464,22 +1464,40 @@ class TestErrors:
         assert "--early-stop-window" in err["message"] and window in err["message"]
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("argv, named", [
+    @pytest.mark.parametrize("argv, error, named", [
         (["rank", "--game", "nope.json", "--method", "perm", "--early-stop-window", "5"],
-         "--early-stop-eps"),
-        (["rank", "--game", "nope.json", "--method", "kernel", "--seed", "-1"], "--seed"),
+         "UsageError", "--early-stop-eps"),
+        (["rank", "--game", "nope.json", "--method", "kernel", "--seed", "-1"],
+         "UsageError", "--seed"),
         (["rank", "--model", "nope.json", "--data", "nope.csv", "--split", "a:b:c",
-          "--method", "exact"], "--split"),
+          "--method", "exact"], "UsageError", "--split"),
         (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "perm",
-          "--early-stop-window", "5", "--count", "1"], "--early-stop-eps"),
+          "--early-stop-window", "5", "--count", "1"], "UsageError", "--early-stop-eps"),
+        # the config classes' own checks
+        (["rank", "--game", "nope.json", "--method", "perm", "--perms", "0"],
+         "ValueError", "n_permutations must be >= 1"),
+        (["rank", "--game", "nope.json", "--method", "kernel", "--samples", "0"],
+         "ValueError", "n_samples must be >= 1"),
+        (["rank", "--game", "nope.json", "--method", "kernel", "--ridge", "-1"],
+         "ValueError", "ridge must be finite and >= 0"),
+        (["rank", "--game", "nope.json", "--method", "partial", "--high-d", "0"],
+         "InvalidBandError", "high_d must be >= 1"),
+        (["rank", "--game", "nope.json", "--method", "partial", "--low-d", "-1"],
+         "InvalidBandError", "low_d must be >= 0"),
+        (["rank", "--game", "nope.json", "--method", "perm", "--early-stop-window", "1",
+          "--early-stop-eps", "1"], "ValueError", "early-stop window must be >= 2"),
+        (["rank", "--game", "nope.json", "--method", "perm", "--early-stop-window", "5",
+          "--early-stop-eps", "0"], "ValueError", "early-stop epsilon must be > 0"),
+        (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "kernel",
+          "--samples", "0", "--count", "1"], "ValueError", "n_samples must be >= 1"),
     ])
     def test_usage_errors_come_before_any_input_is_read(self, tmp_path, monkeypatch, capsys,
-                                                         argv, named):
+                                                         argv, error, named):
         # every input is missing, so an error raised after reading one exits 5
         monkeypatch.chdir(tmp_path)
         rc = main([*argv, "--out", "x.json"])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert (rc, err["error"], err["exit_code"]) == (2, error, 2)
         assert named in err["message"]
         assert not (tmp_path / "x.json").exists()
 

@@ -50,6 +50,7 @@ def test_scale_probe_smallest_setting_is_deterministic():
         [json.loads(line) for line in run_script("scale_probe.py", args).splitlines()]
         for _ in range(2)
     )
-    assert [case["case"] for case in first] == ["toynet-payoff", "toynet-tables"]
+    assert [case["case"] for case in first] == ["toynet-payoff", "toynet-tables",
+                                                "toynet-per-coalition"]
     assert all(case["median_s"] > 0 and case["vmhwm_added_mib"] >= 0 for case in first)
     assert [case["sha256"] for case in first] == [case["sha256"] for case in second]
