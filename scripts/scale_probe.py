@@ -27,6 +27,13 @@ Cases:
 - ``toynet-per-coalition``: ``toynet-payoff``'s net and data with one NaN
   input, which sends every call down the float64 per-coalition route, under
   the first 5 of its chains and the first 200 of its random masks.
+- ``perm-sampling``: permutation sampling of ``--chains`` antithetic
+  orderings through a fresh ``Game`` of ``toynet-payoff``'s net and data.
+- ``perm-rowsum-500``, ``-2000`` and ``-8000``: permutation sampling of that
+  many orderings through a fresh ``Game`` of 64 players whose payoff is a
+  row sum of integer weights plus the squared coalition size, so nearly
+  all the time is the sampler's and the cache's.  The sampling cases also
+  report ``evals_used`` and the game's ``cache_hits``.
 """
 
 from __future__ import annotations
@@ -103,30 +110,61 @@ def detector_net_14(rng):
     ])
 
 
+def _repeated(args, repeat) -> dict:
+    """``--repeats`` runs of ``repeat``, which builds its own state untimed
+    and returns its measured time, the bytes of its results and the fields
+    to report: the median time, the ``VmHWM`` added, the fields and a
+    sha256 of the results, which must agree between runs."""
+    before = vmhwm_mib()
+    times, outcomes = [], set()
+    for _ in range(args.repeats):
+        elapsed, results, fields = repeat()
+        times.append(elapsed)
+        outcomes.add((hashlib.sha256(results).hexdigest(), tuple(fields.items())))
+    if len(outcomes) != 1:
+        raise RuntimeError("results differ between repeats")
+    digest, fields = outcomes.pop()
+    return {
+        **dict(fields),
+        "repeats": args.repeats,
+        "median_s": statistics.median(times),
+        "vmhwm_added_mib": round(vmhwm_mib() - before, 3),
+        "sha256": digest,
+    }
+
+
 def _timed_calls(args, spec, data, calls) -> dict:
-    """The median time and the ``VmHWM`` added over ``--repeats`` runs of
-    ``calls`` on fresh payoffs of ``spec``, with a sha256 of the results."""
+    """``calls`` on a fresh payoff of ``spec`` per repeat."""
     import numpy as np
 
     from shaprank.toynet import accuracy_char_fn
 
-    before = vmhwm_mib()
-    times, digests = [], set()
-    for _ in range(args.repeats):
+    def repeat():
+        # freed on return: the next repeat's payoff does not meet this one's
         char_fn = accuracy_char_fn(spec, data)
         start = time.perf_counter()
         payoffs = [char_fn(masks) for masks in calls]
-        times.append(time.perf_counter() - start)
-        digests.add(hashlib.sha256(np.concatenate(payoffs).tobytes()).hexdigest())
-        del char_fn  # the next repeat's payoff does not meet this one's
-    if len(digests) != 1:
-        raise RuntimeError("payoffs differ between repeats")
-    return {
-        "repeats": args.repeats,
-        "median_s": statistics.median(times),
-        "vmhwm_added_mib": round(vmhwm_mib() - before, 3),
-        "sha256": digests.pop(),
-    }
+        return time.perf_counter() - start, np.concatenate(payoffs).tobytes(), {}
+
+    return _repeated(args, repeat)
+
+
+def _timed_sampling(args, n_players, payoff, cfg) -> dict:
+    """Permutation sampling under ``cfg`` through a fresh ``Game`` of
+    ``payoff`` per repeat, with the estimate's evaluations and the game's
+    cache hits."""
+    from shaprank.games import Game
+    from shaprank.sampling import shapley_sample_permutations
+
+    def repeat():
+        game = Game(n_players, payoff())
+        start = time.perf_counter()
+        est = shapley_sample_permutations(game, cfg)
+        elapsed = time.perf_counter() - start
+        return elapsed, est.values.tobytes() + est.std_err.tobytes(), {
+            "evals_used": est.evals_used, "cache_hits": game.cache_hits}
+
+    return _repeated(args, repeat)
 
 
 def _detector_calls(args):
@@ -179,8 +217,54 @@ def toynet_tables(args) -> dict:
     return {"case": "toynet-tables", **_timed_calls(args, spec, data, calls)}
 
 
+def perm_sampling(args) -> dict:
+    from shaprank.sampling import SamplingConfig
+    from shaprank.toynet import accuracy_char_fn
+
+    spec, data, _ = _detector_calls(args)
+    cfg = SamplingConfig(n_permutations=args.chains, seed=SEED, antithetic=True)
+    return {"case": "perm-sampling", "orderings": args.chains,
+            **_timed_sampling(args, 32, lambda: accuracy_char_fn(spec, data), cfg)}
+
+
+def row_sum_payoff():
+    """A coalition's payoff is the sum of its members' integer weights (1 to
+    100, seeded) plus the square of its size, so that a player's marginal
+    depends on its place in the ordering.  Each byte of the mask is one
+    table lookup for each term: the payoff is exact, so the same bits in any
+    batch."""
+    import numpy as np
+
+    weights = np.random.default_rng(SEED).integers(1, 101, size=64).astype(np.float64)
+    byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    tables = [byte_bits @ weights[8 * k:8 * k + 8] for k in range(8)]
+    byte_sizes = byte_bits.sum(axis=1)
+
+    def payoff(masks):
+        total, size = np.zeros(masks.size), np.zeros(masks.size)
+        for k, table in enumerate(tables):
+            byte = (masks >> np.uint64(8 * k) & np.uint64(255)).astype(np.intp)
+            total += table[byte]
+            size += byte_sizes[byte]
+        return total + size * size
+
+    return payoff
+
+
+def perm_row_sum(orderings):
+    def case(args) -> dict:
+        from shaprank.sampling import SamplingConfig
+
+        cfg = SamplingConfig(n_permutations=orderings, seed=SEED)
+        return {"case": f"perm-rowsum-{orderings}", "players": 64, "orderings": orderings,
+                **_timed_sampling(args, 64, row_sum_payoff, cfg)}
+
+    return case
+
+
 CASES = {"toynet-payoff": toynet_payoff, "toynet-tables": toynet_tables,
-         "toynet-per-coalition": toynet_per_coalition}
+         "toynet-per-coalition": toynet_per_coalition, "perm-sampling": perm_sampling,
+         **{f"perm-rowsum-{k}": perm_row_sum(k) for k in (500, 2000, 8000)}}
 
 
 def run_case(case: str, src: Path, args) -> dict:

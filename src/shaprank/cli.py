@@ -232,25 +232,39 @@ def _early_stop(args) -> Optional[dict]:
 def _method_config(args):
     """``--method``'s config, or None (``exact``, ``exact-perm`` and
     ``oracle`` take none), built before any input is read: the usage errors
-    of its flags that the command line alone shows come first."""
+    of its flags that the command line alone shows come first.  A config
+    check's error is re-raised in its own class, naming the flag and the
+    value it was given."""
     method = getattr(args, "method", None)
-    if method == "partial":
-        return SizeBand(high_d=args.high_d, low_d=args.low_d)
-    if method == "perm":
-        early_stop = _early_stop(args)
-        return SamplingConfig(
-            n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
-            early_stop=early_stop and EarlyStop(**early_stop))
-    if method != "kernel":
-        return None
-    # every kernel sampler but the exhaustive one draws from numpy's
-    # generator, which takes no negative seed
-    if args.sampler != "exhaustive" and args.seed < 0:
-        raise UsageError(f"argument --seed: must be a non-negative integer for the "
-                         f"{args.sampler} sampler, got '{args.seed}'")
-    return RegressionConfig(
-        n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge,
-        enforce_efficiency=not args.no_efficiency, fit_intercept=args.fit_intercept)
+    try:
+        if method == "partial":
+            return SizeBand(high_d=args.high_d, low_d=args.low_d)
+        if method == "perm":
+            early_stop = _early_stop(args)
+            return SamplingConfig(
+                n_permutations=args.perms, seed=args.seed, antithetic=args.antithetic,
+                early_stop=early_stop and EarlyStop(**early_stop))
+        if method != "kernel":
+            return None
+        # every kernel sampler but the exhaustive one draws from numpy's
+        # generator, which takes no negative seed
+        if args.sampler != "exhaustive" and args.seed < 0:
+            raise UsageError(f"argument --seed: must be a non-negative integer for the "
+                             f"{args.sampler} sampler, got '{args.seed}'")
+        return RegressionConfig(
+            n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge,
+            enforce_efficiency=not args.no_efficiency, fit_intercept=args.fit_intercept)
+    except ValueError as exc:
+        # each check's message starts with the name of the field it checks
+        fields = {"n_permutations": "--perms", "n_samples": "--samples", "ridge": "--ridge",
+                  "high_d": "--high-d", "low_d": "--low-d",
+                  "early-stop window": "--early-stop-window",
+                  "early-stop epsilon": "--early-stop-eps"}
+        flag = next((f for field, f in fields.items() if str(exc).startswith(field + " ")), None)
+        if flag is None:
+            raise
+        value = getattr(args, flag[2:].replace("-", "_"))
+        raise type(exc)(f"argument {flag}: {exc}, got '{value}'") from exc
 
 
 METHODS = ("exact", "exact-perm", "partial", "perm", "kernel")

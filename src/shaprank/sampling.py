@@ -6,6 +6,9 @@ contributions for that ordering, so one ordering costs at most N+1 distinct
 coalition evaluations.  Averaging over orderings gives an unbiased estimate,
 and the per-ordering marginals always telescope to the full target quantity,
 so the estimate distributes the target exactly at any sample count.
+The prefixes of a block of orderings are requested from the game at once,
+and the marginals are then summed one ordering at a time, in order, so the
+block changes neither the values nor the evaluation counts.
 
 Orderings are drawn from a counter-based generator keyed on
 ``(seed, ordering index)``: ordering ``j`` is a pure function of the seed
@@ -21,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError
+from .exact import REDUCE_BLOCK
 from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, prefix_masks
 
 
@@ -62,6 +66,21 @@ def permutation_at(seed: int, index: int, n_players: int) -> np.ndarray:
     return rng.permutation(n_players)
 
 
+def _chains(game: Game, cfg: SamplingConfig, block: int):
+    """Each ordering with the payoffs of its proper nonempty prefixes, in
+    order.  The prefixes of ``block`` orderings at a time go in one
+    request, made when the first of them is read."""
+    n = game.n_players
+    for start in range(0, cfg.n_permutations, block):
+        perms = []
+        for j in range(start, min(start + block, cfg.n_permutations)):
+            # an antithetic pair walks one ordering forward, then backward
+            perm = permutation_at(cfg.seed, j // 2 if cfg.antithetic else j, n)
+            perms.append(perm[::-1] if cfg.antithetic and j % 2 else perm)
+        chains = game.evaluate_masks(np.concatenate([prefix_masks(p) for p in perms]))
+        yield from zip(perms, chains.reshape(len(perms), n - 1))
+
+
 def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstimate:
     """Average marginal contributions over sampled orderings.
 
@@ -83,12 +102,11 @@ def shapley_sample_permutations(game: Game, cfg: SamplingConfig) -> ShapleyEstim
     history: deque[np.ndarray] = deque(maxlen=stopper.window if stopper else 1)
     realized = 0
 
-    for j in range(cfg.n_permutations):
-        # an antithetic pair walks one ordering forward, then backward
-        perm = permutation_at(cfg.seed, j // 2 if cfg.antithetic else j, n)
-        if cfg.antithetic and j % 2:
-            perm = perm[::-1]
-        chain = game.evaluate_masks(prefix_masks(perm))
+    # the prefixes of as many orderings as fit in REDUCE_BLOCK masks go in
+    # one request; with early stop on, each ordering goes in its own, so
+    # none past the stop point is requested
+    block = 1 if stopper else REDUCE_BLOCK // max(n - 1, 1)
+    for perm, chain in _chains(game, cfg, block):
         marginals = np.empty(n)
         marginals[perm] = np.diff(chain, prepend=empty_value, append=full_value)
         sums += marginals

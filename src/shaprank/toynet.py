@@ -245,7 +245,12 @@ def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
     direct call is on the per-coalition route.  The passes and their
     float32 blocks are built on the first direct call, never for a payoff
     that a warm cache serves, and the bounds on the first call that runs
-    the screened route.
+    the screened route.  A pass's hits under a mask depend only on the
+    mask's restriction to the pass's units, since its rows' active units
+    lie among them: on a direct call of several masks, each pass evaluates
+    each distinct restriction once and shares its hits among the masks
+    that have it.  A table build's coalitions are such restrictions
+    already.
 
     On the screened route the block size follows from the shape of the rows
     a pass evaluates, never from the number of masks requested: a block
@@ -564,6 +569,19 @@ def _fixed_order_logits(layers: list[Layer], y: np.ndarray) -> np.ndarray:
 
 
 def _pass_hits(net: _Suffix, p: _Pass, masks: np.ndarray) -> np.ndarray:
+    """Hits among the rows of pass ``p`` under each of ``masks``, which
+    depend only on each mask's restriction to the pass's units: each
+    distinct restriction runs once.  Restrictions that are distinct and
+    ascending already (one mask, a table build's coalitions) run as the
+    masks come."""
+    restricted = masks & np.bitwise_or.reduce(np.uint64(1) << p.cols)
+    if restricted.size > 1 and not np.all(restricted[1:] > restricted[:-1]):
+        distinct, inverse = np.unique(restricted, return_inverse=True)
+        return _run_pass(net, p, distinct)[inverse]
+    return _run_pass(net, p, masks)
+
+
+def _run_pass(net: _Suffix, p: _Pass, masks: np.ndarray) -> np.ndarray:
     """Hits among the rows of pass ``p`` under each of ``masks``, running
     ``net`` a block of coalitions at a time."""
     if not net.screened:

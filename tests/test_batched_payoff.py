@@ -596,6 +596,76 @@ def test_every_row_inactive(rows_per_pass):
     assert np.array_equal(char_fn(masks), [reference(m) for m in masks.tolist()])
 
 
+Restriction = namedtuple("Restriction", "units given evaluated")
+
+
+@pytest.fixture
+def restrictions(monkeypatch):
+    """Every hit-count pass as a ``Restriction``: the bitmask of the units
+    whose columns it reads, the masks it was given and the list of mask
+    arrays it evaluated the net on."""
+    log = []
+    pass_hits, run_pass = toynet._pass_hits, toynet._run_pass
+
+    def given(net, p, masks):
+        units = int(np.bitwise_or.reduce(np.uint64(1) << p.cols))
+        log.append(Restriction(units, masks, []))
+        return pass_hits(net, p, masks)
+
+    def evaluated(net, p, masks):
+        log[-1].evaluated.append(masks)
+        return run_pass(net, p, masks)
+
+    monkeypatch.setattr(toynet, "_pass_hits", given)
+    monkeypatch.setattr(toynet, "_run_pass", evaluated)
+    return log
+
+
+def test_each_pass_evaluates_each_distinct_restriction_once(restrictions):
+    spec, data = detector_net(np.random.default_rng(32)), _blobs(n_per_class=200)
+    char_fn = accuracy_char_fn(spec, data)
+    masks = _chains_and_random(32, seed=44, chains=4, random=60)
+    char_fn(masks[:2])
+    # masks that differ from the first 30 only outside the narrowest cover set
+    narrow = min(restrictions, key=lambda r: r.units.bit_count()).units
+    assert 0 < narrow.bit_count() < 32
+    rng = np.random.default_rng(45)
+    outside = rng.integers(0, 1 << 32, size=30, dtype=np.uint64) & np.uint64(~narrow & 0xFFFFFFFF)
+    # chains, random masks, those variants and repeated masks in one call
+    call = np.concatenate([masks, masks[:30] ^ outside, masks[::3]])
+    restrictions.clear()
+    reference = reference_char_fn(spec, data)
+    assert np.array_equal(char_fn(call), [reference(m) for m in call.tolist()])
+    assert len(restrictions) > 1
+    for r in restrictions:
+        units = np.uint64(r.units)
+        assert r.given.size == call.size and len(r.evaluated) == 1
+        assert np.array_equal(r.evaluated[0] & units, np.unique(r.given & units))
+    evaluated = {r.units: r.evaluated[0].size for r in restrictions}
+    # the variants and the repeats add no restriction to the narrow set's
+    assert evaluated[narrow] == np.unique(masks & np.uint64(narrow)).size
+    assert all(size < call.size for size in evaluated.values())
+
+
+def test_table_builds_and_one_mask_calls_take_no_sharing_step(restrictions):
+    spec, data = sparse_net(), _blobs()
+    char_fn = accuracy_char_fn(spec, data)
+    masks = np.arange(1 << 12, dtype=np.uint64)
+    reference = reference_char_fn(spec, data)
+    # one-mask calls take the direct path: the tables hold more entries
+    for mask in (0, 1234, (1 << 12) - 1):
+        assert char_fn(np.array([mask], dtype=np.uint64)).tolist() == [reference(mask)]
+    single = list(restrictions)
+    restrictions.clear()
+    assert np.array_equal(char_fn(masks), [reference(m) for m in masks.tolist()])
+    tables = list(restrictions)
+    assert single and all(r.given.size == 1 for r in single)
+    # a table build gives each group's pass every coalition of its units
+    assert tables and all(r.given.size == 1 << r.units.bit_count() for r in tables)
+    for r in single + tables:
+        assert len(r.evaluated) == 1 and r.evaluated[0] is r.given
+
+
 @pytest.mark.parametrize("elements", [1, 977, toynet._BLOCK_ELEMENTS])
 def test_payoffs_do_not_depend_on_the_block_budget(monkeypatch, elements):
     spec, data = detector_net(np.random.default_rng(32)), _blobs(n_per_class=100)
@@ -613,8 +683,9 @@ def test_payoffs_do_not_depend_on_the_block_budget(monkeypatch, elements):
 def screen_log(monkeypatch):
     """Counts of what the screened route did: ``routes`` holds whether each
     pass ran screened; ``bias_path`` and ``recomputed`` count the uncertain
-    pairs that took the bias path's prediction or a float64 one."""
-    log = {"routes": [], "bias_path": 0, "recomputed": 0}
+    pairs that took the bias path's prediction or a float64 one, and
+    ``recomputed_pairs`` lists the latter as (row, mask)."""
+    log = {"routes": [], "bias_path": 0, "recomputed": 0, "recomputed_pairs": []}
     pass_hits = toynet._pass_hits
     uncertain_hits = toynet._Suffix.uncertain_hits
 
@@ -623,9 +694,10 @@ def screen_log(monkeypatch):
         return pass_hits(net, p, masks)
 
     def recording_pairs(net, rows, masks):
-        redo = np.count_nonzero(masks & net.row_codes[rows])
-        log["recomputed"] += redo
-        log["bias_path"] += rows.size - redo
+        redo = np.flatnonzero(masks & net.row_codes[rows])
+        log["recomputed"] += redo.size
+        log["recomputed_pairs"] += zip(rows[redo].tolist(), masks[redo].tolist())
+        log["bias_path"] += rows.size - redo.size
         return uncertain_hits(net, rows, masks)
 
     monkeypatch.setattr(toynet, "_pass_hits", recording_pass)
@@ -657,7 +729,8 @@ def test_screened_logits_moved_by_half_their_bound_change_no_payoff(monkeypatch,
     data = _blobs()
     masks = _chains_and_random(12, seed=41, chains=2, random=30)
     assert_bit_identical(spec, data, masks)
-    steady = dict(screen_log)
+    first = len(screen_log["recomputed_pairs"])
+    steady = set(screen_log["recomputed_pairs"])
     assert all(screen_log["routes"])
     rng = np.random.default_rng(42)
     pass_hits, margins = toynet._pass_hits, toynet._margins
@@ -675,7 +748,7 @@ def test_screened_logits_moved_by_half_their_bound_change_no_payoff(monkeypatch,
     monkeypatch.setattr(toynet, "_margins", moved)
     assert_bit_identical(spec, data, masks)
     if nudge is not None:
-        assert screen_log["recomputed"] != 2 * steady["recomputed"]
+        assert set(screen_log["recomputed_pairs"][first:]) != steady
 
 
 @pytest.mark.parametrize("nudge, lead", [(1e-12, 0.0), (1e-7, 3.0)])

@@ -1501,6 +1501,33 @@ class TestErrors:
         assert named in err["message"]
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (["--method", "perm", "--perms", "0"], "ValueError",
+         "argument --perms: n_permutations must be >= 1, got '0'"),
+        (["--method", "kernel", "--samples", "0"], "ValueError",
+         "argument --samples: n_samples must be >= 1, got '0'"),
+        (["--method", "kernel", "--ridge", "-1"], "ValueError",
+         "argument --ridge: ridge must be finite and >= 0, got '-1.0'"),
+        (["--method", "partial", "--high-d", "0"], "InvalidBandError",
+         "argument --high-d: high_d must be >= 1, got '0'"),
+        (["--method", "partial", "--low-d", "-1"], "InvalidBandError",
+         "argument --low-d: low_d must be >= 0, got '-1'"),
+        (["--method", "perm", "--early-stop-window", "1", "--early-stop-eps", "1"], "ValueError",
+         "argument --early-stop-window: early-stop window must be >= 2, got '1'"),
+        (["--method", "perm", "--early-stop-window", "5", "--early-stop-eps", "0"], "ValueError",
+         "argument --early-stop-eps: early-stop epsilon must be > 0, got '0.0'"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["rank", "--game", "nope.json"],
+        ["prune", "--model", "nope.json", "--data", "nope.csv", "--count", "1"],
+    ])
+    def test_config_errors_name_their_flag_and_value(self, tmp_path, monkeypatch, capsys,
+                                                     command, argv, error, message):
+        monkeypatch.chdir(tmp_path)
+        rc = main([*command, *argv, "--out", "x.json"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"], err["message"]) == (2, error, 2, message)
+
     def test_samples_beyond_the_budget_exit_3(self, fig2_path, tmp_path, capsys):
         samples = "100000000000000000000"
         rc = main(["rank", "--game", str(fig2_path), "--method", "kernel",

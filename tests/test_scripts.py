@@ -51,6 +51,8 @@ def test_scale_probe_smallest_setting_is_deterministic():
         for _ in range(2)
     )
     assert [case["case"] for case in first] == ["toynet-payoff", "toynet-tables",
-                                                "toynet-per-coalition"]
+                                                "toynet-per-coalition", "perm-sampling",
+                                                "perm-rowsum-500", "perm-rowsum-2000",
+                                                "perm-rowsum-8000"]
     assert all(case["median_s"] > 0 and case["vmhwm_added_mib"] >= 0 for case in first)
     assert [case["sha256"] for case in first] == [case["sha256"] for case in second]
