@@ -11,7 +11,6 @@ from .errors import (
     InvalidBandError,
     ShapRankError,
     SingularSystemError,
-    TrainingDivergedError,
 )
 from .exact import shapley_exact_permutations, shapley_exact_subsets
 from .formats import load_game_json, load_model, save_game_json, save_model
@@ -41,7 +40,6 @@ from .toynet import (
     accuracy_char_fn,
     make_accuracy_game,
     make_blobs_dataset,
-    train_toy_model,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +66,6 @@ __all__ = [
     "SingularSystemError",
     "SizeBand",
     "TableGame",
-    "TrainingDivergedError",
     "accuracy_char_fn",
     "build_oracle_rank",
     "compute_oracle_subsets",
@@ -88,5 +85,4 @@ __all__ = [
     "shapley_partial",
     "shapley_regression",
     "shapley_sample_permutations",
-    "train_toy_model",
 ]

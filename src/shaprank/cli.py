@@ -1,6 +1,6 @@
 """Command-line front end: rank players, benchmark rankings, prune models.
 
-Subcommands: ``rank``, ``oracle``, ``prune``, ``train-toy``, ``make-fig2``.
+Subcommands: ``rank``, ``oracle``, ``prune``, ``make-fig2``.
 Reports are JSON documents written with sorted keys so identical inputs and
 seeds reproduce byte-identical files; volatile diagnostics (wall time) go to
 stderr instead.  Exit codes: 0 success, 2 usage, 3 capacity/budget,
@@ -28,11 +28,9 @@ from .errors import (
     FormatError,
     ShapRankError,
     SingularSystemError,
-    TrainingDivergedError,
 )
 from .exact import shapley_exact_permutations, shapley_exact_subsets
 from .formats import (
-    check_labels,
     check_model_data,
     load_cache,
     load_dataset_csv,
@@ -40,33 +38,18 @@ from .formats import (
     load_model,
     ranking_from_report,
     save_cache,
-    save_dataset_csv,
     save_game_json,
     save_model,
     write_json,
     write_oracle_csv,
     write_rank_csv,
 )
-from .games import (
-    ENUMERATION_BUDGET,
-    MAX_PLAYERS,
-    Game,
-    Ranking,
-    make_fig2_game,
-    mask_from_members,
-)
+from .games import MAX_PLAYERS, Game, Ranking, make_fig2_game, mask_from_members
 from .oracle import build_oracle_rank, compute_oracle_subsets, score_ranking, score_report_dict
 from .partial import SizeBand, shapley_partial
 from .regression import SAMPLERS, RegressionConfig, shapley_regression
 from .sampling import EarlyStop, SamplingConfig, shapley_sample_permutations
-from .toynet import (
-    check_hidden,
-    make_blobs_dataset,
-    split_dataset,
-    train_toy_model,
-    ModelSpec,
-    accuracy_char_fn,
-)
+from .toynet import ModelSpec, accuracy_char_fn, split_dataset
 
 
 class UsageError(ShapRankError):
@@ -95,8 +78,8 @@ def _finite_float(text: str) -> float:
 
 
 def _non_negative(text: str) -> int:
-    """argparse ``type`` of ``--epochs`` and of the seed flags that seed
-    numpy's generators, which take no negative seed."""
+    """argparse ``type`` of the seed flags that seed numpy's generators,
+    which take no negative seed."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
@@ -144,10 +127,10 @@ def _check_output_dirs(args) -> None:
     no directory to go in (``--csv`` and the default ``--summary`` go
     beside ``--out``), rather than after the estimate it would hold.  The
     handlers call it after the usage errors the command line alone shows."""
-    for flag in ("out", "summary", "cache", "write_data"):
+    for flag in ("out", "summary", "cache"):
         path = getattr(args, flag, None)
         if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"--{flag.replace('_', '-')} {path}: "
+            raise FileNotFoundError(f"--{flag} {path}: "
                                     f"directory {Path(path).parent} does not exist")
 
 
@@ -435,58 +418,6 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def cmd_train_toy(args) -> int:
-    try:
-        hidden = [int(h) for h in args.hidden.split(",") if h]
-    except ValueError as exc:
-        raise UsageError(f"--hidden expects comma-separated integers, got {args.hidden!r}") from exc
-    hidden = check_hidden(hidden)
-    _check_output_dirs(args)
-    if args.data:
-        inputs: dict = {}
-        data = load_dataset_csv(args.data, inputs)
-        # the trainer makes a class of each label up to the largest
-        classes = int(data.labels.max()) + 1
-        check_labels(data, classes, args.data)
-        # and holds rows x classes one-hot targets, and classes x (width
-        # feeding the head) head weights and their gradient
-        head_inputs = hidden[-1] if hidden else data.inputs.shape[1]
-        if classes * max(data.size, head_inputs) > ENUMERATION_BUDGET:
-            row = int(data.labels.argmax())
-            raise BudgetError(f"{args.data}:{row + 2}: label {data.labels[row]} asks for {classes} "
-                              f"classes; {classes} classes x max({data.size} rows, {head_inputs} "
-                              f"head inputs) are over the {ENUMERATION_BUDGET} budget")
-    else:
-        data = make_blobs_dataset(seed=args.data_seed)
-        inputs = {"data": f"blobs(seed={args.data_seed})"}
-    fractions = _parse_fractions(args.split)
-    parts = split_dataset(data, fractions, seed=args.split_seed)
-    train_part = parts["train"]
-    if train_part is None:
-        raise UsageError(f"--split {args.split} leaves the training part empty")
-    started = time.perf_counter()
-    spec = train_toy_model(
-        hidden, train_part, epochs=args.epochs, lr=args.lr, seed=args.seed
-    )
-    elapsed = time.perf_counter() - started
-    save_model(spec, args.out)
-    if args.write_data:
-        save_dataset_csv(data, args.write_data)
-    grand = np.array([(1 << spec.n_players) - 1], dtype=np.uint64)
-    train_acc = float(accuracy_char_fn(spec, train_part)(grand)[0])
-    _stderr_note(
-        {
-            "command": "train-toy",
-            "out": str(args.out),
-            "train_accuracy": train_acc,
-            "split": args.split,
-            "inputs": inputs,
-            "wall_time_s": elapsed,
-        }
-    )
-    return 0
-
-
 def cmd_make_fig2(args) -> int:
     _check_output_dirs(args)
     save_game_json(make_fig2_game(), args.out)
@@ -570,19 +501,6 @@ def build_parser() -> _Parser:
     p_prune.add_argument("--summary", default=None)
     p_prune.set_defaults(handler=cmd_prune)
 
-    p_train = sub.add_parser("train-toy", help="train a small dense fixture model")
-    p_train.add_argument("--out", required=True)
-    p_train.add_argument("--data", help="CSV dataset; omit for bundled blobs")
-    p_train.add_argument("--data-seed", type=_non_negative, default=0)
-    p_train.add_argument("--hidden", default="16")
-    p_train.add_argument("--epochs", type=_non_negative, default=200)
-    p_train.add_argument("--lr", type=_finite_float, default=0.1)
-    p_train.add_argument("--seed", type=_non_negative, default=0)
-    p_train.add_argument("--split", default="1:0:0")
-    p_train.add_argument("--split-seed", type=_non_negative, default=0)
-    p_train.add_argument("--write-data", default=None)
-    p_train.set_defaults(handler=cmd_train_toy)
-
     p_fig2 = sub.add_parser("make-fig2", help="write the bundled 3-player demo game")
     p_fig2.add_argument("--out", required=True)
     p_fig2.set_defaults(handler=cmd_make_fig2)
@@ -598,7 +516,6 @@ _EXIT_CODES: list[tuple[type, int]] = [
     (CapacityError, 3),
     (BudgetError, 3),
     (SingularSystemError, 4),
-    (TrainingDivergedError, 4),
     (CharacteristicFunctionError, 4),
     (FormatError, 5),
     (OSError, 5),

@@ -41,13 +41,5 @@ class SingularSystemError(ShapRankError):
         self.condition = condition
 
 
-class TrainingDivergedError(ShapRankError):
-    """Training produced a non-finite loss; carries the epoch it happened in."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
-
-
 class FormatError(ShapRankError):
     """A file does not match its declared schema (game spec, model, cache)."""

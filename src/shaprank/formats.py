@@ -292,10 +292,11 @@ def load_cache(path, source: str, n_players: int) -> tuple[np.ndarray, np.ndarra
         header = json.loads(head[0])
         if header["format"] != CACHE_FORMAT or "source" not in header:
             raise ValueError("not a cache header")
-    if header["source"] != source or header.get("n_players") != n_players:
+    players = header.get("n_players")
+    if header["source"] != source or type(players) not in JSON_INTEGER or players != n_players:
         raise FormatError(
             f"{path}: cache was built for a different game "
-            f"(source {header['source']!r}, {header.get('n_players')} players)"
+            f"(source {header['source']!r}, {players} players)"
         )
     # rows after a header that ends at the first "\n", each one line as
     # save_cache writes it up to spaces and tabs, are parsed in bulk
@@ -571,25 +572,15 @@ def _without_units(spec: ModelSpec, index, removed) -> ModelSpec:
     return dataclasses.replace(spec, layers=layers)
 
 
-def save_dataset_csv(data: LabeledDataset, path) -> None:
-    """Rows are ``x0,...,xD-1,label``; image inputs are flattened."""
-    flat = data.inputs.reshape(data.size, -1)
-    header = ",".join(f"x{i}" for i in range(flat.shape[1])) + ",label"
-    lines = [header]
-    for row, label in zip(flat, data.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    write_lines(path, lines)
-
-
 def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
-    """Read a dataset written by :func:`save_dataset_csv`: the header on line
-    1, then one row per line; blank lines may follow the last row.  With
+    """Read a dataset CSV: the header ``x0,...,xD-1,label`` on line 1, then
+    one row per line; blank lines may follow the last row.  With
     ``hashes``, ``hashes["data"]`` is the sha256 of the bytes read."""
     lines = read_text(path, hashes, "data").rstrip().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
-    # at least one feature: the trainer scales its first weights by the width
+    # at least one feature column before the label
     if len(header) < 2 or header[-1] != "label" or not all(c.startswith("x") for c in header[:-1]):
         raise FormatError(f"{path}: expected header 'x0,...,label'")
     if len(lines) == 1:
@@ -622,18 +613,6 @@ def load_dataset_csv(path, hashes: Optional[dict] = None) -> LabeledDataset:
     return LabeledDataset(inputs=np.array(inputs), labels=np.array(labels))
 
 
-def check_labels(data: LabeledDataset, n_classes: int, path) -> None:
-    """Refuse a label of ``data``, read from ``path``, outside ``[0,
-    n_classes)``, naming its line."""
-    outside = np.flatnonzero((data.labels < 0) | (data.labels >= n_classes))
-    if outside.size:
-        row = int(outside[0])
-        raise FormatError(
-            f"{path}:{row + 2}: label {data.labels[row]} outside the "
-            f"model's {n_classes} classes"
-        )
-
-
 def check_model_data(spec: ModelSpec, data: LabeledDataset, path) -> None:
     """Refuse ``data``, read from ``path``, as the input of ``spec``: its
     features must be the first layer's inputs, and its labels classes of
@@ -643,4 +622,9 @@ def check_model_data(spec: ModelSpec, data: LabeledDataset, path) -> None:
         wants = first.in_units if first.kind == "dense" else f"{first.in_units}-channel images"
         raise FormatError(f"{path}: {data.inputs.shape[1]} features, "
                           f"the model's first layer expects {wants}")
-    check_labels(data, spec.layers[-1].out_units, path)
+    n_classes = spec.layers[-1].out_units
+    outside = np.flatnonzero((data.labels < 0) | (data.labels >= n_classes))
+    if outside.size:
+        row = int(outside[0])
+        raise FormatError(f"{path}:{row + 2}: label {data.labels[row]} outside the "
+                          f"model's {n_classes} classes")

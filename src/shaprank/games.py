@@ -23,7 +23,7 @@ from .errors import CharacteristicFunctionError
 MAX_PLAYERS = 64
 # the most items one enumeration or draw may hold: the coalitions of a band, an
 # oracle size, the rank's prefixes or the exhaustive kernel, sampled kernel rows,
-# permutation marginals, toy-model training cells (exact.py caps N instead)
+# permutation marginals (exact.py caps N instead)
 ENUMERATION_BUDGET = 10**7
 
 

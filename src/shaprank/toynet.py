@@ -7,21 +7,19 @@ non-member zeroed out.  A masked unit contributes exactly zero downstream,
 including through any supplied normalization statistics, because the zeroing
 happens on the layer's final output.
 
-Also included: a deliberately small trainer (hand-written gradients, plain
-full-batch gradient descent) so the repository can generate its own model
-fixtures, and a balanced synthetic blob dataset.  The files of models and
-datasets are read and written by :mod:`shaprank.formats`.
+Also included: a balanced synthetic blob dataset and a seeded split of a
+dataset into parts.  The files of models and datasets are read and written
+by :mod:`shaprank.formats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import TrainingDivergedError
 from .games import Game
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
@@ -658,7 +656,7 @@ def make_accuracy_game(spec: ModelSpec, data: LabeledDataset) -> Game:
 
 
 # ---------------------------------------------------------------------------
-# Training and fixtures
+# Datasets
 # ---------------------------------------------------------------------------
 
 
@@ -678,87 +676,6 @@ def make_blobs_dataset(
     )
     labels = np.repeat(np.arange(n_classes), n_per_class)
     return LabeledDataset(inputs=inputs, labels=labels)
-
-
-def check_hidden(hidden: Sequence[int]) -> tuple[int, ...]:
-    """The trainer's hidden widths: at most two layers of 1 to 32 units."""
-    hidden = tuple(int(h) for h in hidden)
-    if len(hidden) > 2:
-        raise ValueError("at most 2 hidden layers (3 layers total)")
-    if any(h < 1 or h > 32 for h in hidden):
-        raise ValueError("hidden layer widths must be in [1, 32]")
-    return hidden
-
-
-def train_toy_model(
-    hidden: Sequence[int],
-    data: LabeledDataset,
-    epochs: int = 200,
-    lr: float = 0.1,
-    seed: int = 0,
-) -> ModelSpec:
-    """Train a small dense classifier with full-batch gradient descent.
-
-    At most two hidden layers of at most 32 units each (three layers total
-    counting the head).  Gradients are hand written; softmax cross-entropy
-    loss.  Raises :class:`TrainingDivergedError` if the loss goes non-finite.
-    """
-    hidden = check_hidden(hidden)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    x = np.asarray(data.inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("trainer expects flat feature vectors")
-    y = data.labels
-    classes = int(y.max()) + 1
-    m = x.shape[0]
-
-    rng = np.random.default_rng(seed)
-    dims = [x.shape[1], *hidden, classes]
-    weights = [
-        rng.standard_normal((dims[i + 1], dims[i])) * np.sqrt(2.0 / dims[i])
-        for i in range(len(dims) - 1)
-    ]
-    biases = [np.zeros(d) for d in dims[1:]]
-    onehot = np.zeros((m, classes))
-    onehot[np.arange(m), y] = 1.0
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(epochs):
-            # forward
-            activations = [x]
-            pre = []
-            for li, (w, b) in enumerate(zip(weights, biases)):
-                z = activations[-1] @ w.T + b
-                pre.append(z)
-                activations.append(np.maximum(z, 0.0) if li < len(weights) - 1 else z)
-            logits = activations[-1]
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            loss = -np.mean(np.log(probs[np.arange(m), y] + 1e-300))
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", epoch=epoch
-                )
-            # backward
-            delta = (probs - onehot) / m
-            for li in range(len(weights) - 1, -1, -1):
-                grad_w = delta.T @ activations[li]
-                grad_b = delta.sum(axis=0)
-                if li > 0:
-                    delta = (delta @ weights[li]) * (pre[li - 1] > 0)
-                weights[li] = weights[li] - lr * grad_w
-                biases[li] = biases[li] - lr * grad_b
-
-    layers = [
-        Layer(kind="dense", weights=w, bias=b, activation="relu")
-        for w, b in zip(weights[:-1], biases[:-1])
-    ]
-    layers.append(
-        Layer(kind="dense", weights=weights[-1], bias=biases[-1], activation="softmax-logits")
-    )
-    return ModelSpec(layers=layers, prunable_layer=0)
 
 
 def split_dataset(

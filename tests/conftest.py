@@ -22,6 +22,67 @@ def random_table_game(n_players: int, seed: int, noise: float = 10.0) -> TableGa
     return TableGame(base + rng.uniform(-noise, noise, size=1 << n_players))
 
 
+def train_toy_model(hidden, data, epochs: int = 200, lr: float = 0.1, seed: int = 0):
+    """A dense classifier for the tests' model fixtures: ReLU hidden layers
+    of the widths ``hidden`` and a softmax-logits head of one class per
+    label up to the largest, trained on ``data`` by full-batch gradient
+    descent on the softmax cross-entropy, with hand-written gradients."""
+    from shaprank.toynet import Layer, ModelSpec
+
+    x = np.asarray(data.inputs, dtype=np.float64)
+    y = data.labels
+    classes = int(y.max()) + 1
+    m = x.shape[0]
+
+    rng = np.random.default_rng(seed)
+    dims = [x.shape[1], *hidden, classes]
+    weights = [
+        rng.standard_normal((dims[i + 1], dims[i])) * np.sqrt(2.0 / dims[i])
+        for i in range(len(dims) - 1)
+    ]
+    biases = [np.zeros(d) for d in dims[1:]]
+    onehot = np.zeros((m, classes))
+    onehot[np.arange(m), y] = 1.0
+
+    for _ in range(epochs):
+        # forward
+        activations = [x]
+        pre = []
+        for li, (w, b) in enumerate(zip(weights, biases)):
+            z = activations[-1] @ w.T + b
+            pre.append(z)
+            activations.append(np.maximum(z, 0.0) if li < len(weights) - 1 else z)
+        logits = activations[-1]
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        # backward
+        delta = (probs - onehot) / m
+        for li in range(len(weights) - 1, -1, -1):
+            grad_w = delta.T @ activations[li]
+            grad_b = delta.sum(axis=0)
+            if li > 0:
+                delta = (delta @ weights[li]) * (pre[li - 1] > 0)
+            weights[li] = weights[li] - lr * grad_w
+            biases[li] = biases[li] - lr * grad_b
+
+    layers = [Layer("dense", w, b, "relu") for w, b in zip(weights[:-1], biases[:-1])]
+    layers.append(Layer("dense", weights[-1], biases[-1], "softmax-logits"))
+    return ModelSpec(layers=layers, prunable_layer=0)
+
+
+def save_dataset_csv(data, path) -> None:
+    """Write ``data`` as a dataset CSV: rows ``x0,...,xD-1,label``, image
+    inputs flattened, every float written so that it reads back exactly."""
+    from shaprank.formats import write_lines
+
+    flat = data.inputs.reshape(data.size, -1)
+    header = ",".join(f"x{i}" for i in range(flat.shape[1])) + ",label"
+    lines = [header]
+    for row, label in zip(flat, data.labels):
+        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
+    write_lines(path, lines)
+
+
 def additive_table_game(weights) -> TableGame:
     weights = np.asarray(weights, dtype=np.float64)
     n = weights.size

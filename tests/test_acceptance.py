@@ -28,15 +28,17 @@ from shaprank.oracle import (
 )
 from shaprank.partial import SizeBand, leave_one_out, shapley_partial
 from shaprank.regression import RegressionConfig, shapley_regression
-from shaprank.formats import save_dataset_csv
+from shaprank.formats import save_model
 from shaprank.sampling import SamplingConfig, shapley_sample_permutations
-from shaprank.toynet import (
-    make_accuracy_game,
-    make_blobs_dataset,
+from shaprank.toynet import make_accuracy_game, make_blobs_dataset, split_dataset
+
+from conftest import (
+    build_redundancy_game,
+    greedy_oracle_rank,
+    random_table_game,
+    save_dataset_csv,
     train_toy_model,
 )
-
-from conftest import build_redundancy_game, greedy_oracle_rank, random_table_game
 
 
 @contextmanager
@@ -313,8 +315,6 @@ def test_criterion_7_prune_contrast_on_frozen_fixture(tmp_path):
         data_path = tmp_path / "blobs.csv"
         save_dataset_csv(data, data_path)
         spec = train_toy_model([8], data, epochs=150, lr=0.1, seed=0)
-        from shaprank.formats import save_model
-
         model_path = tmp_path / "toy.json"
         save_model(spec, model_path)
 
@@ -353,24 +353,13 @@ def test_criterion_8_cli_determinism(tmp_path):
         inputs.mkdir()
         fig2_path = inputs / "fig2.json"
         assert cli_main(["make-fig2", "--out", str(fig2_path)]) == 0
+        data = make_blobs_dataset(seed=0)
         data_path = inputs / "blobs.csv"
-        save_dataset_csv(make_blobs_dataset(seed=0), data_path)
-        model_path = inputs / "toy.json"
-        rc = cli_main(
-            [
-                "train-toy", "--out", str(model_path), "--data", str(data_path),
-                "--hidden", "8", "--epochs", "120", "--seed", "0",
-            ]
-        )
-        assert rc == 0
-        deep_model_path = inputs / "toy-deep.json"
-        rc = cli_main(
-            [
-                "train-toy", "--out", str(deep_model_path), "--data", str(data_path),
-                "--hidden", "8,6", "--epochs", "120", "--seed", "0",
-            ]
-        )
-        assert rc == 0
+        save_dataset_csv(data, data_path)
+        train_rows = split_dataset(data, (1, 0, 0), seed=0)["train"]
+        model_path, deep_model_path = inputs / "toy.json", inputs / "toy-deep.json"
+        save_model(train_toy_model([8], train_rows, epochs=120, seed=0), model_path)
+        save_model(train_toy_model([8, 6], train_rows, epochs=120, seed=0), deep_model_path)
 
         commands = {
             "make-fig2": lambda d, w: ["make-fig2", "--out", str(d / "out.json")],
@@ -418,11 +407,6 @@ def test_criterion_8_cli_determinism(tmp_path):
                 "--method", "exact", "--count", "3", "--cache", str(d / "cache.jsonl"),
                 "--workers", w, "--out", str(d / "out.json"),
                 "--summary", str(d / "out.summary.json"),
-            ],
-            "train-toy": lambda d, w: [
-                "train-toy", "--out", str(d / "out.json"),
-                "--data", str(data_path), "--hidden", "6", "--epochs", "40",
-                "--seed", "5",
             ],
         }
         for name, argv in commands.items():

@@ -6,7 +6,7 @@ read when numpy loads, so each side runs in a fresh process: one with
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` at 1, one at 2.  Both write
 the ``rank`` reports of ``exact``, ``partial``, exhaustive and sampled
 ``kernel`` on a 16-player table and of ``exact``, exhaustive and sampled
-``kernel`` on an 8-unit toy net (whose payoffs go through BLAS matrix
+``kernel`` on the 8-unit golden net (whose payoffs go through BLAS matrix
 products; the sampled kernel's membership moments do too), of sampled
 ``kernel`` on the 32-unit detector net of ``scripts/scale_probe.py`` (whose
 several-mask calls run one pass per cover set of rows), and the values of
@@ -18,6 +18,7 @@ tests/test_blas_threads.py INPUTS OUT``.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ import pytest
 
 import shaprank
 from shaprank import cli
-from shaprank.formats import save_dataset_csv, save_game_json, save_model
+from shaprank.formats import save_game_json, save_model
 from shaprank.toynet import make_blobs_dataset
 
 SRC = Path(shaprank.__file__).resolve().parents[1]
@@ -75,15 +76,14 @@ def write_reports(inputs: Path, out: Path) -> None:
 def test_reports_are_the_same_at_one_and_two_blas_threads(tmp_path):
     import numpy as np
 
-    from conftest import random_table_game
+    from conftest import random_table_game, save_dataset_csv
     from scale_probe import detector_net
 
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     save_game_json(random_table_game(16, seed=16), inputs / TABLE)
-    assert cli.main(["train-toy", "--out", str(inputs / "net.json"), "--hidden", "8",
-                     "--epochs", "60", "--seed", "5", "--data-seed", "5",
-                     "--write-data", str(inputs / "net-data.csv")]) == 0
+    for name in ("net.json", "net-data.csv"):
+        shutil.copyfile(Path(__file__).resolve().parent / "golden" / name, inputs / name)
     save_model(detector_net(np.random.default_rng(1)), inputs / "detector.json")
     save_dataset_csv(make_blobs_dataset(seed=1, n_per_class=700, n_classes=4, spread=1.2),
                      inputs / "detector-data.csv")

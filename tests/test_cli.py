@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from shaprank.formats import (
     load_dataset_csv,
     load_game_json,
     load_model,
-    save_dataset_csv,
     save_game_json,
     save_model,
 )
@@ -34,7 +34,7 @@ from shaprank.toynet import (
     split_dataset,
 )
 
-from conftest import MALFORMED_GAME_SPECS, random_table_game
+from conftest import MALFORMED_GAME_SPECS, random_table_game, save_dataset_csv, train_toy_model
 
 
 def _benchmark_estimators() -> tuple[str, ...]:
@@ -70,23 +70,15 @@ def fig2_path(tmp_path):
 
 @pytest.fixture(scope="module")
 def toy_files(tmp_path_factory):
-    """A trained toy model and its dataset, built through the CLI."""
+    """A trained toy model and its dataset: the model is trained on the
+    dataset's rows in the order of a seed-0 shuffle."""
     root = tmp_path_factory.mktemp("toy")
+    data = make_blobs_dataset(seed=0)
     data_path = root / "blobs.csv"
-    save_dataset_csv(make_blobs_dataset(seed=0), data_path)
+    save_dataset_csv(data, data_path)
     model_path = root / "toy.json"
-    rc = main(
-        [
-            "train-toy",
-            "--out", str(model_path),
-            "--data", str(data_path),
-            "--hidden", "8",
-            "--epochs", "150",
-            "--lr", "0.1",
-            "--seed", "0",
-        ]
-    )
-    assert rc == 0
+    train_rows = split_dataset(data, (1, 0, 0), seed=0)["train"]
+    save_model(train_toy_model([8], train_rows, epochs=150, seed=0), model_path)
     return model_path, data_path
 
 
@@ -341,8 +333,8 @@ class TestOracle:
         model = tmp_path / "wide.json"
         # on this briefly trained net the greedy order scores 0.6 in remove
         # mode, below leave-one-out's 0.75; the best order scores 1.0
-        assert main(["train-toy", "--out", str(model), "--data", str(data_path),
-                     "--hidden", "22", "--epochs", "3", "--seed", "11"]) == 0
+        train_rows = split_dataset(load_dataset_csv(data_path), (1, 0, 0), seed=0)["train"]
+        save_model(train_toy_model([22], train_rows, epochs=3, seed=11), model)
         source = ["--model", str(model), "--data", str(data_path)]
         ranks = []
         for method in (["partial"], ["perm", "--perms", "100"], ["kernel", "--samples", "1000"]):
@@ -495,16 +487,6 @@ class TestPrune:
         assert np.array_equal(pruned.weights[kept], load_model(model_path).layers[0].weights[kept])
 
     def test_pruning_a_dead_unit_keeps_the_payoff(self, tmp_path):
-        import numpy as np
-
-        from shaprank.formats import save_model
-        from shaprank.toynet import (
-            Layer,
-            ModelSpec,
-            make_blobs_dataset,
-            train_toy_model,
-        )
-
         data = make_blobs_dataset(seed=2)
         data_path = tmp_path / "data.csv"
         save_dataset_csv(data, data_path)
@@ -618,27 +600,22 @@ class TestCache:
         assert second["evals_used"] == 0
         assert second["cache_hits"] > 0
 
-    def test_corrupted_header_is_refused(self, fig2_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value", [("source", "sha256:deadbeef"), ("n_players", True), ("n_players", 1.0)])
+    def test_corrupted_header_is_refused(self, tmp_path, capsys, key, value):
+        # a one-player game, whose player count true and 1.0 compare equal to
+        game = tmp_path / "one.json"
+        game.write_text('{"n_players": 1, "values": {"0": 1.0, "1": 2.0}}')
         cache = tmp_path / "cache.jsonl"
-        main(
-            [
-                "rank", "--game", str(fig2_path), "--method", "exact",
-                "--cache", str(cache), "--out", str(tmp_path / "a.json"),
-            ]
-        )
+        exact = ["rank", "--game", str(game), "--method", "exact", "--cache", str(cache)]
+        assert main(exact + ["--out", str(tmp_path / "a.json")]) == 0
         body = cache.read_text().splitlines()
         header = json.loads(body[0])
-        header["source"] = "sha256:deadbeef"
+        header[key] = value
         cache.write_text("\n".join([json.dumps(header)] + body[1:]) + "\n")
-        rc = main(
-            [
-                "rank", "--game", str(fig2_path), "--method", "exact",
-                "--cache", str(cache), "--out", str(tmp_path / "b.json"),
-            ]
-        )
-        assert rc == 5
+        assert main(exact + ["--out", str(tmp_path / "b.json")]) == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert "different game" in err["message"]
+        assert err["message"].startswith(f"{cache}: cache was built for a different game")
 
     def test_cache_round_trip_preserves_values(self, fig2_path, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -836,8 +813,6 @@ class TestErrors:
               "--count", "1", "--out", "{gone}"], "--out"),
             (["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
               "--count", "1", "--out", "{ok}", "--summary", "{gone}"], "--summary"),
-            (["train-toy", "--data", "{missing}", "--out", "{gone}"], "--out"),
-            (["train-toy", "--out", "{ok}", "--write-data", "{gone}"], "--write-data"),
         ],
     )
     def test_output_in_a_missing_directory_fails_before_any_input_is_read(
@@ -862,7 +837,6 @@ class TestErrors:
             ["rank", "--game", "{missing}", "--data", "{missing}", "--method", "exact",
              "--out", "{gone}"],
             ["rank", "--model", "{missing}", "--method", "exact", "--out", "{gone}"],
-            ["train-toy", "--hidden", "4,x", "--out", "{gone}"],
         ],
     )
     def test_a_usage_error_comes_before_a_missing_output_directory(
@@ -1068,17 +1042,14 @@ class TestErrors:
         assert (err["error"], err["message"]) == (
             "CapacityError", f"{model_path}: layer 1 has 65 units, over the 64-player limit")
 
-    @pytest.mark.parametrize("command", ["train-toy", "rank"])
     def test_a_dataset_without_a_feature_column_is_a_format_error(
-        self, toy_files, tmp_path, capsys, command
+        self, toy_files, tmp_path, capsys
     ):
         model_path, _ = toy_files
         data_path, out = tmp_path / "d.csv", tmp_path / "out.json"
         data_path.write_text("label\n0\n1\n2\n0\n")
-        argv = ["--data", str(data_path), "--out", str(out)]
-        if command == "rank":
-            argv += ["--model", str(model_path), "--method", "exact"]
-        rc = main([command, *argv])
+        rc = main(["rank", "--data", str(data_path), "--out", str(out),
+                   "--model", str(model_path), "--method", "exact"])
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == (
@@ -1130,13 +1101,6 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["exit_code"]) == ("UsageError", 2)
         assert "unrecognized arguments: --rank-strategy greedy" in err["message"]
-
-    def test_diverged_training_exits_4(self, tmp_path, capsys):
-        rc = main(["train-toy", "--out", str(tmp_path / "m.json"), "--hidden", "8",
-                   "--epochs", "50", "--lr", "1e9"])
-        assert rc == 4
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["exit_code"]) == ("TrainingDivergedError", 4)
 
     def test_empty_size_band_exits_2(self, fig2_path, tmp_path, capsys):
         rc = main(["rank", "--game", str(fig2_path), "--method", "partial",
@@ -1394,18 +1358,14 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flag, value, command",
         [("--ridge", "nan", "kernel"), ("--ridge", "inf", "kernel"), ("--ridge", "x", "kernel"),
-         ("--early-stop-eps", "nan", "perm"), ("--early-stop-eps", "inf", "perm"),
-         ("--lr", "nan", "train-toy"), ("--lr", "inf", "train-toy"),
-         ("--hidden", "x", "train-toy"), ("--hidden", "8,x", "train-toy")],
+         ("--early-stop-eps", "nan", "perm"), ("--early-stop-eps", "inf", "perm")],
     )
     def test_bad_numeric_flags_are_usage_errors_naming_the_flag(
         self, fig2_path, tmp_path, capsys, flag, value, command
     ):
-        argv = [flag, value, "--out", str(tmp_path / "r.json")]
-        if command != "train-toy":
-            argv = ["--game", str(fig2_path), "--method", command, "--sampler",
-                    "size-stratified", "--samples", "3", "--seed", "4", *argv]
-        argv = ["train-toy" if command == "train-toy" else "rank", *argv]
+        argv = ["rank", "--game", str(fig2_path), "--method", command, "--sampler",
+                "size-stratified", "--samples", "3", "--seed", "4",
+                flag, value, "--out", str(tmp_path / "r.json")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(argv)
@@ -1417,7 +1377,6 @@ class TestErrors:
     @pytest.mark.parametrize(
         "command, flag",
         [("rank", "--split-seed"), ("oracle", "--split-seed"), ("prune", "--split-seed"),
-         ("train-toy", "--split-seed"), ("train-toy", "--data-seed"), ("train-toy", "--seed"),
          ("rank", "--seed"), ("prune", "--seed")],
     )
     def test_a_negative_seed_is_a_usage_error_naming_the_flag(
@@ -1433,14 +1392,10 @@ class TestErrors:
             "oracle": ["--mode", "remove", "--k-range", "1:2"],
             "prune": ["--method", "exact", "--count", "2"],
         }
-        if flag == "--seed" and command != "train-toy":
+        if flag == "--seed":
             required[command][1:2] = ["kernel", "--samples", "50"]
-        if command == "train-toy":
-            argv = ["train-toy", "--hidden", "4", "--epochs", "5"]
-        else:
-            argv = [command, "--model", str(model_path), "--data", str(data_path),
-                    *required[command]]
-        rc = main([*argv, flag, "-1", "--out", str(out)])
+        rc = main([command, "--model", str(model_path), "--data", str(data_path),
+                   *required[command], flag, "-1", "--out", str(out)])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
         assert flag in err["message"] and "'-1'" in err["message"]
@@ -1490,6 +1445,8 @@ class TestErrors:
           "--early-stop-eps", "0"], "ValueError", "early-stop epsilon must be > 0"),
         (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "kernel",
           "--samples", "0", "--count", "1"], "ValueError", "n_samples must be >= 1"),
+        # shaprank trains no model
+        (["train-toy", "--data", "nope.csv"], "UsageError", "invalid choice: 'train-toy'"),
     ])
     def test_usage_errors_come_before_any_input_is_read(self, tmp_path, monkeypatch, capsys,
                                                          argv, error, named):
@@ -1743,92 +1700,17 @@ class TestEntryPoint:
         assert out.exists()
 
 
-class TestTrainToy:
-    def test_bundled_blobs_path(self, tmp_path):
-        model_path = tmp_path / "model.json"
-        data_out = tmp_path / "blobs.csv"
-        rc = main(
-            [
-                "train-toy", "--out", str(model_path),
-                "--hidden", "8", "--epochs", "60", "--seed", "0",
-                "--write-data", str(data_out),
-            ]
-        )
-        assert rc == 0
-        assert load_model(model_path).n_players == 8
-        assert data_out.exists()
-
-    def test_model_file_is_deterministic(self, tmp_path):
-        args = ["train-toy", "--hidden", "6", "--epochs", "40", "--seed", "3"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_negative_epochs_are_a_usage_error(self, tmp_path, capsys):
-        # range(-5) is empty: the model would be written untrained
-        out = tmp_path / "model.json"
-        rc = main(["train-toy", "--out", str(out), "--hidden", "4", "--epochs", "-5"])
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
-        assert "--epochs" in err["message"] and "'-5'" in err["message"]
-        assert not out.exists()
-        assert main(["train-toy", "--out", str(out), "--hidden", "4", "--epochs", "0"]) == 0
-
-    def test_a_negative_label_is_a_format_error(self, tmp_path, capsys):
-        # numpy's negative indexing would train label -1 as the last class
-        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
-        save_dataset_csv(make_blobs_dataset(seed=0), data_path)
-        lines = data_path.read_text().splitlines()
-        x0, x1, _ = lines[3].split(",")
-        lines[3] = f"{x0},{x1},-1"
-        data_path.write_text("\n".join(lines) + "\n")
-        rc = main(["train-toy", "--data", str(data_path), "--out", str(out),
-                   "--hidden", "4", "--epochs", "5"])
-        assert rc == 5
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["message"]) == (
-            "FormatError", f"{data_path}:4: label -1 outside the model's 3 classes")
-        assert not out.exists()
-
-    def test_a_label_that_makes_too_many_classes_is_a_budget_error(self, tmp_path, capsys):
-        # the trainer's one-hot targets would be 4 x (10^9 + 1) floats
-        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
-        data_path.write_text("x0,x1,label\n0.5,1.0,0\n1.5,-1.0,1\n0.0,2.0,2\n1.0,1.0,1000000000\n")
-        rc = main(["train-toy", "--data", str(data_path), "--out", str(out)])
-        assert rc == 3
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "BudgetError"
-        assert err["message"].startswith(f"{data_path}:5: label 1000000000 ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("hidden, head_inputs", [("32", 32), ("", 2)])
-    def test_a_label_that_makes_the_head_too_large_is_a_budget_error(
-        self, tmp_path, capsys, hidden, head_inputs
-    ):
-        # one row's 10^7 one-hot targets fit the budget, but the head would
-        # hold (10^7, width feeding it) weights and as large a gradient: the
-        # last hidden width, or the 2 features without a hidden layer
-        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
-        data_path.write_text("x0,x1,label\n0.5,1.0,9999999\n")
-        rc = main(["train-toy", "--data", str(data_path), "--out", str(out), "--hidden", hidden])
-        assert rc == 3
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "BudgetError"
-        assert err["message"].startswith(f"{data_path}:2: label 9999999 ")
-        assert f"{head_inputs} head inputs" in err["message"]
-        assert not out.exists()
-
-    def test_a_hidden_width_over_the_trainers_limit_is_refused_before_the_budget(
-        self, tmp_path, capsys
-    ):
-        # 100 classes x 200 000 head inputs would be over the budget, but the
-        # width is not one the trainer takes
-        data_path, out = tmp_path / "data.csv", tmp_path / "model.json"
-        data_path.write_text("x0,x1,label\n0.5,1.0,0\n1.5,-1.0,99\n")
-        rc = main(["train-toy", "--data", str(data_path), "--out", str(out),
-                   "--hidden", "200000"])
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (rc, err["error"], err["message"]) == (
-            2, "ValueError", "hidden layer widths must be in [1, 32]")
-        assert not out.exists()
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # README's commands, run where tests/golden/ lies at the same relative
+    # path as in the repository, must each exit 0
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("shaprank ")]
+    assert len(commands) == 7
+    shutil.copytree(os.path.join(root, "tests", "golden"), tmp_path / "tests" / "golden")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

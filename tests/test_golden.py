@@ -1,30 +1,37 @@
-"""Golden reports: every committed file under ``tests/golden/`` must come out
-of ``cli.main`` byte for byte.
+"""Golden reports: every committed report under ``tests/golden/`` must come
+out of ``cli.main`` byte for byte.
 
-The files cover every ``rank`` method and ``oracle`` on ``make-fig2`` and on
-a seeded 10-player table, and ``exact``, exhaustive ``kernel``, ``oracle``
-and ``prune`` on a small seeded ``train-toy`` net.  Table payoffs are read
-from the file, but the toy net is trained here and its payoffs go through
-BLAS matrix products, so the toy-net files (``net*``) pin the environment
-they were made in: Python 3.11, numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64.
-``tests/test_blas_threads.py`` checks that reports do not depend on the BLAS
-thread count.
+The reports cover every ``rank`` method and ``oracle`` on ``make-fig2`` and
+on a seeded 10-player table, and ``exact``, exhaustive ``kernel``,
+``oracle`` and ``prune`` on a small 2-8-3 net.  The net and its dataset,
+``net.json`` and ``net-data.csv``, are committed inputs: they are read, not
+generated.  Only the kernel reports (``fig2-kernel``, ``table10-kernel``,
+``net-kernel``, and ``net-oracle``, which scores ``net-kernel``'s order)
+still pin the environment they were made in: Python 3.11, numpy 2.4.6 with
+OpenBLAS 0.3.31 on x86-64.  Every other report is checked under three
+other OpenBLAS core types, each in a process of its own;
+``tests/test_blas_threads.py`` checks that reports do not depend on the
+BLAS thread count.
 
-Regenerating the files is a deliberate step, with a note in CHANGES.md
+Regenerating the reports is a deliberate step, with a note in CHANGES.md
 saying which bytes moved and why::
 
     PYTHONPATH=src python tests/test_golden.py
 
-It generates every file into a temporary directory and prints each file's
-name as ``unchanged``, ``changed``, ``new`` or ``removed`` before replacing
-the directory's contents.
+It generates every report into a temporary directory and prints each
+file's name as ``unchanged``, ``changed``, ``new`` or ``removed`` before
+replacing the reports in the directory; the inputs stay.  ``python
+tests/test_golden.py OUT`` only generates the reports into ``OUT``.
 """
 
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shaprank import cli
@@ -32,6 +39,12 @@ from shaprank.formats import save_game_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TABLE_SEED = 10
+# the committed inputs of the net reports
+INPUTS = ("net-data.csv", "net.json")
+# the reports whose bytes depend on the BLAS kernel
+KERNEL_REPORTS = {"fig2-kernel.json", "table10-kernel.json", "net-kernel.json", "net-oracle.json"}
+# OpenBLAS core type -> the instruction set its kernels need
+CORE_TYPES = {"Haswell": "AVX2", "Sandybridge": "AVX", "Prescott": "SSE3"}
 
 # --method -> extra flags, for every rank method
 RANK_METHODS = {
@@ -49,7 +62,7 @@ def _run(*argv) -> None:
 
 
 def generate(out: Path) -> None:
-    """Write every golden file into the directory ``out``."""
+    """Write every golden report into the directory ``out``."""
     from conftest import random_table_game
 
     _run("make-fig2", "--out", out / "fig2.json")
@@ -64,9 +77,7 @@ def generate(out: Path) -> None:
             _run("oracle", *source, "--mode", mode, "--k-range", k_range, *ranks,
                  "--out", out / f"{game}-oracle-{mode}.json")
 
-    net = ["--model", out / "net.json", "--data", out / "net-data.csv"]
-    _run("train-toy", "--out", out / "net.json", "--hidden", "8", "--epochs", "60",
-         "--seed", "5", "--data-seed", "5", "--write-data", out / "net-data.csv")
+    net = ["--model", GOLDEN / "net.json", "--data", GOLDEN / "net-data.csv"]
     _run("rank", *net, "--method", "exact", "--out", out / "net-exact.json")
     _run("rank", *net, "--method", "kernel", "--sampler", "exhaustive",
          "--out", out / "net-kernel.json")
@@ -77,7 +88,7 @@ def generate(out: Path) -> None:
          "--out", out / "net-pruned.json", "--summary", out / "net-prune-summary.json")
 
 
-GOLDEN_FILES = sorted(p.name for p in GOLDEN.glob("*"))
+GOLDEN_FILES = sorted(p.name for p in GOLDEN.glob("*") if p.name not in INPUTS)
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +108,60 @@ def test_cli_reproduces_the_golden_file(generated, name):
     assert same, f"{name} differs from tests/golden/{name}"
 
 
+def _switchable_core_types() -> set[str]:
+    """The core types of ``CORE_TYPES`` that ``OPENBLAS_CORETYPE`` can select
+    here: numpy's OpenBLAS must be built with ``DYNAMIC_ARCH``, and the CPU
+    must have the core type's instruction set."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return set()
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {core for core, isa in CORE_TYPES.items() if __cpu_features__.get(isa)}
+
+
+@pytest.fixture(scope="module")
+def other_kernels(tmp_path_factory):
+    """core type -> (child process generating every report under it, its
+    output directory), one child per switchable core type, all started
+    together."""
+    src = Path(cli.__file__).resolve().parents[1]
+    children = {}
+    for core in sorted(_switchable_core_types()):
+        out = tmp_path_factory.mktemp(core)
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                            os.environ.get("PYTHONPATH")])))
+        children[core] = subprocess.Popen(
+            [sys.executable, __file__, str(out)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True), out
+    yield children
+    for child, _ in children.values():
+        child.kill()
+        child.communicate()
+
+
+@pytest.mark.parametrize("core", CORE_TYPES)
+def test_reports_other_than_the_kernels_are_the_same_under_other_blas_kernels(
+    other_kernels, core
+):
+    if core not in other_kernels:
+        pytest.skip(f"OpenBLAS cannot select the {core} kernels here")
+    child, out = other_kernels[core]
+    _, err = child.communicate(timeout=300)
+    assert child.returncode == 0, err
+    assert sorted(p.name for p in out.iterdir()) == GOLDEN_FILES
+    differ = [name for name in GOLDEN_FILES if name not in KERNEL_REPORTS
+              and (out / name).read_bytes() != (GOLDEN / name).read_bytes()]
+    assert not differ, f"differ under OPENBLAS_CORETYPE={core}: {differ}"
+
+
 def replace_golden_files() -> None:
-    """Regenerate every golden file, printing what moved."""
+    """Regenerate every golden report, printing what moved."""
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp)
         generate(fresh)
-        old = {p.name for p in GOLDEN.glob("*")}
+        old = set(GOLDEN_FILES)
         new = {p.name for p in fresh.iterdir()}
         for name in sorted(old | new):
             if name not in new:
@@ -114,13 +173,15 @@ def replace_golden_files() -> None:
             else:
                 status = "changed"
             print(f"{status:<9} {name}")
-        GOLDEN.mkdir(exist_ok=True)
-        for stale in GOLDEN.iterdir():
-            stale.unlink()
+        for stale in old:
+            (GOLDEN / stale).unlink()
         for made in fresh.iterdir():
             shutil.copyfile(made, GOLDEN / made.name)
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    replace_golden_files()
+    if len(sys.argv) > 1:
+        generate(Path(sys.argv[1]))
+    else:
+        replace_golden_files()

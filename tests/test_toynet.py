@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from shaprank import formats
-from shaprank.errors import FormatError, TrainingDivergedError
+from shaprank.errors import FormatError
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import Coalition
 from shaprank.formats import (
     load_dataset_csv,
     load_model,
     read_flat_binary,
-    save_dataset_csv,
     save_model,
     write_flat_binary,
 )
@@ -25,8 +24,9 @@ from shaprank.toynet import (
     make_accuracy_game,
     make_blobs_dataset,
     split_dataset,
-    train_toy_model,
 )
+
+from conftest import save_dataset_csv, train_toy_model
 
 
 @pytest.fixture(scope="module")
@@ -69,39 +69,6 @@ class TestBlobs:
         a = make_blobs_dataset(seed=5)
         b = make_blobs_dataset(seed=5)
         assert np.array_equal(a.inputs, b.inputs)
-
-
-class TestTraining:
-    def test_reaches_target_accuracy(self, blobs):
-        spec = train_toy_model([16], blobs, epochs=200, lr=0.1, seed=0)
-        assert accuracy(spec, grand(spec), blobs) >= 0.90
-
-    def test_zero_learning_rate_keeps_initialization(self, blobs):
-        trained_none = train_toy_model([4], blobs, epochs=50, lr=0.0, seed=3)
-        init = train_toy_model([4], blobs, epochs=0, lr=0.1, seed=3)
-        for a, b in zip(trained_none.layers, init.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-
-    def test_zero_epochs_returns_initialization_deterministically(self, blobs):
-        a = train_toy_model([4], blobs, epochs=0, lr=0.1, seed=9)
-        b = train_toy_model([4], blobs, epochs=0, lr=0.1, seed=9)
-        assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
-
-    def test_negative_epochs_are_refused(self, blobs):
-        with pytest.raises(ValueError, match="epochs"):
-            train_toy_model([4], blobs, epochs=-5, lr=0.1, seed=9)
-
-    def test_divergence_reports_epoch(self, blobs):
-        with pytest.raises(TrainingDivergedError) as info:
-            train_toy_model([8], blobs, epochs=100, lr=1e9, seed=0)
-        assert info.value.epoch is not None
-
-    def test_architecture_limits(self, blobs):
-        with pytest.raises(ValueError):
-            train_toy_model([8, 8, 8], blobs)
-        with pytest.raises(ValueError):
-            train_toy_model([64], blobs)
 
 
 class TestMaskingSemantics:
