@@ -813,6 +813,9 @@ class TestErrors:
               "--count", "1", "--out", "{gone}"], "--out"),
             (["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
               "--count", "1", "--out", "{ok}", "--summary", "{gone}"], "--summary"),
+            (["rank", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
+              "--out", "{gone}"], "--out"),
+            (["make-fig2", "--out", "{gone}"], "--out"),
         ],
     )
     def test_output_in_a_missing_directory_fails_before_any_input_is_read(
@@ -837,6 +840,12 @@ class TestErrors:
             ["rank", "--game", "{missing}", "--data", "{missing}", "--method", "exact",
              "--out", "{gone}"],
             ["rank", "--model", "{missing}", "--method", "exact", "--out", "{gone}"],
+            ["oracle", "--model", "{missing}", "--mode", "remove", "--k-range", "1:2",
+             "--out", "{gone}"],
+            ["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
+             "--out", "{gone}"],
+            ["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
+             "--fraction", "2", "--out", "{gone}"],
         ],
     )
     def test_a_usage_error_comes_before_a_missing_output_directory(
@@ -1042,18 +1051,44 @@ class TestErrors:
         assert (err["error"], err["message"]) == (
             "CapacityError", f"{model_path}: layer 1 has 65 units, over the 64-player limit")
 
+    # the arguments each command needs beside --model, --data and --out
+    MODEL_COMMANDS = {
+        "rank": ["--method", "exact"],
+        "oracle": ["--mode", "remove", "--k-range", "1:2"],
+        "prune": ["--method", "exact", "--count", "2"],
+    }
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_a_dataset_without_a_feature_column_is_a_format_error(
-        self, toy_files, tmp_path, capsys
+        self, toy_files, tmp_path, capsys, command
     ):
         model_path, _ = toy_files
         data_path, out = tmp_path / "d.csv", tmp_path / "out.json"
         data_path.write_text("label\n0\n1\n2\n0\n")
-        rc = main(["rank", "--data", str(data_path), "--out", str(out),
-                   "--model", str(model_path), "--method", "exact"])
+        rc = main([command, "--data", str(data_path), "--out", str(out),
+                   "--model", str(model_path), *self.MODEL_COMMANDS[command]])
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (err["error"], err["message"]) == (
             "FormatError", f"{data_path}: expected header 'x0,...,label'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [-1, 3, 10**9])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_a_label_outside_the_models_classes_is_a_format_error(
+        self, toy_files, tmp_path, capsys, command, label
+    ):
+        # the toy model's head has 3 classes; numpy's negative indexing
+        # would otherwise read label -1 as the last of them
+        model_path, _ = toy_files
+        data_path, out = tmp_path / "d.csv", tmp_path / "out.json"
+        data_path.write_text(f"x0,x1,label\n0.5,1.0,0\n1.5,-1.0,{label}\n0.0,2.0,2\n")
+        rc = main([command, "--model", str(model_path), "--data", str(data_path),
+                   *self.MODEL_COMMANDS[command], "--out", str(out)])
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == (
+            "FormatError", f"{data_path}:3: label {label} outside the model's 3 classes")
         assert not out.exists()
 
     @pytest.mark.parametrize("k_range", ["3:1", "0:2", "1,9", "1:100000000000000000000"])
@@ -1358,7 +1393,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flag, value, command",
         [("--ridge", "nan", "kernel"), ("--ridge", "inf", "kernel"), ("--ridge", "x", "kernel"),
-         ("--early-stop-eps", "nan", "perm"), ("--early-stop-eps", "inf", "perm")],
+         ("--early-stop-eps", "nan", "perm"), ("--early-stop-eps", "inf", "perm"),
+         ("--early-stop-eps", "x", "perm"), ("--early-stop-window", "x", "perm"),
+         ("--perms", "x", "perm"), ("--samples", "x", "kernel")],
     )
     def test_bad_numeric_flags_are_usage_errors_naming_the_flag(
         self, fig2_path, tmp_path, capsys, flag, value, command
@@ -1447,6 +1484,15 @@ class TestErrors:
           "--samples", "0", "--count", "1"], "ValueError", "n_samples must be >= 1"),
         # shaprank trains no model
         (["train-toy", "--data", "nope.csv"], "UsageError", "invalid choice: 'train-toy'"),
+        # prune's own checks of how many units to remove
+        (["prune", "--game", "nope.json", "--method", "exact", "--count", "1"],
+         "UsageError", "prune operates on --model/--data, not --game"),
+        (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "exact",
+          "--count", "1", "--fraction", "0.5"], "UsageError", "give --count or --fraction"),
+        (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "exact"],
+         "UsageError", "need --count or --fraction"),
+        (["prune", "--model", "nope.json", "--data", "nope.csv", "--method", "exact",
+          "--fraction", "nan"], "UsageError", "--fraction must be in (0, 1), got nan"),
     ])
     def test_usage_errors_come_before_any_input_is_read(self, tmp_path, monkeypatch, capsys,
                                                          argv, error, named):

@@ -108,6 +108,20 @@ def test_cli_reproduces_the_golden_file(generated, name):
     assert same, f"{name} differs from tests/golden/{name}"
 
 
+@pytest.mark.parametrize("name", INPUTS)
+def test_a_committed_input_reads_back_to_its_bytes(tmp_path, name):
+    # the net reports are made from what the readers take from the inputs;
+    # writing that back must give the committed bytes, so nothing is lost
+    from conftest import save_dataset_csv
+    from shaprank.formats import load_dataset_csv, load_model, save_model
+
+    load, save = {"net.json": (load_model, save_model),
+                  "net-data.csv": (load_dataset_csv, save_dataset_csv)}[name]
+    save(load(GOLDEN / name), tmp_path / name)
+    same = (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert same, f"tests/golden/{name} does not read back to its bytes"
+
+
 def _switchable_core_types() -> set[str]:
     """The core types of ``CORE_TYPES`` that ``OPENBLAS_CORETYPE`` can select
     here: numpy's OpenBLAS must be built with ``DYNAMIC_ARCH``, and the CPU
