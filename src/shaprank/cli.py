@@ -235,8 +235,7 @@ def _method_config(args):
             raise UsageError(f"argument --seed: must be a non-negative integer for the "
                              f"{args.sampler} sampler, got '{args.seed}'")
         return RegressionConfig(
-            n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge,
-            enforce_efficiency=not args.no_efficiency, fit_intercept=args.fit_intercept)
+            n_samples=args.samples, sampler=args.sampler, seed=args.seed, ridge=args.ridge)
     except ValueError as exc:
         # each check's message starts with the name of the field it checks
         fields = {"n_permutations": "--perms", "n_samples": "--samples", "ridge": "--ridge",
@@ -264,14 +263,12 @@ def _estimate(game: Game, args, config):
     if args.method == "exact-perm":
         return shapley_exact_permutations(game), {"route": "permutations"}
     if args.method == "partial":
-        params = {"high_d": args.high_d, "low_d": args.low_d, "renormalize": not args.raw_sum}
-        return shapley_partial(game, config, params["renormalize"]), params
+        return shapley_partial(game, config), {"high_d": args.high_d, "low_d": args.low_d}
     if args.method == "perm":
         params = {"perms": args.perms, "antithetic": args.antithetic,
                   "early_stop": _early_stop(args)}
         return shapley_sample_permutations(game, config), params
-    params = {"samples": args.samples, "sampler": args.sampler, "ridge": args.ridge,
-              "enforce_efficiency": not args.no_efficiency, "fit_intercept": args.fit_intercept}
+    params = {"samples": args.samples, "sampler": args.sampler, "ridge": args.ridge}
     return shapley_regression(game, config), params
 
 
@@ -453,7 +450,6 @@ def _add_method(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--high-d", type=int, default=1, dest="high_d")
     p.add_argument("--low-d", type=int, default=None, dest="low_d")
-    p.add_argument("--raw-sum", action="store_true", dest="raw_sum")
     p.add_argument("--perms", type=int, default=100)
     p.add_argument("--early-stop-window", type=int, default=None)
     p.add_argument("--early-stop-eps", type=_finite_float, default=None)
@@ -465,8 +461,6 @@ def _add_method(p: _Parser) -> None:
         choices=SAMPLERS,
     )
     p.add_argument("--ridge", type=_finite_float, default=1e-8)
-    p.add_argument("--no-efficiency", action="store_true", dest="no_efficiency")
-    p.add_argument("--fit-intercept", action="store_true", dest="fit_intercept")
 
 
 def build_parser() -> _Parser:

@@ -56,17 +56,12 @@ class SizeBand:
         return cls(high_d=n_players)
 
 
-def shapley_partial(
-    game: Game,
-    band: SizeBand,
-    renormalize: bool = True,
-) -> ShapleyEstimate:
+def shapley_partial(game: Game, band: SizeBand) -> ShapleyEstimate:
     """Weighted marginal contributions over the band's coalition sizes only.
 
     Per player the included subset weights are renormalized to sum to 1, so
     the estimate is a proper weighted average of marginals and the full band
-    reproduces exact enumeration.  ``renormalize=False`` keeps the raw
-    restricted sum instead.
+    reproduces exact enumeration.
     """
     n = game.n_players
     sizes = band.sizes(n)
@@ -80,16 +75,12 @@ def shapley_partial(
     weights = subset_weights(n)
     # each size k carries total weight C(N-1,k) * w(k) = 1/N across its subsets
     included_mass = sum(math.comb(n - 1, k) * weights[k] for k in sizes)
-    scale = 1.0 / included_mass if renormalize else 1.0
+    scale = 1.0 / included_mass
     before = game.eval_count
     phi = marginal_sums(game, sizes, weights) * scale
-
-    label = f"partial(high_d={band.high_d}, low_d={band.low_d})"
-    if not renormalize:
-        label += ", raw"
     return ShapleyEstimate(
         values=phi,
-        method=label,
+        method=f"partial(high_d={band.high_d}, low_d={band.low_d})",
         evals_used=game.eval_count - before,
     )
 

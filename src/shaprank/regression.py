@@ -12,10 +12,11 @@ The rows enter only through one moment matrix ``G = sum w z z^T`` over
 need no rows at all, since their membership moments are binomial sums and
 their payoff moments one pass over the payoff vector.
 
-The intercept is pinned to the empty coalition's payoff, and by default the
-solution is constrained (by variable elimination) to distribute the target
-quantity exactly, which is numerically far better behaved than emulating the
-constraints with huge anchor weights.  Both are linear maps applied to ``G``.
+The intercept is pinned to the empty coalition's payoff, and the solution is
+constrained (by variable elimination) to distribute the target quantity
+exactly, which is numerically far better behaved than emulating the
+constraints with huge anchor weights.  Both are one linear map applied to
+``G``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import BudgetError, SingularSystemError
 from .exact import REDUCE_BLOCK, ordered_sum
 from .games import ENUMERATION_BUDGET, Game, ShapleyEstimate, mask_from_members
 
-LARGE_KERNEL_WEIGHT = 1e10
 _COND_LIMIT = 1e12
 
 SAMPLERS = ("exhaustive", "size-stratified")
@@ -39,14 +39,12 @@ SAMPLERS = ("exhaustive", "size-stratified")
 def shapley_kernel_weight(n: int, k: int) -> float:
     """Least-squares weight of a size-``k`` coalition among ``n`` players.
 
-    ``(n-1) / (C(n,k) * k * (n-k))`` for proper nonempty sizes; the empty and
-    grand coalitions get a large constant standing in for the infinite weight
-    that would pin them exactly.
+    ``(n-1) / (C(n,k) * k * (n-k))`` for proper nonempty sizes.  The empty
+    and grand coalitions' weight is infinite: the regression pins them
+    exactly, so no size outside ``[1, n - 1]`` has a weight here.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"coalition size {k} outside [0, {n}]")
-    if k == 0 or k == n:
-        return LARGE_KERNEL_WEIGHT
+    if not 0 < k < n:
+        raise ValueError(f"coalition size {k} outside [1, {n - 1}]")
     return (n - 1) / (math.comb(n, k) * k * (n - k))
 
 
@@ -70,17 +68,13 @@ class RegressionConfig:
     the enumeration budget); the size-stratified sampler draws ``n_samples``
     rows, held to the same budget.  ``ridge`` is the fallback
     regularizer applied only if the plain normal equations are singular; set
-    it to 0 to make singularity a hard error.  By default the intercept is
-    pinned to the empty coalition's payoff; ``fit_intercept`` estimates it
-    from the rows instead.
+    it to 0 to make singularity a hard error.
     """
 
     n_samples: int
     sampler: str = "size-stratified"
     seed: int = 0
     ridge: float = 1e-8
-    enforce_efficiency: bool = True
-    fit_intercept: bool = False
 
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
@@ -144,7 +138,8 @@ def _exhaustive_moments(masks: np.ndarray, values: np.ndarray, n: int) -> np.nda
     coalitions: player i's coalitions are the upper halves of
     ``reshape(-1, 2, 2**i)``.
     """
-    kernel = [shapley_kernel_weight(n, k) for k in range(n + 1)]
+    # indexed by size; no row has size 0 or n
+    kernel = [0.0] + [shapley_kernel_weight(n, k) for k in range(1, n)]
 
     def moment(fixed: int) -> float:
         # the proper coalitions holding ``fixed`` given players: C(n-fixed, k-fixed) of size k
@@ -166,24 +161,21 @@ def _exhaustive_moments(masks: np.ndarray, values: np.ndarray, n: int) -> np.nda
     return moments
 
 
-def _normal_equations(moments: np.ndarray, n: int, base: float, total: float,
-                      cfg: RegressionConfig) -> tuple[np.ndarray, np.ndarray]:
+def _normal_equations(moments: np.ndarray, n: int, base: float,
+                      total: float) -> tuple[np.ndarray, np.ndarray]:
     """The solved system ``A theta = b`` as a linear map of the moments.
 
     Each design column and the target is a row of ``M`` over
-    ``z = [1, x_0..x_{n-1}, v]``, so ``M G M^T`` holds ``A`` and ``b``.  A
+    ``z = [1, x_0..x_{n-1}, v]``, so ``M G M^T`` holds ``A`` and ``b``.  The
     pinned intercept regresses ``v - v(empty)``; efficiency eliminates the
     last player through the sum constraint, turning columns into
     ``x_j - x_last`` and the target into ``... - total * x_last``.
     """
     transform = np.eye(n + 2)
-    if not cfg.fit_intercept:
-        transform[-1, 0] = -base
-    if cfg.enforce_efficiency:
-        transform[-1, n] = -total
-        transform[1:n, n] = -1.0
-    players = range(1, n if cfg.enforce_efficiency else n + 1)
-    transform = transform[[0, *players, -1] if cfg.fit_intercept else [*players, -1]]
+    transform[-1, 0] = -base
+    transform[-1, n] = -total
+    transform[1:n, n] = -1.0
+    transform = transform[[*range(1, n), -1]]
     # sums of at most n + 2 terms, which BLAS splits by output, not by term
     mapped = transform @ moments @ transform.T
     return mapped[:-1, :-1], mapped[:-1, -1]
@@ -229,9 +221,9 @@ def shapley_regression(
     """Kernel-weighted least squares over sampled coalition rows.
 
     The exhaustive sampler requests every proper nonempty coalition, in
-    ascending order.  With ``enforce_efficiency`` the last player's
-    coefficient is eliminated through the sum constraint, so the returned
-    values always distribute the target quantity exactly.
+    ascending order.  The last player's coefficient is eliminated through
+    the sum constraint, so the returned values always distribute the target
+    quantity exactly.
     """
     n = game.n_players
     if n < 2:
@@ -257,10 +249,8 @@ def shapley_regression(
     base = game.evaluate_mask(0)
     target_total = game.target_quantity()
     solved, ridge_applied, condition = _solve_symmetric(
-        *_normal_equations(moments, n, base, target_total, cfg), cfg.ridge)
-    phi = solved[1:] if cfg.fit_intercept else solved
-    if cfg.enforce_efficiency:
-        phi = np.append(phi, target_total - phi.sum())
+        *_normal_equations(moments, n, base, target_total), cfg.ridge)
+    phi = np.append(solved, target_total - solved.sum())
 
     stochastic = cfg.sampler != "exhaustive"
     return ShapleyEstimate(

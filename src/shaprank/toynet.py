@@ -183,178 +183,6 @@ def _activate(layer: Layer, z: np.ndarray, channel_axis: int) -> np.ndarray:
     return z
 
 
-def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset):
-    """Characteristic function: coalition bitmasks -> accuracy fractions.
-
-    Takes a 1-D ``uint64`` array of bitmasks and returns a float64 array of
-    as many accuracies.  The layers up to and including the prunable one are
-    evaluated once and reused for every coalition; only the downstream
-    layers run for each.
-
-    When the downstream layers are dense and stay within float32's range
-    (``_screenable``), they run in float32, the screened route.  The first
-    of them is one GEMM per block against a stack of copies of its weights,
-    each with the absent units' columns zeroed and the bias as one more
-    column; later layers run on every row of the block at once.  A
-    forward-error bound per row (``_thresholds``) holds for each of its
-    float32 logits against exact arithmetic on the model's float64
-    parameters, under every coalition.  Where the row's own logit leads
-    every other by more than twice that bound, the exact prediction is
-    certified a hit; where it trails one by more, a miss.  An uncertain
-    pair whose coalition holds none of the row's active units takes the
-    prediction of an all-zero input (the bias path), computed once per
-    payoff.  Any other is recomputed in float64 with every dot product
-    summed by ``np.add.reduce`` over every unit, in one fixed order, never
-    by BLAS.  So a payoff is that of exact arithmetic wherever certified and
-    the fixed-order float64 one elsewhere, whatever the BLAS, its threads,
-    the block shape or the route: a pair that one route certifies and
-    another recomputes can differ only if its exact margin lies within
-    float64's rounding of zero.  Otherwise (no downstream layer, a conv one,
-    non-finite outputs of the prunable layer, or parameters or values out of
-    the screen's range) the absent outputs are zeroed and the downstream
-    layers run in float64 once per coalition, each prediction being
-    ``np.argmax``'s.
-
-    A row's active units are those whose output on it is not zero (at any
-    spatial position of a channel; NaN and inf count).  Masking an inactive
-    unit changes at most the sign of a zero, which no later bias,
-    normalization, ReLU, product, pooling or argmax comparison tells apart,
-    so the row's prediction depends only on which of its active units are
-    present.  Rows with the same active set form a group, and a group's
-    table holds its rows' hit count for every coalition of its active units;
-    a mask's payoff is then the sum of one entry per group over the row
-    count, the same integer over the same count as the direct path.  The
-    tables are built on the first call for which they cost no more row
-    evaluations than the call itself (``sum |G| * 2**a_G <= rows * masks``)
-    and hold no more entries than it has masks (``sum 2**a_G <= masks``),
-    and are kept for every later call; until then each call takes the
-    direct path.  On the screened route a group's table multiplies its
-    active units' columns only.
-
-    On the screened route a direct call multiplies only the columns that
-    are active on its rows.  The groups, largest active set first and then
-    by code, each join the first "cover set" that holds their active set,
-    or start one; a pass runs a cover set's rows against its units' columns
-    only.  Cover sets of fewer than ``rows / units`` rows share one pass
-    over the union of their units, so there are at most ``units + 1``
-    passes.  Where the passes would read no fewer products than one
-    full-width pass (a dense net), or no column at all (every row
-    inactive), the call is one pass over every row and unit, as every
-    direct call is on the per-coalition route.  The passes and their
-    float32 blocks are built on the first direct call, never for a payoff
-    that a warm cache serves, and the bounds on the first call that runs
-    the screened route.  A pass's hits under a mask depend only on the
-    mask's restriction to the pass's units, since its rows' active units
-    lie among them: on a direct call of several masks, each pass evaluates
-    each distinct restriction once and shares its hits among the masks
-    that have it.  A table build's coalitions are such restrictions
-    already.
-
-    On the screened route the block size follows from the shape of the rows
-    a pass evaluates, never from the number of masks requested: a block
-    holds at most ``_BLOCK_ELEMENTS`` values in all its arrays together
-    (the weight stack, the products, every later layer's output and the
-    margins' arrays).  The per-coalition route holds one coalition's arrays
-    at a time.
-    """
-    prefix = np.asarray(data.inputs, dtype=np.float64)
-    for layer in spec.layers[: spec.prunable_layer + 1]:
-        prefix = _apply_layer(layer, prefix)
-    suffix = spec.layers[spec.prunable_layer + 1:]
-    if not suffix or suffix[0].kind == "dense":
-        # zeroing a channel commutes with pooling it
-        prefix = _global_average_pool(prefix)
-    labels = data.labels
-    n_rows, n_units = prefix.shape[:2]
-    bits = np.arange(n_units, dtype=np.uint64)
-
-    # one uint64 code per row: its active units (NaN != 0, so NaN counts)
-    active = (prefix != 0).reshape(n_rows, n_units, -1).any(axis=2)
-    codes, group_of_row, group_rows = np.unique(
-        np.bitwise_or.reduce(active << bits, axis=1), return_inverse=True, return_counts=True
-    )
-    group_units = [int(code).bit_count() for code in codes.tolist()]
-    table_entries = sum(1 << a for a in group_units)
-    table_cost = sum(int(rows) << a for rows, a in zip(group_rows.tolist(), group_units))
-    net = _Suffix(suffix, prefix, labels, codes[group_of_row])
-    tables = passes = None
-
-    def build_tables() -> list:
-        built = []
-        by_group = np.argsort(group_of_row, kind="stable")
-        for code, rows in zip(codes.tolist(), np.split(by_group, np.cumsum(group_rows)[:-1])):
-            units = [u for u in range(n_units) if code >> u & 1]
-            # coalition j of the group's units: bit k of j is unit units[k]
-            j = np.arange(1 << len(units), dtype=np.uint64)
-            subsets = np.zeros_like(j)
-            for k, u in enumerate(units):
-                subsets |= (j >> k & 1) << u
-            built.append((units, _pass_hits(net, net.make_pass(rows, bits[units]), subsets)))
-        return built
-
-    def build_passes() -> list:
-        """The direct path's passes: one per cover set, or one of every row
-        and unit."""
-        if not net.screened:
-            return [net.make_pass(None, bits)]
-        # largest active sets first, then by code: each group joins the
-        # first cover set that holds its active set, or starts one
-        covers = []
-        cover_of_group = np.empty(codes.size, dtype=np.intp)
-        for g in sorted(range(codes.size), key=lambda g: -group_units[g]):
-            code = int(codes[g])
-            cover_of_group[g] = next(
-                (i for i, cover in enumerate(covers) if code & ~cover == 0), len(covers)
-            )
-            if cover_of_group[g] == len(covers):
-                covers.append(code)
-        cover_of_row = cover_of_group[group_of_row]
-        # a set of fewer than rows / units rows saves less than its own pass
-        # costs: such sets share one pass, over the union of their units, so
-        # there are at most units + 1 passes
-        small = np.flatnonzero(np.bincount(cover_of_row) * n_units < n_rows)
-        for i in small[1:].tolist():
-            covers[small[0]] |= covers[i]
-        merged = np.arange(len(covers))
-        merged[small] = small[:1]
-        cover_of_row = merged[cover_of_row]
-        blocks = [
-            (np.flatnonzero(cover_of_row == i), bits[np.uint64(covers[i]) >> bits & 1 == 1])
-            for i in np.flatnonzero(np.bincount(cover_of_row)).tolist()
-        ]
-        # no saving (a dense net), or no column at all (every row inactive)
-        if not 0 < sum(rows.size * cols.size for rows, cols in blocks) < n_rows * n_units:
-            return [net.make_pass(None, bits)]
-        return [net.make_pass(rows, cols) for rows, cols in blocks]
-
-    def char_fn(masks):
-        nonlocal tables, passes
-        masks = np.asarray(masks, dtype=np.uint64)
-        if masks.size and int(masks.max()) >> n_units:
-            raise ValueError(f"mask {int(masks.max()):#x} has bits above unit {n_units - 1}")
-        current = tables
-        if current is None and table_entries <= masks.size and table_cost <= n_rows * masks.size:
-            # published whole: a concurrent call sees every table or none
-            current = tables = build_tables()
-        if current is None:
-            # built on the first direct call, never for a payoff that a warm
-            # cache serves; published whole, as the tables are
-            direct = passes = passes or build_passes()
-            hits = sum(_pass_hits(net, p, masks) for p in direct)
-        else:
-            hits = np.zeros(masks.size, dtype=np.int64)
-            for units, table in current:
-                index = np.zeros(masks.size, dtype=np.uint64)
-                for k, u in enumerate(units):
-                    index |= (masks >> u & 1) << k
-                hits += table[index]
-        # the mean of 0/1 values is an integer count over the row count, as
-        # np.mean computes it
-        return hits / labels.size
-
-    return char_fn
-
-
 class _Pass(NamedTuple):
     """The rows that one hit-count pass evaluates, and the prunable units
     whose columns it reads: a cover set's rows and units, or every row and
@@ -380,22 +208,48 @@ class _Pass(NamedTuple):
     slices: tuple = ()
 
 
-class _Suffix:
-    """The layers after the prunable one, as one payoff runs them on the
-    prefix outputs ``prefix``: on the screened float32 route where
-    ``screened``, else in float64 once per coalition.  ``row_codes`` holds
-    each row's active units as a bitmask.  Everything here is freed with
-    the payoff."""
+def accuracy_char_fn(spec: ModelSpec, data: LabeledDataset) -> "AccuracyPayoff":
+    """The accuracy payoff of ``spec``'s prunable layer on ``data``."""
+    return AccuracyPayoff(spec, data)
 
-    def __init__(self, layers: list[Layer], prefix: np.ndarray, labels: np.ndarray,
-                 row_codes: np.ndarray):
-        self.layers, self.prefix, self.labels, self.row_codes = layers, prefix, labels, row_codes
+
+class AccuracyPayoff:
+    """Characteristic function of a model game: called on a 1-D ``uint64``
+    array of coalition bitmasks, it returns a float64 array of as many
+    accuracies.  README's "Notes on scale" describes its routes.
+
+    ``codes`` holds each row group's active units as a bitmask, ascending,
+    and ``group_rows`` its row count.
+    """
+
+    def __init__(self, spec: ModelSpec, data: LabeledDataset):
+        prefix = np.asarray(data.inputs, dtype=np.float64)
+        for layer in spec.layers[: spec.prunable_layer + 1]:
+            prefix = _apply_layer(layer, prefix)
+        self.layers = layers = spec.layers[spec.prunable_layer + 1:]
+        if not layers or layers[0].kind == "dense":
+            # zeroing a channel commutes with pooling it
+            prefix = _global_average_pool(prefix)
+        self.prefix, self.labels = prefix, data.labels
+        n_rows, n_units = prefix.shape[:2]
+        self.bits = np.arange(n_units, dtype=np.uint64)
+
+        # one uint64 code per row: its active units (NaN != 0, so NaN counts)
+        active = (prefix != 0).reshape(n_rows, n_units, -1).any(axis=2)
+        self.codes, self.group_of_row, self.group_rows = np.unique(
+            np.bitwise_or.reduce(active << self.bits, axis=1), return_inverse=True,
+            return_counts=True)
+        self.row_codes = self.codes[self.group_of_row]
+        units = [int(code).bit_count() for code in self.codes.tolist()]
+        self.table_entries = sum(1 << a for a in units)
+        self.table_cost = sum(int(rows) << a for rows, a in zip(self.group_rows.tolist(), units))
+        self._tables = self._passes = self._bounds = None
+
         self.screened = _screenable(layers, prefix)
-        self._bounds = None
         # bounds and float32 blocks are built this many rows at a time, so
         # that each float64 array they need holds an eighth of
         # _BLOCK_ELEMENTS values
-        widths = [prefix.shape[1]] + [layer.out_units for layer in layers]
+        widths = [n_units] + [layer.out_units for layer in layers]
         self._step = max(1, _BLOCK_ELEMENTS // (8 * max(widths)))
         if self.screened:
             # each layer's float32 weights, bias column (none for the
@@ -410,10 +264,90 @@ class _Suffix:
                 for i, layer in enumerate(layers)
             ]
             # the prediction of a row whose present units are all inactive
-            zeros = np.zeros((1, prefix.shape[1]))
-            self.bias_class = int(np.argmax(_fixed_order_logits(layers, zeros)))
+            self.bias_class = int(np.argmax(_fixed_order_logits(layers, np.zeros((1, n_units)))))
 
-    def bounds(self) -> np.ndarray:
+    def __call__(self, masks) -> np.ndarray:
+        masks = np.asarray(masks, dtype=np.uint64)
+        if masks.size and int(masks.max()) >> self.bits.size:
+            raise ValueError(f"mask {int(masks.max()):#x} has bits above unit {self.bits.size - 1}")
+        tables = self._tables
+        if (tables is None and self.table_entries <= masks.size
+                and self.table_cost <= self.labels.size * masks.size):
+            tables = self.tables()
+        if tables is None:
+            # built on the first direct call, never for a payoff that a warm
+            # cache serves; published whole, as the tables are
+            passes = self._passes = self._passes or self._direct_passes()
+            hits = sum(self._pass_hits(p, masks) for p in passes)
+        else:
+            hits = np.zeros(masks.size, dtype=np.int64)
+            for units, table in tables:
+                index = np.zeros(masks.size, dtype=np.uint64)
+                for k, u in enumerate(units):
+                    index |= (masks >> u & 1) << k
+                hits += table[index]
+        # the mean of 0/1 values is an integer count over the row count, as
+        # np.mean computes it
+        return hits / self.labels.size
+
+    def tables(self) -> list:
+        """For each group of ``codes``, in order, its active units
+        (ascending) and its rows' hit counts under every coalition of them,
+        bit k of an index being unit ``units[k]``.  Built on the first call
+        and published whole: a concurrent call sees every table or none."""
+        if self._tables is None:
+            built = []
+            by_group = np.argsort(self.group_of_row, kind="stable")
+            groups = np.split(by_group, np.cumsum(self.group_rows)[:-1])
+            for code, rows in zip(self.codes.tolist(), groups):
+                units = [u for u in range(self.bits.size) if code >> u & 1]
+                # coalition j of the group's units: bit k of j is unit units[k]
+                j = np.arange(1 << len(units), dtype=np.uint64)
+                subsets = np.zeros_like(j)
+                for k, u in enumerate(units):
+                    subsets |= (j >> k & 1) << u
+                built.append((units, self._pass_hits(self._make_pass(rows, self.bits[units]),
+                                                     subsets)))
+            self._tables = built
+        return self._tables
+
+    def _direct_passes(self) -> list:
+        """The direct path's passes: one per cover set, or one of every row
+        and unit."""
+        bits, n_rows = self.bits, self.labels.size
+        if not self.screened:
+            return [self._make_pass(None, bits)]
+        # largest active sets first, then by code: each group joins the
+        # first cover set that holds its active set, or starts one
+        covers = []
+        cover_of_group = np.empty(self.codes.size, dtype=np.intp)
+        for g in sorted(range(self.codes.size), key=lambda g: -int(self.codes[g]).bit_count()):
+            code = int(self.codes[g])
+            cover_of_group[g] = next(
+                (i for i, cover in enumerate(covers) if code & ~cover == 0), len(covers)
+            )
+            if cover_of_group[g] == len(covers):
+                covers.append(code)
+        cover_of_row = cover_of_group[self.group_of_row]
+        # a set of fewer than rows / units rows saves less than its own pass
+        # costs: such sets share one pass, over the union of their units, so
+        # there are at most units + 1 passes
+        small = np.flatnonzero(np.bincount(cover_of_row) * bits.size < n_rows)
+        for i in small[1:].tolist():
+            covers[small[0]] |= covers[i]
+        merged = np.arange(len(covers))
+        merged[small] = small[:1]
+        cover_of_row = merged[cover_of_row]
+        blocks = [
+            (np.flatnonzero(cover_of_row == i), bits[np.uint64(covers[i]) >> bits & 1 == 1])
+            for i in np.flatnonzero(np.bincount(cover_of_row)).tolist()
+        ]
+        # no saving (a dense net), or no column at all (every row inactive)
+        if not 0 < sum(rows.size * cols.size for rows, cols in blocks) < n_rows * bits.size:
+            return [self._make_pass(None, bits)]
+        return [self._make_pass(rows, cols) for rows, cols in blocks]
+
+    def _row_bounds(self) -> np.ndarray:
         """Every row's threshold, computed on the first call."""
         if self._bounds is None:
             self._bounds = np.concatenate([
@@ -422,7 +356,7 @@ class _Suffix:
             ])
         return self._bounds
 
-    def make_pass(self, rows: Optional[np.ndarray], cols: np.ndarray) -> _Pass:
+    def _make_pass(self, rows: Optional[np.ndarray], cols: np.ndarray) -> _Pass:
         """The pass of the prefix rows ``rows`` (every row where None) over
         the columns of units ``cols``."""
         if not self.screened:
@@ -448,9 +382,56 @@ class _Suffix:
         first = np.empty((self.layers[0].out_units, k + 1), dtype=np.float32)
         first[:, :k] = self.layers[0].weights[:, cols]
         first[:, k] = self.layers[0].bias
-        return _Pass(self.labels[rows], cols, x, rows, first, self.bounds()[rows], slices)
+        return _Pass(self.labels[rows], cols, x, rows, first, self._row_bounds()[rows], slices)
 
-    def finish32(self, y: np.ndarray) -> np.ndarray:
+    def _pass_hits(self, p: _Pass, masks: np.ndarray) -> np.ndarray:
+        """Hits among the rows of pass ``p`` under each of ``masks``, which
+        depend only on each mask's restriction to the pass's units: each
+        distinct restriction runs once.  Restrictions that are distinct and
+        ascending already (one mask, a table build's coalitions) run as the
+        masks come."""
+        restricted = masks & np.bitwise_or.reduce(np.uint64(1) << p.cols)
+        if restricted.size > 1 and not np.all(restricted[1:] > restricted[:-1]):
+            distinct, inverse = np.unique(restricted, return_inverse=True)
+            return self._run_pass(p, distinct)[inverse]
+        return self._run_pass(p, masks)
+
+    def _run_pass(self, p: _Pass, masks: np.ndarray) -> np.ndarray:
+        """Hits among the rows of pass ``p`` under each of ``masks``, a block
+        of coalitions at a time."""
+        if not self.screened:
+            return _per_coalition_hits(self.layers, p.x, p.labels, masks)
+        n_rows = p.labels.size
+        out = np.zeros(masks.size, dtype=np.int64)
+        if not n_rows:
+            return out
+        first = p.first
+        width, k1 = first.shape
+        n_classes = self.layers[-1].out_units
+        # the weight stack, the products, every later layer's output and the
+        # margins' arrays hold at most _BLOCK_ELEMENTS values together, unless
+        # one coalition alone needs more
+        per_coalition = width * k1 + n_rows * (sum(layer.out_units for layer in self.layers) + 2)
+        block = max(1, _BLOCK_ELEMENTS // per_coalition)
+        col_bits = np.uint64(1) << p.cols
+        # the bias column is present in every coalition
+        present = np.ones((min(block, masks.size), k1), dtype=bool)
+        for start in range(0, masks.size, block):
+            chunk = masks[start:start + block]
+            b = chunk.size
+            np.not_equal(chunk[:, None] & col_bits, 0, out=present[:b, :-1])
+            stack = first[:, None, :] * present[:b]
+            y = self._finish32((stack.reshape(-1, k1) @ p.x).reshape(width, -1))
+            margins = _margins(y.reshape(n_classes, b, n_rows), p.slices)
+            out[start:start + b] = np.add.reduce(margins > p.bounds, axis=1)
+            unsure = np.abs(margins, out=margins) <= p.bounds
+            if unsure.any():
+                coalition, at = np.nonzero(unsure)
+                hits = self._uncertain_hits(p.rows[at], chunk[coalition])
+                out[start:start + b] += np.bincount(coalition[hits], minlength=b)
+        return out
+
+    def _finish32(self, y: np.ndarray) -> np.ndarray:
         """The screened route from the first layer's products ``y``,
         ``(units, coalitions * rows)``, which are overwritten, to its
         logits."""
@@ -468,7 +449,7 @@ class _Suffix:
                 np.maximum(y, 0.0, out=y)
         return y
 
-    def uncertain_hits(self, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    def _uncertain_hits(self, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """Whether row ``rows[i]`` hits under ``masks[i]``, for pairs the
         screen leaves uncertain: the bias path's prediction where the mask
         holds none of the row's active units, else a fixed-order float64
@@ -476,13 +457,12 @@ class _Suffix:
         labels = self.labels[rows]
         hits = labels == self.bias_class
         redo = np.flatnonzero(masks & self.row_codes[rows])
-        bits = np.arange(self.prefix.shape[1], dtype=np.uint64)
         # one (pairs, out, in) product array at a time holds at most
         # _BLOCK_ELEMENTS values
         step = max(1, _BLOCK_ELEMENTS // max(layer.weights.size for layer in self.layers))
         for start in range(0, redo.size, step):
             at = redo[start:start + step]
-            present = (masks[at, None] >> bits & 1).astype(bool)
+            present = (masks[at, None] >> self.bits & 1).astype(bool)
             x = np.where(present, self.prefix[rows[at]], 0.0)
             hits[at] = np.argmax(_fixed_order_logits(self.layers, x), axis=1) == labels[at]
         return hits
@@ -564,55 +544,6 @@ def _fixed_order_logits(layers: list[Layer], y: np.ndarray) -> np.ndarray:
         z += layer.bias
         y = _activate(layer, z, 1)
     return y
-
-
-def _pass_hits(net: _Suffix, p: _Pass, masks: np.ndarray) -> np.ndarray:
-    """Hits among the rows of pass ``p`` under each of ``masks``, which
-    depend only on each mask's restriction to the pass's units: each
-    distinct restriction runs once.  Restrictions that are distinct and
-    ascending already (one mask, a table build's coalitions) run as the
-    masks come."""
-    restricted = masks & np.bitwise_or.reduce(np.uint64(1) << p.cols)
-    if restricted.size > 1 and not np.all(restricted[1:] > restricted[:-1]):
-        distinct, inverse = np.unique(restricted, return_inverse=True)
-        return _run_pass(net, p, distinct)[inverse]
-    return _run_pass(net, p, masks)
-
-
-def _run_pass(net: _Suffix, p: _Pass, masks: np.ndarray) -> np.ndarray:
-    """Hits among the rows of pass ``p`` under each of ``masks``, running
-    ``net`` a block of coalitions at a time."""
-    if not net.screened:
-        return _per_coalition_hits(net.layers, p.x, p.labels, masks)
-    n_rows = p.labels.size
-    out = np.zeros(masks.size, dtype=np.int64)
-    if not n_rows:
-        return out
-    first = p.first
-    width, k1 = first.shape
-    n_classes = net.layers[-1].out_units
-    # the weight stack, the products, every later layer's output and the
-    # margins' arrays hold at most _BLOCK_ELEMENTS values together, unless
-    # one coalition alone needs more
-    per_coalition = width * k1 + n_rows * (sum(layer.out_units for layer in net.layers) + 2)
-    block = max(1, _BLOCK_ELEMENTS // per_coalition)
-    col_bits = np.uint64(1) << p.cols
-    # the bias column is present in every coalition
-    present = np.ones((min(block, masks.size), k1), dtype=bool)
-    for start in range(0, masks.size, block):
-        chunk = masks[start:start + block]
-        b = chunk.size
-        np.not_equal(chunk[:, None] & col_bits, 0, out=present[:b, :-1])
-        stack = first[:, None, :] * present[:b]
-        y = net.finish32((stack.reshape(-1, k1) @ p.x).reshape(width, -1))
-        margins = _margins(y.reshape(n_classes, b, n_rows), p.slices)
-        out[start:start + b] = np.add.reduce(margins > p.bounds, axis=1)
-        unsure = np.abs(margins, out=margins) <= p.bounds
-        if unsure.any():
-            coalition, at = np.nonzero(unsure)
-            hits = net.uncertain_hits(p.rows[at], chunk[coalition])
-            out[start:start + b] += np.bincount(coalition[hits], minlength=b)
-    return out
 
 
 def _margins(logits: np.ndarray, slices: tuple) -> np.ndarray:

@@ -19,6 +19,7 @@ import pytest
 from shaprank import toynet
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import Coalition, Game
+from shaprank.partial import SizeBand, shapley_partial
 from shaprank.toynet import (
     LabeledDataset,
     Layer,
@@ -106,13 +107,13 @@ def rows_per_pass(monkeypatch):
     one pass per cover set (or one over every row and unit); building the
     tables makes one per group, over its active units."""
     passes = []
-    pass_hits = toynet._pass_hits
+    pass_hits = toynet.AccuracyPayoff._pass_hits
 
-    def recording(net, p, masks):
+    def recording(payoff, p, masks):
         passes.append(Pass(p.labels.size, tuple(p.cols.tolist()), masks.size))
-        return pass_hits(net, p, masks)
+        return pass_hits(payoff, p, masks)
 
-    monkeypatch.setattr(toynet, "_pass_hits", recording)
+    monkeypatch.setattr(toynet.AccuracyPayoff, "_pass_hits", recording)
     return passes
 
 
@@ -311,17 +312,22 @@ def test_tables_on_a_normalized_net_with_many_zero_outputs(rows_per_pass):
     assert sum(rows) == data.size
 
 
-def test_tables_on_a_conv_suffix(rows_per_pass):
+def sparse_conv_net():
+    """A conv suffix on images that are zero but for one pixel, so a
+    channel is nonzero only near it and is active if any position there is;
+    two channels never are."""
     rng = np.random.default_rng(10)
-    # each image is zero but for one pixel, so a channel is nonzero only
-    # near it and is active if any position there is; two channels never are
     biases = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0, -20.0, -20.0])
     prunable = Layer("conv2d", rng.standard_normal((8, 2, 3, 3)), biases)
     spec = ModelSpec([prunable, _conv(rng, 4, 8), _dense(rng, 3, 4, "softmax-logits")])
     inputs = np.zeros((48, 2, 5, 4))
     at = rng.integers(0, [2, 5, 4], size=(36, 3))
     inputs[np.arange(12, 48), at[:, 0], at[:, 1], at[:, 2]] = rng.standard_normal(36) * 2
-    data = LabeledDataset(inputs=inputs, labels=rng.integers(0, 3, size=48))
+    return spec, LabeledDataset(inputs=inputs, labels=rng.integers(0, 3, size=48))
+
+
+def test_tables_on_a_conv_suffix(rows_per_pass):
+    spec, data = sparse_conv_net()
     assert_bit_identical(spec, data, np.arange(1 << 8))
     assert len(rows_per_pass) > 1 and max(p.rows for p in rows_per_pass) < data.size
 
@@ -395,6 +401,53 @@ def test_concurrent_calls_on_one_payoff(rows_per_pass):
         for order, got in per_thread:
             assert np.array_equal(got, expected[order])
     assert max(p.rows for p in rows_per_pass) < data.size
+
+
+@pytest.mark.parametrize("net", ["sparse", "conv"])
+def test_the_tables_are_each_groups_hit_counts(net):
+    # the conv suffix builds its tables on the per-coalition route
+    spec, data = (sparse_net(), _blobs()) if net == "sparse" else sparse_conv_net()
+    payoff = accuracy_char_fn(spec, data)
+    assert payoff.screened == (net == "sparse")
+    tables = payoff.tables()
+    assert payoff.tables() is tables
+    assert len(tables) == payoff.codes.size > 1
+    assert payoff.group_rows.sum() == data.size
+    masks = np.arange(1 << spec.n_players, dtype=np.uint64)
+    hits = np.zeros(masks.size, dtype=np.int64)
+    for code, rows, (units, table) in zip(payoff.codes.tolist(), payoff.group_rows.tolist(),
+                                          tables):
+        assert units == sorted(set(units)) and code == sum(1 << u for u in units)
+        assert table.shape == (1 << len(units),) and table.dtype.kind == "i"
+        assert 0 <= table.min() and table.max() <= rows
+        # the mask's part within the group's units: bit k is unit units[k]
+        index = np.zeros(masks.size, dtype=np.uint64)
+        for k, u in enumerate(units):
+            index |= (masks >> np.uint64(u) & np.uint64(1)) << np.uint64(k)
+        hits += table[index]
+    reference = reference_char_fn(spec, data)
+    assert np.array_equal(hits / data.size, [reference(m) for m in masks.tolist()])
+
+
+@pytest.mark.parametrize("net", ["sparse", "detector"])
+def test_a_warm_payoff_builds_nothing(rows_per_pass, net):
+    # a game preloaded with every coalition its estimator requests, as from
+    # a warm --cache file: exact enumeration at 12 units, and at 32, beyond
+    # exact enumeration, a band of the two largest sizes
+    if net == "sparse":
+        spec, data, estimate = sparse_net(), _blobs(), shapley_exact_subsets
+    else:
+        spec, data = detector_net(np.random.default_rng(32)), _blobs(n_per_class=100)
+        estimate = lambda game: shapley_partial(game, SizeBand(high_d=2))
+    cold = make_accuracy_game(spec, data)
+    expected = estimate(cold).values
+    assert rows_per_pass
+    rows_per_pass.clear()
+    payoff = accuracy_char_fn(spec, data)
+    warm = Game(spec.n_players, payoff, preloaded=cold.cached_table())
+    assert np.array_equal(estimate(warm).values, expected)
+    assert warm.eval_count == 0 and not rows_per_pass
+    assert payoff._passes is None and payoff._bounds is None and payoff._tables is None
 
 
 # -- row order --------------------------------------------------------------
@@ -605,19 +658,19 @@ def restrictions(monkeypatch):
     whose columns it reads, the masks it was given and the list of mask
     arrays it evaluated the net on."""
     log = []
-    pass_hits, run_pass = toynet._pass_hits, toynet._run_pass
+    pass_hits, run_pass = toynet.AccuracyPayoff._pass_hits, toynet.AccuracyPayoff._run_pass
 
-    def given(net, p, masks):
+    def given(payoff, p, masks):
         units = int(np.bitwise_or.reduce(np.uint64(1) << p.cols))
         log.append(Restriction(units, masks, []))
-        return pass_hits(net, p, masks)
+        return pass_hits(payoff, p, masks)
 
-    def evaluated(net, p, masks):
+    def evaluated(payoff, p, masks):
         log[-1].evaluated.append(masks)
-        return run_pass(net, p, masks)
+        return run_pass(payoff, p, masks)
 
-    monkeypatch.setattr(toynet, "_pass_hits", given)
-    monkeypatch.setattr(toynet, "_run_pass", evaluated)
+    monkeypatch.setattr(toynet.AccuracyPayoff, "_pass_hits", given)
+    monkeypatch.setattr(toynet.AccuracyPayoff, "_run_pass", evaluated)
     return log
 
 
@@ -686,22 +739,22 @@ def screen_log(monkeypatch):
     pairs that took the bias path's prediction or a float64 one, and
     ``recomputed_pairs`` lists the latter as (row, mask)."""
     log = {"routes": [], "bias_path": 0, "recomputed": 0, "recomputed_pairs": []}
-    pass_hits = toynet._pass_hits
-    uncertain_hits = toynet._Suffix.uncertain_hits
+    pass_hits = toynet.AccuracyPayoff._pass_hits
+    uncertain_hits = toynet.AccuracyPayoff._uncertain_hits
 
-    def recording_pass(net, p, masks):
-        log["routes"].append(net.screened)
-        return pass_hits(net, p, masks)
+    def recording_pass(payoff, p, masks):
+        log["routes"].append(payoff.screened)
+        return pass_hits(payoff, p, masks)
 
-    def recording_pairs(net, rows, masks):
-        redo = np.flatnonzero(masks & net.row_codes[rows])
+    def recording_pairs(payoff, rows, masks):
+        redo = np.flatnonzero(masks & payoff.row_codes[rows])
         log["recomputed"] += redo.size
         log["recomputed_pairs"] += zip(rows[redo].tolist(), masks[redo].tolist())
         log["bias_path"] += rows.size - redo.size
-        return uncertain_hits(net, rows, masks)
+        return uncertain_hits(payoff, rows, masks)
 
-    monkeypatch.setattr(toynet, "_pass_hits", recording_pass)
-    monkeypatch.setattr(toynet._Suffix, "uncertain_hits", recording_pairs)
+    monkeypatch.setattr(toynet.AccuracyPayoff, "_pass_hits", recording_pass)
+    monkeypatch.setattr(toynet.AccuracyPayoff, "_uncertain_hits", recording_pairs)
     return log
 
 
@@ -733,18 +786,18 @@ def test_screened_logits_moved_by_half_their_bound_change_no_payoff(monkeypatch,
     steady = set(screen_log["recomputed_pairs"])
     assert all(screen_log["routes"])
     rng = np.random.default_rng(42)
-    pass_hits, margins = toynet._pass_hits, toynet._margins
+    pass_hits, margins = toynet.AccuracyPayoff._pass_hits, toynet._margins
     bounds = []
 
-    def with_bounds(net, p, masks):
+    def with_bounds(payoff, p, masks):
         bounds.append(p.bounds)
-        return pass_hits(net, p, masks)
+        return pass_hits(payoff, p, masks)
 
     def moved(logits, slices):
         shift = rng.uniform(-0.25, 0.25, logits.shape).astype(np.float32) * bounds[-1]
         return margins(logits + shift, slices)
 
-    monkeypatch.setattr(toynet, "_pass_hits", with_bounds)
+    monkeypatch.setattr(toynet.AccuracyPayoff, "_pass_hits", with_bounds)
     monkeypatch.setattr(toynet, "_margins", moved)
     assert_bit_identical(spec, data, masks)
     if nudge is not None:

@@ -197,11 +197,8 @@ class TestReportParams:
         [
             (["--method", "exact"], {"route": "subsets"}),
             (["--method", "exact-perm"], {"route": "permutations"}),
-            (["--method", "partial"], {"high_d": 1, "low_d": None, "renormalize": True}),
-            (
-                ["--method", "partial", "--high-d", "2", "--low-d", "1", "--raw-sum"],
-                {"high_d": 2, "low_d": 1, "renormalize": False},
-            ),
+            (["--method", "partial"], {"high_d": 1, "low_d": None}),
+            (["--method", "partial", "--high-d", "2", "--low-d", "1"], {"high_d": 2, "low_d": 1}),
             (["--method", "perm"], {"perms": 100, "antithetic": False, "early_stop": None}),
             (
                 ["--method", "perm", "--perms", "40", "--antithetic",
@@ -210,14 +207,12 @@ class TestReportParams:
             ),
             (
                 ["--method", "kernel"],
-                {"samples": 1000, "sampler": "size-stratified", "ridge": 1e-08,
-                 "enforce_efficiency": True, "fit_intercept": False},
+                {"samples": 1000, "sampler": "size-stratified", "ridge": 1e-08},
             ),
             (
                 ["--method", "kernel", "--samples", "50", "--sampler", "exhaustive",
-                 "--ridge", "0.001", "--no-efficiency", "--fit-intercept"],
-                {"samples": 50, "sampler": "exhaustive", "ridge": 0.001,
-                 "enforce_efficiency": False, "fit_intercept": True},
+                 "--ridge", "0.001"],
+                {"samples": 50, "sampler": "exhaustive", "ridge": 0.001},
             ),
         ],
     )
@@ -231,12 +226,32 @@ class TestReportParams:
         out = tmp_path / "pruned.json"
         rc = main(
             ["prune", "--model", str(model_path), "--data", str(data_path),
-             "--method", "partial", "--high-d", "2", "--raw-sum", "--count", "3",
+             "--method", "partial", "--high-d", "2", "--count", "3",
              "--out", str(out)]
         )
         assert rc == 0
         summary = read_json(tmp_path / "pruned.json.summary.json")
-        assert summary["params"] == {"high_d": 2, "low_d": None, "renormalize": False}
+        assert summary["params"] == {"high_d": 2, "low_d": None}
+
+    @pytest.mark.parametrize("command", ["rank", "prune"])
+    @pytest.mark.parametrize("method, flag", [
+        ("partial", "--raw-sum"), ("kernel", "--no-efficiency"), ("kernel", "--fit-intercept"),
+    ])
+    def test_a_deleted_estimator_option_is_a_usage_error(
+        self, fig2_path, toy_files, tmp_path, capsys, command, method, flag
+    ):
+        # the raw band sum, the unconstrained fit and the fitted intercept
+        # are gone: their flags no longer parse
+        model_path, data_path = toy_files
+        out = tmp_path / "out.json"
+        source = (["--game", str(fig2_path)] if command == "rank" else
+                  ["--model", str(model_path), "--data", str(data_path), "--count", "1"])
+        rc = main([command, *source, "--method", method, flag, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("UsageError", 2)
+        assert err["message"] == f"unrecognized arguments: {flag}"
 
     def test_unknown_method_lists_the_choices(self, fig2_path, tmp_path, capsys):
         rc = main(["rank", "--game", str(fig2_path), "--method", "bogus",

@@ -93,14 +93,6 @@ class TestShapleyPartial:
                 )
                 assert abs(renormalized_total - 1.0) < 1e-12
 
-    def test_raw_mode_skips_renormalization(self, fig2):
-        raw = shapley_partial(fig2, SizeBand(high_d=1), renormalize=False)
-        # single top-size subset: raw keeps the 1/N factor
-        np.testing.assert_allclose(
-            raw.values, np.array([5.0, 20.0, 35.0]) / 3.0, atol=1e-12
-        )
-        assert "raw" in raw.method
-
     def test_budget_error(self):
         game = Game(30, lambda masks: np.zeros(masks.size))
         with pytest.raises(BudgetError, match="budget"):

@@ -8,7 +8,6 @@ from shaprank.errors import BudgetError, SingularSystemError
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import ENUMERATION_BUDGET, Game, TableGame
 from shaprank.regression import (
-    LARGE_KERNEL_WEIGHT,
     SAMPLERS,
     RegressionConfig,
     _sample_masks,
@@ -26,9 +25,12 @@ class TestKernelWeight:
         assert shapley_kernel_weight(3, 1) == pytest.approx(1.0 / 3.0)
         assert shapley_kernel_weight(3, 2) == pytest.approx(1.0 / 3.0)
 
-    def test_boundary_sizes_get_the_large_constant(self):
-        assert shapley_kernel_weight(3, 0) == LARGE_KERNEL_WEIGHT
-        assert shapley_kernel_weight(3, 3) == LARGE_KERNEL_WEIGHT
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_the_empty_and_grand_coalitions_have_no_weight(self, n):
+        # the regression pins both exactly: their weight is infinite
+        for k in (0, n):
+            with pytest.raises(ValueError, match=f"coalition size {k} outside"):
+                shapley_kernel_weight(n, k)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -71,28 +73,6 @@ class TestExhaustiveRegression:
             shapley_exact_subsets(game).values,
             atol=1e-6,
         )
-
-    def test_without_efficiency_constraint_still_exact_on_additive(self):
-        weights = [2.0, -0.5, 1.0]
-        cfg = RegressionConfig(n_samples=1, sampler="exhaustive", enforce_efficiency=False)
-        est = shapley_regression(additive_table_game(weights), cfg)
-        np.testing.assert_allclose(est.values, weights, atol=1e-6)
-
-    def test_fitting_the_intercept_recovers_the_same_values(self, fig2):
-        cfg = RegressionConfig(n_samples=1, sampler="exhaustive", fit_intercept=True)
-        est = shapley_regression(fig2, cfg)
-        np.testing.assert_allclose(est.values, [25.0, 25.0, 30.0], atol=1e-6)
-
-    def test_fitted_intercept_without_constraint(self):
-        game = random_table_game(5, seed=77)
-        exact = shapley_exact_subsets(game).values
-        cfg = RegressionConfig(
-            n_samples=1, sampler="exhaustive",
-            enforce_efficiency=False, fit_intercept=True,
-        )
-        est = shapley_regression(game, cfg)
-        # unconstrained with a free intercept: still close, not pinned exact
-        assert np.max(np.abs(est.values - exact)) < 5.0
 
 
 class TestSampledRegression:
