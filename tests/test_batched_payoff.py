@@ -169,6 +169,36 @@ def test_every_coalition_of_a_14_unit_net():
     assert_bit_identical(net_14(), _blobs(), np.arange(1 << 14))
 
 
+def _random_net(kind, seed):
+    """A small net of 3 to 10 prunable units (3 to 7 for conv): dense, dense
+    with a normalized hidden layer, or conv on images."""
+    rng = np.random.default_rng(seed)
+    units, hidden = rng.integers(3, 8 if kind == "conv" else 11, size=2).tolist()
+    if kind == "conv":
+        layers = [_conv(rng, units, 2), _conv(rng, hidden, units),
+                  _dense(rng, 3, hidden, "softmax-logits")]
+        return ModelSpec(layers), _images(rng)
+    norm = None
+    if kind == "normalized":
+        norm = Normalization(mean=rng.standard_normal(hidden), var=rng.uniform(0.5, 2.0, hidden),
+                             gamma=rng.standard_normal(hidden), beta=rng.standard_normal(hidden))
+    layers = [_dense(rng, units, 2), _dense(rng, hidden, units, norm=norm),
+              _dense(rng, 4, hidden, "softmax-logits")]
+    return ModelSpec(layers), _blobs(n_per_class=30)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["dense", "normalized", "conv"])
+def test_every_coalition_of_a_random_small_net(kind, seed):
+    spec, data = _random_net(kind, seed)
+    masks = np.arange(1 << spec.n_players)
+    # a few masks, then every one: the route (cover-set passes, per-group
+    # tables or the conv suffix's per-coalition path) follows the call's size
+    # and the net
+    assert_bit_identical(spec, data, masks[::-3][:4])
+    assert_bit_identical(spec, data, masks)
+
+
 def test_random_coalitions_of_a_two_layer_suffix(rows_per_pass):
     masks = np.random.default_rng(0).integers(0, 1 << 32, size=2000, dtype=np.uint64)
     assert_bit_identical(net_32(), _blobs(), masks)
@@ -403,12 +433,19 @@ def test_concurrent_calls_on_one_payoff(rows_per_pass):
     assert max(p.rows for p in rows_per_pass) < data.size
 
 
-@pytest.mark.parametrize("net", ["sparse", "conv"])
+TABLE_NETS = {
+    "sparse": lambda: (sparse_net(), _blobs()),
+    "conv": sparse_conv_net,
+    "net14": lambda: (net_14(), _blobs()),
+}
+
+
+@pytest.mark.parametrize("net", sorted(TABLE_NETS))
 def test_the_tables_are_each_groups_hit_counts(net):
     # the conv suffix builds its tables on the per-coalition route
-    spec, data = (sparse_net(), _blobs()) if net == "sparse" else sparse_conv_net()
+    spec, data = TABLE_NETS[net]()
     payoff = accuracy_char_fn(spec, data)
-    assert payoff.screened == (net == "sparse")
+    assert payoff.screened == (net != "conv")
     tables = payoff.tables()
     assert payoff.tables() is tables
     assert len(tables) == payoff.codes.size > 1
@@ -429,13 +466,14 @@ def test_the_tables_are_each_groups_hit_counts(net):
     assert np.array_equal(hits / data.size, [reference(m) for m in masks.tolist()])
 
 
-@pytest.mark.parametrize("net", ["sparse", "detector"])
+@pytest.mark.parametrize("net", ["sparse", "detector", "conv", "net14"])
 def test_a_warm_payoff_builds_nothing(rows_per_pass, net):
     # a game preloaded with every coalition its estimator requests, as from
-    # a warm --cache file: exact enumeration at 12 units, and at 32, beyond
-    # exact enumeration, a band of the two largest sizes
-    if net == "sparse":
-        spec, data, estimate = sparse_net(), _blobs(), shapley_exact_subsets
+    # a warm --cache file: exact enumeration at 8 to 14 units, and at 32,
+    # beyond exact enumeration, a band of the two largest sizes
+    if net != "detector":
+        spec, data = TABLE_NETS[net]()
+        estimate = shapley_exact_subsets
     else:
         spec, data = detector_net(np.random.default_rng(32)), _blobs(n_per_class=100)
         estimate = lambda game: shapley_partial(game, SizeBand(high_d=2))

@@ -105,6 +105,26 @@ def test_sampled_moments_past_one_row_block_match_the_row_matrix(name):
     assert_matches_reference(GAMES[name], cfg)
 
 
+@pytest.mark.parametrize("name", sorted(GAMES))
+@pytest.mark.parametrize("short", [1, 0], ids=["one-row-short", "exact"])
+def test_sampled_moments_of_one_row_block_match_the_row_matrix(name, short):
+    # one row short of a block of ``_sampled_moments``, or a block exactly:
+    # the moments are one block's, with no fold
+    n = GAMES[name]().n_players
+    cfg = RegressionConfig(n_samples=block_rows(n) - short, seed=len(name))
+    assert_matches_reference(GAMES[name], cfg)
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+@pytest.mark.parametrize("extra", [0, 1])
+def test_the_fewest_sampled_rows_match_the_row_matrix(name, extra):
+    # N or N + 1 rows: at N = 5, 7 and 10 to 12 the sampled system is
+    # singular and the ridge decides, on both paths alike
+    n = GAMES[name]().n_players
+    cfg = RegressionConfig(n_samples=n + extra, seed=len(name))
+    assert_matches_reference(GAMES[name], cfg)
+
+
 def test_rank_deficient_rows_fall_back_to_ridge():
     # at seed 4 the four sampled rows leave the system rank deficient
     make_game = lambda: TableGame(np.arange(16, dtype=np.float64))
@@ -116,7 +136,7 @@ def test_rank_deficient_rows_fall_back_to_ridge():
             estimator(make_game(), strict)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_exhaustive_moments_equal_the_row_sums(n):
     game = random_table_game(n, seed=500 + n)
     masks = np.arange(1, (1 << n) - 1, dtype=np.uint64)
@@ -153,7 +173,7 @@ def test_sampled_moments_equal_the_outer_product_sums(n, rows):
                           reference_sampled_moments(masks, values, n))
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_exhaustive_kernel_is_exact(n):
     game = random_table_game(n, seed=600 + n)
     est = shapley_regression(game, RegressionConfig(n_samples=1, sampler="exhaustive"))

@@ -56,6 +56,17 @@ class TestShapleyPartial:
         est = shapley_partial(additive_table_game(weights), band)
         np.testing.assert_allclose(est.values, weights, atol=1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_band_returns_an_additive_games_weights(self, n):
+        # every marginal of player i is its weight, so each band's weights,
+        # renormalized per player to sum to 1, average back to it
+        weights = np.random.default_rng(n).standard_normal(n) * 10
+        game = additive_table_game(weights)
+        for high_d in range(1, n + 1):
+            for low_d in range(n - high_d + 1):
+                est = shapley_partial(game, SizeBand(high_d, low_d))
+                np.testing.assert_allclose(est.values, weights, rtol=0, atol=1e-9)
+
     @settings(max_examples=15)
     @given(
         st.integers(min_value=3, max_value=9),

@@ -75,6 +75,18 @@ class TestExhaustiveRegression:
         )
 
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_an_additive_game_is_recovered_from_full_rank_rows(self, sampler, n):
+        # with the empty and grand coalitions pinned and efficiency
+        # eliminated, an additive game fits every row without residual
+        weights = np.random.default_rng(n).standard_normal(n) * 10
+        cfg = RegressionConfig(n_samples=6 * n, sampler=sampler, seed=n)
+        est = shapley_regression(additive_table_game(weights), cfg)
+        assert not est.ridge_applied
+        np.testing.assert_allclose(est.values, weights, rtol=0, atol=1e-9)
+
+
 class TestSampledRegression:
     def test_sampling_converges(self):
         game = random_table_game(6, seed=33)
