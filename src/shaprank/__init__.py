@@ -15,7 +15,6 @@ from .errors import (
 from .exact import shapley_exact_permutations, shapley_exact_subsets
 from .formats import load_game_json, load_model, save_game_json, save_model
 from .games import (
-    Coalition,
     Game,
     Ranking,
     ShapleyEstimate,
@@ -48,7 +47,6 @@ __all__ = [
     "BudgetError",
     "CapacityError",
     "CharacteristicFunctionError",
-    "Coalition",
     "EarlyStop",
     "FormatError",
     "Game",

@@ -354,7 +354,9 @@ def cmd_oracle(args) -> int:
         "mode": args.mode,
         "k_range": k_range,
         "oracle_subsets": {
-            str(k): [list(c.members()) for c in oracle.per_k[k]] for k in oracle.k_range
+            str(k): [[i for i in range(game.n_players) if mask >> i & 1]
+                     for mask in oracle.per_k[k].tolist()]
+            for k in oracle.k_range
         },
         "oracle_best_value": {str(k): oracle.best_value[k] for k in oracle.k_range},
         # the construction follows from the budget; the key keeps reports unchanged

@@ -23,7 +23,7 @@ class InvalidBandError(ShapRankError, ValueError):
 
 
 class CharacteristicFunctionError(ShapRankError):
-    """The characteristic function failed; carries the offending coalition.
+    """The characteristic function failed; ``coalition`` is the failing int mask.
 
     The original exception is chained as ``__cause__``.
     """

@@ -6,8 +6,8 @@ consumes payoffs exclusively through :class:`Game`, whose memoizing cache
 evaluates each distinct coalition at most once and holds only those, for any
 number of players.  Evaluation is sequential; the cache is still thread-safe.
 
-Coalitions are represented as bitmasks (bit ``i`` set means player ``i`` is a
-member), which caps the number of players at 64.
+A coalition is a bitmask, a Python int or a ``uint64`` (bit ``i`` set means
+player ``i`` is a member), which caps the number of players at 64.
 """
 
 from __future__ import annotations
@@ -73,51 +73,36 @@ def masks_by_size(n_players: int, sizes: Iterable[int]) -> dict[int, np.ndarray]
     return out
 
 
+def as_masks(masks, n_players: int) -> np.ndarray:
+    """``masks``, one integer bitmask or a sequence or array of them (Python
+    ints or NumPy integers), as a flat ``uint64`` array.  A float, a bool, a
+    negative mask or one with bits above player ``n_players - 1`` raises
+    ValueError."""
+    if isinstance(masks, (np.ndarray, np.generic)):
+        masks = np.asarray(masks).ravel()
+        if masks.dtype.kind not in "iu":
+            raise ValueError(f"coalition masks must be integers, not {masks.dtype}")
+        low = int(masks.min()) if masks.dtype.kind == "i" and masks.size else 0
+        high = int(masks.max()) if masks.size else 0
+    else:
+        # checked as Python ints, exact at any size: numpy reads a list
+        # holding 2**63 as floats
+        masks = list(masks) if np.iterable(masks) else [masks]
+        if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in masks):
+            raise ValueError("coalition masks must be integers")
+        masks = [int(m) for m in masks]
+        low, high = min(masks, default=0), max(masks, default=0)
+    if low < 0:
+        raise ValueError(f"negative coalition mask {low}")
+    if high >> n_players:
+        raise ValueError(f"mask {high} out of range for {n_players} players")
+    return np.asarray(masks, dtype=np.uint64)
+
+
 def prefix_masks(perm: np.ndarray) -> np.ndarray:
     """Bitmasks of the ordering's proper nonempty prefixes, shortest first."""
     bits = np.left_shift(np.uint64(1), perm[:-1].astype(np.uint64))
     return np.bitwise_or.accumulate(bits)
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """A subset of the players of an ``n_players``-player game.
-
-    ``bits`` is the membership bitmask; only the low ``n_players`` bits may
-    be set.
-    """
-
-    bits: int
-    n_players: int
-
-    def __post_init__(self):
-        if not 0 <= self.n_players <= MAX_PLAYERS:
-            raise ValueError(f"n_players must be in [0, {MAX_PLAYERS}]")
-        if self.bits < 0 or self.bits >> self.n_players:
-            raise ValueError(
-                f"bitmask {self.bits:#x} has bits above player {self.n_players - 1}"
-            )
-
-    @classmethod
-    def from_members(cls, members: Iterable[int], n_players: int) -> "Coalition":
-        return cls(mask_from_members(members, n_players), n_players)
-
-    @classmethod
-    def grand(cls, n_players: int) -> "Coalition":
-        return cls(full_mask(n_players), n_players)
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_players) if (self.bits >> i) & 1)
-
-    def contains(self, player: int) -> bool:
-        return bool((self.bits >> player) & 1)
-
-    def complement(self) -> "Coalition":
-        return Coalition(self.bits ^ full_mask(self.n_players), self.n_players)
 
 
 class Game:
@@ -163,7 +148,7 @@ class Game:
         self._masks = np.empty(0, dtype=np.uint64)
         self._payoffs = np.empty(0, dtype=np.float64)
         if preloaded is not None:
-            masks = self._as_masks(preloaded[0])
+            masks = as_masks(preloaded[0], n_players)
             values = np.asarray(preloaded[1], dtype=np.float64)
             if values.shape != masks.shape:
                 raise ValueError("preloaded masks and payoffs differ in length")
@@ -180,7 +165,7 @@ class Game:
         return full_mask(self.n_players)
 
     def evaluate_mask(self, mask: int) -> float:
-        return float(self.evaluate_masks([int(mask)])[0])
+        return float(self.evaluate_masks([mask])[0])
 
     def evaluate_masks(self, masks) -> np.ndarray:
         """Payoffs of ``masks``, in order.
@@ -188,7 +173,7 @@ class Game:
         The payoff function runs once, on the distinct coalitions not yet
         cached, in ascending order.
         """
-        masks = self._as_masks(masks)
+        masks = as_masks(masks, self.n_players)
         with self._lock:
             values, known = self._lookup(masks)
             if known.all():
@@ -216,17 +201,6 @@ class Game:
 
     # -- cache internals; _lookup and _store run under the lock -------------
 
-    def _as_masks(self, masks) -> np.ndarray:
-        try:
-            masks = np.asarray(masks, dtype=np.uint64).ravel()
-        except OverflowError as exc:
-            raise ValueError("negative coalition mask") from exc
-        if masks.size and int(masks.max()) >> self.n_players:
-            raise ValueError(
-                f"mask {int(masks.max())} out of range for {self.n_players} players"
-            )
-        return masks
-
     def _lookup(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not self._masks.size:
             return np.zeros(masks.size), np.zeros(masks.size, dtype=bool)
@@ -246,28 +220,24 @@ class Game:
         the first of ``masks`` when the call fails or does not return one
         payoff per mask, else the first coalition whose payoff is not
         finite."""
-        batch = f"a batch of {masks.size} coalitions starting at {int(masks[0]):#x}"
+        first = int(masks[0])
+        batch = f"a batch of {masks.size} coalitions starting at {first:#x}"
         try:
             values = np.asarray(self.char_fn(masks), dtype=np.float64)
         except Exception as exc:
-            raise self._failure(
-                f"characteristic function failed for {batch}", masks[0]) from exc
+            raise CharacteristicFunctionError(
+                f"characteristic function failed for {batch}", coalition=first) from exc
         if values.shape != masks.shape:
-            raise self._failure(
+            raise CharacteristicFunctionError(
                 f"characteristic function returned shape {values.shape} for {batch}",
-                masks[0])
+                coalition=first)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             mask = int(masks[bad[0]])
-            raise self._failure(
+            raise CharacteristicFunctionError(
                 f"characteristic function returned {float(values[bad[0]])} "
-                f"for coalition {mask:#x}",
-                mask,
-            )
+                f"for coalition {mask:#x}", coalition=mask)
         return values
-
-    def _failure(self, message: str, mask) -> CharacteristicFunctionError:
-        return CharacteristicFunctionError(message, coalition=Coalition(int(mask), self.n_players))
 
 
 class TableGame(Game):
@@ -368,6 +338,8 @@ class Ranking:
             raise ValueError("order must be a permutation of 0..N-1")
         if self.scores.shape != self.order.shape:
             raise ValueError("scores must align with order")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite")
         if np.any(np.diff(self.scores) > 0):
             raise ValueError("scores must be non-increasing along the order")
 
@@ -380,10 +352,6 @@ class Ranking:
     @property
     def n_players(self) -> int:
         return int(self.order.size)
-
-    def top(self, k: int) -> Coalition:
-        """The coalition formed by the first ``k`` positions."""
-        return Coalition.from_members(self.order[:k].tolist(), self.n_players)
 
     def reversed(self) -> "Ranking":
         """Same order read back to front, with scores negated to stay sorted."""

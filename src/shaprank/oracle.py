@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
 from .errors import BudgetError
-from .games import ENUMERATION_BUDGET, Coalition, Game, Ranking, masks_by_size, masks_of_size
+from .games import ENUMERATION_BUDGET, Game, Ranking, masks_by_size, masks_of_size
 
 _TIE_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 16
@@ -31,11 +31,13 @@ Mode = Literal["keep", "remove"]
 
 @dataclass
 class OracleSubsets:
-    """Best coalitions per evaluated size, with all ties retained."""
+    """Best coalitions per evaluated size, with all ties retained: ``per_k[k]``
+    holds the size-``k`` sets as ``uint64`` masks, ascending in keep mode
+    and descending in remove mode."""
 
     mode: Mode
     n_players: int
-    per_k: dict[int, tuple[Coalition, ...]]
+    per_k: dict[int, np.ndarray]
     best_value: dict[int, float]
 
     @property
@@ -51,14 +53,12 @@ class RankScore:
     weighted_total: float
 
 
-def jaccard(a: Coalition, b: Coalition) -> float:
-    """Intersection-over-union of two coalitions; 1.0 when both are empty."""
-    if a.n_players != b.n_players:
-        raise ValueError("coalitions belong to games of different sizes")
-    union = a.bits | b.bits
+def jaccard(a: int, b: int) -> float:
+    """Intersection-over-union of two int bitmasks; 1.0 when both are empty."""
+    union = a | b
     if union == 0:
         return 1.0
-    return (a.bits & b.bits).bit_count() / union.bit_count()
+    return (a & b).bit_count() / union.bit_count()
 
 
 def compute_oracle_subsets(
@@ -75,7 +75,7 @@ def compute_oracle_subsets(
     if mode not in ("keep", "remove"):
         raise ValueError(f"mode must be 'keep' or 'remove', got {mode!r}")
     n = game.n_players
-    per_k: dict[int, tuple[Coalition, ...]] = {}
+    per_k: dict[int, np.ndarray] = {}
     best_value: dict[int, float] = {}
     for k in sorted(set(k_range)):
         if not 1 <= k <= n:
@@ -88,28 +88,26 @@ def compute_oracle_subsets(
         scored = masks_of_size(n, k if mode == "keep" else n - k)
         values = game.evaluate_masks(scored)
         best = float(values.max())
-        tied = scored[values >= best - _TIE_TOL]
+        per_k[k] = scored[values >= best - _TIE_TOL]
         if mode == "remove":
             # the complements of ascending kept sets descend
-            tied = (tied ^ np.uint64(game.grand_mask))[::-1]
-        per_k[k] = tuple(Coalition(int(m), n) for m in tied)
+            per_k[k] = (per_k[k] ^ np.uint64(game.grand_mask))[::-1]
         best_value[k] = best
     return OracleSubsets(mode=mode, n_players=n, per_k=per_k, best_value=best_value)
 
 
-def _best_overlaps(masks: np.ndarray, tied: Sequence[Coalition]) -> np.ndarray:
-    """Each ``uint64`` mask's best Jaccard overlap with the tied sets.
+def _best_overlaps(masks: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Each ``uint64`` mask's best Jaccard overlap with the ``tied`` masks.
 
     Every overlap is the quotient of two exact popcounts, so it equals
     :func:`jaccard` bit for bit; empty against empty is 1.0, and with no
     tied sets every mask gets 0.
     """
-    sets = np.array([c.bits for c in tied], dtype=np.uint64)
     best = np.zeros(masks.size)
     # blocks of sets keep each intermediate near _BLOCK_ELEMENTS entries
     step = max(1, _BLOCK_ELEMENTS // max(masks.size, 1))
-    for start in range(0, sets.size, step):
-        block = sets[start:start + step, None]
+    for start in range(0, tied.size, step):
+        block = tied[start:start + step, None]
         inter = np.bitwise_count(masks & block)
         union = np.bitwise_count(masks | block)
         overlap = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
@@ -195,7 +193,9 @@ def build_oracle_rank(oracle: OracleSubsets) -> Ranking:
         # the prefixes fixed before a slot add the same amount to every
         # candidate's weighted overlap, so only the new prefix's gain differs;
         # distinct gains differ by at least 1/(64*63), far above the tolerance
-        order = _walk(n, lambda extended, k: k * _best_overlaps(extended, oracle.per_k.get(k, ())))
+        unscored = np.empty(0, dtype=np.uint64)
+        order = _walk(n, lambda extended, k:
+                      k * _best_overlaps(extended, oracle.per_k.get(k, unscored)))
     scores = np.arange(n, 0, -1, dtype=np.float64)
     return Ranking(order=np.array(order), scores=scores)
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .games import Game
+from .games import Game, as_masks
 
 ACTIVATIONS = ("relu", "identity", "softmax-logits")
 # about this many values per block of coalitions in the accuracy payoff: in
@@ -86,6 +86,9 @@ class Layer:
             vectors = (self.norm.mean, self.norm.var, self.norm.gamma, self.norm.beta)
             if any(np.shape(v) != (self.out_units,) for v in vectors):
                 raise ValueError("norm vectors must have one entry per output unit")
+            # NaN passes, as NaN parameters do elsewhere
+            if np.any(self.norm.var + self.norm.eps <= 0):
+                raise ValueError("norm var + eps must be positive")
 
     @property
     def out_units(self) -> int:
@@ -267,9 +270,7 @@ class AccuracyPayoff:
             self.bias_class = int(np.argmax(_fixed_order_logits(layers, np.zeros((1, n_units)))))
 
     def __call__(self, masks) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.uint64)
-        if masks.size and int(masks.max()) >> self.bits.size:
-            raise ValueError(f"mask {int(masks.max()):#x} has bits above unit {self.bits.size - 1}")
+        masks = as_masks(masks, self.bits.size)
         tables = self._tables
         if (tables is None and self.table_entries <= masks.size
                 and self.table_cost <= self.labels.size * masks.size):

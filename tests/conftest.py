@@ -135,6 +135,12 @@ def per_mask(payoff):
     return lambda masks: np.array([payoff(mask) for mask in masks.tolist()], dtype=np.float64)
 
 
+def members(mask) -> tuple[int, ...]:
+    """The players of the coalition bitmask ``mask``, ascending."""
+    mask = int(mask)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def greedy_oracle_rank(oracle):
     """``build_oracle_rank``'s greedy construction, which runs when the
     optimal search's prefixes exceed the enumeration budget: here a budget

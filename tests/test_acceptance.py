@@ -19,7 +19,7 @@ import pytest
 
 from shaprank.cli import main as cli_main
 from shaprank.exact import shapley_exact_permutations, shapley_exact_subsets
-from shaprank.games import Coalition, TableGame, make_fig2_game
+from shaprank.games import TableGame, make_fig2_game, mask_from_members
 from shaprank.oracle import (
     OracleSubsets,
     build_oracle_rank,
@@ -35,6 +35,7 @@ from shaprank.toynet import make_accuracy_game, make_blobs_dataset, split_datase
 from conftest import (
     build_redundancy_game,
     greedy_oracle_rank,
+    members,
     random_table_game,
     save_dataset_csv,
     train_toy_model,
@@ -211,7 +212,7 @@ def _exhaustive_best_total(oracle: OracleSubsets) -> float:
         for k in oracle.k_range:
             prefix = set(perm[:k])
             num += k * max(
-                len(prefix & set(o.members())) / len(prefix | set(o.members()))
+                len(prefix & set(members(o))) / len(prefix | set(members(o)))
                 for o in oracle.per_k[k]
             )
             den += k
@@ -233,7 +234,7 @@ def test_criterion_5_oracle_benchmark():
                     payoffs[combo] = game.evaluate_mask(scored)
                 best = max(payoffs.values())
                 assert oracle.best_value[k] == best
-                stored = {c.members() for c in oracle.per_k[k]}
+                stored = {members(m) for m in oracle.per_k[k]}
                 tied = {c for c, v in payoffs.items() if v >= best - 1e-12}
                 assert stored == tied
 
@@ -269,8 +270,8 @@ def test_criterion_5_oracle_benchmark():
         # true optimum is 2/3 (see the decisions ledger), and no ordering
         # can reach 1.0
         per_k = {
-            1: (Coalition.from_members([5], 8),),
-            2: (Coalition.from_members([2, 7], 8),),
+            1: np.array([mask_from_members([5], 8)], dtype=np.uint64),
+            2: np.array([mask_from_members([2, 7], 8)], dtype=np.uint64),
         }
         oracle = OracleSubsets(
             mode="remove", n_players=8, per_k=per_k, best_value={1: 0.0, 2: 0.0}
@@ -335,10 +336,10 @@ def test_criterion_7_prune_contrast_on_frozen_fixture(tmp_path):
         game = make_accuracy_game(spec, data)
         ranking = shapley_exact_subsets(game).ranking()
         top = sorted(int(p) for p in ranking.order[:3])
-        kept = Coalition.from_members(
+        kept = mask_from_members(
             [i for i in range(game.n_players) if i not in top], game.n_players
         )
-        nu_after_top = game.evaluate_mask(kept.bits)
+        nu_after_top = game.evaluate_mask(kept)
         assert nu_after_bottom >= nu_after_top
 
 

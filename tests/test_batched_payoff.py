@@ -18,7 +18,7 @@ import pytest
 
 from shaprank import toynet
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import Coalition, Game
+from shaprank.games import Game
 from shaprank.partial import SizeBand, shapley_partial
 from shaprank.toynet import (
     LabeledDataset,
@@ -64,8 +64,7 @@ def reference_logits(spec, data):
     suffix = spec.layers[spec.prunable_layer + 1:]
 
     def logits(mask):
-        coalition = Coalition(int(mask), spec.n_players)
-        off = [i for i in range(spec.n_players) if not coalition.contains(i)]
+        off = [i for i in range(spec.n_players) if not int(mask) >> i & 1]
         x = prefix.copy()
         x[:, off] = 0.0
         for layer in suffix:

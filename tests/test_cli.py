@@ -390,6 +390,23 @@ class TestOracle:
             assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize(
+        "scores", ["[30.0, NaN, 25.0]", "[Infinity, 25.0, 25.0]", "[30.0, 25.0, -Infinity]"],
+        ids=["nan", "infinity", "minus-infinity"],
+    )
+    def test_non_finite_scores_are_a_format_error(self, fig2_path, tmp_path, capsys, scores):
+        # json reads these, and no comparison with NaN finds scores rising
+        report = tmp_path / "r.json"
+        report.write_text(f'{{"order": [2, 0, 1], "scores": {scores}}}')
+        rc = main(
+            ["oracle", "--game", str(fig2_path), "--mode", "keep", "--k-range", "1:2",
+             "--rank", str(report), "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (err["error"], err["message"]) == ("FormatError", f"{report}: not a ranking report")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
         "text",
         ['{"order": [0.7, 1, 2], "scores": [3, 2, 1]}',
          '{"order": [true, false, 2], "scores": [3, 2, 1]}',
@@ -554,7 +571,7 @@ class TestPrune:
 
         # manually mask the TOP-ranked units instead and compare payoffs
         from shaprank.exact import shapley_exact_subsets
-        from shaprank.games import Coalition
+        from shaprank.games import mask_from_members
         from shaprank.formats import load_dataset_csv
         from shaprank.toynet import make_accuracy_game
 
@@ -562,10 +579,10 @@ class TestPrune:
         game = make_accuracy_game(load_model(model_path), data)
         ranking = shapley_exact_subsets(game).ranking()
         top_removed = sorted(int(p) for p in ranking.order[:2])
-        kept = Coalition.from_members(
+        kept = mask_from_members(
             [i for i in range(game.n_players) if i not in top_removed], game.n_players
         )
-        nu_remove_top = game.evaluate_mask(kept.bits)
+        nu_remove_top = game.evaluate_mask(kept)
         assert bottom["nu_after"] >= nu_remove_top
 
 
@@ -1201,6 +1218,39 @@ class TestErrors:
         assert (err["error"], err["exit_code"]) == ("FormatError", 5)
         assert err["message"].startswith(f"{model_path}: ")
         assert "norm vectors must have one entry per output unit" in err["message"]
+
+    @pytest.mark.parametrize(
+        "var, eps, rc",
+        [([1.0, -1.0, 1.0], 1e-5, 5), ([1.0, 1.0, -0.25], 0.25, 5), ([-1.0] * 3, 0.5, 5),
+         ([1.0, float("nan"), 1.0], 1e-5, 0), ([0.0] * 3, 1e-5, 0)],
+        ids=["negative", "zero-denominator", "negative-past-eps", "nan", "zero-var"],
+    )
+    def test_norm_without_a_positive_denominator_is_a_format_error(
+        self, toy_files, tmp_path, capsys, var, eps, rc
+    ):
+        _, data_path = toy_files
+        rng = np.random.default_rng(0)
+        layers = [
+            Layer("dense", rng.standard_normal((3, 2)), np.zeros(3)),
+            Layer("dense", rng.standard_normal((6, 3)), np.zeros(6), "softmax-logits"),
+        ]
+        model_path = tmp_path / "m.json"
+        save_model(ModelSpec(layers=layers), model_path)
+        doc = json.loads(model_path.read_text())
+        doc["layers"][0]["norm"] = {
+            "mean": [0.0] * 3, "var": var, "gamma": [1.0] * 3, "beta": [0.0] * 3, "eps": eps,
+        }
+        model_path.write_text(json.dumps(doc))
+        assert main(
+            ["rank", "--model", str(model_path), "--data", str(data_path),
+             "--method", "exact", "--out", str(tmp_path / "r.json")]
+        ) == rc
+        if rc:
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+            assert err["message"] == (
+                f"{model_path}: malformed model document: norm var + eps must be positive")
+            assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "mask",

@@ -16,7 +16,7 @@ import pytest
 
 from shaprank.errors import CharacteristicFunctionError
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import Coalition, Game, TableGame
+from shaprank.games import Game, TableGame
 from shaprank.partial import SizeBand, shapley_partial
 
 from conftest import build_redundancy_game, random_table_game
@@ -47,7 +47,7 @@ class DictGame:
             if not math.isfinite(value):
                 raise CharacteristicFunctionError(
                     f"characteristic function returned {value} for coalition {mask:#x}",
-                    coalition=Coalition(mask, self.n_players),
+                    coalition=mask,
                 )
             self._cache[mask] = value
             self.eval_count += 1
@@ -139,7 +139,7 @@ def test_non_finite_batched_payoff_names_its_coalition():
     game = Game(4, table.__getitem__)
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks(np.array([3, 0b1001, 5, 0b0110], dtype=np.uint64))
-    assert info.value.coalition == Coalition(0b0110, 4)
+    assert info.value.coalition == 0b0110
     assert "inf" in str(info.value)
     for mask in (3, 5, 0b0110, 0b1001):
         assert mask not in cached_masks(game)
@@ -236,7 +236,7 @@ def test_failing_batched_payoff_caches_nothing():
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks([0, 6, 3])
     # a raising batched call names the smallest coalition it was given
-    assert info.value.coalition == Coalition(3, 4)
+    assert info.value.coalition == 3
     assert isinstance(info.value.__cause__, OSError)
     assert not cached_masks(game) & {6, 3}
     assert (game.eval_count, game.cache_hits) == (2, 0)
@@ -250,7 +250,7 @@ def test_failing_batched_payoff_caches_nothing():
 def test_batched_payoff_must_return_one_value_per_mask(payoff):
     with pytest.raises(CharacteristicFunctionError) as info:
         Game(3, payoff)
-    assert info.value.coalition == Coalition(0, 3)
+    assert info.value.coalition == 0
     assert "returned shape" in str(info.value)
 
     calls = []
@@ -262,7 +262,7 @@ def test_batched_payoff_must_return_one_value_per_mask(payoff):
     game = Game(3, short_batch)
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks([5, 1, 6])
-    assert info.value.coalition == Coalition(1, 3)
+    assert info.value.coalition == 1
     assert not cached_masks(game) & {1, 5, 6}
 
 
@@ -299,7 +299,7 @@ def test_payoff_that_returns_non_numbers_names_the_smallest_coalition():
     game = Game(4, lambda masks: np.where(masks == 9, "nine", "0"))
     with pytest.raises(CharacteristicFunctionError) as info:
         game.evaluate_masks([12, 9, 5])
-    assert info.value.coalition == Coalition(5, 4)
+    assert info.value.coalition == 5
     assert isinstance(info.value.__cause__, ValueError)
     assert not cached_masks(game) & {5, 9, 12}
 

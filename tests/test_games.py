@@ -16,36 +16,102 @@ from shaprank.formats import (
     save_game_json,
 )
 from shaprank.games import (
-    Coalition,
     Game,
     Ranking,
     ShapleyEstimate,
     TableGame,
+    as_masks,
     make_fig2_game,
+    mask_from_members,
 )
+from shaprank.toynet import Layer, ModelSpec, accuracy_char_fn, make_blobs_dataset
 
-from conftest import MALFORMED_GAME_SPECS, constant_table_game, per_mask
+from conftest import MALFORMED_GAME_SPECS, constant_table_game, members, per_mask
 
 
-class TestCoalition:
-    def test_rejects_bits_above_player_count(self):
-        with pytest.raises(ValueError):
-            Coalition(bits=0b1000, n_players=3)
+class TestMasks:
+    def test_mask_from_members_rejects_players_out_of_range(self):
+        with pytest.raises(ValueError, match="player index 3 out of range for 3 players"):
+            mask_from_members([0, 3], 3)
 
     def test_members_round_trip(self):
-        c = Coalition.from_members([0, 2, 5], n_players=6)
-        assert c.members() == (0, 2, 5)
-        assert c.size == 3
-        assert c.contains(2) and not c.contains(1)
+        mask = mask_from_members([0, 2, 5], n_players=6)
+        assert mask == 0b100101
+        assert members(mask) == (0, 2, 5)
 
-    @given(st.integers(min_value=1, max_value=16), st.data())
-    def test_complement_partitions_players(self, n, data):
-        bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-        c = Coalition(bits, n)
-        comp = c.complement()
-        assert c.size + comp.size == n
-        assert (c.bits ^ comp.bits) == (1 << n) - 1
-        assert c.bits & comp.bits == 0
+    @given(st.integers(min_value=1, max_value=64), st.data())
+    def test_mask_from_members_inverts_members(self, n, data):
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        assert mask_from_members(members(mask), n) == mask
+
+    @pytest.mark.parametrize("masks", [
+        7.9, [7.9], np.float64(7.9), np.array([7.9]), np.array([1.7]), True, [True],
+        np.True_, np.array([True]), [np.True_], [1, 2.0], "7", [None],
+    ])
+    def test_refuses_what_is_not_an_integer(self, fig2, masks):
+        with pytest.raises(ValueError, match="coalition masks must be integers"):
+            as_masks(masks, 3)
+        with pytest.raises(ValueError, match="coalition masks must be integers"):
+            fig2.evaluate_masks(masks)
+
+    @pytest.mark.parametrize("bad", [7.9, True, np.float64(7.0), np.True_])
+    def test_evaluate_mask_refuses_a_float_or_a_bool(self, fig2, bad):
+        with pytest.raises(ValueError, match="coalition masks must be integers"):
+            fig2.evaluate_mask(bad)
+
+    @pytest.mark.parametrize("masks", [
+        np.array([-1]), np.array([3, -2], dtype=np.int8), np.int64(-1), [-1], [3, -5],
+    ])
+    def test_names_a_negative_mask_as_negative(self, fig2, masks):
+        low = int(np.min(masks))
+        with pytest.raises(ValueError, match=f"^negative coalition mask {low}$"):
+            fig2.evaluate_masks(masks)
+
+    @pytest.mark.parametrize("masks, high", [(np.array([8]), 8), ([8, 1], 8), (np.uint64(9), 9),
+                                             ([2**64], 2**64), ([1, 2**70], 2**70)])
+    def test_names_a_mask_out_of_range(self, fig2, masks, high):
+        with pytest.raises(ValueError, match=f"^mask {high} out of range for 3 players$"):
+            fig2.evaluate_masks(masks)
+
+    @pytest.mark.parametrize("masks", [
+        5, np.uint64(5), np.int8(5), np.array(5), [5, 1], (5, 1), np.array([5, 1], dtype=np.int64),
+        np.array([[5], [1]], dtype=np.uint32), [np.int16(5), 1], range(8), [],
+    ])
+    def test_accepts_python_and_numpy_integers(self, fig2, masks):
+        want = [int(m) for m in np.ravel(np.asarray(masks, dtype=np.int64))]
+        got = as_masks(masks, 3)
+        assert got.dtype == np.uint64 and got.tolist() == want
+        assert fig2.evaluate_masks(masks).tolist() == [fig2.values[m] for m in want]
+
+    def test_python_ints_at_and_above_bit_63_stay_exact(self):
+        seen = []
+        game = Game(64, lambda masks: seen.append(masks.tolist()) or np.zeros(masks.size))
+        top = [2**63, 2**63 + 1, 2**64 - 2]
+        assert as_masks([1] + top, 64).tolist() == [1] + top
+        game.evaluate_masks([1] + top)
+        assert seen[-1] == [1] + top
+        assert game.cached_table()[0].tolist() == [0, 1] + top + [2**64 - 1]
+
+    def test_preloaded_masks_must_be_integers(self):
+        with pytest.raises(ValueError, match="coalition masks must be integers"):
+            Game(3, lambda m: m * 1.0, preloaded=(np.array([1.7]), np.array([1.0])))
+        with pytest.raises(ValueError, match="negative coalition mask -1"):
+            Game(3, lambda m: m * 1.0, preloaded=(np.array([-1]), np.array([1.0])))
+
+    def test_accuracy_payoff_shares_the_check(self):
+        data = make_blobs_dataset(seed=0)
+        rng = np.random.default_rng(0)
+        spec = ModelSpec([Layer("dense", rng.standard_normal((3, 2)), np.zeros(3)),
+                          Layer("dense", rng.standard_normal((3, 3)), np.zeros(3),
+                                "softmax-logits")])
+        payoff = accuracy_char_fn(spec, data)
+        assert payoff([7, 1]).tolist() == payoff(np.array([7, 1], dtype=np.uint64)).tolist()
+        for bad, message in ((np.array([7.0]), "coalition masks must be integers"),
+                             ([True], "coalition masks must be integers"),
+                             (np.array([-1]), "negative coalition mask -1"),
+                             (np.array([8]), "mask 8 out of range for 3 players")):
+            with pytest.raises(ValueError, match=message):
+                payoff(bad)
 
 
 class TestGame:
@@ -73,12 +139,12 @@ class TestGame:
         game = Game(3, per_mask(bad))
         with pytest.raises(CharacteristicFunctionError) as info:
             game.evaluate_mask(0b101)
-        assert info.value.coalition == Coalition(0b101, 3)
+        assert info.value.coalition == 0b101
         assert isinstance(info.value.__cause__, OSError)
         # a call that raises is named by the smallest coalition it was given
         with pytest.raises(CharacteristicFunctionError) as info:
             game.evaluate_masks([0b110, 0b101, 0b011])
-        assert info.value.coalition == Coalition(0b011, 3)
+        assert info.value.coalition == 0b011
         assert not {0b011, 0b110} & set(game.cached_table()[0].tolist())
 
     def test_concurrent_requests_evaluate_once(self):
@@ -107,7 +173,7 @@ class TestGame:
         game = Game(3, per_mask(lambda m: float("nan") if m == 0b011 else 1.0))
         with pytest.raises(CharacteristicFunctionError) as info:
             game.evaluate_mask(0b011)
-        assert info.value.coalition == Coalition(0b011, 3)
+        assert info.value.coalition == 0b011
         assert 0b011 not in game.cached_table()[0].tolist()
 
     def test_counters_with_duplicate_masks(self):
@@ -240,8 +306,8 @@ class TestFig2Game:
             assert fig2.evaluate_mask(mask) == value
 
     def test_empty_and_grand(self, fig2):
-        assert fig2.evaluate_mask(Coalition(0, 3).bits) == 10.0
-        assert fig2.evaluate_mask(Coalition.grand(3).bits) == 90.0
+        assert fig2.evaluate_mask(0) == 10.0
+        assert fig2.evaluate_mask(fig2.grand_mask) == 90.0
         assert fig2.target_quantity() == 80.0
 
     def test_player0_marginals_across_all_orderings(self, fig2):
@@ -296,9 +362,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             Ranking(order=np.array([0, 0]), scores=np.array([2.0, 1.0]))
 
-    def test_top_prefix(self):
-        rank = Ranking.from_values([0.1, 0.9, 0.5])
-        assert rank.top(2).members() == (1, 2)
+    @pytest.mark.parametrize("scores", [[30.0, np.nan, 25.0], [np.inf, 25.0, 25.0],
+                                        [30.0, 25.0, -np.inf], [np.nan] * 3])
+    def test_rejects_non_finite_scores(self, scores):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            Ranking(order=np.array([2, 0, 1]), scores=np.array(scores))
 
     def test_reversed_keeps_validity(self):
         rank = Ranking.from_values([0.1, 0.9, 0.5]).reversed()

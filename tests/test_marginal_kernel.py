@@ -284,4 +284,4 @@ class TestSixtyFourPlayers:
     def test_oracle_runs(self, additive):
         oracle = compute_oracle_subsets(additive, "remove", [1])
         # removing the most negative player leaves the largest payoff
-        assert [c.members() for c in oracle.per_k[1]] == [(0,)]
+        assert oracle.per_k[1].tolist() == [0b1]

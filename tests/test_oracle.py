@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shaprank.errors import BudgetError
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import Coalition, Game, Ranking
+from shaprank.games import Game, Ranking, mask_from_members
 from shaprank.oracle import (
     OracleSubsets,
     build_oracle_rank,
@@ -23,6 +23,7 @@ from conftest import (
     build_redundancy_game,
     constant_table_game,
     greedy_oracle_rank,
+    members,
     random_table_game,
 )
 
@@ -36,7 +37,7 @@ def exhaustive_best_total(oracle: OracleSubsets) -> float:
         for k in oracle.k_range:
             prefix = set(perm[:k])
             overlap = max(
-                len(prefix & set(oset.members())) / len(prefix | set(oset.members()))
+                len(prefix & set(members(oset))) / len(prefix | set(members(oset)))
                 for oset in oracle.per_k[k]
             )
             num += k * overlap
@@ -47,7 +48,7 @@ def exhaustive_best_total(oracle: OracleSubsets) -> float:
 
 def synthetic_oracle(n, sets_by_k, mode="remove") -> OracleSubsets:
     per_k = {
-        k: tuple(Coalition.from_members(s, n) for s in tied)
+        k: np.array([mask_from_members(s, n) for s in tied], dtype=np.uint64)
         for k, tied in sets_by_k.items()
     }
     return OracleSubsets(
@@ -57,54 +58,52 @@ def synthetic_oracle(n, sets_by_k, mode="remove") -> OracleSubsets:
 
 class TestJaccard:
     def test_identical_sets(self):
-        c = Coalition.from_members([1], 4)
-        assert jaccard(c, c) == 1.0
+        assert jaccard(0b10, 0b10) == 1.0
 
     def test_partial_overlap(self):
-        a = Coalition.from_members([0, 1], 4)
-        b = Coalition.from_members([1, 2], 4)
-        assert jaccard(a, b) == pytest.approx(1.0 / 3.0)
+        assert jaccard(0b011, 0b110) == pytest.approx(1.0 / 3.0)
 
     def test_disjoint(self):
-        assert jaccard(Coalition(0, 4), Coalition.from_members([1], 4)) == 0.0
+        assert jaccard(0, 0b10) == 0.0
 
     def test_both_empty(self):
-        assert jaccard(Coalition(0, 4), Coalition(0, 4)) == 1.0
+        assert jaccard(0, 0) == 1.0
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            jaccard(Coalition(0, 3), Coalition(0, 4))
+    def test_masks_at_and_above_bit_63_count_exactly(self):
+        top = 1 << 63
+        assert jaccard(top | 1, top) == 0.5
+        assert jaccard((1 << 64) - 1, top) == 1 / 64
 
     @given(
         st.integers(min_value=1, max_value=12),
         st.data(),
     )
     def test_bounds_and_symmetry(self, n, data):
-        a = Coalition(data.draw(st.integers(0, (1 << n) - 1)), n)
-        b = Coalition(data.draw(st.integers(0, (1 << n) - 1)), n)
+        a = data.draw(st.integers(0, (1 << n) - 1))
+        b = data.draw(st.integers(0, (1 << n) - 1))
         j = jaccard(a, b)
         assert 0.0 <= j <= 1.0
         assert j == jaccard(b, a)
-        assert (j == 1.0) == (a.bits == b.bits)
+        assert (j == 1.0) == (a == b)
 
 
 class TestOracleSubsets:
     def test_fig2_remove_mode(self, fig2):
         oracle = compute_oracle_subsets(fig2, "remove", [1, 2])
-        assert [c.members() for c in oracle.per_k[1]] == [(0,)]
-        assert [c.members() for c in oracle.per_k[2]] == [(1, 2)]
+        assert oracle.per_k[1].tolist() == [0b001]
+        assert oracle.per_k[2].tolist() == [0b110]
         assert oracle.best_value[1] == 85.0
         assert oracle.best_value[2] == 55.0
 
     def test_fig2_keep_mode(self, fig2):
         oracle = compute_oracle_subsets(fig2, "keep", [1, 2])
-        assert [c.members() for c in oracle.per_k[1]] == [(0,)]  # 55 beats 40, 35
-        assert [c.members() for c in oracle.per_k[2]] == [(1, 2)]  # 85 is best pair
+        assert oracle.per_k[1].tolist() == [0b001]  # 55 beats 40, 35
+        assert oracle.per_k[2].tolist() == [0b110]  # 85 is best pair
 
     def test_full_size_is_trivially_the_grand_coalition(self, fig2):
         for mode in ("keep", "remove"):
             oracle = compute_oracle_subsets(fig2, mode, [3])
-            assert [c.members() for c in oracle.per_k[3]] == [(0, 1, 2)]
+            assert oracle.per_k[3].tolist() == [0b111]
 
     def test_ties_are_all_retained(self):
         oracle = compute_oracle_subsets(constant_table_game(5), "remove", [2])
@@ -119,9 +118,9 @@ class TestOracleSubsets:
                 for combo in itertools.combinations(range(8), k)
             )
             assert oracle.best_value[k] == best
-            for tied in oracle.per_k[k]:
+            for tied in oracle.per_k[k].tolist():
                 assert game.evaluate_mask(
-                    game.grand_mask ^ tied.bits
+                    game.grand_mask ^ tied
                 ) == pytest.approx(best, abs=1e-12)
 
     def test_rescan_still_holds_at_twelve_players(self):

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from shaprank.games import Coalition, Game, Ranking, masks_of_size
+from shaprank.games import Game, Ranking, mask_from_members, masks_of_size
 from shaprank.oracle import (
     OracleSubsets,
     RankScore,
@@ -26,11 +26,11 @@ from shaprank.oracle import (
     score_ranking,
 )
 
-from conftest import greedy_oracle_rank
+from conftest import greedy_oracle_rank, members
 
 
 def reference_best_overlap(prefix, tied):
-    return max(jaccard(oracle_set, prefix) for oracle_set in tied)
+    return max(jaccard(oracle_set, prefix) for oracle_set in tied.tolist())
 
 
 def reference_score(rank, oracle):
@@ -38,7 +38,8 @@ def reference_score(rank, oracle):
     num = 0.0
     den = 0.0
     for k in oracle.k_range:
-        overlap = reference_best_overlap(rank.top(k), oracle.per_k[k])
+        top = mask_from_members(rank.order[:k].tolist(), rank.n_players)
+        overlap = reference_best_overlap(top, oracle.per_k[k])
         per_k[k] = overlap
         num += k * overlap
         den += k
@@ -51,9 +52,9 @@ def reference_prefix_gains(oracle):
     for k in oracle.k_range:
         masks_k = masks_of_size(n, k)
         best = np.zeros(masks_k.size)
-        for oracle_set in oracle.per_k[k]:
-            inter = sum(((masks_k >> j) & 1).astype(np.float64) for j in oracle_set.members())
-            union = k + oracle_set.size - inter
+        for oracle_set in oracle.per_k[k].tolist():
+            inter = sum(((masks_k >> j) & 1).astype(np.float64) for j in members(oracle_set))
+            union = k + oracle_set.bit_count() - inter
             np.maximum(best, inter / union, out=best)
         gains[masks_k] = k * best
     return gains
@@ -119,7 +120,7 @@ def reference_greedy(oracle):
             for k in oracle.k_range:
                 den += k
                 if k <= position:
-                    prefix = Coalition.from_members(extended[:k], n)
+                    prefix = mask_from_members(extended[:k], n)
                     num += k * reference_best_overlap(prefix, oracle.per_k[k])
             score = num / den
             if score > best_score + 1e-15:
@@ -160,7 +161,8 @@ def synthetic_oracles(count, seed):
             combos = list(itertools.combinations(range(n), k))
             picks = rng.choice(len(combos), size=min(len(combos), int(rng.integers(1, 6))),
                                replace=False)
-            per_k[k] = tuple(Coalition.from_members(combos[p], n) for p in sorted(picks))
+            per_k[k] = np.array([mask_from_members(combos[p], n) for p in sorted(picks)],
+                                dtype=np.uint64)
         yield OracleSubsets(mode="remove", n_players=n, per_k=per_k,
                             best_value={k: 0.0 for k in per_k})
 
@@ -241,17 +243,17 @@ def test_best_overlaps_equal_the_best_jaccard(n):
     masks = [0, high] + [int(rng.integers(0, high, endpoint=True, dtype=np.uint64))
                          for _ in range(30)]
     for n_sets in (1, 2, 7):
-        tied = [Coalition(masks[j], n) for j in rng.integers(0, len(masks), size=n_sets)]
-        got = _best_overlaps(np.array(masks, dtype=np.uint64), tied)
-        want = [max(jaccard(Coalition(m, n), t) for t in tied) for m in masks]
+        tied = [masks[j] for j in rng.integers(0, len(masks), size=n_sets)]
+        got = _best_overlaps(np.array(masks, dtype=np.uint64), np.array(tied, dtype=np.uint64))
+        want = [max(jaccard(m, t) for t in tied) for m in masks]
         assert got.tolist() == want
-    empty = _best_overlaps(np.array([0], dtype=np.uint64), [Coalition(0, n)])
+    empty = _best_overlaps(np.array([0], dtype=np.uint64), np.zeros(1, dtype=np.uint64))
     assert empty.tolist() == [1.0]
 
 
 def test_best_overlaps_of_many_tied_sets_span_several_blocks():
     n = 16
-    tied = [Coalition(int(m), n) for m in masks_of_size(n, 8)]  # 12 870 sets
+    tied = masks_of_size(n, 8)  # 12 870 sets
     masks = masks_of_size(n, 7)[::97]
-    want = [max(jaccard(Coalition(int(m), n), t) for t in tied) for m in masks]
+    want = [max(jaccard(m, t) for t in tied.tolist()) for m in masks.tolist()]
     assert _best_overlaps(masks, tied).tolist() == want

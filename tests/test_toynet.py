@@ -6,7 +6,7 @@ import pytest
 from shaprank import formats
 from shaprank.errors import FormatError
 from shaprank.exact import shapley_exact_subsets
-from shaprank.games import Coalition
+from shaprank.games import full_mask, mask_from_members
 from shaprank.formats import (
     load_dataset_csv,
     load_model,
@@ -41,13 +41,13 @@ def trained(blobs):
 
 def forward_batch(spec, mask, inputs):
     """The reference forward pass: final-layer outputs for a batch, with the
-    prunable layer's units outside the coalition ``mask`` zeroed."""
+    prunable layer's units outside the coalition bitmask ``mask`` zeroed."""
     x = np.asarray(inputs, dtype=np.float64)
     for idx, layer in enumerate(spec.layers):
         x = _apply_layer(layer, x)
         if idx == spec.prunable_layer:
             x = x.copy()
-            x[:, [i for i in range(mask.n_players) if not mask.contains(i)]] = 0.0
+            x[:, [i for i in range(x.shape[1]) if not mask >> i & 1]] = 0.0
     return x
 
 
@@ -57,7 +57,7 @@ def accuracy(spec, mask, data):
 
 
 def grand(spec):
-    return Coalition.grand(spec.n_players)
+    return full_mask(spec.n_players)
 
 
 class TestBlobs:
@@ -73,8 +73,7 @@ class TestBlobs:
 
 class TestMaskingSemantics:
     def test_empty_mask_predicts_a_constant_class(self, trained, blobs):
-        empty = Coalition(0, trained.n_players)
-        preds = np.argmax(forward_batch(trained, empty, blobs.inputs), axis=1)
+        preds = np.argmax(forward_batch(trained, 0, blobs.inputs), axis=1)
         assert np.unique(preds).size == 1
 
     def test_empty_mask_accuracy_equals_best_constant_on_balanced_data(
@@ -89,7 +88,7 @@ class TestMaskingSemantics:
         n = spec.n_players
         dead = n - 1
         with_unit = forward_batch(spec, grand(spec), blobs.inputs)
-        without = forward_batch(spec, Coalition.from_members(range(dead), n), blobs.inputs)
+        without = forward_batch(spec, mask_from_members(range(dead), n), blobs.inputs)
         assert np.array_equal(
             np.argmax(with_unit, axis=1), np.argmax(without, axis=1)
         )
@@ -111,8 +110,16 @@ class TestMaskingSemantics:
             kind="dense", weights=np.eye(3), bias=np.zeros(3), activation="softmax-logits"
         )
         spec = ModelSpec(layers=[layer, head], prunable_layer=0)
-        out = forward_batch(spec, Coalition.from_members([0], 3), np.array([[1.0, 1.0, 1.0]]))
+        out = forward_batch(spec, mask_from_members([0], 3), np.array([[1.0, 1.0, 1.0]]))
         assert out[0, 1] == 0.0 and out[0, 2] == 0.0
+
+
+@pytest.mark.parametrize("var, eps", [(-1.0, 1e-5), (-0.5, 0.5), (-np.inf, 1e-5)])
+def test_norm_without_a_positive_denominator_is_refused(var, eps):
+    norm = Normalization(mean=np.zeros(2), var=np.array([1.0, var]), gamma=np.ones(2),
+                         beta=np.zeros(2), eps=eps)
+    with pytest.raises(ValueError, match=r"norm var \+ eps must be positive"):
+        Layer("dense", np.eye(2), np.zeros(2), norm=norm)
 
 
 def _with_extra_unit(spec, out_scale, seed=4):
@@ -201,7 +208,7 @@ class TestCharacteristicFunction:
         for mask in (0b0101, 0b1100, 0b11111111):
             mask &= (1 << trained.n_players) - 1
             assert game.evaluate_mask(mask) == pytest.approx(
-                accuracy(trained, Coalition(mask, trained.n_players), blobs)
+                accuracy(trained, mask, blobs)
             )
 
 
@@ -245,13 +252,13 @@ class TestConv2d:
     def test_same_padding_preserves_spatial_shape(self):
         spec = self._conv_spec()
         x = np.random.default_rng(2).standard_normal((5, 2, 7, 6))
-        conv_out = forward_batch(spec, Coalition.grand(4), x)
+        conv_out = forward_batch(spec, full_mask(4), x)
         assert conv_out.shape == (5, 3)
 
     def test_channel_masking_matches_manual_zeroing(self):
         spec = self._conv_spec()
         x = np.random.default_rng(3).standard_normal((4, 2, 5, 5))
-        masked = forward_batch(spec, Coalition.from_members([0, 2], 4), x)
+        masked = forward_batch(spec, mask_from_members([0, 2], 4), x)
         # manual: run conv, zero channels 1 and 3, finish with the head
         h = _apply_layer(spec.layers[0], x)
         h[:, [1, 3]] = 0.0
@@ -306,9 +313,9 @@ class TestModelIO:
     def test_loaded_mask_gives_the_masked_accuracy(self, trained, blobs, tmp_path):
         path = tmp_path / "masked.json"
         save_model(trained, path, removed=list(range(1, trained.n_players)))
-        kept = Coalition.from_members([0], trained.n_players)
+        kept = mask_from_members([0], trained.n_players)
         spec = load_model(path)
-        payoff = make_accuracy_game(spec, blobs).evaluate_mask(grand(spec).bits)
+        payoff = make_accuracy_game(spec, blobs).evaluate_mask(grand(spec))
         assert payoff == accuracy(trained, kept, blobs)
         assert accuracy(spec, grand(spec), blobs) == accuracy(trained, kept, blobs)
 
@@ -337,7 +344,7 @@ class TestModelIO:
         assert np.array_equal(layer.norm.mean, norm.mean)
         # the zeroed units output zero, as when the layer's outputs are masked
         x = rng.standard_normal((20, 2))
-        masked = forward_batch(spec.with_prunable_layer(1), Coalition.from_members([1, 3], 4), x)
+        masked = forward_batch(spec.with_prunable_layer(1), mask_from_members([1, 3], 4), x)
         np.testing.assert_array_equal(forward_batch(loaded, grand(loaded), x), masked)
 
     def test_binary_sidecar_round_trip(self, trained, tmp_path, monkeypatch):
