@@ -123,15 +123,30 @@ def _parse_k_range(text: str, n_players: int) -> list[int]:
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any input is read if a file the command would write has
-    no directory to go in (``--csv`` and the default ``--summary`` go
-    beside ``--out``), rather than after the estimate it would hold.  The
-    handlers call it after the usage errors the command line alone shows."""
-    for flag in ("out", "summary", "cache"):
-        path = getattr(args, flag, None)
-        if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"--{flag} {path}: "
-                                    f"directory {Path(path).parent} does not exist")
+    """Fail before any input is read if two files the command would write
+    are one file, or one has no directory to go in or is a directory
+    itself (``--csv`` and the default ``--summary`` go beside ``--out``),
+    rather than after the estimate it would hold.  The handlers call it
+    after the usage errors the command line alone shows."""
+    outputs = {"--out": args.out, "--cache": getattr(args, "cache", None)}
+    if getattr(args, "csv", False):
+        outputs["--csv"] = f"{args.out}.csv"
+    if hasattr(args, "summary"):
+        outputs["--summary"] = args.summary or f"{args.out}.summary.json"
+    outputs = {flag: Path(path) for flag, path in outputs.items() if path}
+    flag_of_file: dict = {}
+    for flag, path in outputs.items():
+        try:
+            other = flag_of_file.setdefault(path.resolve(), flag)
+        except RuntimeError as exc:  # a symlink loop, before Python 3.13
+            raise OSError(f"{flag} {path}: {exc}") from exc
+        if other != flag:
+            raise UsageError(f"{other} and {flag} both name {path}: one file cannot hold both")
+    for flag, path in outputs.items():
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{flag} {path}: directory {path.parent} does not exist")
+        if path.is_dir():
+            raise IsADirectoryError(f"{flag} {path}: is a directory, not a file")
 
 
 def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec], object]:
@@ -151,7 +166,7 @@ def _load_game(args) -> tuple[Game, dict, str, Optional[ModelSpec], object]:
     config = _method_config(args)
     _check_output_dirs(args)
     # the loaders record the sha256 of each file they read: the game; or, in
-    # this order, the model, its binary sidecar if it has one, and the dataset
+    # this order, the model and the dataset
     inputs: dict = {}
     spec = None
     if args.game:

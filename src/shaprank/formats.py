@@ -1,7 +1,7 @@
 """Every file shaprank reads or writes, as docs/formats.md specifies it:
 game specs, coalition-value caches, reports and their CSV tables, model
-files with their flat-binary sidecars, and datasets.  A bad input raises
-:class:`FormatError` naming the file, and its line where it has lines.
+files and datasets.  A bad input raises :class:`FormatError` naming the
+file, and its line where it has lines.
 """
 
 from __future__ import annotations
@@ -30,22 +30,17 @@ JSON_INTEGER = frozenset({int})
 JSON_NUMBER = frozenset({int, float})
 
 
-def read_input(path, hashes: Optional[dict], key: str) -> bytes:
-    """The bytes of the input file ``path``.  With ``hashes``, also sets
-    ``hashes[key]`` to their sha256, as a report's ``inputs`` records it."""
+def read_text(path, hashes: Optional[dict] = None, key: str = "") -> str:
+    """The input file ``path`` as text, as ``open(path,
+    encoding="utf-8").read()`` reads it (newlines translated).  With
+    ``hashes``, also sets ``hashes[key]`` to the sha256 of its bytes, as a
+    report's ``inputs`` records it.  The bytes are gone when this returns,
+    so a caller's parse holds only the text and what it makes of it."""
     raw = Path(path).read_bytes()
     if hashes is not None:
         hashes[key] = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return raw
-
-
-def read_text(path, hashes: Optional[dict] = None, key: str = "") -> str:
-    """The input file ``path`` as text, as ``open(path,
-    encoding="utf-8").read()`` reads it (newlines translated), hashed as
-    :func:`read_input` hashes it.  Its bytes are gone when this returns, so
-    a caller's parse holds only the text and what it makes of it."""
     try:
-        with io.TextIOWrapper(io.BytesIO(read_input(path, hashes, key)), encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
@@ -394,7 +389,6 @@ def write_oracle_csv(out_path, rows) -> None:
 
 
 MODEL_FORMAT = "shaprank-model-v1"
-INLINE_PARAM_LIMIT = 8192
 _NORM_VECTORS = ("mean", "var", "gamma", "beta")
 # what a model parameter may be: a JSON number, or nested lists of them
 _PARAMETER = JSON_NUMBER | {list}
@@ -424,87 +418,28 @@ def _number_array(node) -> np.ndarray:
     return np.array(node, dtype=np.float64)
 
 
-def write_flat_binary(tensors: Sequence[np.ndarray], path) -> None:
-    """Little-endian float32 tensors behind a one-line JSON header."""
-    header = json.dumps(
-        {"dtype": "f32le", "shapes": [list(t.shape) for t in tensors]},
-        sort_keys=True,
-    ).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors)
-    Path(path).write_bytes(header + b"\n" + payload)
-
-
-def read_flat_binary(path, hashes: Optional[dict] = None) -> list[np.ndarray]:
-    """Read a :func:`write_flat_binary` file; with ``hashes``,
-    ``hashes["binary_weights"]`` is the sha256 of the bytes read."""
-    raw = read_input(path, hashes, "binary_weights")
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise FormatError(f"{path}: missing binary header line")
-    with format_errors(path, "bad binary header"):
-        header = json.loads(raw[:newline].decode("utf-8"))
-        shapes = header["shapes"]
-        if header["dtype"] != "f32le":
-            raise KeyError("dtype")
-        # int() would read 4.9, true or "4" as a dimension
-        if not (type(shapes) is list and all(
-                type(s) is list and json_typed(s, JSON_INTEGER) and min(s, default=0) >= 0
-                for s in shapes)):
-            raise ValueError("shape entries must be non-negative JSON integers")
-    payload = raw[newline + 1:]
-    # exact Python ints: np.prod would wrap a product past int64
-    counts = [math.prod(s) for s in shapes]
-    if len(payload) != 4 * sum(counts):
-        raise FormatError(f"{path}: payload size mismatch")
-    tensors = []
-    offset = 0
-    for shape, count in zip(shapes, counts):
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors.append(arr.astype(np.float64).reshape(shape))
-        offset += count * 4
-    return tensors
-
-
 def save_model(spec: ModelSpec, path, removed: Sequence[int] = ()) -> None:
-    """Write a model as JSON; large weight sets go to a binary sidecar.
-
+    """Write a model as JSON, every tensor inline as nested lists, so that
+    :func:`load_model` reads back the same float64 values at any size.
     ``removed`` units of the prunable layer are written as the file's
-    ``mask``, which :func:`load_model` applies.  Small models embed every
-    tensor in the JSON document (exact float64 round trip); above
-    ``INLINE_PARAM_LIMIT`` total parameters the weights and biases move to
-    ``<path>.bin`` in the flat float32 format.
-    """
-    path = Path(path)
-    n_params = sum(l.weights.size + l.bias.size for l in spec.layers)
+    ``mask``, which :func:`load_model` applies."""
     doc = {
         "format": MODEL_FORMAT,
         "prunable_layer": spec.prunable_layer,
         "mask": {"layer": spec.prunable_layer, "removed": sorted(map(int, removed))}
         if len(removed) else None,
-        "layers": [],
+        "layers": [
+            {
+                "kind": layer.kind,
+                "activation": layer.activation,
+                "norm": _norm_to_json(layer.norm),
+                "weights": layer.weights.tolist(),
+                "bias": layer.bias.tolist(),
+            }
+            for layer in spec.layers
+        ],
         "binary_weights": None,
     }
-    tensors: list[np.ndarray] = []
-    inline = n_params <= INLINE_PARAM_LIMIT
-    for layer in spec.layers:
-        entry = {
-            "kind": layer.kind,
-            "activation": layer.activation,
-            "norm": _norm_to_json(layer.norm),
-        }
-        if inline:
-            entry["weights"] = layer.weights.tolist()
-            entry["bias"] = layer.bias.tolist()
-        else:
-            entry["weights"] = {"tensor": len(tensors)}
-            tensors.append(layer.weights)
-            entry["bias"] = {"tensor": len(tensors)}
-            tensors.append(layer.bias)
-        doc["layers"].append(entry)
-    if not inline:
-        sidecar = path.with_suffix(path.suffix + ".bin")
-        write_flat_binary(tensors, sidecar)
-        doc["binary_weights"] = sidecar.name
     write_json(doc, path)
 
 
@@ -512,31 +447,20 @@ def load_model(path, hashes: Optional[dict] = None) -> ModelSpec:
     """Read a model file into the model it describes: a ``mask`` entry's
     units are zeroed in the layer it names, and without one every unit
     stays on.  With ``hashes``, ``hashes["model"]`` is the sha256 of the
-    bytes read, and ``hashes["binary_weights"]`` that of the sidecar if
-    there is one."""
+    bytes read."""
     path = Path(path)
     with format_errors(path, "not valid JSON"):
         doc = json.loads(read_text(path, hashes, "model"))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
-    tensors: list[np.ndarray] = []
-
-    def fetch(node) -> np.ndarray:
-        if not isinstance(node, dict):
-            return _number_array(node)
-        index = node["tensor"]
-        if not (type(index) in JSON_INTEGER and 0 <= index < len(tensors)):
-            raise ValueError(f"a tensor index must be a JSON integer in [0, {len(tensors)})")
-        return tensors[index]
-
+    if doc.get("binary_weights") is not None:
+        raise FormatError(f"{path}: binary_weights must be null: weight sidecars are not read")
     with format_errors(path, "malformed model document", with_reason=True):
-        if doc.get("binary_weights"):
-            tensors = read_flat_binary(path.parent / doc["binary_weights"], hashes)
         layers = [
             Layer(
                 kind=entry["kind"],
-                weights=fetch(entry["weights"]),
-                bias=fetch(entry["bias"]),
+                weights=_number_array(entry["weights"]),
+                bias=_number_array(entry["bias"]),
                 activation=entry["activation"],
                 norm=_norm_from_json(entry.get("norm")),
             )

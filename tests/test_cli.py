@@ -471,6 +471,37 @@ class TestPrune:
         save_model(load_model(model_path), expected, removed=summary["removed_players"])
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("count", [4, 40])
+    def test_a_large_pruned_model_is_one_file_of_the_ranked_weights(self, tmp_path, count):
+        # 9 028 parameters: the file must hold the ranked weights exactly at
+        # any size, not only for small models
+        rng = np.random.default_rng(3)
+        spec = ModelSpec(layers=[
+            Layer("dense", rng.standard_normal((64, 2)), rng.standard_normal(64)),
+            Layer("dense", rng.standard_normal((128, 64)), rng.standard_normal(128)),
+            Layer("dense", rng.standard_normal((4, 128)), rng.standard_normal(4),
+                  "softmax-logits"),
+        ])
+        model_path, data_path = tmp_path / "model.json", tmp_path / "data.csv"
+        save_model(spec, model_path)
+        save_dataset_csv(make_blobs_dataset(n_per_class=10, n_classes=4, seed=0), data_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(
+            ["prune", "--model", str(model_path), "--data", str(data_path),
+             "--method", "partial", "--count", str(count), "--out", str(out / "pruned.json"),
+             "--summary", str(tmp_path / "summary.json")]
+        )
+        assert rc == 0
+        assert [p.name for p in out.iterdir()] == ["pruned.json"]
+        removed = read_json(tmp_path / "summary.json")["removed_players"]
+        pruned = load_model(out / "pruned.json")
+        for index, (got, ranked) in enumerate(zip(pruned.layers, spec.layers)):
+            weights, bias = ranked.weights.copy(), ranked.bias.copy()
+            if index == spec.prunable_layer:
+                weights[removed] = bias[removed] = 0.0
+            assert np.array_equal(got.weights, weights) and np.array_equal(got.bias, bias)
+
     @pytest.mark.parametrize("count", [1, 4, 7])
     def test_pruned_model_file_reproduces_nu_after(self, toy_files, tmp_path, count):
         from shaprank.formats import load_dataset_csv
@@ -587,29 +618,26 @@ class TestPrune:
 
 
 class TestCache:
-    def test_rewritten_sidecar_invalidates_the_cache(
-        self, toy_files, tmp_path, capsys, monkeypatch
-    ):
-        # the model file names its sidecar, so rewriting the weights leaves
-        # it unchanged; the sidecar's hash alone tells the two models apart
+    def test_rewritten_weights_invalidate_the_cache(self, toy_files, tmp_path, capsys):
+        # the weights are inline, so the model file's hash tells the two
+        # models apart; a report names no file but the model and the data
         model_path, data_path = toy_files
         spec = load_model(model_path)
-        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
-        model, sidecar, cache = tmp_path / "m.json", tmp_path / "m.json.bin", tmp_path / "c.jsonl"
+        model, cache = tmp_path / "m.json", tmp_path / "c.jsonl"
         save_model(spec, model)
         rank = ["rank", "--model", str(model), "--data", str(data_path),
                 "--method", "exact", "--cache", str(cache)]
         assert main(rank + ["--out", str(tmp_path / "a.json")]) == 0
         inputs = read_json(tmp_path / "a.json")["inputs"]
-        assert inputs["binary_weights"] == "sha256:" + hashlib.sha256(sidecar.read_bytes()).hexdigest()
-        before = model.read_bytes()
+        assert set(inputs) == {"model", "data", "layer", "split", "split_seed"}
+        assert inputs["model"] == "sha256:" + hashlib.sha256(model.read_bytes()).hexdigest()
         layers = [Layer(l.kind, -l.weights, l.bias, l.activation, l.norm) for l in spec.layers]
         save_model(ModelSpec(layers=layers), model)
-        assert model.read_bytes() == before
         capsys.readouterr()
         assert main(rank + ["--out", str(tmp_path / "b.json")]) == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["message"].startswith(f"{cache}: cache was built for a different game")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "c.jsonl", "m.json"]
 
     def test_kernel_reuses_exact_enumeration(self, fig2_path, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -833,36 +861,97 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["exit_code"] == 5
 
+    @pytest.mark.parametrize("target", ["gone", "dir", "loop"])
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["rank", "--game", "{missing}", "--method", "exact", "--out", "{gone}"], "--out"),
+            (["rank", "--game", "{missing}", "--method", "exact", "--out", "{bad}"], "--out"),
             (["rank", "--game", "{missing}", "--method", "exact", "--out", "{ok}",
-              "--csv", "--cache", "{gone}"], "--cache"),
+              "--csv", "--cache", "{bad}"], "--cache"),
             (["oracle", "--game", "{missing}", "--mode", "remove", "--k-range", "1:2",
-              "--out", "{gone}", "--csv"], "--out"),
+              "--out", "{bad}", "--csv"], "--out"),
             (["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
-              "--count", "1", "--out", "{gone}"], "--out"),
+              "--count", "1", "--out", "{bad}"], "--out"),
             (["prune", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
-              "--count", "1", "--out", "{ok}", "--summary", "{gone}"], "--summary"),
+              "--count", "1", "--out", "{ok}", "--summary", "{bad}"], "--summary"),
             (["rank", "--model", "{missing}", "--data", "{missing}", "--method", "exact",
-              "--out", "{gone}"], "--out"),
-            (["make-fig2", "--out", "{gone}"], "--out"),
+              "--out", "{bad}"], "--out"),
+            (["make-fig2", "--out", "{bad}"], "--out"),
         ],
     )
     def test_output_in_a_missing_directory_fails_before_any_input_is_read(
-        self, tmp_path, capsys, argv, flag
+        self, tmp_path, capsys, argv, flag, target
     ):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "loop").symlink_to("loop")
         paths = {
             "missing": str(tmp_path / "nope.json"),
             "gone": str(tmp_path / "no-such-dir" / "x.json"),
+            # an existing directory, which no file can be written as either
+            "dir": str(tmp_path / "dir"),
+            # a directory that is a symlink to itself
+            "loop": str(tmp_path / "loop" / "x.json"),
             "ok": str(tmp_path / "x.json"),
         }
-        rc = main([arg.format(**paths) for arg in argv])
+        rc = main([arg.format(**paths, bad=paths[target]) for arg in argv])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (rc, err["exit_code"]) == (5, 5)
-        assert err["message"].startswith(f"{flag} {paths['gone']}:")
-        assert list(tmp_path.iterdir()) == []
+        assert err["message"].startswith(f"{flag} {paths[target]}:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "loop"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, flag, written",
+        [(["rank", "--method", "exact", "--csv"], "--csv", "r.json.csv"),
+         (["oracle", "--mode", "remove", "--k-range", "1:2", "--csv"], "--csv", "r.json.csv"),
+         (["prune", "--method", "exact", "--count", "2"], "--summary", "r.json.summary.json")],
+    )
+    def test_a_file_beside_out_that_is_a_directory_fails_before_any_payoff(
+        self, tmp_path, capsys, monkeypatch, argv, flag, written
+    ):
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        monkeypatch.setattr(cli, "accuracy_char_fn", lambda spec, data: pytest.fail("a payoff"))
+        (tmp_path / written).mkdir()
+        out, cache = tmp_path / "r.json", tmp_path / "c.jsonl"
+        rc = main([*argv, "--model", os.path.join(golden, "net.json"),
+                   "--data", os.path.join(golden, "net-data.csv"),
+                   "--cache", str(cache), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (5, "IsADirectoryError", 5)
+        assert err["message"] == f"{flag} {tmp_path / written}: is a directory, not a file"
+        assert [p.name for p in tmp_path.iterdir()] == [written]
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [(["rank", "--method", "exact", "--cache", "{same}", "--out", "{same}"],
+          ("--out", "--cache")),
+         (["oracle", "--mode", "keep", "--k-range", "1:2", "--cache", "{same}",
+           "--out", "{same}"], ("--out", "--cache")),
+         (["rank", "--method", "exact", "--csv", "--cache", "{same}.csv", "--out", "{same}"],
+          ("--cache", "--csv")),
+         (["prune", "--method", "exact", "--count", "1", "--out", "{same}",
+           "--summary", "{same}"], ("--out", "--summary")),
+         (["prune", "--method", "exact", "--count", "1", "--cache", "{same}",
+           "--out", "{dir}/r.json", "--summary", "{same}"], ("--cache", "--summary")),
+         (["prune", "--method", "exact", "--count", "1", "--cache", "{same}.summary.json",
+           "--out", "{same}"], ("--cache", "--summary")),
+         (["prune", "--method", "exact", "--count", "1", "--out", "{same}",
+           "--summary", "{dir}/../{name}"], ("--out", "--summary"))],
+        ids=["rank-out-cache", "oracle-out-cache", "rank-cache-csv", "prune-out-summary",
+             "prune-cache-summary", "prune-cache-default-summary", "prune-out-summary-resolved"],
+    )
+    def test_two_outputs_that_name_one_file_are_a_usage_error(
+        self, tmp_path, capsys, argv, flags
+    ):
+        # refused before any input is read: the model does not exist
+        (tmp_path / "sub").mkdir()
+        paths = {"same": str(tmp_path / "m.json"), "dir": str(tmp_path / "sub"), "name": "m.json"}
+        source = ["--model", str(tmp_path / "nope.json"), "--data", str(tmp_path / "nope.csv")]
+        rc = main([arg.format(**paths) for arg in argv[:1] + source + argv[1:]])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (rc, err["error"], err["exit_code"]) == (2, "UsageError", 2)
+        assert err["message"].startswith(f"{flags[0]} and {flags[1]} both name ")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1288,33 +1377,25 @@ class TestErrors:
             "beta": [0, 0, 0, 0], "eps": 0.1}
 
     @pytest.mark.parametrize(
-        "sidecar, layer, entries, complaint",
-        [(False, 0, {"weights": [[1, 0], [0, 1], [-1, 0], [True, -1]]}, "JSON numbers"),
-         (False, 1, {"weights": [[0, 1, 0, 0], [1, 0, "0", 0], [0, 0, 1, 1]]}, "JSON numbers"),
-         (False, 0, {"weights": [[1, 0], [0, 1], [-1, 0], [None, -1]]}, "JSON numbers"),
-         (False, 0, {"bias": [True, "2", 0, 0]}, "JSON numbers"),
-         (False, 0, {"bias": [0, None, 0, 0]}, "JSON numbers"),
-         (False, 0, {"norm": {**NORM, "mean": ["1", 0, 0, 0]}}, "JSON numbers"),
-         (False, 0, {"norm": {**NORM, "var": [1, 1, "1", 1]}}, "JSON numbers"),
-         (False, 0, {"norm": {**NORM, "gamma": [1, True, 1, 1]}}, "JSON numbers"),
-         (False, 0, {"norm": {**NORM, "beta": [0, 0, None, 0]}}, "JSON numbers"),
-         (False, 0, {"norm": {**NORM, "eps": "0.1"}}, "eps must be a JSON number"),
-         (False, 0, {"norm": {**NORM, "eps": True}}, "eps must be a JSON number"),
-         (True, 0, {"bias": {"tensor": 1.9}}, "JSON integer in [0, 4)"),
-         (True, 0, {"bias": {"tensor": 1.0}}, "JSON integer in [0, 4)"),
-         (True, 0, {"bias": {"tensor": True}}, "JSON integer in [0, 4)"),
-         (True, 0, {"bias": {"tensor": "1"}}, "JSON integer in [0, 4)"),
-         (True, 1, {"bias": {"tensor": -1}}, "JSON integer in [0, 4)"),
-         (True, 0, {"bias": {"tensor": 4}}, "JSON integer in [0, 4)"),
-         (False, None, {"binary_weights": 5}, "")],
+        "layer, entries, complaint",
+        [(0, {"weights": [[1, 0], [0, 1], [-1, 0], [True, -1]]}, "JSON numbers"),
+         (1, {"weights": [[0, 1, 0, 0], [1, 0, "0", 0], [0, 0, 1, 1]]}, "JSON numbers"),
+         (0, {"weights": [[1, 0], [0, 1], [-1, 0], [None, -1]]}, "JSON numbers"),
+         (0, {"bias": [True, "2", 0, 0]}, "JSON numbers"),
+         (0, {"bias": [0, None, 0, 0]}, "JSON numbers"),
+         (0, {"norm": {**NORM, "mean": ["1", 0, 0, 0]}}, "JSON numbers"),
+         (0, {"norm": {**NORM, "var": [1, 1, "1", 1]}}, "JSON numbers"),
+         (0, {"norm": {**NORM, "gamma": [1, True, 1, 1]}}, "JSON numbers"),
+         (0, {"norm": {**NORM, "beta": [0, 0, None, 0]}}, "JSON numbers"),
+         (0, {"norm": {**NORM, "eps": "0.1"}}, "eps must be a JSON number"),
+         (0, {"norm": {**NORM, "eps": True}}, "eps must be a JSON number"),
+         (0, {"bias": {"tensor": 1}}, "JSON numbers")],
         ids=["weights-bool", "weights-nested-string", "weights-null", "bias-bool-and-string",
              "bias-null", "norm-vector-string", "norm-var-string", "norm-gamma-bool",
-             "norm-beta-null", "norm-eps-string", "norm-eps-bool", "tensor-index-fraction",
-             "tensor-index-float", "tensor-index-bool", "tensor-index-string",
-             "tensor-index-negative", "tensor-index-past-the-end", "sidecar-name-a-number"],
+             "norm-beta-null", "norm-eps-string", "norm-eps-bool", "tensor-reference"],
     )
     def test_model_parameters_that_are_not_json_numbers_are_format_errors(
-        self, toy_files, tmp_path, capsys, monkeypatch, sidecar, layer, entries, complaint
+        self, toy_files, tmp_path, capsys, layer, entries, complaint
     ):
         _, data_path = toy_files
         rng = np.random.default_rng(0)
@@ -1322,13 +1403,10 @@ class TestErrors:
             Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
             Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
         ]
-        if sidecar:
-            monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
         model_path = tmp_path / "m.json"
         save_model(ModelSpec(layers=layers), model_path)
         doc = json.loads(model_path.read_text())
-        # layer None: a key of the document itself
-        (doc if layer is None else doc["layers"][layer]).update(entries)
+        doc["layers"][layer].update(entries)
         model_path.write_text(json.dumps(doc))
         rc = main(
             ["rank", "--model", str(model_path), "--data", str(data_path),
@@ -1340,60 +1418,29 @@ class TestErrors:
         assert err["message"].startswith(f"{model_path}: malformed model document: ")
         assert complaint in err["message"]
 
-    @pytest.mark.parametrize("shape", [[4.9, 2], [4, True], [4, "2"], [-4, -2]],
-                             ids=["fraction", "bool", "string", "negative"])
-    def test_sidecar_shapes_that_are_not_json_sizes_are_format_errors(
-        self, toy_files, tmp_path, capsys, monkeypatch, shape
+    @pytest.mark.parametrize("binary_weights", ["m.json.bin", 5, 0, False, ""],
+                             ids=["a-name", "a-number", "zero", "false", "empty-name"])
+    def test_a_model_that_names_a_weight_sidecar_is_a_format_error(
+        self, toy_files, tmp_path, capsys, binary_weights
     ):
-        # int() read each of these as a dimension
-        _, data_path = toy_files
-        rng = np.random.default_rng(0)
-        layers = [
-            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
-            Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
-        ]
-        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
-        model_path, sidecar = tmp_path / "m.json", tmp_path / "m.json.bin"
-        save_model(ModelSpec(layers=layers), model_path)
-        header, payload = sidecar.read_bytes().split(b"\n", 1)
-        doc = json.loads(header)
-        doc["shapes"][0] = shape
-        sidecar.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        # weights are read inline only: a sidecar, even one that is there,
+        # is refused rather than ignored
+        model_path, data_path = toy_files
+        path = tmp_path / "m.json"
+        doc = json.loads(model_path.read_text())
+        doc["binary_weights"] = binary_weights
+        path.write_text(json.dumps(doc))
+        (tmp_path / "m.json.bin").write_bytes(b"")
         rc = main(
-            ["rank", "--model", str(model_path), "--data", str(data_path),
+            ["rank", "--model", str(path), "--data", str(data_path),
              "--method", "exact", "--out", str(tmp_path / "r.json")]
         )
         assert rc == 5
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["message"]) == ("FormatError", f"{sidecar}: bad binary header")
-
-    @pytest.mark.parametrize(
-        "header, complaint",
-        [("[" * 100_000 + "]" * 100_000, "bad binary header"),
-         ('{"dtype": "f32le", "shapes": [[4294967296, 4294967296]]}', "payload size mismatch")],
-        ids=["nested-past-the-recursion-limit", "sizes-whose-product-wraps-int64"],
-    )
-    def test_a_bad_sidecar_header_names_the_sidecar(
-        self, toy_files, tmp_path, capsys, monkeypatch, header, complaint
-    ):
-        _, data_path = toy_files
-        rng = np.random.default_rng(0)
-        layers = [
-            Layer("dense", rng.standard_normal((4, 2)), np.zeros(4)),
-            Layer("dense", rng.standard_normal((3, 4)), np.zeros(3), "softmax-logits"),
-        ]
-        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
-        model_path, sidecar = tmp_path / "m.json", tmp_path / "m.json.bin"
-        save_model(ModelSpec(layers=layers), model_path)
-        # an empty payload, which 2**32 * 2**32 floats wrap to in int64
-        sidecar.write_bytes(header.encode() + b"\n")
-        rc = main(
-            ["rank", "--model", str(model_path), "--data", str(data_path),
-             "--method", "exact", "--out", str(tmp_path / "r.json")]
-        )
-        assert rc == 5
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (err["error"], err["message"]) == ("FormatError", f"{sidecar}: {complaint}")
+        assert (err["error"], err["exit_code"]) == ("FormatError", 5)
+        assert err["message"].startswith(f"{path}: binary_weights must be null: ")
+        assert "sidecars are not read" in err["message"]
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("prunable", [0.7, True, "0", None])
     def test_prunable_layer_that_is_not_a_json_integer_is_a_format_error(

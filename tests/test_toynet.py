@@ -3,17 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from shaprank import formats
 from shaprank.errors import FormatError
 from shaprank.exact import shapley_exact_subsets
 from shaprank.games import full_mask, mask_from_members
-from shaprank.formats import (
-    load_dataset_csv,
-    load_model,
-    read_flat_binary,
-    save_model,
-    write_flat_binary,
-)
+from shaprank.formats import load_dataset_csv, load_model, save_model
 from shaprank.toynet import (
     LabeledDataset,
     Layer,
@@ -347,30 +340,32 @@ class TestModelIO:
         masked = forward_batch(spec.with_prunable_layer(1), mask_from_members([1, 3], 4), x)
         np.testing.assert_array_equal(forward_batch(loaded, grand(loaded), x), masked)
 
-    def test_binary_sidecar_round_trip(self, trained, tmp_path, monkeypatch):
-        monkeypatch.setattr(formats, "INLINE_PARAM_LIMIT", 0)
+    @pytest.mark.parametrize("removed", [(), (0, 17, 63)], ids=["unmasked", "masked"])
+    def test_a_large_model_round_trips_bit_for_bit(self, tmp_path, removed):
+        # 9 028 parameters: the round trip must be exact at any size, not
+        # only for small models; the zeroed units are the only change
+        rng = np.random.default_rng(5)
+        spec = ModelSpec(layers=[
+            Layer("dense", rng.standard_normal((64, 2)), rng.standard_normal(64)),
+            Layer("dense", rng.standard_normal((128, 64)), rng.standard_normal(128),
+                  norm=Normalization(*rng.standard_normal((4, 128)) ** 2)),
+            Layer("dense", rng.standard_normal((4, 128)), rng.standard_normal(4),
+                  "softmax-logits"),
+        ])
         path = tmp_path / "model.json"
-        save_model(trained, path)
-        assert (tmp_path / "model.json.bin").exists()
+        save_model(spec, path, removed=list(removed))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         loaded = load_model(path)
-        for a, b in zip(loaded.layers, trained.layers):
-            np.testing.assert_allclose(a.weights, b.weights, atol=1e-6)
-            assert a.weights.shape == b.weights.shape
-
-    def test_flat_binary_format(self, tmp_path):
-        tensors = [np.arange(6, dtype=np.float64).reshape(2, 3), np.ones(4)]
-        path = tmp_path / "weights.bin"
-        write_flat_binary(tensors, path)
-        loaded = read_flat_binary(path)
-        assert [t.shape for t in loaded] == [(2, 3), (4,)]
-        np.testing.assert_allclose(loaded[0], tensors[0], atol=1e-6)
-
-    def test_truncated_binary_rejected(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        write_flat_binary([np.ones(4)], path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError, match="size"):
-            read_flat_binary(path)
+        assert loaded.prunable_layer == spec.prunable_layer
+        for index, (got, want) in enumerate(zip(loaded.layers, spec.layers)):
+            weights, bias = want.weights.copy(), want.bias.copy()
+            if index == spec.prunable_layer:
+                weights[list(removed)] = bias[list(removed)] = 0.0
+            assert np.array_equal(got.weights, weights) and np.array_equal(got.bias, bias)
+            assert (got.kind, got.activation) == (want.kind, want.activation)
+        for key in ("mean", "var", "gamma", "beta"):
+            assert np.array_equal(getattr(loaded.layers[1].norm, key),
+                                  getattr(spec.layers[1].norm, key))
 
     def test_wrong_format_marker_rejected(self, tmp_path):
         path = tmp_path / "model.json"
